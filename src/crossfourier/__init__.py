@@ -5,7 +5,17 @@ concrete discrete groups and finite-dimensional coefficient algebras, does
 exact twisted-convolution arithmetic, estimates operator norms through
 compressed regular representations, and runs the multiplier / summation /
 ideal-structure machinery on top.
+
+Set CROSSFOURIER_THREADS to cap the BLAS thread pools.  It is read here,
+before the first numpy import, and fills in OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS and MKL_NUM_THREADS where they are unset.
 """
+
+import os as _os
+
+if _os.environ.get("CROSSFOURIER_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["CROSSFOURIER_THREADS"])
 
 from .groups import (
     Cyclic,
@@ -63,7 +73,6 @@ from .modules import (
     ModuleVector,
     central_part,
     endomorphism_rep,
-    module_inner,
     trivial_rep,
     unitary_tensor_rep,
     validate_equivariant,
@@ -113,5 +122,4 @@ from .ideals import (
     quotient_system,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@
 
 One experiment per invocation; compose runs with shell scripts so each
 report's provenance stays atomic.  Exit codes: 0 pass, 1 config error,
-2 invariant violation.  Set CROSSFOURIER_THREADS to cap BLAS thread pools.
+2 invariant violation.  Set CROSSFOURIER_THREADS to cap BLAS thread pools
+(read when the crossfourier package is imported).
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import argparse
 import csv
 import datetime
 import json
-import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 
 PRESETS = {
@@ -60,13 +62,6 @@ PRESETS = {
 }
 
 
-def _apply_thread_override():
-    threads = os.environ.get("CROSSFOURIER_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
-
 def _round_floats(obj):
     """Clamp every float to 17 significant digits (diffable, round-trip exact)."""
     if isinstance(obj, float):
@@ -77,17 +72,12 @@ def _round_floats(obj):
         return [_round_floats(v) for v in obj]
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
-    try:
-        import numpy as np
-
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.floating):
-            return _round_floats(float(obj))
-        if isinstance(obj, np.bool_):
-            return bool(obj)
-    except ImportError:
-        pass
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return _round_floats(float(obj))
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     return str(obj)
 
 
@@ -123,8 +113,6 @@ def load_config(path: str) -> dict:
 
 def run_config(config: dict, seed_override: int | None = None) -> tuple[int, dict]:
     """Execute one experiment; returns (exit code, report dict)."""
-    import numpy as np
-
     from .config import ConfigError, build_system
     from .experiments import EXPERIMENTS
 
@@ -174,7 +162,6 @@ def run_config(config: dict, seed_override: int | None = None) -> tuple[int, dic
 
 
 def main(argv=None) -> int:
-    _apply_thread_override()
     parser = argparse.ArgumentParser(prog="crossfourier", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

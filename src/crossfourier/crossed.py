@@ -34,6 +34,10 @@ SUPPORT_TOL = 1e-14
 # Dense SVD below this dimension, Lanczos (deterministic fixed start) above.
 _DENSE_SVD_LIMIT = 600
 
+# Default radius schedules stop before a dense compression passes 1 GiB
+# (dimension 8192).  Explicit radii are not capped.
+_DEFAULT_DENSE_BYTES = 1 << 30
+
 
 class CcElement:
     """Finitely supported function G -> A over a twisted system.
@@ -139,40 +143,23 @@ class CcElement:
         """|| sum_g action(g)^{-1}(f(g)* f(g)) ||^{1/2}."""
         return float(np.sqrt(self.gram().norm()))
 
-    def _weighted(self, weight) -> "CcElement":
+    def _weights(self, weight) -> dict:
+        """{g: weight(g)} over the support; raises where the weight drops below 1."""
         out = {}
-        for g, a in self._coeffs.items():
+        for g in self._coeffs:
             w = float(weight(g))
             if w < 1.0 - 1e-12:
                 raise ValueError(f"weight below 1 at support point {self.system.group.word(g)}")
-            out[g] = w * a
-        return CcElement(self.system, out)
+            out[g] = w
+        return out
 
     def weighted_l2_norm(self, weight) -> float:
-        return float(np.sqrt(sum((float(weight(g)) ** 2) * a.norm() ** 2 for g, a in self._weighted_items(weight))))
-
-    def _weighted_items(self, weight):
-        for g, a in self._coeffs.items():
-            if float(weight(g)) < 1.0 - 1e-12:
-                raise ValueError(f"weight below 1 at support point {self.system.group.word(g)}")
-            yield g, a
+        w = self._weights(weight)
+        return float(np.sqrt(sum((w[g] ** 2) * a.norm() ** 2 for g, a in self._coeffs.items())))
 
     def weighted_module_norm(self, weight) -> float:
-        return self._weighted(weight).module_norm()
-
-    def norm(self, which: str = "l1", weight=None) -> float:
-        """Dispatcher: which in {l1, linf, module, weighted-l2, weighted-module}."""
-        if which == "l1":
-            return self.norm_l1()
-        if which == "linf":
-            return self.norm_linf()
-        if which == "module":
-            return self.module_norm()
-        if which == "weighted-l2":
-            return self.weighted_l2_norm(weight)
-        if which == "weighted-module":
-            return self.weighted_module_norm(weight)
-        raise ValueError(f"unknown norm tag {which!r}")
+        w = self._weights(weight)
+        return CcElement(self.system, {g: w[g] * a for g, a in self._coeffs.items()}).module_norm()
 
 
 def delta(system: TwistedSystem, g=None, a: AlgElement | None = None) -> CcElement:
@@ -196,20 +183,39 @@ def random_cc(system: TwistedSystem, support: Iterable, rng, scale: float = 1.0)
     return CcElement(system, {g: system.algebra.random_element(rng, scale) for g in support})
 
 
+def random_cc_in(system: TwistedSystem, pool: list, max_size: int, rng) -> CcElement:
+    """random_cc on 1 to max_size distinct points drawn from pool."""
+    size = 1 + int(rng.integers(min(max_size, len(pool))))
+    idx = rng.choice(len(pool), size=size, replace=False)
+    return random_cc(system, [pool[i] for i in idx], rng)
+
+
 # -- compressed regular representation ---------------------------------------------
+
+
+def _top_singular(matrix: np.ndarray, vectors: bool):
+    """(largest singular value, its right singular vector or None).
+
+    Dense SVD up to _DENSE_SVD_LIMIT, Lanczos from a fixed start above it.
+    """
+    n = matrix.shape[0]
+    if n <= _DENSE_SVD_LIMIT:
+        out = np.linalg.svd(matrix, compute_uv=vectors)
+    else:
+        v0 = np.ones(n) / np.sqrt(n)
+        out = scipy.sparse.linalg.svds(scipy.sparse.csr_matrix(matrix), k=1, v0=v0,
+                                       return_singular_vectors=vectors, maxiter=5000)
+    if not vectors:
+        return float(out[0]), None
+    _, s, vh = out
+    return float(s[0]), vh[0].conj()
 
 
 def largest_singular_value(matrix: np.ndarray) -> float:
     """Largest singular value; deterministic (fixed Lanczos start above the dense cutoff)."""
-    n = matrix.shape[0]
-    if n == 0:
+    if matrix.shape[0] == 0:
         return 0.0
-    if n <= _DENSE_SVD_LIMIT:
-        return float(np.linalg.svd(matrix, compute_uv=False)[0])
-    sparse = scipy.sparse.csr_matrix(matrix)
-    v0 = np.ones(n) / np.sqrt(n)
-    vals = scipy.sparse.linalg.svds(sparse, k=1, v0=v0, return_singular_vectors=False, maxiter=5000)
-    return float(vals[0])
+    return _top_singular(matrix, vectors=False)[0]
 
 
 @dataclass(frozen=True)
@@ -227,14 +233,7 @@ class CompressedRep:
 
     def top_singular_vector(self) -> np.ndarray:
         """Right singular vector of the top singular value (for witness extraction)."""
-        if self.matrix.shape[0] <= _DENSE_SVD_LIMIT:
-            _, _, vh = np.linalg.svd(self.matrix)
-            return vh[0].conj()
-        sparse = scipy.sparse.csr_matrix(self.matrix)
-        n = self.matrix.shape[0]
-        v0 = np.ones(n) / np.sqrt(n)
-        _, _, vh = scipy.sparse.linalg.svds(sparse, k=1, v0=v0)
-        return vh[0].conj()
+        return _top_singular(self.matrix, vectors=True)[1]
 
 
 def compression_matrix(f: CcElement, R: float, length: LengthFunction | None = None) -> CompressedRep:
@@ -272,6 +271,28 @@ def full_radius(system: TwistedSystem) -> float:
     return max(L(g) for g in system.group.elements())
 
 
+def default_radii(system: TwistedSystem, infinite: Iterable[float], length: LengthFunction | None = None) -> list:
+    """The radius schedule of a caller that was given none.
+
+    Finite groups get the full radius, where the compression is exact.
+    Infinite groups get the caller's radii in order, up to the first whose
+    dense compression ((|ball| * rep_dim)^2 complex entries) would pass
+    _DEFAULT_DENSE_BYTES; no larger ball is enumerated.
+    """
+    if system.group.is_finite:
+        return [full_radius(system)]
+    if length is None:
+        length = default_length(system.group)
+    out = []
+    for R in infinite:
+        if 16 * (len(ball(R, length)) * system.algebra.rep_dim) ** 2 > _DEFAULT_DENSE_BYTES:
+            break
+        out.append(R)
+    if not out:
+        raise ValueError("every default radius exceeds the dense compression cap; give radii explicitly")
+    return out
+
+
 @dataclass(frozen=True)
 class OpnormBounds:
     lower: float
@@ -293,12 +314,15 @@ def opnorm_bounds(
     lower: largest singular value of the compression, maximized over the
     schedule (nondecreasing in R; exact on finite groups at full radius).
     upper: the l1 norm.
+
+    Without a schedule, finite groups use the full radius and infinite
+    groups R = 4, 8, 16, 32, cut before the first radius whose dense
+    compression would pass 1 GiB (so F2 gets [4], Z^3 gets [4, 8, 16]).
     """
-    system = f.system
     if length is None:
-        length = default_length(system.group)
+        length = default_length(f.system.group)
     if R_schedule is None:
-        R_schedule = [full_radius(system)] if system.group.is_finite else [4, 8, 16, 32]
+        R_schedule = default_radii(f.system, [4, 8, 16, 32], length)
     R_schedule = list(R_schedule)
     if not R_schedule:
         raise ValueError("empty radius schedule")

@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .algebra import state_norm
-from .crossed import CcElement, compression_matrix, delta, opnorm_bounds, random_cc
+from .crossed import CcElement, compression_matrix, default_radii, delta, opnorm_bounds, random_cc, random_cc_in
 from .groups import (
     FreeF2,
     FreeProductZ2Z3,
@@ -260,16 +260,10 @@ def decay_constant_probe(
     if length is None:
         length = default_length(system.group)
     pool = ball(R, length)
-    R_prime = 2 * R
-    if system.group.is_finite:
-        from .crossed import full_radius
-
-        R_prime = full_radius(system)
+    R_prime = default_radii(system, [2 * R], length)[0]
     samples = [delta(system)]
     for _ in range(sample_budget):
-        size = 1 + int(rng.integers(min(4, len(pool))))
-        idx = rng.choice(len(pool), size=size, replace=False)
-        samples.append(random_cc(system, [pool[i] for i in idx], rng))
+        samples.append(random_cc_in(system, pool, 4, rng))
     best, best_f, rows = 0.0, samples[0], []
     for f in samples:
         denom = f.weighted_module_norm(weight)
@@ -328,12 +322,7 @@ def content_probe(
         raise ValueError("subset must be nonempty")
     length = default_length(system.group)
     if R is None:
-        if system.group.is_finite:
-            from .crossed import full_radius
-
-            R = full_radius(system)
-        else:
-            R = 2 * max(length(g) for g in E) + 2
+        R = default_radii(system, [2 * max(length(g) for g in E) + 2], length)[0]
 
     def objective(f: CcElement) -> float:
         denom = f.module_norm()
@@ -367,6 +356,9 @@ def content_probe(
 # -- tail profiles ----------------------------------------------------------------------
 
 
+_SHELL_NORMS = {"l1": CcElement.norm_l1, "linf": CcElement.norm_linf, "module": CcElement.module_norm}
+
+
 def tail_profile(f: CcElement, length: LengthFunction | None = None, norm_tag: str = "l1") -> list:
     """Per-shell norms of f: shell m collects m-1 < L(g) <= m (shell 0 is L = 0).
 
@@ -375,6 +367,9 @@ def tail_profile(f: CcElement, length: LengthFunction | None = None, norm_tag: s
     """
     if length is None:
         length = default_length(f.system.group)
+    if norm_tag not in _SHELL_NORMS:
+        raise ValueError(f"unknown norm tag {norm_tag!r}")
+    norm = _SHELL_NORMS[norm_tag]
     if len(f) == 0:
         return [(0, 0.0)]
     max_m = int(math.ceil(max(length(g) for g in f.support())))
@@ -385,7 +380,7 @@ def tail_profile(f: CcElement, length: LengthFunction | None = None, norm_tag: s
             for g in f.support()
             if (length(g) == 0 if m == 0 else m - 1 < length(g) <= m)
         }
-        out.append((m, CcElement(f.system, shell).norm(norm_tag)))
+        out.append((m, norm(CcElement(f.system, shell))))
     return out
 
 

@@ -76,9 +76,6 @@ class Group:
             g = self.mul(g, letters[int(rng.integers(len(letters)))])
         return g
 
-    def conjugate(self, g: Elt, h: Elt) -> Elt:
-        return self.mul(self.mul(g, h), self.inv(g))
-
 
 @dataclass(frozen=True)
 class LengthFunction:

@@ -109,15 +109,12 @@ def orbit_closure(system: TwistedSystem, blocks: Iterable[int]) -> InvariantIdea
     return InvariantIdeal(system.algebra, frozenset(out))
 
 
-def ideal_membership(f: CcElement, J: InvariantIdeal, mode: str = "check") -> bool:
+def ideal_membership(f: CcElement, J: InvariantIdeal) -> bool:
     """Whether every coefficient of f lies in J.
 
-    Both the algebraic-ideal test ("induced-alg") and the coefficientwise
-    test ("check") reduce to this blockwise statement at the finitely
-    supported level.
+    At the finitely supported level the algebraic-ideal test and the
+    coefficientwise test are both this blockwise statement.
     """
-    if mode not in ("check", "induced-alg"):
-        raise ValueError(f"unknown membership mode {mode!r}")
     return all(J.contains(a) for _, a in f.items())
 
 

@@ -74,10 +74,6 @@ class ModuleVector:
         return np.concatenate([m.reshape(-1) for a in self.entries for m in a.blocks])
 
 
-def module_inner(x: ModuleVector, y: ModuleVector) -> AlgElement:
-    return x.inner(y)
-
-
 def basis_vector(algebra: BlockAlgebra, rank: int, i: int) -> ModuleVector:
     entries = [algebra.zero()] * rank
     entries[i] = algebra.unit()

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .algebra import ALG_TOL, AlgElement
-from .crossed import CcElement, cc_unit, opnorm_bounds, random_cc
+from .crossed import CcElement, cc_unit, default_radii, opnorm_bounds, random_cc_in
 from .groups import ball, default_length
 from .modules import EquivariantRep, ModuleVector
 from .system import TwistedSystem
@@ -305,15 +305,11 @@ def multiplier_norm_probe(
     grp = system.group
     length = default_length(grp)
     if R is None:
-        from .crossed import full_radius
-
-        R = full_radius(system) if grp.is_finite else 4
-    pool = [g for g in ball(min(support_radius, R), length)]
+        R = default_radii(system, [4], length)[0]
+    pool = ball(min(support_radius, R), length)
     samples = [cc_unit(system)]
     for _ in range(sample_budget):
-        size = 1 + int(rng.integers(min(3, len(pool))))
-        idx = rng.choice(len(pool), size=size, replace=False)
-        samples.append(random_cc(system, [pool[i] for i in idx], rng))
+        samples.append(random_cc_in(system, pool, 3, rng))
     best, witnesses = 0.0, []
     for f in samples:
         upper = f.norm_l1()

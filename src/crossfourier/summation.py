@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .crossed import CcElement, compression_matrix
+from .crossed import CcElement, compression_matrix, default_radii
 from .groups import FolnerSequence, LengthFunction, Zd, ball, default_length, folner_sequence
 from .modules import EquivariantRep
 from .multipliers import Multiplier, apply_multiplier, scalar_multiplier
@@ -33,12 +33,15 @@ class SummingNet:
     kind: str
     indices: tuple
     multipliers: tuple
-    bounds: tuple
     truncation: dict = field(default_factory=dict)  # index -> (radius, accounted tail bound)
 
     def __post_init__(self):
         if not all(math.isfinite(b) for b in self.bounds):
             raise ValueError("declared bounds must be finite")
+
+    @property
+    def bounds(self) -> tuple:
+        return tuple(T.bound for T in self.multipliers)
 
     def __len__(self):
         return len(self.indices)
@@ -59,7 +62,7 @@ def fejer_net(system: TwistedSystem, indices: Sequence[int], folner: FolnerSeque
     for i in indices:
         phi = _fejer_kernel(folner, int(i))
         mults.append(scalar_multiplier(system, phi, bound=1.0))
-    return SummingNet(system, "fejer", tuple(indices), tuple(mults), tuple(1.0 for _ in indices))
+    return SummingNet(system, "fejer", tuple(indices), tuple(mults))
 
 
 def _fejer_kernel(folner: FolnerSequence, i: int):
@@ -158,8 +161,7 @@ def abel_poisson_net(
         phi = _abel_kernel(length, r, R)
         mults.append(scalar_multiplier(system, phi, bound=1.0))
         truncation[r] = (R, tail)
-    return SummingNet(system, "abel-poisson", tuple(float(r) for r in r_schedule),
-                      tuple(mults), tuple(1.0 for _ in r_schedule), truncation)
+    return SummingNet(system, "abel-poisson", tuple(float(r) for r in r_schedule), tuple(mults), truncation)
 
 
 def _abel_kernel(length: LengthFunction, r: float, R: int):
@@ -189,7 +191,7 @@ def approx_data_net(rep: EquivariantRep, data: Sequence[tuple[dict, dict]]) -> S
     """
     system = rep.system
     grp = system.group
-    mults, bounds = [], []
+    mults = []
     for xi, eta in data:
         support = frozenset(grp.mul(h, grp.inv(k)) for h in xi for k in eta)
 
@@ -208,8 +210,7 @@ def approx_data_net(rep: EquivariantRep, data: Sequence[tuple[dict, dict]]) -> S
         mults.append(Multiplier(system, "approx-data", apply_at,
                                 bound=_xg_norm(xi) * _xg_norm(eta),
                                 g_support=support, preserves_ideals=one_sided))
-        bounds.append(_xg_norm(xi) * _xg_norm(eta))
-    return SummingNet(system, "approx-data", tuple(range(len(data))), tuple(mults), tuple(bounds))
+    return SummingNet(system, "approx-data", tuple(range(len(data))), tuple(mults))
 
 
 def folner_approx_data(rep: EquivariantRep, folner: FolnerSequence, indices: Sequence[int]) -> list:
@@ -273,12 +274,10 @@ def run_convergence(
     system = net.system
     if rng is None:
         rng = np.random.default_rng(0)
-    if R_schedule is None:
-        from .crossed import full_radius
-
-        R_schedule = [full_radius(system)] if system.group.is_finite else [4, 8]
-    R_schedule = [float(R) for R in R_schedule]
     length = default_length(system.group)
+    if R_schedule is None:
+        R_schedule = default_radii(system, [4, 8], length)
+    R_schedule = [float(R) for R in R_schedule]
 
     pool = ball(3, length)
     picks = list(rng.choice(len(pool), size=min(n_pointwise, len(pool)), replace=False))

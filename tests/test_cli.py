@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,14 @@ def base_config(tmp_path, experiment, system=None, seed=5):
         "experiment": experiment,
         "output": {"json": str(tmp_path / "report.json"), "csv": str(tmp_path / "trace.csv")},
     }
+
+
+def subprocess_env(**extra):
+    """The current environment with the package source first on PYTHONPATH."""
+    env = dict(os.environ, **extra)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def run_cli(tmp_path, config, extra=()):
@@ -183,10 +193,25 @@ def test_console_entry_point(tmp_path):
     path.write_text(json.dumps(config))
     proc = subprocess.run(
         [sys.executable, "-m", "crossfourier.cli", "run", str(path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert '"passed": true' in proc.stdout
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+def test_crossfourier_threads_caps_blas_at_import():
+    env = subprocess_env(CROSSFOURIER_THREADS="1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    code = (
+        "import os, crossfourier, numpy as np\n"
+        "a = np.ones((256, 256)); a @ a\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 1
 
 
 def test_commutative_inequality_experiment(tmp_path):

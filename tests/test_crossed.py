@@ -207,7 +207,7 @@ def test_scalar_module_norm_is_l2():
     A = sys_.algebra
     f = CcElement(sys_, {(0,): A.scalar(3), (2,): A.scalar(4j)})
     assert f.module_norm() == pytest.approx(5.0)
-    assert f.norm("module") == pytest.approx(5.0)
+    assert f.module_norm() == pytest.approx(5.0)
     assert f.norm_l1() == pytest.approx(7.0)
     assert f.norm_linf() == pytest.approx(4.0)
 
@@ -327,8 +327,49 @@ def test_largest_singular_value_dense_and_sparse_paths_agree():
     A = sys_.algebra
     f = CcElement(sys_, {(1,): A.unit(), (-1,): A.unit()})
     for R in (299, 301):  # 599 and 603 dimensions
-        got = compression_matrix(f, R).largest_singular_value()
-        assert got == pytest.approx(2 * np.cos(np.pi / (2 * R + 2)), abs=1e-8)
+        comp = compression_matrix(f, R)
+        want = 2 * np.cos(np.pi / (2 * R + 2))
+        assert comp.largest_singular_value() == pytest.approx(want, abs=1e-8)
+        v = comp.top_singular_vector()
+        assert np.linalg.norm(comp.matrix @ v) / np.linalg.norm(v) == pytest.approx(want, abs=1e-8)
+
+
+def test_singular_values_go_through_the_module_level_function(monkeypatch):
+    import crossfourier.crossed as crossed
+
+    calls = []
+    original = crossed.largest_singular_value
+
+    def spy(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(crossed, "largest_singular_value", spy)
+    sys_ = theta_system(Zd(2), "1/5")
+    f = delta(sys_, (1, 0))
+    compression_matrix(f, 2).largest_singular_value()
+    assert calls == [(13, 13)]
+    opnorm_bounds(f, [1, 2])
+    assert calls == [(13, 13), (5, 5), (13, 13)]
+
+
+def test_default_schedule_on_f2_stops_below_the_dense_cap():
+    from crossfourier.groups import FreeF2
+
+    # ball(8) of F2 has 13121 points, past the 8192-dimension cap; ball(16)
+    # would have 86 million and must never be enumerated
+    sys_ = trivial_system(BlockAlgebra([1]), FreeF2())
+    a, b = FreeF2().generators()
+    f = CcElement(sys_, {a: sys_.algebra.unit(), b: sys_.algebra.unit()})
+    assert [R for R, _ in opnorm_bounds(f).trace] == [4.0]
+
+
+def test_default_schedule_on_z2_keeps_every_radius():
+    sys_ = theta_system(Zd(2), "1/5")
+    f = delta(sys_, (1, 0))
+    b = opnorm_bounds(f)
+    assert [R for R, _ in b.trace] == [4.0, 8.0, 16.0, 32.0]
+    assert b.lower == pytest.approx(1.0, abs=1e-10)
 
 
 def test_opnorm_bounds_unitary_point_mass():

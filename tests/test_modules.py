@@ -10,7 +10,6 @@ from crossfourier.modules import (
     basis_vector,
     central_part,
     endomorphism_rep,
-    module_inner,
     random_vector,
     trivial_rep,
     unitary_tensor_rep,
@@ -22,7 +21,7 @@ from crossfourier.system import TwistedSystem, generator_action, theta_system, t
 def test_inner_product_basics():
     A = BlockAlgebra([2, 1])
     one = ModuleVector(A, (A.unit(),))
-    assert (module_inner(one, one) - A.unit()).norm() == 0
+    assert (one.inner(one) - A.unit()).norm() == 0
     e0 = basis_vector(A, 3, 0)
     assert (e0.inner(e0) - A.unit()).norm() == 0
     rng = np.random.default_rng(0)
