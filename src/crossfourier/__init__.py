@@ -26,6 +26,7 @@ from .groups import (
     Zd,
     LengthFunction,
     ball,
+    ball_size,
     block_length,
     default_length,
     folner_sequence,

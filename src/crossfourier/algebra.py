@@ -169,16 +169,6 @@ class AlgElement:
             for x in self.blocks
         )
 
-    def dense(self) -> np.ndarray:
-        """Block-diagonal matrix of the defining representation."""
-        d = self.algebra.rep_dim
-        out = np.zeros((d, d), dtype=complex)
-        k = 0
-        for m in self.blocks:
-            out[k : k + m.shape[0], k : k + m.shape[0]] = m
-            k += m.shape[0]
-        return out
-
     def is_zero(self, tol: float = 1e-14) -> bool:
         return self.norm() <= tol
 
@@ -237,6 +227,7 @@ class AlgAutomorphism:
         self.algebra = algebra
         self.perm = perm
         self.unitaries = tuple(mats)
+        self._inverse = None
 
     @staticmethod
     def identity(algebra: BlockAlgebra) -> "AlgAutomorphism":
@@ -263,13 +254,16 @@ class AlgAutomorphism:
         return AlgAutomorphism(self.algebra, perm, unitaries)
 
     def inverse(self) -> "AlgAutomorphism":
-        n = len(self.perm)
-        perm = [0] * n
-        unitaries: list = [None] * n
-        for k, p in enumerate(self.perm):
-            perm[p] = k
-            unitaries[p] = self.unitaries[k].conj().T
-        return AlgAutomorphism(self.algebra, perm, unitaries)
+        """The inverse automorphism, built (and checked unitary) once per instance."""
+        if self._inverse is None:
+            n = len(self.perm)
+            perm = [0] * n
+            unitaries: list = [None] * n
+            for k, p in enumerate(self.perm):
+                perm[p] = k
+                unitaries[p] = self.unitaries[k].conj().T
+            self._inverse = AlgAutomorphism(self.algebra, perm, unitaries)
+        return self._inverse
 
     def power(self, n: int) -> "AlgAutomorphism":
         base = self if n >= 0 else self.inverse()

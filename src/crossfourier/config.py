@@ -38,7 +38,6 @@ from .crossed import CcElement
 from .system import (
     TwistedSystem,
     generator_action,
-    section_cocycle_system,
     sl2z_system,
     theta_cocycle,
     trivial_action,

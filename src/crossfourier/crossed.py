@@ -14,10 +14,16 @@ matrix entry action(h')^{-1}( f(h'h^{-1}) cocycle(h'h^{-1}, h) ) at (h', h);
 realizing each entry in the defining representation of A gives a complex
 matrix whose largest singular value is the compressed norm.  On finite
 groups the full-radius compression is the exact reduced norm.
+
+The compression is assembled in one pass, with one inverse action per row
+and batched block products, and stored as a CSR matrix (CompressedRep.sparse);
+CompressedRep.matrix is the dense array, built on demand.  Singular values
+densify only below the dense SVD cutoff and run Lanczos on the CSR above it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -26,7 +32,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .algebra import AlgElement
-from .groups import LengthFunction, ball, default_length, word_length
+from .groups import LengthFunction, ball, ball_size, default_length, word_length
 from .system import TwistedSystem
 
 SUPPORT_TOL = 1e-14
@@ -193,25 +199,25 @@ def random_cc_in(system: TwistedSystem, pool: list, max_size: int, rng) -> CcEle
 # -- compressed regular representation ---------------------------------------------
 
 
-def _top_singular(matrix: np.ndarray, vectors: bool):
+def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool):
     """(largest singular value, its right singular vector or None).
 
-    Dense SVD up to _DENSE_SVD_LIMIT, Lanczos from a fixed start above it.
+    Dense SVD of matrix.toarray() up to _DENSE_SVD_LIMIT, Lanczos on the
+    sparse matrix from a fixed start above it.
     """
     n = matrix.shape[0]
     if n <= _DENSE_SVD_LIMIT:
-        out = np.linalg.svd(matrix, compute_uv=vectors)
+        out = np.linalg.svd(matrix.toarray(), compute_uv=vectors)
     else:
         v0 = np.ones(n) / np.sqrt(n)
-        out = scipy.sparse.linalg.svds(scipy.sparse.csr_matrix(matrix), k=1, v0=v0,
-                                       return_singular_vectors=vectors, maxiter=5000)
+        out = scipy.sparse.linalg.svds(matrix, k=1, v0=v0, return_singular_vectors=vectors, maxiter=5000)
     if not vectors:
         return float(out[0]), None
     _, s, vh = out
     return float(s[0]), vh[0].conj()
 
 
-def largest_singular_value(matrix: np.ndarray) -> float:
+def largest_singular_value(matrix: scipy.sparse.csr_matrix) -> float:
     """Largest singular value; deterministic (fixed Lanczos start above the dense cutoff)."""
     if matrix.shape[0] == 0:
         return 0.0
@@ -220,20 +226,27 @@ def largest_singular_value(matrix: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CompressedRep:
-    """P_R Lambda(f) P_R realized as a complex matrix over ball(R) x rep(A)."""
+    """P_R Lambda(f) P_R realized as a complex matrix over ball(R) x rep(A).
+
+    The matrix is stored sparse; `matrix` is its dense array, built on first use.
+    """
 
     system: TwistedSystem
     radius: float
     length: LengthFunction
     index: tuple
-    matrix: np.ndarray
+    sparse: scipy.sparse.csr_matrix
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return self.sparse.toarray()
 
     def largest_singular_value(self) -> float:
-        return largest_singular_value(self.matrix)
+        return largest_singular_value(self.sparse)
 
     def top_singular_vector(self) -> np.ndarray:
         """Right singular vector of the top singular value (for witness extraction)."""
-        return _top_singular(self.matrix, vectors=True)[1]
+        return _top_singular(self.sparse, vectors=True)[1]
 
 
 def compression_matrix(f: CcElement, R: float, length: LengthFunction | None = None) -> CompressedRep:
@@ -250,19 +263,52 @@ def compression_matrix(f: CcElement, R: float, length: LengthFunction | None = N
     if not idx:
         raise ValueError("empty ball")
     pos = {g: i for i, g in enumerate(idx)}
-    D = system.algebra.rep_dim
-    n = len(idx)
-    M = np.zeros((n * D, n * D), dtype=complex)
-    grp = system.group
+    grp, dims = system.group, system.algebra.dims
+    items = f.items()
+    # one (row, column, support index, cocycle) per nonzero block; (h', h)
+    # fixes g = h'h^{-1}, so no block gets two contributions
+    rows, cols, terms, sigmas = [], [], [], []
     for c, h in enumerate(idx):
-        for g, a in f.items():
-            hp = grp.mul(g, h)
-            r = pos.get(hp)
-            if r is None:
-                continue
-            entry = system.act_inv(hp, a * system.cocycle(g, h))
-            M[r * D : (r + 1) * D, c * D : (c + 1) * D] += entry.dense()
-    return CompressedRep(system, R, length, tuple(idx), M)
+        for t, (g, _) in enumerate(items):
+            r = pos.get(grp.mul(g, h))
+            if r is not None:
+                rows.append(r)
+                cols.append(c)
+                terms.append(t)
+                sigmas.append(system.cocycle(g, h))
+    D = system.algebra.rep_dim
+    shape = (len(idx) * D, len(idx) * D)
+    if not rows:
+        return CompressedRep(system, R, length, tuple(idx), scipy.sparse.csr_matrix(shape, dtype=complex))
+    rows, cols = np.array(rows), np.array(cols)
+    distinct, row_of = np.unique(rows, return_inverse=True)
+    inverses = [system.action(idx[r]).inverse() for r in distinct]
+    perms = np.array([inv.perm for inv in inverses])[row_of]
+    # a . cocycle per source block, one matmul over all contributions
+    products = [
+        np.matmul(np.stack([a.blocks[j] for _, a in items])[terms], np.stack([s.blocks[j] for s in sigmas]))
+        for j in range(len(dims))
+    ]
+    coo_rows, coo_cols, coo_data = [], [], []
+    offset = 0
+    for k, d in enumerate(dims):
+        x = np.empty_like(products[k])
+        for j, dj in enumerate(dims):
+            if dj == d:
+                chosen = perms[:, k] == j
+                x[chosen] = products[j][chosen]
+        u = np.stack([inv.unitaries[k] for inv in inverses])[row_of]
+        y = np.matmul(np.matmul(u, x), u.conj().transpose(0, 2, 1))
+        i, j = np.indices((d, d))
+        coo_rows.append((rows[:, None, None] * D + offset + i).ravel())
+        coo_cols.append((cols[:, None, None] * D + offset + j).ravel())
+        coo_data.append(y.ravel())
+        offset += d
+    # adding to 0 turns -0.0 parts into +0.0, as filling a zeroed dense matrix did
+    data = np.concatenate(coo_data) + 0j
+    sparse = scipy.sparse.csr_matrix((data, (np.concatenate(coo_rows), np.concatenate(coo_cols))), shape=shape)
+    sparse.eliminate_zeros()
+    return CompressedRep(system, R, length, tuple(idx), sparse)
 
 
 def full_radius(system: TwistedSystem) -> float:
@@ -277,7 +323,8 @@ def default_radii(system: TwistedSystem, infinite: Iterable[float], length: Leng
     Finite groups get the full radius, where the compression is exact.
     Infinite groups get the caller's radii in order, up to the first whose
     dense compression ((|ball| * rep_dim)^2 complex entries) would pass
-    _DEFAULT_DENSE_BYTES; no larger ball is enumerated.
+    _DEFAULT_DENSE_BYTES.  Ball sizes are counted (ball_size), so the
+    default lengths enumerate no ball here.
     """
     if system.group.is_finite:
         return [full_radius(system)]
@@ -285,7 +332,7 @@ def default_radii(system: TwistedSystem, infinite: Iterable[float], length: Leng
         length = default_length(system.group)
     out = []
     for R in infinite:
-        if 16 * (len(ball(R, length)) * system.algebra.rep_dim) ** 2 > _DEFAULT_DENSE_BYTES:
+        if 16 * (ball_size(R, length) * system.algebra.rep_dim) ** 2 > _DEFAULT_DENSE_BYTES:
             break
         out.append(R)
     if not out:

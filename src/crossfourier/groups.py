@@ -588,6 +588,26 @@ def ball(R: float, length: LengthFunction) -> list:
     return sorted(elts, key=lambda g: (length(g), group.sort_key(g)))
 
 
+def ball_size(R: float, length: LengthFunction) -> int:
+    """len(ball(R, length)), counted in closed form where one is known.
+
+    Z^d under the one-norm (= word length): sum_k 2^k C(d, k) C(floor R, k).
+    F2 under word length: 2 * 3^floor(R) - 1.  Z2 * Z3 under block length:
+    1 + sum_{1 <= m <= R} (2^floor(m/2) + 2^ceil(m/2)).  Other lengths
+    enumerate the ball.
+    """
+    if R < 0:
+        raise ValueError("ball radius must be nonnegative")
+    group, r = length.group, int(math.floor(R))
+    if isinstance(group, Zd) and length.tag in ("one-norm", "word"):
+        return sum(2 ** k * math.comb(group.d, k) * math.comb(r, k) for k in range(min(group.d, r) + 1))
+    if isinstance(group, FreeF2) and length.tag == "word":
+        return 2 * 3 ** r - 1
+    if isinstance(group, FreeProductZ2Z3) and length.tag == "block":
+        return 1 + sum(2 ** (m // 2) + 2 ** ((m + 1) // 2) for m in range(1, r + 1))
+    return len(ball(R, length))
+
+
 def _zd_ball(group: Zd, R: float, length: LengthFunction) -> list:
     if length.tag == "squared-two-norm":
         box = int(math.isqrt(int(math.floor(R))))

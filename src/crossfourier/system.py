@@ -87,11 +87,21 @@ def generator_action(group: Group, algebra: BlockAlgebra, images: Sequence[AlgAu
     if len(images) != len(group.generators()):
         raise ValueError("one automorphism per generator required")
     ident = AlgAutomorphism.identity(algebra)
+    # powers[i][s][|k|] is images[i]^k for k of sign s, grown one compose at a
+    # time in the order AlgAutomorphism.power uses, so the bits are the same
+    powers = [([ident], [ident]) for _ in images]
+
+    def power(i, k):
+        table = powers[i][k < 0]
+        base = images[i] if k >= 0 else images[i].inverse()
+        while len(table) <= abs(k):
+            table.append(base.compose(table[-1]))
+        return table[abs(k)]
 
     def rule(g):
         auto = ident
         for i, k in group.decompose(g):
-            auto = auto.compose(images[i].power(k))
+            auto = auto.compose(power(i, k))
         return auto
 
     return rule

@@ -77,6 +77,7 @@ def test_automorphism_preserves_structure():
         assert theta(a).norm() == pytest.approx(a.norm(), rel=1e-9)
     assert (theta(A.unit()) - A.unit()).norm() < 1e-12
     inv = theta.inverse()
+    assert theta.inverse() is inv  # built once per automorphism
     for _ in range(5):
         a = A.random_element(rng)
         assert (inv(theta(a)) - a).norm() < 1e-12

@@ -2,6 +2,7 @@ import cmath
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from crossfourier.algebra import AlgAutomorphism, BlockAlgebra
 from crossfourier.crossed import (
@@ -13,7 +14,7 @@ from crossfourier.crossed import (
     opnorm_bounds,
     random_cc,
 )
-from crossfourier.groups import Cyclic, Zd, ball
+from crossfourier.groups import Cyclic, Dihedral, DirectProduct, FreeF2, Zd, ball, default_length
 from crossfourier.system import TwistedSystem, generator_action, theta_system, trivial_system, sl2z_system
 
 
@@ -270,6 +271,119 @@ def test_compression_path_graph():
     assert comp.largest_singular_value() == pytest.approx(2 * np.cos(np.pi / (2 * R + 2)), abs=1e-10)
 
 
+def _random_unitary(rng, d):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+def _dihedral_points_system():
+    """D4 permuting the vertices of a square: a block-permutation action on C^4."""
+    A = BlockAlgebra([1, 1, 1, 1])
+    G = Dihedral(4)
+    rotate = AlgAutomorphism.block_permutation(A, [1, 2, 3, 0])
+    reflect = AlgAutomorphism.block_permutation(A, [0, 3, 2, 1])
+    return TwistedSystem(A, G, generator_action(G, A, [rotate, reflect]), lambda g, h: A.unit(), tag="D4-points")
+
+
+def _product_conjugation_system():
+    """Z2 x Z3 on M2 by commuting diagonal conjugations of orders 2 and 3."""
+    A = BlockAlgebra([2])
+    G = DirectProduct([Cyclic(2), Cyclic(3)])
+    images = [AlgAutomorphism.conjugation(A, [np.diag([1, -1])]),
+              AlgAutomorphism.conjugation(A, [np.diag([1, np.exp(2j * np.pi / 3)])])]
+    return TwistedSystem(A, G, generator_action(G, A, images), lambda g, h: A.unit(), tag="Z2xZ3-conjugation")
+
+
+def _f2_swap_system():
+    """F2 on M2 + M2 + C: a swaps the two 2-blocks (with conjugations), b conjugates."""
+    A = BlockAlgebra([2, 2, 1])
+    rng = np.random.default_rng(21)
+    a = AlgAutomorphism(A, [1, 0, 2], [_random_unitary(rng, 2), _random_unitary(rng, 2), np.eye(1)])
+    b = AlgAutomorphism.conjugation(A, [_random_unitary(rng, 2), _random_unitary(rng, 2), np.eye(1)])
+    G = FreeF2()
+    return TwistedSystem(A, G, generator_action(G, A, [a, b]), lambda g, h: A.unit(), tag="F2-swap")
+
+
+# every group family; theta, section and non-central cocycles; conjugation,
+# block-permutation and mixed actions
+EXACT_SYSTEMS = {
+    **SYSTEMS,
+    "D4-points": _dihedral_points_system,
+    "Z2xZ3-conjugation": _product_conjugation_system,
+    "F2-swap": _f2_swap_system,
+}
+
+
+def entrywise_compression(f, R):
+    """The compression filled block by block into a zeroed dense matrix."""
+    system = f.system
+    idx = ball(R, default_length(system.group))
+    pos = {g: i for i, g in enumerate(idx)}
+    D = system.algebra.rep_dim
+    M = np.zeros((len(idx) * D, len(idx) * D), dtype=complex)
+    for c, h in enumerate(idx):
+        for g, a in f.items():
+            r = pos.get(system.group.mul(g, h))
+            if r is None:
+                continue
+            entry = system.act_inv(idx[r], a * system.cocycle(g, h))
+            k = 0
+            for m in entry.blocks:
+                d = m.shape[0]
+                M[r * D + k : r * D + k + d, c * D + k : c * D + k + d] += m
+                k += d
+    return M
+
+
+@pytest.mark.parametrize("name", list(EXACT_SYSTEMS), ids=str)
+def test_compression_equals_entrywise_reference_exactly(name):
+    from crossfourier.crossed import full_radius
+
+    sys_ = EXACT_SYSTEMS[name]()
+    R = full_radius(sys_) if sys_.group.is_finite else 3
+    rng = np.random.default_rng(22)
+    # imaginary coefficients make signed zeros under conjugation; the dense
+    # fill turned them into +0.0, and so must the sparse assembly
+    i_unit = 1j * sys_.algebra.unit()
+    elements = [CcElement(sys_, {g: i_unit for g in sample_support(sys_, rng, 4)})]
+    elements += [random_cc(sys_, sample_support(sys_, rng, 4), rng) for _ in range(3)]
+    for f in elements:
+        rep = compression_matrix(f, R)
+        assert np.array_equal(rep.matrix, entrywise_compression(f, R))
+        S, want = rep.sparse, scipy.sparse.csr_matrix(rep.matrix)
+        assert S.has_sorted_indices
+        assert np.all(S.data != 0)
+        assert np.array_equal(S.indptr, want.indptr)
+        assert np.array_equal(S.indices, want.indices)
+        assert S.data.tobytes() == want.data.tobytes()  # signed zeros included
+
+
+def test_compression_of_element_outside_the_ball_is_zero():
+    sys_ = theta_system(Zd(2), "1/5")
+    rep = compression_matrix(delta(sys_, (9, 0)), 2)
+    assert rep.sparse.shape == (13, 13) and rep.sparse.nnz == 0
+    assert not rep.matrix.any()
+    assert rep.largest_singular_value() == 0.0
+
+
+def test_compression_builds_few_automorphisms(monkeypatch):
+    # each row's inverse action is built once and generator powers are
+    # memoized, so the count grows with |ball|, not |ball| * |supp f| * R
+    sys_ = rotation_system()
+    rng = np.random.default_rng(23)
+    f = random_cc(sys_, ball(2, default_length(sys_.group)), rng)
+    built = []
+    init = AlgAutomorphism.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgAutomorphism, "__init__", counting_init)
+    rep = compression_matrix(f, 100)
+    assert len(rep.index) == 201
+    assert len(built) <= 4 * len(rep.index)
+
+
 @pytest.mark.parametrize("name", list(SYSTEMS), ids=str)
 def test_compression_star_is_adjoint(name):
     sys_ = SYSTEMS[name]()
@@ -362,6 +476,24 @@ def test_default_schedule_on_f2_stops_below_the_dense_cap():
     a, b = FreeF2().generators()
     f = CcElement(sys_, {a: sys_.algebra.unit(), b: sys_.algebra.unit()})
     assert [R for R, _ in opnorm_bounds(f).trace] == [4.0]
+
+
+def test_default_schedule_counts_balls_instead_of_enumerating(monkeypatch):
+    import crossfourier.crossed as crossed
+    import crossfourier.groups as groups
+
+    # ball(32) of Z2 * Z3 has 458 746 points; the schedule check must not build it
+    seen = []
+    original = groups.ball
+
+    def recording(R, length):
+        seen.append(R)
+        return original(R, length)
+
+    monkeypatch.setattr(crossed, "ball", recording)
+    monkeypatch.setattr(groups, "ball", recording)
+    assert crossed.default_radii(sl2z_system(), [4, 8, 16, 32]) == [4, 8, 16]
+    assert seen == []
 
 
 def test_default_schedule_on_z2_keeps_every_radius():

@@ -11,6 +11,7 @@ from crossfourier.groups import (
     FreeProductZ2Z3,
     Zd,
     ball,
+    ball_size,
     block_length,
     folner_sequence,
     one_norm,
@@ -184,3 +185,15 @@ def test_folner_ratio_tends_to_one():
         assert all(0.0 <= r <= 1.0 for r in ratios)
         assert ratios[-1] > 0.95
         assert ratios == sorted(ratios)
+
+
+@pytest.mark.parametrize(
+    "length",
+    [one_norm(Zd(1)), one_norm(Zd(2)), one_norm(Zd(3)), word_length(Zd(2)), word_length(FreeF2()),
+     block_length(FreeProductZ2Z3()), two_norm(Zd(2))],
+    ids=lambda L: f"{L.group.name}-{L.tag}",
+)
+def test_ball_size_equals_enumerated_size(length):
+    # closed forms for the first six; the two-norm falls back to enumeration
+    for R in (0, 1, 2, 2.5, 3, 4, 5, 6):
+        assert ball_size(R, length) == len(ball(R, length))

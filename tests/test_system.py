@@ -52,6 +52,12 @@ def test_action_system_with_nontrivial_action():
     rng = np.random.default_rng(0)
     a = A.random_element(rng)
     assert (sys_.act((3,), a) - theta.power(3)(a)).norm() < 1e-12
+    # generator powers are memoized; filling the tables from +-5 first and
+    # reading them back must give AlgAutomorphism.power's matrices exactly
+    for k in (5, -5, *range(-5, 6)):
+        got, want = sys_.action((k,)), theta.power(k)
+        assert got.perm == want.perm
+        assert all(np.array_equal(x, y) for x, y in zip(got.unitaries, want.unitaries))
 
 
 def test_block_swap_action():
