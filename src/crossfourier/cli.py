@@ -21,6 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, build_system
+from .experiments import EXPERIMENTS
+from .system import validate_system
+
 
 PRESETS = {
     "psl": {
@@ -100,8 +104,6 @@ def write_csv(rows, path: str):
 
 
 def load_config(path: str) -> dict:
-    from .config import ConfigError
-
     try:
         with open(path) as handle:
             return json.load(handle)
@@ -113,9 +115,6 @@ def load_config(path: str) -> dict:
 
 def run_config(config: dict, seed_override: int | None = None) -> tuple[int, dict]:
     """Execute one experiment; returns (exit code, report dict)."""
-    from .config import ConfigError, build_system
-    from .experiments import EXPERIMENTS
-
     if "seed" not in config and seed_override is None:
         raise ConfigError("a seed is mandatory")
     seed = int(seed_override if seed_override is not None else config["seed"])
@@ -130,8 +129,6 @@ def run_config(config: dict, seed_override: int | None = None) -> tuple[int, dic
 
     # every run checks the system axioms first; violations outrank the experiment
     if tag != "validate":
-        from .system import validate_system
-
         vreport = validate_system(system, n_samples=60, rng=np.random.default_rng(seed))
         if not vreport.passed:
             report = {
@@ -178,8 +175,6 @@ def main(argv=None) -> int:
     pre_p.add_argument("name", nargs="?")
 
     args = parser.parse_args(argv)
-    from .config import ConfigError
-
     try:
         if args.command == "presets":
             if args.action == "list":

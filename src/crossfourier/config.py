@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgAutomorphism, BlockAlgebra
+import numpy as np
+
+from .algebra import AlgAutomorphism, BlockAlgebra, PointMap
 from .groups import (
     Cyclic,
     Dihedral,
@@ -27,6 +29,7 @@ from .groups import (
     Group,
     LengthFunction,
     Zd,
+    ball,
     block_length,
     default_length,
     one_norm,
@@ -35,6 +38,7 @@ from .groups import (
     word_length,
 )
 from .crossed import CcElement
+from .modules import endomorphism_rep, trivial_rep, unitary_tensor_rep
 from .system import (
     TwistedSystem,
     generator_action,
@@ -191,8 +195,6 @@ def build_element(system: TwistedSystem, spec, rng) -> CcElement:
             coeffs[g] = coeffs[g] + a if g in coeffs else a
         return CcElement(system, coeffs)
     if "random" in spec:
-        from .groups import ball
-
         rspec = spec["random"]
         if "support" in rspec:
             support = [system.group.normal_form(w) for w in rspec["support"]]
@@ -214,8 +216,6 @@ def element_to_wire(f: CcElement) -> list:
 
 
 def _unitary_from_wire(entry, rank: int):
-    import numpy as np
-
     arr = np.asarray(entry, dtype=float)
     if arr.size != 2 * rank * rank:
         raise ConfigError(f"unitary wire needs {2 * rank * rank} floats for rank {rank}")
@@ -230,9 +230,6 @@ def build_rep(system: TwistedSystem, spec: dict):
     {"kind": "alpha-tensor-unitary", "generator_unitaries": [wire, ...]}.
     The result is validated by the caller through validate_equivariant.
     """
-    from .algebra import PointMap
-    from .modules import endomorphism_rep, trivial_rep, unitary_tensor_rep
-
     rank = int(spec.get("rank", 1))
     rho_spec = spec.get("rho", "left-multiplication")
     v_spec = spec.get("v", "alpha")
@@ -250,8 +247,6 @@ def build_rep(system: TwistedSystem, spec: dict):
     if isinstance(v_spec, dict) and v_spec.get("kind") == "alpha-tensor-unitary":
         if rho_spec != "left-multiplication":
             raise ConfigError("alpha-tensor-unitary ships with left multiplication")
-        import numpy as np
-
         gens = [_unitary_from_wire(w, rank) for w in v_spec["generator_unitaries"]]
         if len(gens) != len(system.group.generators()):
             raise ConfigError("one unitary per group generator required")

@@ -31,10 +31,19 @@ from .groups import (
     LengthFunction,
     Zd,
     ball,
+    ball_size,
     default_length,
+    free_shell_sum,
+    one_norm,
+    one_norm_shell_floor,
+    shell_series,
+    shell_size,
 )
-from .summation import _one_norm_shell_count
 from .system import TwistedSystem
+
+# ball points one Z^d bracket may enumerate; past it the bracket stays
+# certified and only its tightness stops improving
+_BRACKET_POINTS = 1 << 20
 
 
 # -- weights -----------------------------------------------------------------------
@@ -67,8 +76,34 @@ class Weight:
         raise ValueError(f"unknown weight tag {self.tag!r}")
 
     def inv_sq(self, g) -> float:
-        v = self(g)
-        return 1.0 / (v * v)
+        """kappa(g)^{-2}, from L(g) without forming kappa(g), which overflows first."""
+        return 1.0 if self.tag == "constant" else _inv_sq(self.tag, self.param, self.length(g))
+
+
+def _inv_sq(tag: str, param: float, L: float) -> float:
+    """kappa^{-2} at length L for the power, exponential and exp weights."""
+    if tag == "power":
+        return (1.0 + L) ** (-2 * param)
+    if tag == "exponential":
+        return param ** (2 * L)
+    return math.exp(-2 * param * L)
+
+
+def _power_tail(length: LengthFunction, s: float) -> tuple[float, float] | None:
+    """(expo, const) with sum_{|g|_1 = m} (1 + L(g))^{-2s} <= const (1 + m)^{d - 1 - expo} on Z^d.
+
+    The 1-norm shell m has at most 2^d (m + 1)^{d - 1} points, and on it
+    1 + L >= 1 + m for the 1-norm, >= (1 + m) / sqrt(d) for the 2-norm and
+    >= (1 + m)^2 / (2d) for the squared 2-norm.  None for other lengths.
+    """
+    d = length.group.d
+    if length.tag in ("one-norm", "word"):
+        return 2 * s, 2.0 ** d
+    if length.tag == "two-norm":
+        return 2 * s, 2.0 ** d * d ** s
+    if length.tag == "squared-two-norm":
+        return 4 * s, 2.0 ** d * (2.0 * d) ** (2 * s)
+    return None
 
 
 def _summable_flag(tag: str, param: float, length: LengthFunction | None) -> bool | None:
@@ -80,26 +115,15 @@ def _summable_flag(tag: str, param: float, length: LengthFunction | None) -> boo
     if tag == "constant":
         return False
     if isinstance(group, Zd):
-        d = group.d
         if tag == "power":
-            if length.tag in ("one-norm", "two-norm", "word"):
-                return 2 * param > d
-            if length.tag == "squared-two-norm":
-                return 4 * param > d
-            return None
+            growth = _power_tail(length, param)
+            return None if growth is None else growth[0] > group.d
         return True  # exponential and exp decay beat polynomial growth
-    # free families: shells grow geometrically (rate 3 for F2, sqrt(2) for Z2*Z3)
-    rate = None
-    if isinstance(group, FreeF2) and length.tag == "word":
-        rate = 3.0
-    if isinstance(group, FreeProductZ2Z3) and length.tag == "block":
-        rate = math.sqrt(2.0)
-    if rate is None:
+    # free families: shells grow geometrically, so power weights never suffice
+    total = free_shell_sum(_inv_sq(tag, param, 1), length)
+    if total is None:
         return None
-    if tag == "power":
-        return False
-    q = param ** 2 if tag == "exponential" else math.exp(-2 * param)
-    return rate * q < 1.0
+    return tag != "power" and math.isfinite(total)
 
 
 def make_weight(tag: str, param: float = 0.0, length: LengthFunction | None = None) -> Weight:
@@ -116,29 +140,12 @@ def make_weight(tag: str, param: float = 0.0, length: LengthFunction | None = No
     return Weight(tag, float(param), length, _summable_flag(tag, float(param), length))
 
 
-def _shell_inv_sq_bound(w: Weight, m: int) -> float:
-    """Upper bound for kappa(g)^{-2} over the 1-norm shell |g|_1 = m on Z^d."""
-    d = w.length.group.d
-    if w.length.tag == "one-norm" or w.length.tag == "word":
-        L_min = float(m)
-    elif w.length.tag == "two-norm":
-        L_min = m / math.sqrt(d)
-    elif w.length.tag == "squared-two-norm":
-        L_min = m * m / d
-    else:
-        raise ValueError(f"unsupported length tag {w.length.tag!r}")
-    if w.tag == "power":
-        return (1.0 + L_min) ** (-2 * w.param)
-    if w.tag == "exponential":
-        return w.param ** (2 * L_min)
-    return math.exp(-2 * w.param * L_min)
-
-
-def inv_l2_bracket(w: Weight, max_shell: int = 4096) -> tuple[float, float]:
+def inv_l2_bracket(w: Weight) -> tuple[float, float]:
     """A bracket [lo, hi] for ||kappa^{-1}||_2.
 
     lo is a rigorous partial sum; hi adds a certified tail bound (integral
-    comparison for power weights, geometric-ratio remainder otherwise).
+    comparison for power weights, geometric-ratio remainder otherwise).  The
+    free families sum their shells in closed form, so lo == hi there.
     Raises when the inverse is not square-summable or not decidable.
     """
     if w.summable_inverse is not True:
@@ -149,79 +156,40 @@ def inv_l2_bracket(w: Weight, max_shell: int = 4096) -> tuple[float, float]:
         v = math.sqrt(total)
         return v, v
     if isinstance(group, Zd):
-        return _zd_inv_l2_bracket(w, max_shell)
+        return _zd_inv_l2_bracket(w)
     if isinstance(group, (FreeF2, FreeProductZ2Z3)):
-        return _free_inv_l2_bracket(w)
+        v = math.sqrt(free_shell_sum(_inv_sq(w.tag, w.param, 1), w.length))
+        return v, v
     raise ValueError(f"no l2 bracket for {group}")
 
 
-def _zd_inv_l2_bracket(w: Weight, max_shell: int) -> tuple[float, float]:
-    d = w.length.group.d
-    from .groups import one_norm
+def _zd_inv_l2_bracket(w: Weight) -> tuple[float, float]:
+    """Exact sum over the 1-norm ball(M) plus a shell-by-shell tail bound past M.
 
+    M doubles from 32 until the tail is below 1e-3 of the sum, M reaches 4096,
+    or the next ball would pass _BRACKET_POINTS.
+    """
+    d = w.length.group.d
     L1 = one_norm(w.length.group)
     M = 32
+    while M > 1 and ball_size(M, L1) > _BRACKET_POINTS:
+        M //= 2
     while True:
         partial = sum(w.inv_sq(g) for g in ball(M, L1))
         if w.tag == "power":
-            # c_d(m) <= 2^d (m+1)^{d-1}; per-shell bound is monotone in m, so
-            # compare with the integral of 2^d (x+1)^{d-1} * bound(x)
-            if w.length.tag in ("one-norm", "word"):
-                expo = 2 * w.param
-            elif w.length.tag == "two-norm":
-                expo = 2 * w.param  # absorb sqrt(d) into the constant
-            else:
-                expo = 4 * w.param  # (1 + m^2/d)^{-2s} <= (2d)^{2s} (1+m)^{-4s}
-            const = 2.0 ** d
-            if w.length.tag == "two-norm":
-                const *= d ** w.param
-            if w.length.tag == "squared-two-norm":
-                const *= (2.0 * d) ** (2 * w.param)
-            if expo <= d:
-                raise ValueError("tail bound exponent not integrable")
+            # per-shell bounds const (1 + m)^{d-1-expo} decrease in m: compare with the integral
+            expo, const = _power_tail(w.length, w.param)
             tail = const * (M + 1.0) ** (d - expo) / (expo - d)
         else:
-            tail, m, t_prev = 0.0, M, None
-            while True:
-                m += 1
-                t = _one_norm_shell_count(d, m) * _shell_inv_sq_bound(w, m)
-                tail += t
-                if t_prev is not None and t < t_prev:
-                    ratio = t / t_prev
-                    if ratio < 1 and t * ratio / (1 - ratio) < 1e-16 * max(partial, 1.0):
-                        tail += t * ratio / (1 - ratio)
-                        break
-                t_prev = t
-                if m > M + 500_000:
-                    raise ValueError("tail sum did not converge")
-        if tail < 1e-3 * partial or M >= max_shell:
+            terms, remainder = shell_series(
+                lambda m: shell_size(m, L1) * _inv_sq(w.tag, w.param, one_norm_shell_floor(m, w.length)),
+                M + 1,
+                1e-16 * max(partial, 1.0),
+            )
+            tail = sum(terms) + remainder
+        if tail < 1e-3 * partial or M >= 4096 or ball_size(2 * M, L1) > _BRACKET_POINTS:
             return math.sqrt(partial), math.sqrt(partial + tail)
         M *= 2
-
-
-def _free_inv_l2_bracket(w: Weight) -> tuple[float, float]:
-    group = w.length.group
-    if w.tag == "power":
-        raise ValueError("power weights are not square-summable on free families")
-    q = w.param ** 2 if w.tag == "exponential" else math.exp(-2 * w.param)
-    if isinstance(group, FreeF2):
-        # shells 4 * 3^{m-1}: exact geometric series
-        total = 1.0 + 4.0 * q / (1.0 - 3.0 * q)
-        v = math.sqrt(total)
-        return v, v
-    # Z2 * Z3: shell counts 2^{floor(m/2)} + 2^{ceil(m/2)}
-    total, m = 1.0, 0
-    while True:
-        m += 1
-        c = 2 ** (m // 2) + 2 ** ((m + 1) // 2)
-        t = c * q ** m
-        total += t
-        if m > 8 and t < 1e-17 * total:
-            break
-        if m > 10_000:
-            raise ValueError("shell sum did not converge")
-    v = math.sqrt(total)
-    return v, v * (1 + 1e-12)
 
 
 # -- decay constant probe --------------------------------------------------------------
@@ -336,8 +304,7 @@ def content_probe(
     n_random = max(sample_budget // 2, 1)
     for _ in range(n_random):
         candidates.append(random_cc(system, E, rng))
-    best_f = max(candidates, key=objective)
-    best = objective(best_f)
+    best, best_f = max(((objective(f), f) for f in candidates), key=lambda scored: scored[0])
     # local ascent: shrinking random perturbations, keep improvements
     scale = 0.5
     for _ in range(sample_budget - n_random):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import pure_states
-from .config import ConfigError, build_element, build_length, element_to_wire
+from .config import ConfigError, build_element, build_length, build_rep, compression_to_wire, element_to_wire
 from .crossed import (
     CcElement,
     compression_matrix,
@@ -27,8 +27,9 @@ from .decay import (
     inv_l2_bracket,
     make_weight,
     tail_profile,
+    twisted_inequality_experiment,
 )
-from .groups import ball, default_length, folner_sequence
+from .groups import ball, block_length, default_length, folner_sequence
 from .ideals import (
     block_orbits,
     central_projection_split,
@@ -37,7 +38,7 @@ from .ideals import (
     ideal_membership,
     orbit_closure,
 )
-from .modules import trivial_rep
+from .modules import ModuleVector, basis_vector, trivial_rep, validate_equivariant
 from .multipliers import apply_multiplier, pd_check
 from .summation import abel_poisson_net, approx_data_net, fejer_net, folner_approx_data, run_convergence
 from .system import sl2z_system, validate_system
@@ -92,8 +93,6 @@ def run_norms(system, params, rng):
     results["shell_profile"] = [{"shell": m, "l1": v} for m, v in profile]
     dump_radius = params.get("dump_compression")
     if dump_radius is not None:
-        from .config import compression_to_wire
-
         results["compression"] = compression_to_wire(compression_matrix(f, float(dump_radius)))
     return results, csv_rows, passed
 
@@ -144,9 +143,6 @@ def run_abel_poisson(system, params, rng):
 
 
 def run_approx_net(system, params, rng):
-    from .config import build_rep
-    from .modules import validate_equivariant
-
     rep_spec = params.get("rep")
     rep = build_rep(system, rep_spec) if rep_spec else trivial_rep(system)
     vreport = validate_equivariant(rep, rng=np.random.default_rng(0))
@@ -157,8 +153,6 @@ def run_approx_net(system, params, rng):
         indices = params.get("indices", [2, 4, 8])
         data = folner_approx_data(rep, folner_sequence(system.group), indices)
     elif kind == "delta":
-        from .modules import basis_vector
-
         one = basis_vector(system.algebra, rep.rank, 0)
         e = system.group.identity()
         data = [({e: one}, {e: one})]
@@ -211,8 +205,6 @@ def run_commutative_inequality(system, params, rng):
     min_residual, rows = np.inf, []
     twisted_min, twisted_negatives = np.inf, 0
     record_twisted = bool(params.get("record_twisted_experiment", False))
-    from .decay import twisted_inequality_experiment
-
     pool = ball(2, default_length(system.group))
     for _ in range(n):
         f = random_cc_in(system, pool, 3, rng)
@@ -258,8 +250,6 @@ def run_ideals(system, params, rng):
 def run_psl_preset(system, params, rng):
     """The SL(2,Z) model end to end; the configured system block is ignored."""
     sys_ = sl2z_system()
-    from .groups import block_length
-
     L = block_length(sys_.group)
     pool = ball(3, L)
     triples = [(g, h, k) for g in pool for h in pool for k in pool]
@@ -281,8 +271,6 @@ def run_psl_preset(system, params, rng):
     # spot-check on random J-valued elements through a Fejer net of Z (via
     # the finite-support kernels of the approximation data on the identity)
     rep = trivial_rep(sys_)
-    from .modules import ModuleVector
-
     one = ModuleVector(A, (A.unit(),))
     e = sys_.group.identity()
     net = approx_data_net(rep, [({e: one}, {e: one})])

@@ -514,25 +514,28 @@ def word_length(group: Group) -> LengthFunction:
         fns = [word_length(f) for f in group.factors]
         return LengthFunction(group, "word", lambda g: float(sum(fn(a) for fn, a in zip(fns, g))))
     if group.is_finite:
-        table = _bfs_lengths(group)
+        table = _word_lengths(group)
         return LengthFunction(group, "word", lambda g: float(table[g]))
     raise ValueError(f"no word length shipped for {group.name}")
 
 
-def _bfs_lengths(group: Group) -> dict:
-    letters = []
-    for s in group.generators():
-        letters.append(s)
-        letters.append(group.inv(s))
+def _word_lengths(group: Group, radius: float = math.inf) -> dict:
+    """{g: word length of g} for every g of word length <= radius, breadth first.
+
+    The letters are the standard generators and their inverses; on Z2 * Z3
+    (letters s, t, t^-1) the word length is the block length.
+    """
+    letters = list(dict.fromkeys(x for s in group.generators() for x in (s, group.inv(s))))
     table = {group.identity(): 0}
-    frontier = [group.identity()]
-    while frontier:
+    frontier, n = [group.identity()], 0
+    while frontier and n < radius:
+        n += 1
         nxt = []
         for g in frontier:
             for s in letters:
                 h = group.mul(g, s)
                 if h not in table:
-                    table[h] = table[g] + 1
+                    table[h] = n
                     nxt.append(h)
         frontier = nxt
     return table
@@ -579,10 +582,10 @@ def ball(R: float, length: LengthFunction) -> list:
         elts = [g for g in group.elements() if length(g) <= R]
     elif isinstance(group, Zd):
         elts = _zd_ball(group, R, length)
-    elif isinstance(group, FreeF2) and length.tag == "word":
-        elts = _generated_ball(group, int(math.floor(R)))
-    elif isinstance(group, FreeProductZ2Z3) and length.tag == "block":
-        elts = _syllable_ball(group, int(math.floor(R)))
+    elif (isinstance(group, FreeF2) and length.tag == "word") or (
+        isinstance(group, FreeProductZ2Z3) and length.tag == "block"
+    ):
+        elts = _word_lengths(group, math.floor(R))
     else:
         raise ValueError(f"no ball enumeration for {group.name} with {length.tag}")
     return sorted(elts, key=lambda g: (length(g), group.sort_key(g)))
@@ -608,6 +611,72 @@ def ball_size(R: float, length: LengthFunction) -> int:
     return len(ball(R, length))
 
 
+def shell_size(m: int, length: LengthFunction) -> int:
+    """Number of g with m - 1 < L(g) <= m (shell 0 is L = 0): ball_size(m) - ball_size(m - 1)."""
+    return ball_size(m, length) - (ball_size(m - 1, length) if m else 0)
+
+
+def one_norm_shell_floor(m: int, length: LengthFunction) -> float:
+    """The least L(g) over the 1-norm shell |g|_1 = m of Z^d.
+
+    |g|_2 >= |g|_1 / sqrt(d), so the 2-norm is at least m / sqrt(d) and the
+    squared 2-norm at least m^2 / d there.
+    """
+    d = length.group.d
+    if length.tag in ("one-norm", "word"):
+        return m
+    if length.tag == "two-norm":
+        return m / math.sqrt(d)
+    if length.tag == "squared-two-norm":
+        return m * m / d
+    raise ValueError(f"unsupported length tag {length.tag!r}")
+
+
+def free_shell_sum(q: float, length: LengthFunction) -> float | None:
+    """sum_m shell_size(m, length) q^m for q >= 0 on the free families, in closed form.
+
+    F2 (shells 4 * 3^{m-1}): 1 + 4q / (1 - 3q), finite for 3q < 1.  Z2 * Z3
+    (shells 2^floor(m/2) + 2^ceil(m/2)): (1 + q)(1 + 2q) / (1 - 2q^2), finite
+    for sqrt(2) q < 1.  inf past the radius of convergence; None for other
+    groups and lengths.
+    """
+    group = length.group
+    if isinstance(group, FreeF2) and length.tag == "word":
+        return 1.0 + 4.0 * q / (1.0 - 3.0 * q) if 3.0 * q < 1.0 else math.inf
+    if isinstance(group, FreeProductZ2Z3) and length.tag == "block":
+        return (1.0 + q) * (1.0 + 2.0 * q) / (1.0 - 2.0 * q * q) if math.sqrt(2.0) * q < 1.0 else math.inf
+    return None
+
+
+def shell_series(term: Callable[[int], float], start: int, tol: float) -> tuple[list, float]:
+    """Partial terms term(start), term(start + 1), ..., term(m) and a certified
+    bound for the remainder sum_{k > m} term(k).
+
+    For nonnegative terms whose ratios term(k + 1) / term(k) never increase,
+    the remainder past m is at most t q / (1 - q) with t = term(m) and
+    q = term(m + 1) / t.  The series stops at the first m at least 8 past
+    start where q < 1 and that bound is below tol, or at the first zero term
+    more than 8 past start (remainder 0).
+    """
+    terms = [term(start)]
+    m = start
+    while True:
+        m += 1
+        t = term(m)
+        terms.append(t)
+        if t == 0.0:
+            if m > start + 8:
+                return terms, 0.0
+            continue
+        if m < start + 8:
+            continue
+        q = term(m + 1) / t
+        if q < 1.0 and t * q / (1.0 - q) < tol:
+            return terms, t * q / (1.0 - q)
+        if m > start + 2_000_000:
+            raise ValueError("shell series did not converge")
+
+
 def _zd_ball(group: Zd, R: float, length: LengthFunction) -> list:
     if length.tag == "squared-two-norm":
         box = int(math.isqrt(int(math.floor(R))))
@@ -615,40 +684,6 @@ def _zd_ball(group: Zd, R: float, length: LengthFunction) -> list:
         box = int(math.floor(R))
     rng = range(-box, box + 1)
     return [g for g in itertools.product(rng, repeat=group.d) if length(g) <= R]
-
-
-def _generated_ball(group: Group, radius: int) -> list:
-    letters = []
-    for s in group.generators():
-        letters.append(s)
-        letters.append(group.inv(s))
-    seen = {group.identity()}
-    frontier = [group.identity()]
-    for _ in range(radius):
-        nxt = []
-        for g in frontier:
-            for s in letters:
-                h = group.mul(g, s)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return list(seen)
-
-
-def _syllable_ball(group: FreeProductZ2Z3, radius: int) -> list:
-    out = [()]
-    frontier = [()]
-    for _ in range(radius):
-        nxt = []
-        for g in frontier:
-            last = group._factor(g[-1]) if g else None
-            for syl in ("s", "t", "T"):
-                if group._factor(syl) != last:
-                    nxt.append(g + (syl,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
 
 
 # -- Folner sequences ---------------------------------------------------------

@@ -21,8 +21,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .crossed import CcElement, compression_matrix, default_radii
-from .groups import FolnerSequence, LengthFunction, Zd, ball, default_length, folner_sequence
-from .modules import EquivariantRep
+from .groups import (
+    FolnerSequence,
+    LengthFunction,
+    Zd,
+    ball,
+    default_length,
+    folner_sequence,
+    one_norm,
+    one_norm_shell_floor,
+    shell_series,
+    shell_size,
+)
+from .modules import EquivariantRep, ModuleVector
 from .multipliers import Multiplier, apply_multiplier, scalar_multiplier
 from .system import TwistedSystem
 
@@ -72,25 +83,6 @@ def _fejer_kernel(folner: FolnerSequence, i: int):
 # -- Abel-Poisson ------------------------------------------------------------------
 
 
-def _one_norm_shell_count(d: int, m: int) -> int:
-    """Number of lattice points in Z^d with |g|_1 = m."""
-    if m == 0:
-        return 1
-    return sum(2 ** k * math.comb(d, k) * math.comb(m - 1, k - 1) for k in range(1, min(d, m) + 1))
-
-
-def _shell_term_bound(tag: str, d: int, r: float, m: int) -> float:
-    """Upper bound for sum over the 1-norm shell m of r^{L(g)}."""
-    c = _one_norm_shell_count(d, m)
-    if tag == "one-norm":
-        return c * r ** m
-    if tag == "two-norm":
-        return c * r ** (m / math.sqrt(d))  # |g|_2 >= |g|_1 / sqrt(d)
-    if tag == "squared-two-norm":
-        return c * r ** (m * m / d)  # |g|_2^2 >= |g|_1^2 / d
-    raise ValueError(f"unsupported length tag {tag!r}")
-
-
 def truncation_radius(length: LengthFunction, r: float, eps: float) -> tuple[int, float]:
     """Smallest integer R with a certified bound sum_{L(g) > R} r^{L(g)} < eps.
 
@@ -102,25 +94,11 @@ def truncation_radius(length: LengthFunction, r: float, eps: float) -> tuple[int
     group = length.group
     if not isinstance(group, Zd):
         raise ValueError("truncation radii are computed for Z^d lengths")
-    d, tag = group.d, length.tag
-    terms = [_shell_term_bound(tag, d, r, 0)]
-    m = 0
-    # grow until the certified remainder past m is negligible against eps
-    while True:
-        m += 1
-        t = _shell_term_bound(tag, d, r, m)
-        terms.append(t)
-        if m < 8 or t == 0.0:
-            if t == 0.0 and m > 8:
-                remainder = 0.0
-                break
-            continue
-        ratio = _shell_term_bound(tag, d, r, m + 1) / t if t > 0 else 0.0
-        if ratio < 1.0 and t * ratio / (1.0 - ratio) < eps * 1e-9:
-            remainder = t * ratio / (1.0 - ratio)
-            break
-        if m > 2_000_000:
-            raise ValueError("truncation radius search did not converge")
+    L1 = one_norm(group)
+    # shell m sums r^{L(g)} over |g|_1 = m, at most shell_size * r^{least L on the shell}
+    terms, remainder = shell_series(
+        lambda m: shell_size(m, L1) * r ** one_norm_shell_floor(m, length), 0, eps * 1e-9
+    )
     suffix = remainder
     tail_at = {}
     for mm in range(len(terms) - 1, -1, -1):
@@ -128,7 +106,7 @@ def truncation_radius(length: LengthFunction, r: float, eps: float) -> tuple[int
         tail_at[mm] = suffix  # bound for shells >= mm
     # smallest shell threshold m0 with tail(shells >= m0) < eps
     m0 = next(mm for mm in range(len(terms) + 1) if tail_at.get(mm, remainder) < eps)
-    if tag == "squared-two-norm":
+    if length.tag == "squared-two-norm":
         # shells >= m0 are exactly the region L(g) > R for R = (m0 - 1)^2
         R = (m0 - 1) ** 2
     else:
@@ -219,8 +197,6 @@ def folner_approx_data(rep: EquivariantRep, folner: FolnerSequence, indices: Seq
     With the trivial representation these reproduce the Fejer kernels.
     """
     A = rep.system.algebra
-    from .modules import ModuleVector
-
     out = []
     for i in indices:
         F = folner.set_at(int(i))

@@ -258,6 +258,27 @@ def test_decay_probe_experiment(tmp_path):
     assert report["results"]["constant_lower"] >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize(
+    "group, weight",
+    [
+        ({"family": "Zd", "d": 2}, {"tag": "exponential", "param": 0.5, "length": "squared-two-norm"}),
+        ({"family": "free-product-Z2-Z3"}, {"tag": "exponential", "param": 0.838, "length": "block"}),
+    ],
+    ids=["z2-squared-two-norm", "z2z3-near-threshold"],
+)
+def test_decay_probe_bracket_edge_cases_exit_zero(tmp_path, group, weight):
+    # both once raised OverflowError: kappa overflows on squared-two-norm balls, and a
+    # term-by-term Z2*Z3 shell sum overflows near sqrt(2) r^2 = 1
+    config = base_config(
+        tmp_path,
+        {"tag": "decay-probe", "weight": weight, "radius": 1, "sample_budget": 4},
+        system={"algebra": [1], "group": group, "action": {"kind": "trivial"}, "cocycle": {"kind": "trivial"}},
+    )
+    assert run_cli(tmp_path, config) == 0
+    lo, hi = json.loads((tmp_path / "report.json").read_text())["results"]["inv_l2_bracket"]
+    assert 1.0 < lo <= hi
+
+
 def test_ideals_experiment(tmp_path):
     config = base_config(
         tmp_path,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from crossfourier.algebra import BlockAlgebra, PointState, pure_states
-from crossfourier.crossed import CcElement, delta, opnorm_bounds, random_cc
+from crossfourier import decay
+from crossfourier.crossed import CcElement, compression_matrix, delta, opnorm_bounds, random_cc
 from crossfourier.groups import (
     Cyclic,
     FreeF2,
@@ -13,6 +14,7 @@ from crossfourier.groups import (
     ball,
     block_length,
     one_norm,
+    shell_size,
     squared_two_norm,
     two_norm,
     word_length,
@@ -127,6 +129,47 @@ def test_inv_l2_bracket_brute_force_z2_exponential():
     assert brute <= hi + 1e-9
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("tag, param", [("exponential", 0.5), ("exp", 1.0)])
+def test_inv_l2_bracket_squared_two_norm_does_not_overflow(d, tag, param):
+    # kappa itself overflows on ball(32) here; kappa^{-2} does not
+    L = squared_two_norm(Zd(d))
+    lo, hi = inv_l2_bracket(make_weight(tag, param, L))
+    log_q = 2 * math.log(param) if tag == "exponential" else -2 * param
+    brute = math.sqrt(sum(math.exp(log_q * L(g)) for g in ball(40, one_norm(Zd(d)))))
+    assert lo <= brute * (1 + 1e-9)
+    assert brute <= hi * (1 + 1e-9)
+
+
+def test_inv_l2_bracket_free_product_closed_form():
+    L = block_length(FreeProductZ2Z3())
+    lo, hi = inv_l2_bracket(make_weight("exponential", 0.7, L))
+    q = 0.7 ** 2
+    assert lo == hi
+    assert lo == pytest.approx(math.sqrt(sum(shell_size(m, L) * q ** m for m in range(81))), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "length, tag, param",
+    [(one_norm(Zd(3)), "power", 2.0), (two_norm(Zd(3)), "exponential", 0.9), (two_norm(Zd(2)), "power", 1.3)],
+    ids=["z3-power", "z3-exponential", "z2-power"],
+)
+def test_zd_inv_l2_bracket_respects_the_ball_budget(monkeypatch, length, tag, param):
+    budget = 1 << 14
+    sizes = []
+
+    def recording(R, L):
+        out = ball(R, L)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(decay, "_BRACKET_POINTS", budget)
+    monkeypatch.setattr(decay, "ball", recording)
+    lo, hi = inv_l2_bracket(make_weight(tag, param, length))
+    assert sizes and max(sizes) <= budget
+    assert 1.0 <= lo <= hi < math.inf
+
+
 # -- decay probe ------------------------------------------------------------------
 
 
@@ -202,6 +245,20 @@ def test_content_monotone_with_warm_start():
     small = content_probe(sys_, [(0,), (1,)], sample_budget=20)
     big = content_probe(sys_, [(0,), (1,), (2,)], sample_budget=20, warm_start=small.witness)
     assert big.lower >= small.lower - 1e-12
+
+
+def test_content_probe_compresses_each_candidate_once(monkeypatch):
+    calls = []
+
+    def counting(f, R, length):
+        calls.append(f)
+        return compression_matrix(f, R, length)
+
+    monkeypatch.setattr(decay, "compression_matrix", counting)
+    sys_ = theta_system(Zd(1), 0.3)
+    content_probe(sys_, [(0,), (1,)], sample_budget=6)
+    # 2 point masses + 3 random starts, then 3 ascent steps
+    assert len(calls) == 8
 
 
 def test_content_no_upper_scalar_for_matrix_coefficients():

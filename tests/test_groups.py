@@ -15,6 +15,8 @@ from crossfourier.groups import (
     block_length,
     folner_sequence,
     one_norm,
+    shell_series,
+    shell_size,
     squared_two_norm,
     two_norm,
     word_length,
@@ -197,3 +199,15 @@ def test_ball_size_equals_enumerated_size(length):
     # closed forms for the first six; the two-norm falls back to enumeration
     for R in (0, 1, 2, 2.5, 3, 4, 5, 6):
         assert ball_size(R, length) == len(ball(R, length))
+    for m in range(7):
+        assert shell_size(m, length) == sum(1 for g in ball(m, length) if length(g) > m - 1)
+
+
+def test_shell_series_bounds_a_geometric_tail():
+    terms, remainder = shell_series(lambda m: 0.5 ** m, 3, 1e-12)
+    assert terms[0] == 0.125 and len(terms) >= 9
+    assert remainder < 1e-12
+    assert sum(terms) + remainder == pytest.approx(0.25, rel=1e-15)
+    # a zero term stops the series once it is past the 8th
+    terms, remainder = shell_series(lambda m: 1.0 if m < 8 else 0.0, 0, 1e-12)
+    assert (len(terms), remainder) == (10, 0.0)
