@@ -282,6 +282,44 @@ class AlgAutomorphism:
         return all((self(b) - b).norm() <= tol for b in self.algebra.basis())
 
 
+def stack_blocks(elements: Sequence[AlgElement]) -> list:
+    """Nonempty elements as one (n, d_j, d_j) array per block j, element i in row i."""
+    return [np.array(col) for col in zip(*(a.blocks for a in elements))]
+
+
+class AutomorphismStack:
+    """Automorphisms stacked for batched application to stacked elements.
+
+    `apply(which, blocks)` puts automorphism which[i] applied to row i of
+    `blocks` in row i: the block permutation of AlgAutomorphism.__call__
+    followed by the same products (U a) U^*, one batched matmul per block,
+    so every row is bit for bit the automorphism applied on its own.
+    """
+
+    def __init__(self, autos: Sequence[AlgAutomorphism]):
+        self.perms = np.array([a.perm for a in autos])
+        self.unitaries = [np.stack(col) for col in zip(*(a.unitaries for a in autos))]
+
+    def extend(self, autos: Sequence[AlgAutomorphism]):
+        """Append more automorphisms after the present rows."""
+        more = AutomorphismStack(autos)
+        self.perms = np.concatenate([self.perms, more.perms])
+        self.unitaries = [np.concatenate(p) for p in zip(self.unitaries, more.unitaries)]
+
+    def apply(self, which: np.ndarray, blocks: Sequence[np.ndarray]) -> list:
+        perms = self.perms[which]
+        out = []
+        for k, table in enumerate(self.unitaries):
+            x = np.empty_like(blocks[k])
+            for j, b in enumerate(blocks):
+                if b.shape[1:] == x.shape[1:]:
+                    chosen = perms[:, k] == j
+                    x[chosen] = b[chosen]
+            u = table[which]
+            out.append(np.matmul(np.matmul(u, x), u.conj().transpose(0, 2, 1)))
+        return out
+
+
 class PointMap:
     """Unital *-endomorphism of a commutative algebra: pullback of a point map.
 

@@ -103,10 +103,14 @@ def write_csv(rows, path: str):
             writer.writerow([_round_floats(c) if isinstance(c, float) else c for c in row])
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config holds the non-finite number {name}, which a report cannot echo")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:

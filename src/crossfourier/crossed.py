@@ -24,6 +24,7 @@ densify only below the dense SVD cutoff and run Lanczos on the CSR above it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -31,7 +32,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .algebra import AlgElement
+from .algebra import AlgElement, AutomorphismStack, stack_blocks
 from .groups import LengthFunction, ball, ball_size, default_length, word_length
 from .system import TwistedSystem
 
@@ -150,12 +151,23 @@ class CcElement:
         return float(np.sqrt(self.gram().norm()))
 
     def _weights(self, weight) -> dict:
-        """{g: weight(g)} over the support; raises where the weight drops below 1."""
+        """{g: weight(g)} over the support.
+
+        Raises ValueError naming the support point where the weight drops
+        below 1, or where weight(g) ||f(g)|| squared, which both weighted
+        norms form, overflows a float.
+        """
         out = {}
-        for g in self._coeffs:
-            w = float(weight(g))
+        for g, a in self._coeffs.items():
+            try:
+                w = float(weight(g))
+            except OverflowError:
+                w = math.inf
             if w < 1.0 - 1e-12:
                 raise ValueError(f"weight below 1 at support point {self.system.group.word(g)}")
+            scaled = w * a.norm()
+            if not math.isfinite(scaled * scaled):
+                raise ValueError(f"weighted coefficient overflows at support point {self.system.group.word(g)}")
             out[g] = w
         return out
 
@@ -282,23 +294,13 @@ def compression_matrix(f: CcElement, R: float, length: LengthFunction | None = N
         return CompressedRep(system, R, length, tuple(idx), scipy.sparse.csr_matrix(shape, dtype=complex))
     rows, cols = np.array(rows), np.array(cols)
     distinct, row_of = np.unique(rows, return_inverse=True)
-    inverses = [system.action(idx[r]).inverse() for r in distinct]
-    perms = np.array([inv.perm for inv in inverses])[row_of]
+    inverses = AutomorphismStack([system.action(idx[r]).inverse() for r in distinct])
     # a . cocycle per source block, one matmul over all contributions
-    products = [
-        np.matmul(np.stack([a.blocks[j] for _, a in items])[terms], np.stack([s.blocks[j] for s in sigmas]))
-        for j in range(len(dims))
-    ]
+    coeffs = stack_blocks([a for _, a in items])
+    products = [np.matmul(c[terms], s) for c, s in zip(coeffs, stack_blocks(sigmas))]
     coo_rows, coo_cols, coo_data = [], [], []
     offset = 0
-    for k, d in enumerate(dims):
-        x = np.empty_like(products[k])
-        for j, dj in enumerate(dims):
-            if dj == d:
-                chosen = perms[:, k] == j
-                x[chosen] = products[j][chosen]
-        u = np.stack([inv.unitaries[k] for inv in inverses])[row_of]
-        y = np.matmul(np.matmul(u, x), u.conj().transpose(0, 2, 1))
+    for d, y in zip(dims, inverses.apply(row_of, products)):
         i, j = np.indices((d, d))
         coo_rows.append((rows[:, None, None] * D + offset + i).ravel())
         coo_cols.append((cols[:, None, None] * D + offset + j).ravel())

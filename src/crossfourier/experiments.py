@@ -81,8 +81,11 @@ def run_norms(system, params, rng):
     if weight_spec:
         length = build_length(weight_spec.get("length", "default"), system.group)
         w = make_weight(weight_spec["tag"], weight_spec.get("param", 0.0), length)
-        results["weighted_l2"] = f.weighted_l2_norm(w)
-        results["weighted_module"] = f.weighted_module_norm(w)
+        try:
+            results["weighted_l2"] = f.weighted_l2_norm(w)
+            results["weighted_module"] = f.weighted_module_norm(w)
+        except ValueError as exc:
+            raise ConfigError(f"weighted norms: {exc}") from None
     passed = (
         results["linf"] <= results["module"] + 1e-9
         and results["module"] <= results["l1"] + 1e-9

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -578,17 +579,20 @@ def ball(R: float, length: LengthFunction) -> list:
     if R < 0:
         raise ValueError("ball radius must be nonnegative")
     group = length.group
+    # (L(g), g) for every candidate g, each length computed once
     if group.is_finite:
-        elts = [g for g in group.elements() if length(g) <= R]
+        candidates = ((length(g), g) for g in group.elements())
     elif isinstance(group, Zd):
-        elts = _zd_ball(group, R, length)
+        candidates = _zd_box(group, R, length)
     elif (isinstance(group, FreeF2) and length.tag == "word") or (
         isinstance(group, FreeProductZ2Z3) and length.tag == "block"
     ):
-        elts = _word_lengths(group, math.floor(R))
+        candidates = ((n, g) for g, n in _word_lengths(group, math.floor(R)).items())
     else:
         raise ValueError(f"no ball enumeration for {group.name} with {length.tag}")
-    return sorted(elts, key=lambda g: (length(g), group.sort_key(g)))
+    keyed = [((L, group.sort_key(g)), g) for L, g in candidates if L <= R]
+    keyed.sort(key=operator.itemgetter(0))
+    return [g for _, g in keyed]
 
 
 def ball_size(R: float, length: LengthFunction) -> int:
@@ -677,13 +681,14 @@ def shell_series(term: Callable[[int], float], start: int, tol: float) -> tuple[
             raise ValueError("shell series did not converge")
 
 
-def _zd_ball(group: Zd, R: float, length: LengthFunction) -> list:
+def _zd_box(group: Zd, R: float, length: LengthFunction):
+    """(L(g), g) over the box [-b, b]^d that holds ball(R)."""
     if length.tag == "squared-two-norm":
         box = int(math.isqrt(int(math.floor(R))))
     else:
         box = int(math.floor(R))
     rng = range(-box, box + 1)
-    return [g for g in itertools.product(rng, repeat=group.d) if length(g) <= R]
+    return ((length(g), g) for g in itertools.product(rng, repeat=group.d))
 
 
 # -- Folner sequences ---------------------------------------------------------

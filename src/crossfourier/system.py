@@ -9,19 +9,21 @@ A system packages an action rule g -> automorphism and a unitary cocycle rule
 
 Rules are closed-form and pure; on infinite groups they are never tables.
 Validation is exhaustive on finite groups up to order 64 and sampled from
-ball(3)^3 otherwise.
+ball(3)^3 otherwise; it runs batched over stacked values (validate_system).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import ALG_TOL, AlgAutomorphism, AlgElement, BlockAlgebra
+from .algebra import ALG_TOL, AlgAutomorphism, AlgElement, AutomorphismStack, BlockAlgebra, stack_blocks
 from .groups import Group, Cyclic, FreeProductZ2Z3, Zd, ball, default_length
 
 
@@ -270,6 +272,16 @@ def sl2z_system() -> TwistedSystem:
 # -- validation ------------------------------------------------------------------
 
 
+# Samples per batched step of validate_system.  Bounds its stacked
+# temporaries whatever the sample size (|G|^3 = 262 144 triples at |G| = 64).
+_VALIDATE_CHUNK = 2048
+
+
+def _rank(v: float) -> float:
+    """Order of defects: NaN ranks with inf, above every finite value."""
+    return math.inf if math.isnan(v) else v
+
+
 @dataclass
 class SystemReport:
     action_violation: float
@@ -282,10 +294,9 @@ class SystemReport:
     @property
     def max_violation(self) -> float:
         return max(
-            self.action_violation,
-            self.cocycle_violation,
-            self.normalization_violation,
-            self.unitarity_violation,
+            (self.action_violation, self.cocycle_violation, self.normalization_violation,
+             self.unitarity_violation),
+            key=_rank,
         )
 
     @property
@@ -293,11 +304,15 @@ class SystemReport:
         return self.max_violation <= ALG_TOL
 
     def as_dict(self) -> dict:
+        """JSON-ready; a non-finite violation is written as the string 'nan' or 'inf'."""
+        def number(v):
+            return v if math.isfinite(v) else str(v)
+
         return {
-            "action_violation": self.action_violation,
-            "cocycle_violation": self.cocycle_violation,
-            "normalization_violation": self.normalization_violation,
-            "unitarity_violation": self.unitarity_violation,
+            "action_violation": number(self.action_violation),
+            "cocycle_violation": number(self.cocycle_violation),
+            "normalization_violation": number(self.normalization_violation),
+            "unitarity_violation": number(self.unitarity_violation),
             "n_triples": self.n_triples,
             "passed": self.passed,
             "witness": {k: str(v) for k, v in self.witness.items()},
@@ -308,13 +323,113 @@ def default_triples(system: TwistedSystem, rng=None, n_samples: int = 200) -> li
     """Exhaustive triples for finite |G| <= 64, ball(3)^3 samples otherwise."""
     group = system.group
     if group.is_finite and len(group.elements()) <= 64:
-        elts = group.elements()
-        return [(g, h, k) for g in elts for h in elts for k in elts]
+        return list(itertools.product(group.elements(), repeat=3))
     pool = ball(3, default_length(group))
     if rng is None:
         rng = np.random.default_rng(0)
     idx = rng.integers(len(pool), size=(n_samples, 3))
     return [(pool[i], pool[j], pool[k]) for i, j, k in idx]
+
+
+def _norms(blocks) -> np.ndarray:
+    """AlgElement.norm of every row of a stacked element, bit for bit.
+
+    A row with a NaN entry gets NaN and one with an infinite entry inf,
+    where the SVD would fail or return NaN.
+    """
+    out = None
+    for x in blocks:
+        if x.shape[1] == 1:
+            # the scalar abs() of AlgElement.norm; np.abs rounds differently
+            v = np.hypot(x.real, x.imag).reshape(len(x))
+        else:
+            finite = np.isfinite(x).all(axis=(1, 2))
+            if finite.all():
+                v = np.linalg.norm(x, 2, axis=(1, 2))
+            else:
+                v = np.abs(x).max(axis=(1, 2))
+                if finite.any():
+                    v[finite] = np.linalg.norm(x[finite], 2, axis=(1, 2))
+        out = v if out is None else np.maximum(out, v)
+    return out
+
+
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    return x.conj().transpose(0, 2, 1)
+
+
+class _Numbering:
+    """Distinct hashable items numbered in first-seen order."""
+
+    def __init__(self):
+        self.number: dict = {}
+        self.items: list = []
+
+    def __call__(self, item) -> int:
+        n = self.number.get(item)
+        if n is None:
+            n = self.number[item] = len(self.items)
+            self.items.append(item)
+        return n
+
+    def many(self, items: Sequence) -> np.ndarray:
+        try:
+            return np.fromiter(map(self.number.__getitem__, items), dtype=np.int64, count=len(items))
+        except KeyError:  # number the new items first
+            for item in dict.fromkeys(items):
+                self(item)
+            return self.many(items)
+
+
+class _Interner:
+    """Values looked up once per distinct int64 key, each call's new keys in increasing order."""
+
+    def __init__(self, lookup: Callable[[int], object]):
+        self.lookup = lookup
+        self.keys = np.empty(0, dtype=np.int64)  # sorted
+        self.key_rows = np.empty(0, dtype=np.int64)
+        self.values: list = []
+        self.taken = 0
+
+    def rows(self, codes: np.ndarray) -> np.ndarray:
+        """Rows in `values` of the keys `codes`, of the same shape."""
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        at = np.searchsorted(self.keys, distinct)
+        found = at < len(self.keys)
+        found[found] = self.keys[at[found]] == distinct[found]
+        new = distinct[~found]
+        if len(new):
+            rows = np.arange(len(self.values), len(self.values) + len(new))
+            self.values += [self.lookup(c) for c in new.tolist()]
+            keys = np.concatenate([self.keys, new])
+            order = np.argsort(keys)
+            self.keys, self.key_rows = keys[order], np.concatenate([self.key_rows, rows])[order]
+            at = np.searchsorted(self.keys, distinct)
+        return self.key_rows[at][inverse].reshape(codes.shape)
+
+    def fresh(self) -> list:
+        """The values looked up since the last call."""
+        out, self.taken = self.values[self.taken:], len(self.values)
+        return out
+
+
+class _Worst:
+    """Largest defect per axiom and the first sample reaching it.
+
+    Samples are scanned in order and replace the witness only when strictly
+    larger, from 0.0; a non-finite defect beats every finite one.
+    """
+
+    def __init__(self):
+        self.value = {"action": 0.0, "cocycle": 0.0, "normalization": 0.0, "unitarity": 0.0}
+        self.witness: dict = {}
+
+    def update(self, axiom: str, defects: np.ndarray, sample: Callable[[int], object]):
+        ranks = np.where(np.isnan(defects), np.inf, defects)
+        i = int(np.argmax(ranks))
+        if ranks[i] > _rank(self.value[axiom]):
+            self.value[axiom] = float(defects[i])
+            self.witness[axiom] = sample(i)
 
 
 def validate_system(
@@ -326,8 +441,22 @@ def validate_system(
 ) -> SystemReport:
     """Max violations of the twisted-action axioms over the given samples.
 
-    Violations are reported, never raised; the report passes iff every
-    violation is at most 1e-10.
+    The default samples are every triple of a finite group of order <= 64
+    and n_samples triples from ball(3)^3 otherwise.  Checked: the cocycle
+    identity on each triple; unitarity, normalization and the action twist
+    action(s) action(t) = Ad(cocycle(s, t)) action(st) (on the probes) on
+    each distinct pair (g, h), (h, k) in first-seen order; action(e) = id.
+
+    The check is batched and walks the triples in chunks of _VALIDATE_CHUNK,
+    so memory beyond the samples is bounded by the chunk and the distinct
+    values.  Group elements are numbered, every distinct cocycle and action
+    value is looked up once through the system's caches and stacked once,
+    and each axiom is evaluated as gathers and batched matmuls.  The
+    products are those of the AlgElement arithmetic, in the same order, so
+    violations and witnesses are bit for bit those of a loop over the
+    samples; each witness is the first sample reaching its violation.
+    Violations are reported, never raised; the report passes iff
+    every violation is finite and at most 1e-10.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -339,51 +468,105 @@ def validate_system(
     if probes is None:
         probes = system.algebra.basis() + [system.algebra.random_element(rng) for _ in range(3)]
 
-    group, unit = system.group, system.algebra.unit()
-    e = group.identity()
-    worst = {"action": 0.0, "cocycle": 0.0, "normalization": 0.0, "unitarity": 0.0}
-    witness: dict = {}
+    # group elements are numbered and a pair (a, b) of numbers is coded a * M + b
+    M = 1 << 32
+    elements = _Numbering()
 
-    seen_pairs = set()
-    for g, h, k in triples:
-        # 2-cocycle identity on (g, h, k)
-        lhs = system.cocycle(g, h) * system.cocycle(group.mul(g, h), k)
-        rhs = system.act(g, system.cocycle(h, k)) * system.cocycle(g, group.mul(h, k))
-        v = (lhs - rhs).norm()
-        if v > worst["cocycle"]:
-            worst["cocycle"] = v
-            witness["cocycle"] = (g, h, k)
-        for pair in ((g, h), (h, k)):
-            if pair in seen_pairs:
+    def split(code):
+        return elements.items[code // M], elements.items[code % M]
+
+    mul = system.group.mul
+    sigmas = _Interner(lambda code: system.cocycle(*split(code)))
+    alphas = _Interner(lambda i: system.action(elements.items[i]))
+    # the distinct pairs (g, h), (h, k) in first-seen order -> number of their product
+    products: dict = {}
+
+    unit = system.algebra.unit().blocks
+    worst = _Worst()
+    # the looked-up values, each stacked once, as rows come in
+    sigma_table = [np.empty((0, d, d), dtype=complex) for d in system.algebra.dims]
+    alpha_table = None
+
+    def stack_fresh():
+        nonlocal alpha_table
+        new = sigmas.fresh()
+        if new:
+            sigma_table[:] = [np.concatenate(p) for p in zip(sigma_table, stack_blocks(new))]
+        new = alphas.fresh()
+        if new and alpha_table is None:
+            alpha_table = AutomorphismStack(new)
+        elif new:
+            alpha_table.extend(new)
+
+    def sigma(rows):
+        return [b[rows] for b in sigma_table]
+
+    def minus(xs, ys):
+        return [x - y for x, y in zip(xs, ys)]
+
+    # overflowing values make non-finite defects, which the report carries
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(triples), _VALIDATE_CHUNK):
+            chunk = triples[lo:lo + _VALIDATE_CHUNK]
+            g, h, k = elements.many(list(itertools.chain.from_iterable(chunk))).reshape(-1, 3).T
+            # (g, h) then (h, k) of each triple
+            pair_codes = np.stack([g * M + h, h * M + k], axis=1).ravel()
+            distinct, first, inverse = np.unique(pair_codes, return_index=True, return_inverse=True)
+            for code in distinct[np.argsort(first)].tolist():
+                if code not in products:
+                    products[code] = elements(mul(*split(code)))
+            product = np.array([products[c] for c in distinct.tolist()], dtype=np.int64)
+            gh, hk = product[inverse].reshape(-1, 2).T
+            left, right = pair_codes.reshape(-1, 2).T
+            # cocycle rows at (g, h), (gh, k), (h, k), (g, hk); action rows at g
+            r_gh, r_ghk, r_hk, r_ghk2 = sigmas.rows(np.stack([left, gh * M + k, right, g * M + hk]))
+            r_g = alphas.rows(g)
+            stack_fresh()
+            lhs = [np.matmul(x, y) for x, y in zip(sigma(r_gh), sigma(r_ghk))]
+            acted = alpha_table.apply(r_g, sigma(r_hk))
+            rhs = [np.matmul(x, y) for x, y in zip(acted, sigma(r_ghk2))]
+            worst.update("cocycle", _norms(minus(lhs, rhs)), lambda i: triples[lo + i])
+
+        # per distinct pair (s, t): cocycle (s, t), (s, e), (e, s); action of st, t, s
+        pairs = np.array(list(products), dtype=np.int64)
+        s, t = pairs // M, pairs % M
+        e = elements(system.group.identity())
+        pair_sigmas = sigmas.rows(np.stack([pairs, s * M + e, e * M + s], axis=1))
+        st = np.array(list(products.values()), dtype=np.int64)
+        pair_alphas = alphas.rows(np.stack([st, t, s], axis=1))
+        identity = alphas.rows(np.array([e]))[0]
+        stack_fresh()
+
+        n_probes = len(probes)
+        probe_table = stack_blocks(probes) if probes else []
+        step = max(1, _VALIDATE_CHUNK // max(n_probes, 1))
+        for lo in range(0, len(pairs), step):
+            sig_st, sig_se, sig_es = pair_sigmas[lo:lo + step].T
+            sig = sigma(sig_st)
+            sig_star = [_adjoint(y) for y in sig]
+            defects = np.maximum(
+                _norms(minus([np.matmul(y, z) for y, z in zip(sig, sig_star)], unit)),
+                _norms(minus([np.matmul(z, y) for y, z in zip(sig, sig_star)], unit)),
+            )
+            worst.update("unitarity", defects, lambda i: split(int(pairs[lo + i])))
+            defects = np.maximum(_norms(minus(sigma(sig_se), unit)), _norms(minus(sigma(sig_es), unit)))
+            worst.update("normalization", defects, lambda i: split(int(pairs[lo + i])))
+            if not probes:
                 continue
-            seen_pairs.add(pair)
-            s, t = pair
-            sig = system.cocycle(s, t)
-            v = max((sig * sig.star() - unit).norm(), (sig.star() * sig - unit).norm())
-            if v > worst["unitarity"]:
-                worst["unitarity"] = v
-                witness["unitarity"] = pair
-            v = max((system.cocycle(s, e) - unit).norm(), (system.cocycle(e, s) - unit).norm())
-            if v > worst["normalization"]:
-                worst["normalization"] = v
-                witness["normalization"] = pair
-            # action twist on probes: act(s) act(t) = Ad(cocycle(s,t)) act(st)
-            act_st = system.action(group.mul(s, t))
-            for x in probes:
-                lhs_x = system.act(s, system.act(t, x))
-                rhs_x = sig * act_st(x) * sig.star()
-                v = (lhs_x - rhs_x).norm()
-                if v > worst["action"]:
-                    worst["action"] = v
-                    witness["action"] = pair
+            # pair-major, probe-minor rows: row i checks pair i // n_probes
+            a_st, a_t, a_s = np.repeat(pair_alphas[lo:lo + step], n_probes, axis=0).T
+            xs = [b[np.tile(np.arange(n_probes), len(sig_st))] for b in probe_table]
+            lhs = alpha_table.apply(a_s, alpha_table.apply(a_t, xs))
+            # (sig a) sig^*, as sig * action(st)(x) * sig.star()
+            rhs = [np.matmul(np.matmul(y, x), _adjoint(y))
+                   for y, x in zip(sigma(np.repeat(sig_st, n_probes)), alpha_table.apply(a_st, xs))]
+            worst.update("action", _norms(minus(lhs, rhs)), lambda i: split(int(pairs[lo + i // n_probes])))
 
-    for x in probes:
-        v = (system.act(e, x) - x).norm()
-        if v > worst["action"]:
-            worst["action"] = v
-            witness["action"] = (e, e)
+        if probes:
+            acted = alpha_table.apply(np.full(n_probes, identity), probe_table)
+            worst.update("action", _norms(minus(acted, probe_table)), lambda i: split(e * M + e))
 
     return SystemReport(
-        worst["action"], worst["cocycle"], worst["normalization"], worst["unitarity"],
-        len(triples), witness,
+        worst.value["action"], worst.value["cocycle"], worst.value["normalization"],
+        worst.value["unitarity"], len(triples), worst.witness,
     )

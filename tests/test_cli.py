@@ -98,6 +98,59 @@ def test_perturbed_cocycle_validate_exits_two(tmp_path):
     assert run_cli(tmp_path, config) == 2
 
 
+def test_non_finite_cocycle_defect_exits_two(tmp_path):
+    # sigma(1, 1) = 1e200: its square overflows, so the unitarity defect is inf
+    entries = [{"g": "1", "h": "1", "blocks": [[1e200, 0.0]]}]
+    config = base_config(
+        tmp_path, {"tag": "validate"},
+        system={
+            "algebra": [1],
+            "group": {"family": "finite-cyclic", "n": 2},
+            "cocycle": {"kind": "table", "entries": entries},
+        },
+    )
+    assert run_cli(tmp_path, config) == 2
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert results["passed"] is False
+    assert results["unitarity_violation"] == "inf"
+    assert results["witness"]["unitarity"] == "(1, 1)"
+    # the prologue of any other experiment fails the same way
+    config["experiment"] = {"tag": "norms", "element": {"points": [{"g": "0"}]}}
+    assert run_cli(tmp_path, config) == 2
+
+
+def test_non_finite_config_number_is_config_error(tmp_path, capsys):
+    entries = [{"g": "1", "h": "1", "blocks": [[float("nan"), 0.0]]}]
+    config = base_config(
+        tmp_path, {"tag": "validate"},
+        system={
+            "algebra": [1],
+            "group": {"family": "finite-cyclic", "n": 2},
+            "cocycle": {"kind": "table", "entries": entries},
+        },
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))  # writes the non-standard literal NaN
+    assert main(["run", str(path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_weighted_norm_overflow_is_config_error(tmp_path, capsys):
+    config = base_config(
+        tmp_path,
+        {
+            "tag": "norms",
+            "element": {"points": [{"g": "(40,40)"}]},
+            "radii": [2],
+            "weight": {"tag": "exponential", "param": 0.5, "length": "squared-two-norm"},
+        },
+        system={"algebra": [1], "group": {"family": "Zd", "d": 2}},
+    )
+    assert run_cli(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "(40,40)" in err
+
+
 def test_fejer_experiment_writes_report_and_csv(tmp_path):
     config = base_config(
         tmp_path,

@@ -146,6 +146,23 @@ def test_ball_monotone_and_deterministic():
     assert lengths == sorted(lengths)
 
 
+@pytest.mark.parametrize(
+    "length",
+    [make(Zd(d)) for d in (1, 2, 3) for make in (word_length, one_norm, two_norm, squared_two_norm)]
+    + [word_length(FreeF2()), block_length(FreeProductZ2Z3())]
+    + [word_length(G) for G in ALL_GROUPS if G.is_finite],
+    ids=lambda L: f"{L.group.name}-{L.tag}",
+)
+def test_ball_order_is_length_then_sort_key(length):
+    # the compression index order: strictly increasing (L(g), sort_key(g))
+    group = length.group
+    for R in (0, 1, 2.5, 4):
+        points = ball(R, length)
+        keys = [(length(g), group.sort_key(g)) for g in points]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert all(L <= R for L, _ in keys)
+
+
 def test_ball_negative_radius():
     with pytest.raises(ValueError, match="nonnegative"):
         ball(-1, one_norm(Zd(1)))

@@ -1,13 +1,19 @@
 import cmath
+import json
+import math
 
 import numpy as np
 import pytest
 
+from crossfourier import system as system_module
 from crossfourier.algebra import AlgAutomorphism, BlockAlgebra
-from crossfourier.groups import Cyclic, DirectProduct, Zd, ball, block_length
+from crossfourier.cli import canonical_json
+from crossfourier.groups import Cyclic, Dihedral, DirectProduct, FreeF2, Zd, ball, block_length, default_length
 from crossfourier.system import (
     CentralExtension,
+    SystemReport,
     TwistedSystem,
+    default_triples,
     generator_action,
     section_cocycle_system,
     sl2z_extension,
@@ -183,3 +189,216 @@ def test_cocycle_inverse_identity(make):
         lhs = sys_.cocycle(g, ginv)
         rhs = sys_.act(g, sys_.cocycle(ginv, g))
         assert (lhs - rhs).norm() < 1e-10
+
+
+# -- the batched validator against the per-triple loop it replaced ----------------
+
+
+def loop_validate(system, triples=None, probes=None, rng=None, n_samples=200):
+    """validate_system as a loop of AlgElement operations over the samples (oracle)."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if triples is None:
+        triples = default_triples(system, rng, n_samples)
+    triples = list(triples)
+    if probes is None:
+        probes = system.algebra.basis() + [system.algebra.random_element(rng) for _ in range(3)]
+
+    group, unit = system.group, system.algebra.unit()
+    e = group.identity()
+    worst = {"action": 0.0, "cocycle": 0.0, "normalization": 0.0, "unitarity": 0.0}
+    witness: dict = {}
+
+    seen_pairs = set()
+    for g, h, k in triples:
+        lhs = system.cocycle(g, h) * system.cocycle(group.mul(g, h), k)
+        rhs = system.act(g, system.cocycle(h, k)) * system.cocycle(g, group.mul(h, k))
+        v = (lhs - rhs).norm()
+        if v > worst["cocycle"]:
+            worst["cocycle"] = v
+            witness["cocycle"] = (g, h, k)
+        for pair in ((g, h), (h, k)):
+            if pair in seen_pairs:
+                continue
+            seen_pairs.add(pair)
+            s, t = pair
+            sig = system.cocycle(s, t)
+            v = max((sig * sig.star() - unit).norm(), (sig.star() * sig - unit).norm())
+            if v > worst["unitarity"]:
+                worst["unitarity"] = v
+                witness["unitarity"] = pair
+            v = max((system.cocycle(s, e) - unit).norm(), (system.cocycle(e, s) - unit).norm())
+            if v > worst["normalization"]:
+                worst["normalization"] = v
+                witness["normalization"] = pair
+            act_st = system.action(group.mul(s, t))
+            for x in probes:
+                lhs_x = system.act(s, system.act(t, x))
+                rhs_x = sig * act_st(x) * sig.star()
+                v = (lhs_x - rhs_x).norm()
+                if v > worst["action"]:
+                    worst["action"] = v
+                    witness["action"] = pair
+
+    for x in probes:
+        v = (system.act(e, x) - x).norm()
+        if v > worst["action"]:
+            worst["action"] = v
+            witness["action"] = (e, e)
+
+    return SystemReport(
+        worst["action"], worst["cocycle"], worst["normalization"], worst["unitarity"],
+        len(triples), witness,
+    )
+
+
+def _rotation(phi):
+    return np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+
+
+def _f2_on_m2m2c():
+    """F2 on M2 + M2 + C: a swaps the 2x2 blocks and conjugates, b conjugates."""
+    A = BlockAlgebra([2, 2, 1])
+    a = AlgAutomorphism(A, [1, 0, 2], [_rotation(0.3), _rotation(-1.1), np.eye(1)])
+    b = AlgAutomorphism.conjugation(A, [_rotation(0.7), np.array([[0, 1j], [1j, 0]]), np.exp(0.2j) * np.eye(1)])
+    G = FreeF2()
+    return TwistedSystem(A, G, generator_action(G, A, [a, b]), lambda g, h: A.unit(), tag="f2-swap")
+
+
+def _dihedral_swap():
+    """D5 on C + C + M3: s swaps the points, the rotation conjugates M3 by an order-5 unitary."""
+    A = BlockAlgebra([1, 1, 3])
+    w = np.diag(np.exp(2j * np.pi * np.array([1, 2, 4]) / 5))
+    r = AlgAutomorphism.conjugation(A, [np.eye(1), np.eye(1), w])
+    s = AlgAutomorphism(A, [1, 0, 2], [np.eye(1), np.eye(1), np.eye(3)])
+    G = Dihedral(5)
+    return TwistedSystem(A, G, generator_action(G, A, [r, s]), lambda g, h: A.unit(), tag="d5")
+
+
+def _rotation_on_z():
+    A = BlockAlgebra([2, 1])
+    Z = Zd(1)
+    theta = AlgAutomorphism.conjugation(A, [_rotation(np.pi / 7), np.eye(1)])
+    return TwistedSystem(A, Z, generator_action(Z, A, [theta]), lambda g, h: A.unit(), tag="rotation")
+
+
+def _wrong_order_action():
+    """Z3 whose generator acts by an order-4 rotation: the action twist fails."""
+    A = BlockAlgebra([2, 1])
+    G = Cyclic(3)
+    theta = AlgAutomorphism.conjugation(A, [_rotation(np.pi / 4), np.eye(1)])
+    return TwistedSystem(A, G, generator_action(G, A, [theta]), lambda g, h: A.unit(), tag="wrong-order")
+
+
+def _broken_cocycle(base, phase):
+    """base with its cocycle rotated by exp(i phase(g, h))."""
+    def rule(g, h):
+        val = base.cocycle(g, h)
+        return cmath.exp(1j * phase(g, h)) * val if phase(g, h) else val
+
+    return TwistedSystem(base.algebra, base.group, base._action_rule, rule, tag="broken")
+
+
+def _section_ext():
+    K = DirectProduct([Cyclic(2), Cyclic(4)])
+    return section_cocycle_system(CentralExtension(
+        group=Cyclic(4), lift=lambda g: (0, g) if g < 2 else (1, g - 2), kmul=K.mul, kinv=K.inv,
+        center=((0, 0), (1, 2)),
+    ))
+
+
+ORACLE_SYSTEMS = {
+    "cyclic-trivial-M2+C": lambda: trivial_system(BlockAlgebra([2, 1]), Cyclic(5)),
+    "cyclic-theta": lambda: theta_system(Cyclic(12), "1/12"),
+    "dihedral-swap-M3": _dihedral_swap,
+    "product-trivial-M3": lambda: trivial_system(BlockAlgebra([3]), DirectProduct([Cyclic(2), Cyclic(3)])),
+    "Z2-theta": lambda: theta_system(Zd(2), "1/5"),
+    "Z-rotation-M2+C": _rotation_on_z,
+    "F2-swap-M2+M2+C": _f2_on_m2m2c,
+    "Z2*Z3-sl2z-section": sl2z_system,
+    "Z4-section": _section_ext,
+    "Z3-wrong-order-action": _wrong_order_action,
+    # few distinct phases, so each maximum is reached by many samples
+    "Z4-broken-cocycle": lambda: _broken_cocycle(theta_system(Cyclic(4), "1/4"), lambda g, h: 0.1 * (g * h % 3)),
+    "Z2-broken-cocycle": lambda: _broken_cocycle(theta_system(Zd(2), 0.3), lambda g, h: 0.2 * (g[0] == 1)),
+}
+
+
+def _fingerprint(report):
+    values = (report.action_violation, report.cocycle_violation, report.normalization_violation,
+              report.unitarity_violation)
+    return [float(v).hex() for v in values], report.n_triples, report.witness
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_batched_validator_matches_loop_bit_for_bit(name):
+    make = ORACLE_SYSTEMS[name]
+    got = validate_system(make(), rng=np.random.default_rng(3), n_samples=150)
+    want = loop_validate(make(), rng=np.random.default_rng(3), n_samples=150)
+    assert _fingerprint(got) == _fingerprint(want)
+
+
+def test_oracle_systems_exercise_every_axiom():
+    broken = {
+        name: validate_system(ORACLE_SYSTEMS[name](), rng=np.random.default_rng(3), n_samples=150)
+        for name in ("Z3-wrong-order-action", "Z4-broken-cocycle", "Z2-broken-cocycle")
+    }
+    assert broken["Z3-wrong-order-action"].action_violation > 0.1
+    assert broken["Z4-broken-cocycle"].cocycle_violation > 0.01
+    assert broken["Z2-broken-cocycle"].cocycle_violation > 0.01
+    assert all(not r.passed for r in broken.values())
+
+
+def test_chunk_boundaries_keep_the_first_witness(monkeypatch):
+    # defects that reach their maximum at several samples, cut into chunks of 7
+    monkeypatch.setattr(system_module, "_VALIDATE_CHUNK", 7)
+    for name in ("Z4-broken-cocycle", "Z3-wrong-order-action", "F2-swap-M2+M2+C", "Z2-broken-cocycle"):
+        make = ORACLE_SYSTEMS[name]
+        got = validate_system(make(), rng=np.random.default_rng(5), n_samples=60)
+        want = loop_validate(make(), rng=np.random.default_rng(5), n_samples=60)
+        assert _fingerprint(got) == _fingerprint(want), name
+
+
+def test_explicit_triples_and_probes_match_loop():
+    sys_ = _f2_on_m2m2c()
+    pool = ball(1, default_length(sys_.group))
+    triples = [(g, h, k) for g in pool for h in pool for k in pool]
+    probes = [sys_.algebra.random_element(np.random.default_rng(i)) for i in range(2)]
+    got = validate_system(sys_, triples=triples, probes=probes)
+    want = loop_validate(_f2_on_m2m2c(), triples=triples, probes=probes)
+    assert _fingerprint(got) == _fingerprint(want)
+    assert _fingerprint(validate_system(sys_, triples=triples, probes=[])) == _fingerprint(
+        loop_validate(sys_, triples=triples, probes=[]))
+
+
+def _nan_cocycle_system():
+    """Z4 with cocycle(1, 1) = NaN * 1, trivial elsewhere."""
+    A = BlockAlgebra([1])
+    nan = A.scalar([float("nan")])
+    return TwistedSystem(A, Cyclic(4), generator_action(Cyclic(4), A, [AlgAutomorphism.identity(A)]),
+                         lambda g, h: nan if (g, h) == (1, 1) else A.unit(), tag="nan")
+
+
+def test_non_finite_defect_fails_and_names_its_witness():
+    report = validate_system(_nan_cocycle_system())
+    assert not report.passed
+    assert math.isnan(report.cocycle_violation) and math.isnan(report.unitarity_violation)
+    # the first triple / pair in sample order that touches cocycle(1, 1)
+    assert report.witness["unitarity"] == (1, 1)
+    assert report.witness["cocycle"] == (0, 1, 1)
+    out = report.as_dict()
+    assert out["passed"] is False and out["cocycle_violation"] == "nan"
+    json.loads(canonical_json(out))
+
+
+def test_non_finite_defect_in_a_matrix_block_fails():
+    # a 2x2 block: the SVD of a NaN matrix does not converge, the report still comes back
+    A = BlockAlgebra([2])
+    big = A.scalar([1e200])
+    sys_ = TwistedSystem(A, Cyclic(2), generator_action(Cyclic(2), A, [AlgAutomorphism.identity(A)]),
+                         lambda g, h: big if (g, h) == (1, 1) else A.unit(), tag="overflow")
+    report = validate_system(sys_)
+    assert not report.passed
+    assert math.isinf(report.unitarity_violation)
+    assert report.witness["unitarity"] == (1, 1)
+    json.loads(canonical_json(report.as_dict()))
