@@ -103,10 +103,6 @@ class BlockAlgebra:
             blocks.append(q)
         return self.element(blocks)
 
-    def random_selfadjoint(self, rng, scale: float = 1.0) -> "AlgElement":
-        a = self.random_element(rng, scale)
-        return 0.5 * (a + a.star())
-
     def to_wire(self, a: "AlgElement") -> list[list[float]]:
         """Row-major per-block entries, real and imaginary parts interleaved."""
         out = []
@@ -125,6 +121,11 @@ class BlockAlgebra:
                 raise ValueError(f"wire block has {arr.size} floats, expected {2 * d * d}")
             blocks.append((arr[0::2] + 1j * arr[1::2]).reshape(d, d))
         return self.element(blocks)
+
+
+def block_norm(m: np.ndarray) -> float:
+    """Largest singular value of one block matrix; abs() of the entry for a 1 x 1 block."""
+    return float(np.linalg.norm(m, 2)) if m.shape[0] > 1 else float(abs(m[0, 0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,10 +165,7 @@ class AlgElement:
 
     def norm(self) -> float:
         """C*-norm: max over blocks of the largest singular value."""
-        return max(
-            float(np.linalg.norm(x, 2)) if x.shape[0] > 1 else float(abs(x[0, 0]))
-            for x in self.blocks
-        )
+        return max(block_norm(x) for x in self.blocks)
 
     def is_zero(self, tol: float = 1e-14) -> bool:
         return self.norm() <= tol

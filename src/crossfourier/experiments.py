@@ -171,12 +171,15 @@ def run_decay_probe(system, params, rng):
     wspec = params.get("weight", {"tag": "constant"})
     length = build_length(wspec.get("length", "default"), system.group) if wspec.get("tag") != "constant" else None
     w = make_weight(wspec["tag"], wspec.get("param", 0.0), length)
-    probe = decay_constant_probe(
-        system, w,
-        R=float(params.get("radius", 2)),
-        sample_budget=int(params.get("sample_budget", 30)),
-        rng=rng,
-    )
+    try:
+        probe = decay_constant_probe(
+            system, w,
+            R=float(params.get("radius", 2)),
+            sample_budget=int(params.get("sample_budget", 30)),
+            rng=rng,
+        )
+    except ValueError as exc:  # a weight that overflows on the sampled supports
+        raise ConfigError(f"decay probe: {exc}") from None
     results = probe.as_dict()
     results["weight"] = {"tag": w.tag, "param": w.param, "summable_inverse": w.summable_inverse}
     passed = True

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import AlgAutomorphism, AlgElement, BlockAlgebra
+from .algebra import AlgAutomorphism, AlgElement, BlockAlgebra, block_norm
 from .crossed import CcElement, cc_unit, random_cc
 from .groups import ball, default_length
 from .system import TwistedSystem
@@ -41,11 +41,7 @@ class InvariantIdeal:
 
     def contains(self, a: AlgElement, tol: float = MEMBERSHIP_TOL) -> bool:
         """Membership: the block components outside the ideal vanish."""
-        return all(
-            float(np.linalg.norm(m, 2) if m.shape[0] > 1 else abs(m[0, 0])) <= tol
-            for j, m in enumerate(a.blocks)
-            if j not in self.blocks
-        )
+        return all(block_norm(m) <= tol for j, m in enumerate(a.blocks) if j not in self.blocks)
 
     def element_from(self, a: AlgElement) -> AlgElement:
         """Compression of a onto the ideal blocks (the J-component)."""

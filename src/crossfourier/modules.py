@@ -5,6 +5,12 @@ Vectors are n-tuples over the coefficient algebra with inner product
 (x . a)_i = x_i a.  Operators are n x n matrices over A acting on column
 vectors; the adjoint is the entrywise star of the transpose.
 
+Both are stored stacked, one array per block j of A: a vector as an
+(n, d_j, d_j) array whose row i is x_i, an operator as an (n, n, d_j, d_j)
+array whose [i, k] is T_ik.  Operations are batched matmuls and reshapes,
+with sums over entries run left to right from zero (zero + a_1 b_1 + ...),
+so results are bit for bit those of the same AlgElement arithmetic.
+
 An equivariant representation is a pair (rho, v): rho represents A by module
 operators and v(g) is the invertible map x -> V_g . (action(g) applied
 entrywise), stored through its matrix part V_g.  C-linearity is automatic;
@@ -19,59 +25,86 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import ALG_TOL, AlgElement, BlockAlgebra
+from .algebra import ALG_TOL, AlgElement, AutomorphismStack, BlockAlgebra
 from .system import TwistedSystem
 
 MAX_RANK = 8
 
 
-@dataclass(frozen=True, eq=False)
-class ModuleVector:
-    algebra: BlockAlgebra
-    entries: tuple
+def _sum(terms: np.ndarray, axis: int) -> np.ndarray:
+    """zero + t_0 + t_1 + ... along `axis`, left to right as AlgElement sums run."""
+    zero = np.zeros(terms.shape[:axis] + (1,) + terms.shape[axis + 1:], dtype=terms.dtype)
+    return np.add.accumulate(np.concatenate([zero, terms], axis=axis), axis=axis).take(-1, axis=axis)
 
-    def __post_init__(self):
-        if len(self.entries) > MAX_RANK:
-            raise ValueError(f"module rank capped at {MAX_RANK}")
-        for a in self.entries:
-            if a.algebra != self.algebra:
-                raise ValueError("entry algebra mismatch")
+
+def _star(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2).conj()
+
+
+class _Stacked:
+    """One read-only array per algebra block, the entries on its leading axes."""
+
+    def __init__(self, algebra: BlockAlgebra, elements: list, shape: tuple):
+        if any(a.algebra != algebra for a in elements):
+            raise ValueError("entry algebra mismatch")
+        self._store(algebra, [np.array([a.blocks[j] for a in elements], dtype=complex).reshape(shape + (d, d))
+                              for j, d in enumerate(algebra.dims)])
+
+    @classmethod
+    def _of(cls, algebra: BlockAlgebra, blocks: list):
+        out = cls.__new__(cls)
+        out._store(algebra, blocks)
+        return out
+
+    def _store(self, algebra, blocks):
+        self.algebra, self.blocks = algebra, tuple(blocks)
+        for b in self.blocks:
+            b.flags.writeable = False
 
     @property
-    def rank(self):
-        return len(self.entries)
-
-    def __add__(self, other):
-        self._check(other)
-        return ModuleVector(self.algebra, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar):
-        return ModuleVector(self.algebra, tuple(scalar * a for a in self.entries))
-
-    def right(self, a: AlgElement) -> "ModuleVector":
-        """The module action x . a."""
-        return ModuleVector(self.algebra, tuple(x * a for x in self.entries))
+    def rank(self) -> int:
+        return self.blocks[0].shape[0]
 
     def _check(self, other):
         if self.algebra != other.algebra or self.rank != other.rank:
             raise ValueError("module shape mismatch")
 
+
+class ModuleVector(_Stacked):
+    """A vector of A^n, made from its tuple of n entries."""
+
+    def __init__(self, algebra: BlockAlgebra, entries: tuple):
+        if len(entries) > MAX_RANK:
+            raise ValueError(f"module rank capped at {MAX_RANK}")
+        super().__init__(algebra, entries, (len(entries),))
+
+    def __add__(self, other):
+        self._check(other)
+        return ModuleVector._of(self.algebra, [x + y for x, y in zip(self.blocks, other.blocks)])
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __rmul__(self, scalar):
+        return ModuleVector._of(self.algebra, [scalar * x for x in self.blocks])
+
+    def right(self, a: AlgElement) -> "ModuleVector":
+        """The module action x . a."""
+        if a.algebra != self.algebra:
+            raise ValueError("algebra mismatch")
+        return ModuleVector._of(self.algebra, [np.matmul(x, m) for x, m in zip(self.blocks, a.blocks)])
+
     def inner(self, other: "ModuleVector") -> AlgElement:
         """<x, y> = sum_i x_i* y_i."""
         self._check(other)
-        total = self.algebra.zero()
-        for a, b in zip(self.entries, other.entries):
-            total = total + a.star() * b
-        return total
+        return self.algebra.element([_sum(np.matmul(_star(x), y), 0) for x, y in zip(self.blocks, other.blocks)])
 
     def norm(self) -> float:
         return float(np.sqrt(self.inner(self).norm()))
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([m.reshape(-1) for a in self.entries for m in a.blocks])
+        """Coordinates entry by entry, each entry block by block, blocks row-major."""
+        return np.concatenate([x.reshape(self.rank, -1) for x in self.blocks], axis=1).reshape(-1)
 
 
 def basis_vector(algebra: BlockAlgebra, rank: int, i: int) -> ModuleVector:
@@ -84,99 +117,48 @@ def random_vector(algebra: BlockAlgebra, rank: int, rng, scale: float = 1.0) -> 
     return ModuleVector(algebra, tuple(algebra.random_element(rng, scale) for _ in range(rank)))
 
 
-@dataclass(frozen=True, eq=False)
-class ModuleOperator:
-    """n x n matrix over A acting on column vectors by left multiplication."""
+class ModuleOperator(_Stacked):
+    """n x n matrix over A acting on column vectors by left multiplication, made from its rows."""
 
-    algebra: BlockAlgebra
-    rows: tuple  # tuple of tuples of AlgElement
-
-    @property
-    def rank(self):
-        return len(self.rows)
+    def __init__(self, algebra: BlockAlgebra, rows: tuple):
+        super().__init__(algebra, [a for row in rows for a in row], (len(rows), len(rows)))
 
     @staticmethod
     def identity(algebra: BlockAlgebra, rank: int) -> "ModuleOperator":
-        return ModuleOperator(
-            algebra,
-            tuple(
-                tuple(algebra.unit() if i == j else algebra.zero() for j in range(rank))
-                for i in range(rank)
-            ),
-        )
+        return ModuleOperator.diagonal(algebra, rank, algebra.unit())
 
     @staticmethod
     def diagonal(algebra: BlockAlgebra, rank: int, a: AlgElement) -> "ModuleOperator":
-        return ModuleOperator(
-            algebra,
-            tuple(
-                tuple(a if i == j else algebra.zero() for j in range(rank))
-                for i in range(rank)
-            ),
-        )
+        on = np.eye(rank, dtype=bool)[:, :, None, None]
+        return ModuleOperator._of(algebra, [np.where(on, m, 0j) for m in a.blocks])
 
     @staticmethod
     def from_scalar_matrix(algebra: BlockAlgebra, mat: np.ndarray) -> "ModuleOperator":
-        mat = np.asarray(mat, dtype=complex)
-        return ModuleOperator(
-            algebra,
-            tuple(tuple(complex(mat[i, j]) * algebra.unit() for j in range(mat.shape[1])) for i in range(mat.shape[0])),
-        )
+        mat = np.asarray(mat, dtype=complex)[:, :, None, None]
+        return ModuleOperator._of(algebra, [mat * np.eye(d, dtype=complex) for d in algebra.dims])
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
-        if x.rank != self.rank:
-            raise ValueError("module shape mismatch")
-        out = []
-        for row in self.rows:
-            acc = self.algebra.zero()
-            for a, xj in zip(row, x.entries):
-                acc = acc + a * xj
-            out.append(acc)
-        return ModuleVector(self.algebra, tuple(out))
+        self._check(x)
+        # [i, k] of each product is T_ik x_k
+        return ModuleVector._of(self.algebra, [_sum(np.matmul(t, y[None]), 1) for t, y in zip(self.blocks, x.blocks)])
 
     def adjoint(self) -> "ModuleOperator":
-        n = self.rank
-        return ModuleOperator(self.algebra, tuple(tuple(self.rows[j][i].star() for j in range(n)) for i in range(n)))
+        return ModuleOperator._of(self.algebra, [_star(t).swapaxes(0, 1) for t in self.blocks])
 
     def compose(self, other: "ModuleOperator") -> "ModuleOperator":
-        n = self.rank
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.algebra.zero()
-                for k in range(n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return ModuleOperator(self.algebra, tuple(rows))
-
-    def _dense_blocks(self) -> list[np.ndarray]:
-        """Per algebra block j, the (n d_j) x (n d_j) complex matrix."""
-        n = self.rank
-        out = []
-        for bi, d in enumerate(self.algebra.dims):
-            big = np.zeros((n * d, n * d), dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    big[i * d : (i + 1) * d, j * d : (j + 1) * d] = self.rows[i][j].blocks[bi]
-            out.append(big)
-        return out
+        self._check(other)
+        # [i, k, j] of each product is S_ik T_kj
+        products = [np.matmul(s[:, :, None], t[None]) for s, t in zip(self.blocks, other.blocks)]
+        return ModuleOperator._of(self.algebra, [_sum(p, 1) for p in products])
 
     def inverse(self) -> "ModuleOperator":
-        """Inverse as a matrix over A, computed per algebra block."""
+        """Inverse as a matrix over A: per block j, the (n d_j) x (n d_j) matrix inverted."""
         n = self.rank
-        inv_blocks = [np.linalg.inv(b) for b in self._dense_blocks()]
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                blocks = []
-                for bi, d in enumerate(self.algebra.dims):
-                    blocks.append(inv_blocks[bi][i * d : (i + 1) * d, j * d : (j + 1) * d])
-                row.append(self.algebra.element(blocks))
-            rows.append(tuple(row))
-        return ModuleOperator(self.algebra, tuple(rows))
+        out = []
+        for t, d in zip(self.blocks, self.algebra.dims):
+            big = np.linalg.inv(t.transpose(0, 2, 1, 3).reshape(n * d, n * d))
+            out.append(big.reshape(n, d, n, d).transpose(0, 2, 1, 3))
+        return ModuleOperator._of(self.algebra, out)
 
 
 class EquivariantRep:
@@ -195,25 +177,31 @@ class EquivariantRep:
         self._rho = rho
         self._vmatrix = vmatrix
         self.tag = tag
-        self._vcache: dict = {}
+        self._twists: dict = {}
 
     def rho(self, a: AlgElement) -> ModuleOperator:
         return self._rho(a)
 
+    def _twist(self, g) -> tuple:
+        """V_g and the stack (action(g), its inverse), built once per g."""
+        twist = self._twists.get(g)
+        if twist is None:
+            auto = self.system.action(g)
+            twist = self._twists[g] = (self._vmatrix(g), AutomorphismStack([auto, auto.inverse()]))
+        return twist
+
     def vmatrix(self, g) -> ModuleOperator:
-        m = self._vcache.get(g)
-        if m is None:
-            m = self._vmatrix(g)
-            self._vcache[g] = m
-        return m
+        return self._twist(g)[0]
+
+    def _act(self, g, x: ModuleVector, inverse: bool) -> ModuleVector:
+        """action(g), or its inverse automorphism, applied to every entry of x."""
+        return ModuleVector._of(x.algebra, self._twist(g)[1].apply(np.full(x.rank, int(inverse)), x.blocks))
 
     def v_apply(self, g, x: ModuleVector) -> ModuleVector:
-        twisted = ModuleVector(x.algebra, tuple(self.system.act(g, a) for a in x.entries))
-        return self.vmatrix(g)(twisted)
+        return self.vmatrix(g)(self._act(g, x, inverse=False))
 
     def v_inverse_apply(self, g, x: ModuleVector) -> ModuleVector:
-        y = self.vmatrix(g).inverse()(x)
-        return ModuleVector(x.algebra, tuple(self.system.act_inv(g, a) for a in y.entries))
+        return self._act(g, self.vmatrix(g).inverse()(x), inverse=True)
 
     def ad_rho(self, u: AlgElement, x: ModuleVector) -> ModuleVector:
         """(rho(u) x) . u* for a unitary u."""
@@ -223,27 +211,15 @@ class EquivariantRep:
 def trivial_rep(system: TwistedSystem) -> EquivariantRep:
     """Left multiplication with the action itself, on the module A."""
     A = system.algebra
-
-    def rho(a):
-        return ModuleOperator(A, ((a,),))
-
-    def vmatrix(g):
-        return ModuleOperator.identity(A, 1)
-
-    return EquivariantRep(system, 1, rho, vmatrix, tag="trivial")
+    return EquivariantRep(system, 1, lambda a: ModuleOperator(A, ((a,),)), lambda g: ModuleOperator.identity(A, 1),
+                          tag="trivial")
 
 
 def endomorphism_rep(system: TwistedSystem, beta: Callable) -> EquivariantRep:
     """(rho_beta, action) on A: rho_beta(a) is left multiplication by beta(a)."""
     A = system.algebra
-
-    def rho(a):
-        return ModuleOperator(A, ((beta(a),),))
-
-    def vmatrix(g):
-        return ModuleOperator.identity(A, 1)
-
-    return EquivariantRep(system, 1, rho, vmatrix, tag="endomorphism")
+    return EquivariantRep(system, 1, lambda a: ModuleOperator(A, ((beta(a),),)),
+                          lambda g: ModuleOperator.identity(A, 1), tag="endomorphism")
 
 
 def unitary_tensor_rep(system: TwistedSystem, urep: Callable, rank: int) -> EquivariantRep:
@@ -254,14 +230,8 @@ def unitary_tensor_rep(system: TwistedSystem, urep: Callable, rank: int) -> Equi
     makes axiom (ii) hold for any cocycle.
     """
     A = system.algebra
-
-    def rho(a):
-        return ModuleOperator.diagonal(A, rank, a)
-
-    def vmatrix(g):
-        return ModuleOperator.from_scalar_matrix(A, urep(g))
-
-    return EquivariantRep(system, rank, rho, vmatrix, tag="unitary-tensor")
+    return EquivariantRep(system, rank, lambda a: ModuleOperator.diagonal(A, rank, a),
+                          lambda g: ModuleOperator.from_scalar_matrix(A, urep(g)), tag="unitary-tensor")
 
 
 @dataclass
@@ -335,17 +305,11 @@ def central_part(rep: EquivariantRep, tol: float = 1e-10) -> list[ModuleVector]:
     """
     A, n = rep.system.algebra, rep.rank
     coord_dim = n * A.total_dim
+    cuts = np.cumsum([d * d for d in A.dims])[:-1]
 
     def unflatten(vec) -> ModuleVector:
-        entries = []
-        k = 0
-        for _ in range(n):
-            blocks = []
-            for d in A.dims:
-                blocks.append(vec[k : k + d * d].reshape(d, d))
-                k += d * d
-            entries.append(A.element(blocks))
-        return ModuleVector(A, tuple(entries))
+        parts = np.split(vec.reshape(n, A.total_dim), cuts, axis=1)
+        return ModuleVector._of(A, [p.reshape(n, d, d) for p, d in zip(parts, A.dims)])
 
     # columns are z-coordinates; one row block per spanning element a
     columns = []

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -152,17 +152,6 @@ def theta_cocycle(group: Group, algebra: BlockAlgebra, theta) -> Callable:
     return rule
 
 
-def table_cocycle(group: Group, table: dict) -> Callable:
-    """Finite-group cocycle from an exhaustive table {(g, h): AlgElement}."""
-    if not group.is_finite:
-        raise ValueError("table cocycles are for finite groups only")
-
-    def rule(g, h):
-        return table[(g, h)]
-
-    return rule
-
-
 # -- constructors ---------------------------------------------------------------
 
 
@@ -216,11 +205,12 @@ def section_cocycle_system(ext: CentralExtension) -> TwistedSystem:
         raise ValueError("section does not map the group identity to the identity")
     m = len(ext.center)
     algebra = BlockAlgebra([1] * m)
+    # the canonical unitary of center[k], for each k
+    unitaries = [algebra.scalar([cmath.exp(2j * cmath.pi * j * k / m) for j in range(m)]) for k in range(m)]
 
     def rule(g, h):
         z = ext.kmul(ext.kmul(ext.lift(g), ext.lift(h)), ext.kinv(ext.lift(ext.group.mul(g, h))))
-        k = ext.center_index(z)
-        return algebra.scalar([cmath.exp(2j * cmath.pi * j * k / m) for j in range(m)])
+        return unitaries[ext.center_index(z)]
 
     return TwistedSystem(algebra, ext.group, trivial_action(algebra), rule, tag="central-extension-section")
 
@@ -319,11 +309,15 @@ class SystemReport:
         }
 
 
-def default_triples(system: TwistedSystem, rng=None, n_samples: int = 200) -> list:
-    """Exhaustive triples for finite |G| <= 64, ball(3)^3 samples otherwise."""
+def default_triples(system: TwistedSystem, rng=None, n_samples: int = 200) -> Iterable:
+    """Exhaustive triples for finite |G| <= 64, made lazily; ball(3)^3 samples otherwise.
+
+    The samples are drawn at the call, before validate_system draws its
+    probes from the same rng.
+    """
     group = system.group
     if group.is_finite and len(group.elements()) <= 64:
-        return list(itertools.product(group.elements(), repeat=3))
+        return itertools.product(group.elements(), repeat=3)
     pool = ball(3, default_length(group))
     if rng is None:
         rng = np.random.default_rng(0)
@@ -447,24 +441,23 @@ def validate_system(
     action(s) action(t) = Ad(cocycle(s, t)) action(st) (on the probes) on
     each distinct pair (g, h), (h, k) in first-seen order; action(e) = id.
 
-    The check is batched and walks the triples in chunks of _VALIDATE_CHUNK,
-    so memory beyond the samples is bounded by the chunk and the distinct
-    values.  Group elements are numbered, every distinct cocycle and action
-    value is looked up once through the system's caches and stacked once,
-    and each axiom is evaluated as gathers and batched matmuls.  The
-    products are those of the AlgElement arithmetic, in the same order, so
-    violations and witnesses are bit for bit those of a loop over the
-    samples; each witness is the first sample reaching its violation.
-    Violations are reported, never raised; the report passes iff
-    every violation is finite and at most 1e-10.
+    The check is batched and takes the triples in chunks of _VALIDATE_CHUNK
+    from any iterable (the exhaustive ones are made as they are taken), so
+    memory is bounded by the chunk and the distinct values.  Group elements
+    are numbered, every distinct cocycle and action value is looked up once
+    through the system's caches and stacked once, and each axiom is
+    evaluated as gathers and batched matmuls.  The products are those of
+    the AlgElement arithmetic, in the same order, so violations and
+    witnesses are bit for bit those of a loop over the samples; each
+    witness is the first sample reaching its violation.  Violations are
+    reported, never raised; the report passes iff every violation is
+    finite and at most 1e-10.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     if triples is None:
         triples = default_triples(system, rng, n_samples)
-    triples = list(triples)
-    if not triples:
-        raise ValueError("sample of triples must be nonempty")
+    triples = iter(triples)
     if probes is None:
         probes = system.algebra.basis() + [system.algebra.random_element(rng) for _ in range(3)]
 
@@ -506,8 +499,9 @@ def validate_system(
 
     # overflowing values make non-finite defects, which the report carries
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(triples), _VALIDATE_CHUNK):
-            chunk = triples[lo:lo + _VALIDATE_CHUNK]
+        n_triples = 0
+        while chunk := list(itertools.islice(triples, _VALIDATE_CHUNK)):
+            n_triples += len(chunk)
             g, h, k = elements.many(list(itertools.chain.from_iterable(chunk))).reshape(-1, 3).T
             # (g, h) then (h, k) of each triple
             pair_codes = np.stack([g * M + h, h * M + k], axis=1).ravel()
@@ -525,7 +519,9 @@ def validate_system(
             lhs = [np.matmul(x, y) for x, y in zip(sigma(r_gh), sigma(r_ghk))]
             acted = alpha_table.apply(r_g, sigma(r_hk))
             rhs = [np.matmul(x, y) for x, y in zip(acted, sigma(r_ghk2))]
-            worst.update("cocycle", _norms(minus(lhs, rhs)), lambda i: triples[lo + i])
+            worst.update("cocycle", _norms(minus(lhs, rhs)), lambda i: chunk[i])
+        if not n_triples:
+            raise ValueError("sample of triples must be nonempty")
 
         # per distinct pair (s, t): cocycle (s, t), (s, e), (e, s); action of st, t, s
         pairs = np.array(list(products), dtype=np.int64)
@@ -568,5 +564,5 @@ def validate_system(
 
     return SystemReport(
         worst.value["action"], worst.value["cocycle"], worst.value["normalization"],
-        worst.value["unitarity"], len(triples), worst.witness,
+        worst.value["unitarity"], n_triples, worst.witness,
     )

@@ -151,6 +151,21 @@ def test_weighted_norm_overflow_is_config_error(tmp_path, capsys):
     assert err.startswith("config error:") and "(40,40)" in err
 
 
+def test_decay_probe_weight_overflow_is_config_error(tmp_path, capsys):
+    config = base_config(
+        tmp_path,
+        {
+            "tag": "decay-probe",
+            "weight": {"tag": "exp", "param": 10, "length": "one-norm"},
+            "radius": 80,
+        },
+        system={"algebra": [1], "group": {"family": "Zd", "d": 1}},
+    )
+    assert run_cli(tmp_path, config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "overflows" in err
+
+
 def test_fejer_experiment_writes_report_and_csv(tmp_path):
     config = base_config(
         tmp_path,

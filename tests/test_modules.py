@@ -4,6 +4,7 @@ import pytest
 from crossfourier.algebra import AlgAutomorphism, BlockAlgebra, PointMap, classify
 from crossfourier.groups import Cyclic, Zd
 from crossfourier.modules import (
+    MAX_RANK,
     EquivariantRep,
     ModuleOperator,
     ModuleVector,
@@ -57,7 +58,8 @@ def test_operator_inverse():
     rng = np.random.default_rng(3)
     ident = ModuleOperator.identity(A, 2)
     rows = tuple(
-        tuple(ident.rows[i][j] + 0.2 * A.random_element(rng) for j in range(2)) for i in range(2)
+        tuple(A.element([b[i, j] for b in ident.blocks]) + 0.2 * A.random_element(rng) for j in range(2))
+        for i in range(2)
     )
     S = ModuleOperator(A, rows)
     Sinv = S.inverse()
@@ -114,7 +116,7 @@ def test_scaled_v_breaks_axiom_iii():
     def bad_vmatrix(g):
         m = base.vmatrix(g)
         if g == 1:
-            return ModuleOperator(m.algebra, tuple(tuple(2.0 * a for a in row) for row in m.rows))
+            return ModuleOperator(m.algebra, ((m.algebra.element([2.0 * b[0, 0] for b in m.blocks]),),))
         return m
 
     bad = EquivariantRep(sys_, 1, base.rho, bad_vmatrix, tag="scaled")
@@ -145,9 +147,9 @@ def test_central_part_m2_is_scalars():
     rep = trivial_rep(trivial_system(A, Cyclic(3)))
     basis = central_part(rep)
     assert len(basis) == 1
-    z = basis[0].entries[0]
+    z = basis[0].blocks[0][0]
     # the single basis vector is a multiple of the unit
-    offdiag = z.blocks[0] - np.trace(z.blocks[0]) / 2 * np.eye(2)
+    offdiag = z - np.trace(z) / 2 * np.eye(2)
     assert np.linalg.norm(offdiag) < 1e-10
 
 
@@ -177,3 +179,209 @@ def test_central_vectors_solve_defining_equation():
         for j, w in enumerate(basis):
             dot = np.vdot(z.flatten(), w.flatten())
             assert dot == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
+
+
+# -- the stacked layer against the per-entry AlgElement arithmetic it replaced ------
+
+
+def _sum(algebra, terms):
+    total = algebra.zero()
+    for t in terms:
+        total = total + t
+    return total
+
+
+def loop_inner(xs, ys):
+    return _sum(xs[0].algebra, (a.star() * b for a, b in zip(xs, ys)))
+
+
+def loop_call(rows, xs):
+    return [_sum(xs[0].algebra, (a * x for a, x in zip(row, xs))) for row in rows]
+
+
+def loop_adjoint(rows):
+    return [[rows[k][i].star() for k in range(len(rows))] for i in range(len(rows))]
+
+
+def loop_compose(left, right):
+    n, algebra = len(left), left[0][0].algebra
+    return [[_sum(algebra, (left[i][k] * right[k][j] for k in range(n))) for j in range(n)] for i in range(n)]
+
+
+def loop_inverse(rows):
+    """Per block, the (n d) x (n d) matrix assembled entry by entry, inverted and cut up again."""
+    n, algebra = len(rows), rows[0][0].algebra
+    inverses = []
+    for bi, d in enumerate(algebra.dims):
+        big = np.zeros((n * d, n * d), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                big[i * d:(i + 1) * d, j * d:(j + 1) * d] = rows[i][j].blocks[bi]
+        inverses.append(np.linalg.inv(big))
+    return [
+        [algebra.element([inv[i * d:(i + 1) * d, j * d:(j + 1) * d] for inv, d in zip(inverses, algebra.dims)])
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def loop_v_apply(rep, g, xs):
+    return loop_call(rows_of(rep.vmatrix(g)), [rep.system.act(g, a) for a in xs])
+
+
+def loop_v_inverse_apply(rep, g, xs):
+    return [rep.system.act_inv(g, a) for a in loop_call(loop_inverse(rows_of(rep.vmatrix(g))), xs)]
+
+
+def loop_central_part(rep, tol=1e-10):
+    A, n = rep.system.algebra, rep.rank
+    coord_dim = n * A.total_dim
+
+    def flatten(xs):
+        return np.concatenate([m.reshape(-1) for a in xs for m in a.blocks])
+
+    def unflatten(vec):
+        entries, k = [], 0
+        for _ in range(n):
+            blocks = []
+            for d in A.dims:
+                blocks.append(vec[k:k + d * d].reshape(d, d))
+                k += d * d
+            entries.append(A.element(blocks))
+        return entries
+
+    columns = []
+    for i in range(coord_dim):
+        e = np.zeros(coord_dim, dtype=complex)
+        e[i] = 1.0
+        z = unflatten(e)
+        col = [flatten([u + (-1.0) * (v * a) for u, v in zip(loop_call(rows_of(rep.rho(a)), z), z)])
+               for a in A.basis()]
+        columns.append(np.concatenate(col))
+    _, s, vh = np.linalg.svd(np.array(columns).T)
+    scale = max(1.0, float(s[0])) if len(s) else 1.0
+    return [unflatten(vh[i].conj()) for i in range(vh.shape[0]) if i >= len(s) or s[i] <= tol * scale]
+
+
+def entries_of(x):
+    return [x.algebra.element([b[i] for b in x.blocks]) for i in range(x.rank)]
+
+
+def rows_of(T):
+    return [[T.algebra.element([b[i, k] for b in T.blocks]) for k in range(T.rank)] for i in range(T.rank)]
+
+
+def hexes(elements):
+    """float.hex of every real and imaginary part, element by element."""
+    out = []
+    for a in elements:
+        for m in a.blocks:
+            for z in m.reshape(-1):
+                out += [float(z.real).hex(), float(z.imag).hex()]
+    return out
+
+
+def hexes_rows(rows):
+    return hexes([a for row in rows for a in row])
+
+
+def _oracle_systems():
+    rotation = systems_for_reps()["rotation"]
+    A = BlockAlgebra([2, 2, 1])
+    swap = AlgAutomorphism.block_permutation(A, [1, 0, 2])
+    G = Cyclic(2)
+    permuting = TwistedSystem(A, G, generator_action(G, A, [swap]), lambda g, h: A.unit(), tag="swap")
+    return {
+        "trivial": trivial_system(BlockAlgebra([2, 1]), Cyclic(3)),
+        "block-permuting": permuting,
+        "rotation": rotation,
+    }
+
+
+ORACLE_SYSTEMS = _oracle_systems()
+
+
+def _oracle_rep(sys_, rank):
+    if rank == 1:
+        return trivial_rep(sys_)
+    group = sys_.group
+
+    def urep(g):
+        # a genuine representation: powers of one unitary of finite order, or of any order on Z
+        k = g[0] if isinstance(g, tuple) else g
+        phase = np.exp(2j * np.pi * k / (group.n if group.is_finite else 7))
+        return np.diag([phase ** (j + 1) for j in range(rank)])
+
+    return unitary_tensor_rep(sys_, urep, rank)
+
+
+# from rank 4 on, a numpy sum over the entries would round differently
+@pytest.mark.parametrize("rank", [1, 3, MAX_RANK])
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_stacked_vectors_match_entry_loop_bit_for_bit(name, rank):
+    sys_ = ORACLE_SYSTEMS[name]
+    A = sys_.algebra
+    rng = np.random.default_rng(11)
+    x, y = random_vector(A, rank, rng), random_vector(A, rank, rng)
+    xs, ys = entries_of(x), entries_of(y)
+    a = A.random_element(rng)
+    c = complex(-0.75, -1.25)
+    assert hexes([x.inner(y)]) == hexes([loop_inner(xs, ys)])
+    assert float(x.norm()).hex() == float(np.sqrt(loop_inner(xs, xs).norm())).hex()
+    assert hexes(entries_of(x.right(a))) == hexes([u * a for u in xs])
+    assert hexes(entries_of(x + y)) == hexes([u + v for u, v in zip(xs, ys)])
+    assert hexes(entries_of(x - y)) == hexes([u + (-1.0) * v for u, v in zip(xs, ys)])
+    assert hexes(entries_of(c * x)) == hexes([c * u for u in xs])
+    assert hexes(entries_of(-2.5 * x)) == hexes([-2.5 * u for u in xs])
+
+
+@pytest.mark.parametrize("rank", [1, 3, MAX_RANK])
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_stacked_operators_match_entry_loop_bit_for_bit(name, rank):
+    A = ORACLE_SYSTEMS[name].algebra
+    rng = np.random.default_rng(12)
+
+    def random_rows():
+        return [[A.random_element(rng) + (2.0 * A.unit() if i == j else A.zero()) for j in range(rank)]
+                for i in range(rank)]
+
+    s_rows, t_rows = random_rows(), random_rows()
+    S, T = ModuleOperator(A, s_rows), ModuleOperator(A, t_rows)
+    x = random_vector(A, rank, rng)
+    assert hexes_rows(rows_of(S)) == hexes_rows(s_rows)
+    assert hexes(entries_of(S(x))) == hexes(loop_call(s_rows, entries_of(x)))
+    assert hexes_rows(rows_of(S.adjoint())) == hexes_rows(loop_adjoint(s_rows))
+    assert hexes_rows(rows_of(S.compose(T))) == hexes_rows(loop_compose(s_rows, t_rows))
+    assert hexes_rows(rows_of(S.inverse())) == hexes_rows(loop_inverse(s_rows))
+
+    a = A.random_element(rng)
+    unit_rows = [[A.unit() if i == j else A.zero() for j in range(rank)] for i in range(rank)]
+    diag_rows = [[a if i == j else A.zero() for j in range(rank)] for i in range(rank)]
+    assert hexes_rows(rows_of(ModuleOperator.identity(A, rank))) == hexes_rows(unit_rows)
+    assert hexes_rows(rows_of(ModuleOperator.diagonal(A, rank, a))) == hexes_rows(diag_rows)
+    # negative parts and signed zeros, where a product's zero sign could flip
+    mat = rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank))
+    mat[0, 0] = complex(-0.0, -1.5)
+    scalar_rows = [[complex(mat[i, j]) * A.unit() for j in range(rank)] for i in range(rank)]
+    assert hexes_rows(rows_of(ModuleOperator.from_scalar_matrix(A, mat))) == hexes_rows(scalar_rows)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_equivariant_action_matches_entry_loop_bit_for_bit(name, rank):
+    sys_ = ORACLE_SYSTEMS[name]
+    rep = _oracle_rep(sys_, rank)
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        g = sys_.group.random_element(rng)
+        x = random_vector(sys_.algebra, rank, rng)
+        assert hexes(entries_of(rep.v_apply(g, x))) == hexes(loop_v_apply(rep, g, entries_of(x)))
+        assert hexes(entries_of(rep.v_inverse_apply(g, x))) == hexes(loop_v_inverse_apply(rep, g, entries_of(x)))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_central_part_matches_entry_loop_bit_for_bit(name, rank):
+    rep = _oracle_rep(ORACLE_SYSTEMS[name], rank)
+    got = [hexes(entries_of(z)) for z in central_part(rep)]
+    assert got and got == [hexes(z) for z in loop_central_part(rep)]
