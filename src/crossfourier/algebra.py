@@ -13,7 +13,7 @@ finite-dimensional C*-algebra, so nothing is lost by this representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -128,6 +128,99 @@ def block_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2)) if m.shape[0] > 1 else float(abs(m[0, 0]))
 
 
+def stacked_norms(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """AlgElement.norm of every row of a stacked element, bit for bit.
+
+    A row with a NaN entry gets NaN and one with an infinite entry inf,
+    where the SVD would fail or return NaN.
+    """
+    out = None
+    for x in blocks:
+        if x.shape[1] == 1:
+            # the scalar abs() of AlgElement.norm; np.abs rounds differently
+            v = np.hypot(x.real, x.imag).reshape(len(x))
+        else:
+            # np.linalg.norm(m, 2) is the largest of svd(m, compute_uv=False)
+            finite = np.isfinite(x).all(axis=(1, 2))
+            if finite.all():
+                v = np.linalg.svd(x, compute_uv=False).max(axis=-1)
+            else:
+                v = np.abs(x).max(axis=(1, 2))
+                if finite.any():
+                    v[finite] = np.linalg.svd(x[finite], compute_uv=False).max(axis=-1)
+        out = v if out is None else np.maximum(out, v)
+    return out
+
+
+def adjoints(x: np.ndarray) -> np.ndarray:
+    """The adjoint of every matrix in a stacked block (the last two axes)."""
+    return np.swapaxes(x, -1, -2).conj()
+
+
+def sum_from_zero(terms: np.ndarray, axis: int = 0) -> np.ndarray:
+    """zero + t_0 + t_1 + ... along `axis`, left to right as AlgElement sums run."""
+    zero = np.zeros(terms.shape[:axis] + (1,) + terms.shape[axis + 1:], dtype=terms.dtype)
+    return np.add.accumulate(np.concatenate([zero, terms], axis=axis), axis=axis).take(-1, axis=axis)
+
+
+class Numbering:
+    """Distinct hashable items numbered in first-seen order."""
+
+    def __init__(self):
+        self.number: dict = {}
+        self.items: list = []
+
+    def __call__(self, item) -> int:
+        n = self.number.get(item)
+        if n is None:
+            n = self.number[item] = len(self.items)
+            self.items.append(item)
+        return n
+
+    def many(self, items: Sequence) -> np.ndarray:
+        if self.items:
+            try:
+                return np.fromiter(map(self.number.__getitem__, items), dtype=np.int64, count=len(items))
+            except KeyError:  # number the new items first
+                pass
+        new = [item for item in dict.fromkeys(items) if item not in self.number]
+        self.number.update(zip(new, range(len(self.items), len(self.items) + len(new))))
+        self.items += new
+        return np.fromiter(map(self.number.__getitem__, items), dtype=np.int64, count=len(items))
+
+
+class Interner:
+    """Values looked up once per distinct int64 key, each call's new keys in increasing order."""
+
+    def __init__(self, lookup: Callable[[int], object]):
+        self.lookup = lookup
+        self.keys = np.empty(0, dtype=np.int64)  # sorted
+        self.key_rows = np.empty(0, dtype=np.int64)
+        self.values: list = []
+        self.taken = 0
+
+    def rows(self, codes: np.ndarray) -> np.ndarray:
+        """Rows in `values` of the keys `codes`, of the same shape."""
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        at = np.searchsorted(self.keys, distinct)
+        found = at < len(self.keys)
+        found[found] = self.keys[at[found]] == distinct[found]
+        new = distinct[~found]
+        if len(new):
+            rows = np.arange(len(self.values), len(self.values) + len(new))
+            self.values += [self.lookup(c) for c in new.tolist()]
+            keys = np.concatenate([self.keys, new])
+            order = np.argsort(keys)
+            self.keys, self.key_rows = keys[order], np.concatenate([self.key_rows, rows])[order]
+            at = np.searchsorted(self.keys, distinct)
+        return self.key_rows[at][inverse].reshape(codes.shape)
+
+    def fresh(self) -> list:
+        """The values looked up since the last call."""
+        out, self.taken = self.values[self.taken:], len(self.values)
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class AlgElement:
     """One complex matrix per block of its algebra; immutable."""
@@ -225,6 +318,9 @@ class AlgAutomorphism:
         self.algebra = algebra
         self.perm = perm
         self.unitaries = tuple(mats)
+        # exactly the identity map, so applying it may be skipped
+        self.exact_identity = perm == tuple(range(len(perm))) and all(
+            np.array_equal(u, np.eye(len(u))) for u in mats)
         self._inverse = None
 
     @staticmethod

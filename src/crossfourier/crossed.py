@@ -7,6 +7,17 @@ u_g a = action(g)(a) u_g and u_g u_h = cocycle(g, h) u_{gh}:
     (f1 * f2)(k) = sum_g f1(g) . action(g)(f2(g^{-1}k)) . cocycle(g, g^{-1}k)
     f*(h)        = action(h)( cocycle(h^{-1}, h)* . f(h^{-1})* )
 
+An element is stored packed: its support points in insertion order, a
+{g: row} index and one read-only (n, d_j, d_j) complex array per algebra
+block j, row i holding the coefficient at the i-th point.  The product is
+one batched pair kernel (pair_sum): the pairs (g, h) are enumerated g-major,
+f1(g) and f2(h) gathered, the actions applied through one AutomorphismStack
+(skipped when every automorphism is exactly the identity) and the cocycles
+stacked once per distinct value, then each term is formed by batched
+matmuls and added to its product point in pair order.  The involution, sums,
+scalar multiples and norms are array operations.  Every result is bit for
+bit the per-coefficient AlgElement arithmetic in the same order.
+
 Operator norms are bounded from below by compressing the regular
 representation to a ball and from above by the l1 norm.  The compression
 works in the A^G picture, where the operator attached to f has the A-valued
@@ -24,15 +35,18 @@ densify only below the dense SVD cutoff and run Lanczos on the CSR above it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .algebra import AlgElement, AutomorphismStack, stack_blocks
+from .algebra import (
+    AlgElement, AutomorphismStack, Numbering, adjoints, stack_blocks, stacked_norms, sum_from_zero,
+)
 from .groups import LengthFunction, ball, ball_size, default_length, word_length
 from .system import TwistedSystem
 
@@ -49,40 +63,86 @@ _DEFAULT_DENSE_BYTES = 1 << 30
 class CcElement:
     """Finitely supported function G -> A over a twisted system.
 
-    Stored values always have norm >= 1e-14, so the support is canonical.
-    Instances are immutable; arithmetic returns new elements.
+    Stored packed: the support points in insertion order, a {g: row} index
+    and one read-only (n, d_j, d_j) array per algebra block j whose row i is
+    the coefficient at points[i]; all arithmetic runs on these arrays.  An
+    element built from a mapping keeps the given AlgElements and stacks them
+    on first use; one built by arithmetic makes its row AlgElements (views
+    of the stack) on first use.  Stored values always have norm >= 1e-14, so
+    the support is canonical.  Instances are immutable; arithmetic returns
+    new elements.
     """
 
     def __init__(self, system: TwistedSystem, coeffs: Mapping):
-        self.system = system
-        pruned = {}
+        points, values, norms = [], [], []
         for g, a in coeffs.items():
             if a.algebra != system.algebra:
                 raise ValueError("coefficient algebra does not match the system")
-            if a.norm() >= SUPPORT_TOL:
-                pruned[system.group.check(g)] = a
-        self._coeffs = pruned
+            norm = a.norm()
+            if norm >= SUPPORT_TOL:
+                points.append(system.group.check(g))
+                values.append(a)
+                norms.append(norm)
+        self._store(system, points, norms, coefficients=values)
+
+    def _store(self, system, points: list, norms: list, blocks: list | None = None, coefficients: list | None = None):
+        """Set the state; at least one of blocks (read-only) and coefficients is given when points are."""
+        self.system = system
+        self._points = points
+        self._rows = {g: i for i, g in enumerate(points)}
+        self._norms = norms                 # AlgElement.norm of each row
+        self._stack = blocks                # or None until _blocks stacks the coefficients
+        self._coefficients = coefficients   # row AlgElements, or None until first use
+        self._order = None                  # rows in support order, on first use
 
     # -- basic structure ------------------------------------------------------
 
-    def support(self) -> list:
-        return sorted(self._coeffs, key=self.system.group.sort_key)
+    @property
+    def _blocks(self) -> list:
+        """One read-only (n, d_j, d_j) array per block, row i the coefficient at points[i]."""
+        if self._stack is None:
+            if self._coefficients:
+                self._stack = stack_blocks(self._coefficients)
+            else:
+                self._stack = [np.empty((0, d, d), dtype=complex) for d in self.system.algebra.dims]
+            for x in self._stack:
+                x.flags.writeable = False
+        return self._stack
 
-    def items(self):
-        return [(g, self._coeffs[g]) for g in self.support()]
+    def _sorted_rows(self) -> list:
+        if self._order is None:
+            keys = list(map(self.system.group.sort_key, self._points))
+            self._order = sorted(range(len(keys)), key=keys.__getitem__)
+        return self._order
+
+    def _row_elements(self) -> list:
+        """The coefficient of each row as an AlgElement, built once."""
+        if self._coefficients is None:
+            algebra = self.system.algebra
+            self._coefficients = [AlgElement(algebra, row) for row in zip(*self._blocks)]
+        return self._coefficients
+
+    def support(self) -> list:
+        return [self._points[i] for i in self._sorted_rows()]
+
+    def items(self) -> list:
+        """(g, f(g)) in support order."""
+        coeffs = self._row_elements()
+        return [(self._points[i], coeffs[i]) for i in self._sorted_rows()]
 
     def coeff(self, g) -> AlgElement:
         """The coefficient at g; also the Fourier coefficient of the element.
 
         The expectation onto A is the g = e case.
         """
-        return self._coeffs.get(g, self.system.algebra.zero())
+        i = self._rows.get(g)
+        return self.system.algebra.zero() if i is None else self._row_elements()[i]
 
     def expectation(self) -> AlgElement:
         return self.coeff(self.system.group.identity())
 
     def __len__(self):
-        return len(self._coeffs)
+        return len(self._points)
 
     def __repr__(self):
         terms = ", ".join(f"{self.system.group.word(g)}" for g in self.support())
@@ -96,16 +156,21 @@ class CcElement:
 
     def __add__(self, other: "CcElement") -> "CcElement":
         self._same_system(other)
-        out = dict(self._coeffs)
-        for g, a in other._coeffs.items():
-            out[g] = out[g] + a if g in out else a
-        return CcElement(self.system, out)
+        at = [self._rows.get(g) for g in other._points]
+        shared = [(i, j) for j, i in enumerate(at) if i is not None]
+        new = [j for j, i in enumerate(at) if i is None]
+        blocks = [np.concatenate([x, y[new]]) for x, y in zip(self._blocks, other._blocks)]
+        if shared:
+            i, j = (list(r) for r in zip(*shared))
+            for z, x, y in zip(blocks, self._blocks, other._blocks):
+                z[i] = x[i] + y[j]
+        return _packed(self.system, self._points + [other._points[j] for j in new], blocks)
 
     def __sub__(self, other: "CcElement") -> "CcElement":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "CcElement":
-        return CcElement(self.system, {g: scalar * a for g, a in self._coeffs.items()})
+        return _packed(self.system, self._points, [scalar * x for x in self._blocks])
 
     # -- twisted product and involution ------------------------------------------
 
@@ -113,71 +178,159 @@ class CcElement:
         if not isinstance(other, CcElement):
             return NotImplemented
         self._same_system(other)
-        sys_, grp = self.system, self.system.group
-        out: dict = {}
-        for g, a in self._coeffs.items():
-            act_g = sys_.action(g)
-            for h, b in other._coeffs.items():
-                k = grp.mul(g, h)
-                term = a * act_g(b) * sys_.cocycle(g, h)
-                out[k] = out[k] + term if k in out else term
-        return CcElement(sys_, out)
+        return pair_sum(self, other, _product_terms)
 
     def star(self) -> "CcElement":
         sys_, grp = self.system, self.system.group
-        out = {}
-        for g, a in self._coeffs.items():
-            ginv = grp.inv(g)
-            out[ginv] = sys_.act(ginv, sys_.cocycle(g, ginv).star() * a.star())
-        return CcElement(sys_, out)
+        inverses = [grp.inv(g) for g in self._points]
+        sigma = _cocycles(sys_, zip(self._points, inverses))
+        x = [np.matmul(adjoints(s), adjoints(a)) for s, a in zip(sigma, self._blocks)]
+        return _packed(sys_, inverses, act_rows(sys_, inverses, np.arange(len(inverses)), x))
 
     # -- norms ---------------------------------------------------------------------
 
     def norm_l1(self) -> float:
-        return sum(a.norm() for a in self._coeffs.values())
+        return sum(self._norms)
 
     def norm_linf(self) -> float:
-        return max((a.norm() for a in self._coeffs.values()), default=0.0)
+        return max(self._norms, default=0.0)
 
     def gram(self) -> AlgElement:
         """sum_g action(g)^{-1}(f(g)* f(g)), the module inner product <f, f>."""
-        total = self.system.algebra.zero()
-        for g, a in self._coeffs.items():
-            total = total + self.system.act_inv(g, a.star() * a)
-        return total
+        x = [np.matmul(adjoints(a), a) for a in self._blocks]
+        acted = act_rows(self.system, self._points, np.arange(len(self)), x, inverse=True)
+        return self.system.algebra.element([sum_from_zero(y) for y in acted])
 
     def module_norm(self) -> float:
         """|| sum_g action(g)^{-1}(f(g)* f(g)) ||^{1/2}."""
         return float(np.sqrt(self.gram().norm()))
 
-    def _weights(self, weight) -> dict:
-        """{g: weight(g)} over the support.
+    def _weights(self, weight) -> list:
+        """weight(g) for each row.
 
         Raises ValueError naming the support point where the weight drops
         below 1, or where weight(g) ||f(g)|| squared, which both weighted
         norms form, overflows a float.
         """
-        out = {}
-        for g, a in self._coeffs.items():
+        out = []
+        for g, norm in zip(self._points, self._norms):
             try:
                 w = float(weight(g))
             except OverflowError:
                 w = math.inf
             if w < 1.0 - 1e-12:
                 raise ValueError(f"weight below 1 at support point {self.system.group.word(g)}")
-            scaled = w * a.norm()
+            scaled = w * norm
             if not math.isfinite(scaled * scaled):
                 raise ValueError(f"weighted coefficient overflows at support point {self.system.group.word(g)}")
-            out[g] = w
+            out.append(w)
         return out
 
     def weighted_l2_norm(self, weight) -> float:
         w = self._weights(weight)
-        return float(np.sqrt(sum((w[g] ** 2) * a.norm() ** 2 for g, a in self._coeffs.items())))
+        return float(np.sqrt(sum((wg ** 2) * norm ** 2 for wg, norm in zip(w, self._norms))))
 
     def weighted_module_norm(self, weight) -> float:
-        w = self._weights(weight)
-        return CcElement(self.system, {g: w[g] * a for g, a in self._coeffs.items()}).module_norm()
+        w = np.array(self._weights(weight))
+        return _packed(self.system, self._points, [w[:, None, None] * x for x in self._blocks]).module_norm()
+
+
+def _packed(system: TwistedSystem, points: list, blocks: list) -> CcElement:
+    """The element with row i of `blocks` at points[i] (distinct, canonical), rows of norm < 1e-14 dropped."""
+    out = CcElement.__new__(CcElement)
+    if not points:
+        out._store(system, [], [])
+        return out
+    norms = stacked_norms(blocks)
+    keep = norms >= SUPPORT_TOL
+    if not keep.all():
+        points = list(itertools.compress(points, keep.tolist()))
+        blocks = [b[keep] for b in blocks]
+        norms = norms[keep]
+    for b in blocks:
+        b.flags.writeable = False
+    out._store(system, points, norms.tolist(), blocks=blocks)
+    return out
+
+
+def _cocycles(system: TwistedSystem, keys: Iterable) -> list:
+    """cocycle(g, h) for each (g, h) in keys, stacked; each distinct value stacked once."""
+    values = Numbering()
+    rows = values.many([system.cocycle(g, h) for g, h in keys])
+    if not values.items:
+        return [np.empty((0, d, d), dtype=complex) for d in system.algebra.dims]
+    return [b[rows] for b in stack_blocks(values.items)]
+
+
+def act_rows(system: TwistedSystem, points: list, which: np.ndarray, blocks: list, inverse: bool = False) -> list:
+    """action(points[which[i]]), or its inverse automorphism, applied to row i of blocks.
+
+    Rows are bit for bit AlgAutomorphism.__call__ (AutomorphismStack).  When
+    every automorphism is exactly the identity the blocks are returned as
+    they are, which can differ from applying it only in the sign of a zero.
+    """
+    autos = [system.action(g) for g in points]
+    if all(a.exact_identity for a in autos):
+        return blocks
+    if inverse:
+        autos = [a.inverse() for a in autos]
+    return AutomorphismStack(autos).apply(which, blocks)
+
+
+class Pairs(NamedTuple):
+    """The pairs (g, h) of two supports, g-major, one entry per pair."""
+
+    system: TwistedSystem
+    a: list             # f1(g), one stacked array per block
+    b: list             # f2(h)
+    sigma: list         # cocycle(g, h)
+    left_points: list   # the support of f1 in pair order ...
+    left: np.ndarray    # ... and each pair's g as an index into it
+    points: list        # the products gh in first-seen order ...
+    at: np.ndarray      # ... and each pair's gh as an index into it
+
+
+def pair_sum(f1: CcElement, f2: CcElement, terms: Callable[[Pairs], list], support_order: bool = False) -> CcElement:
+    """The element k -> sum over the pairs (g, h) with gh = k of terms(pairs).
+
+    Pairs run over supp f1 x supp f2, g-major, each support in insertion
+    order, or in support order when asked.  The terms at each point are
+    added in pair order starting from the first, as out[k] = out[k] + term
+    adds them (np.add.at adds in index order); the points of the result are
+    the products in first-seen order.
+    """
+    system = f1.system
+    if not len(f1) or not len(f2):
+        return _packed(system, [], [])
+    rows1 = f1._sorted_rows() if support_order else list(range(len(f1)))
+    rows2 = f2._sorted_rows() if support_order else list(range(len(f2)))
+    gs = [f1._points[i] for i in rows1]
+    hs = [f2._points[i] for i in rows2]
+    mul = system.group.mul
+    products = Numbering()
+    at = products.many([mul(g, h) for g in gs for h in hs])
+    left = np.repeat(np.arange(len(gs)), len(hs))
+    rows_a, rows_b = np.array(rows1)[left], np.array(rows2 * len(gs))
+    a = [x[rows_a] for x in f1._blocks]
+    b = [x[rows_b] for x in f2._blocks]
+    sigma = _cocycles(system, itertools.product(gs, hs))
+    summands = terms(Pairs(system, a, b, sigma, gs, left, products.items, at))
+    # products are numbered as first seen, so a pair is its product's first
+    # exactly when its number passes every earlier one; that pair starts the
+    # sum and the others are added in order
+    first = np.empty(len(at), dtype=bool)
+    first[0], first[1:] = True, at[1:] > np.maximum.accumulate(at)[:-1]
+    later = ~first
+    sums = [t[first] for t in summands]
+    for s, t in zip(sums, summands):
+        np.add.at(s, at[later], t[later])
+    return _packed(system, products.items, sums)
+
+
+def _product_terms(pairs: Pairs) -> list:
+    """f1(g) . action(g)(f2(h)) . cocycle(g, h) for each pair."""
+    acted = act_rows(pairs.system, pairs.left_points, pairs.left, pairs.b)
+    return [np.matmul(np.matmul(x, y), s) for x, y, s in zip(pairs.a, acted, pairs.sigma)]
 
 
 def delta(system: TwistedSystem, g=None, a: AlgElement | None = None) -> CcElement:
@@ -215,14 +368,25 @@ def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool):
     """(largest singular value, its right singular vector or None).
 
     Dense SVD of matrix.toarray() up to _DENSE_SVD_LIMIT, Lanczos on the
-    sparse matrix from a fixed start above it.
+    sparse matrix from a fixed start above it.  When Lanczos does not
+    converge, the dense SVD runs instead if the dense matrix fits in
+    _DEFAULT_DENSE_BYTES; otherwise ValueError.
     """
     n = matrix.shape[0]
-    if n <= _DENSE_SVD_LIMIT:
-        out = np.linalg.svd(matrix.toarray(), compute_uv=vectors)
-    else:
+    dense = n <= _DENSE_SVD_LIMIT
+    if not dense:
         v0 = np.ones(n) / np.sqrt(n)
-        out = scipy.sparse.linalg.svds(matrix, k=1, v0=v0, return_singular_vectors=vectors, maxiter=5000)
+        try:
+            out = scipy.sparse.linalg.svds(matrix, k=1, v0=v0, return_singular_vectors=vectors, maxiter=5000)
+        except scipy.sparse.linalg.ArpackNoConvergence as err:
+            if 16 * n * n > _DEFAULT_DENSE_BYTES:
+                raise ValueError(
+                    f"Lanczos did not converge on the {n} x {matrix.shape[1]} compression, "
+                    "which is too large for the dense SVD"
+                ) from err
+            dense = True
+    if dense:
+        out = np.linalg.svd(matrix.toarray(), compute_uv=vectors)
     if not vectors:
         return float(out[0]), None
     _, s, vh = out
@@ -276,12 +440,12 @@ def compression_matrix(f: CcElement, R: float, length: LengthFunction | None = N
         raise ValueError("empty ball")
     pos = {g: i for i, g in enumerate(idx)}
     grp, dims = system.group, system.algebra.dims
-    items = f.items()
+    support = f.support()
     # one (row, column, support index, cocycle) per nonzero block; (h', h)
     # fixes g = h'h^{-1}, so no block gets two contributions
     rows, cols, terms, sigmas = [], [], [], []
     for c, h in enumerate(idx):
-        for t, (g, _) in enumerate(items):
+        for t, g in enumerate(support):
             r = pos.get(grp.mul(g, h))
             if r is not None:
                 rows.append(r)
@@ -296,8 +460,8 @@ def compression_matrix(f: CcElement, R: float, length: LengthFunction | None = N
     distinct, row_of = np.unique(rows, return_inverse=True)
     inverses = AutomorphismStack([system.action(idx[r]).inverse() for r in distinct])
     # a . cocycle per source block, one matmul over all contributions
-    coeffs = stack_blocks([a for _, a in items])
-    products = [np.matmul(c[terms], s) for c, s in zip(coeffs, stack_blocks(sigmas))]
+    terms = np.array(f._sorted_rows())[terms]
+    products = [np.matmul(c[terms], s) for c, s in zip(f._blocks, stack_blocks(sigmas))]
     coo_rows, coo_cols, coo_data = [], [], []
     offset = 0
     for d, y in zip(dims, inverses.apply(row_of, products)):

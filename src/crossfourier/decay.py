@@ -24,7 +24,10 @@ from typing import Iterable
 import numpy as np
 
 from .algebra import state_norm
-from .crossed import CcElement, compression_matrix, default_radii, delta, opnorm_bounds, random_cc, random_cc_in
+from .crossed import (
+    CcElement, Pairs, act_rows, compression_matrix, default_radii, delta, opnorm_bounds, pair_sum, random_cc,
+    random_cc_in,
+)
 from .groups import (
     FreeF2,
     FreeProductZ2Z3,
@@ -357,17 +360,17 @@ def tail_profile(f: CcElement, length: LengthFunction | None = None, norm_tag: s
 def regular_apply(f: CcElement, xi: CcElement) -> CcElement:
     """Lambda(f) xi in the A^G picture: finitely supported result.
 
-    (Lambda(f) xi)(h) = sum_g action(h)^{-1}( f(g) cocycle(g, g^{-1}h) ) xi(g^{-1}h).
+    (Lambda(f) xi)(h) = sum_g action(h)^{-1}( f(g) cocycle(g, g^{-1}h) ) xi(g^{-1}h),
+    summed over the pairs of both supports in support order (pair_sum).
     """
-    system = f.system
-    grp = system.group
-    out: dict = {}
-    for g, a in f.items():
-        for h2, x in xi.items():
-            h = grp.mul(g, h2)
-            term = system.act_inv(h, a * system.cocycle(g, h2)) * x
-            out[h] = out[h] + term if h in out else term
-    return CcElement(system, out)
+    return pair_sum(f, xi, _regular_terms, support_order=True)
+
+
+def _regular_terms(pairs: Pairs) -> list:
+    """action(gh)^{-1}(f(g) cocycle(g, h)) xi(h) for each pair."""
+    y = [np.matmul(a, s) for a, s in zip(pairs.a, pairs.sigma)]
+    acted = act_rows(pairs.system, pairs.points, pairs.at, y, inverse=True)
+    return [np.matmul(u, x) for u, x in zip(acted, pairs.b)]
 
 
 def state_profile(v: CcElement, omega) -> dict:

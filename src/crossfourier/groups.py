@@ -583,7 +583,7 @@ def ball(R: float, length: LengthFunction) -> list:
     if group.is_finite:
         candidates = ((length(g), g) for g in group.elements())
     elif isinstance(group, Zd):
-        candidates = _zd_box(group, R, length)
+        candidates = _zd_ball_points(group, R, length)
     elif (isinstance(group, FreeF2) and length.tag == "word") or (
         isinstance(group, FreeProductZ2Z3) and length.tag == "block"
     ):
@@ -681,14 +681,27 @@ def shell_series(term: Callable[[int], float], start: int, tol: float) -> tuple[
             raise ValueError("shell series did not converge")
 
 
-def _zd_box(group: Zd, R: float, length: LengthFunction):
-    """(L(g), g) over the box [-b, b]^d that holds ball(R)."""
-    if length.tag == "squared-two-norm":
-        box = int(math.isqrt(int(math.floor(R))))
+def _zd_ball_points(group: Zd, R: float, length: LengthFunction):
+    """(L(g), g) over the integer points within an integer budget that covers ball(R).
+
+    Coordinates are chosen one at a time against what is left of the budget:
+    floor(R) of the one-norm for the one-norm and word lengths, and for the
+    two-norm lengths a budget on the sum of squares (floor(R^2), or floor(R)
+    for the squared two-norm) with one unit of slack for rounding.
+    """
+    if length.tag in ("one-norm", "word"):
+        budget, cost, reach = int(math.floor(R)), abs, int
     else:
-        box = int(math.floor(R))
-    rng = range(-box, box + 1)
-    return ((length(g), g) for g in itertools.product(rng, repeat=group.d))
+        budget = int(math.floor(R if length.tag == "squared-two-norm" else R * R)) + 1
+        cost, reach = (lambda a: a * a), math.isqrt
+
+    def points(d, left):
+        r = reach(left)
+        if d == 1:
+            return [(a,) for a in range(-r, r + 1)]
+        return [(a,) + rest for a in range(-r, r + 1) for rest in points(d - 1, left - cost(a))]
+
+    return ((length(g), g) for g in points(group.d, budget))
 
 
 # -- Folner sequences ---------------------------------------------------------

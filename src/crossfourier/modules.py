@@ -25,20 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import ALG_TOL, AlgElement, AutomorphismStack, BlockAlgebra
+from .algebra import ALG_TOL, AlgElement, AutomorphismStack, BlockAlgebra, adjoints, sum_from_zero
 from .system import TwistedSystem
 
 MAX_RANK = 8
-
-
-def _sum(terms: np.ndarray, axis: int) -> np.ndarray:
-    """zero + t_0 + t_1 + ... along `axis`, left to right as AlgElement sums run."""
-    zero = np.zeros(terms.shape[:axis] + (1,) + terms.shape[axis + 1:], dtype=terms.dtype)
-    return np.add.accumulate(np.concatenate([zero, terms], axis=axis), axis=axis).take(-1, axis=axis)
-
-
-def _star(x: np.ndarray) -> np.ndarray:
-    return np.swapaxes(x, -1, -2).conj()
 
 
 class _Stacked:
@@ -97,7 +87,8 @@ class ModuleVector(_Stacked):
     def inner(self, other: "ModuleVector") -> AlgElement:
         """<x, y> = sum_i x_i* y_i."""
         self._check(other)
-        return self.algebra.element([_sum(np.matmul(_star(x), y), 0) for x, y in zip(self.blocks, other.blocks)])
+        return self.algebra.element([sum_from_zero(np.matmul(adjoints(x), y), 0)
+                                     for x, y in zip(self.blocks, other.blocks)])
 
     def norm(self) -> float:
         return float(np.sqrt(self.inner(self).norm()))
@@ -140,16 +131,17 @@ class ModuleOperator(_Stacked):
     def __call__(self, x: ModuleVector) -> ModuleVector:
         self._check(x)
         # [i, k] of each product is T_ik x_k
-        return ModuleVector._of(self.algebra, [_sum(np.matmul(t, y[None]), 1) for t, y in zip(self.blocks, x.blocks)])
+        return ModuleVector._of(self.algebra, [sum_from_zero(np.matmul(t, y[None]), 1)
+                                               for t, y in zip(self.blocks, x.blocks)])
 
     def adjoint(self) -> "ModuleOperator":
-        return ModuleOperator._of(self.algebra, [_star(t).swapaxes(0, 1) for t in self.blocks])
+        return ModuleOperator._of(self.algebra, [adjoints(t).swapaxes(0, 1) for t in self.blocks])
 
     def compose(self, other: "ModuleOperator") -> "ModuleOperator":
         self._check(other)
         # [i, k, j] of each product is S_ik T_kj
         products = [np.matmul(s[:, :, None], t[None]) for s, t in zip(self.blocks, other.blocks)]
-        return ModuleOperator._of(self.algebra, [_sum(p, 1) for p in products])
+        return ModuleOperator._of(self.algebra, [sum_from_zero(p, 1) for p in products])
 
     def inverse(self) -> "ModuleOperator":
         """Inverse as a matrix over A: per block j, the (n d_j) x (n d_j) matrix inverted."""
@@ -182,12 +174,15 @@ class EquivariantRep:
     def rho(self, a: AlgElement) -> ModuleOperator:
         return self._rho(a)
 
-    def _twist(self, g) -> tuple:
-        """V_g and the stack (action(g), its inverse), built once per g."""
+    def _twist(self, g) -> list:
+        """[V_g, the stack (action(g), its inverse), V_g^{-1}], built once per g.
+
+        The inverse of V_g is left None until v_inverse_apply first needs it.
+        """
         twist = self._twists.get(g)
         if twist is None:
             auto = self.system.action(g)
-            twist = self._twists[g] = (self._vmatrix(g), AutomorphismStack([auto, auto.inverse()]))
+            twist = self._twists[g] = [self._vmatrix(g), AutomorphismStack([auto, auto.inverse()]), None]
         return twist
 
     def vmatrix(self, g) -> ModuleOperator:
@@ -201,7 +196,10 @@ class EquivariantRep:
         return self.vmatrix(g)(self._act(g, x, inverse=False))
 
     def v_inverse_apply(self, g, x: ModuleVector) -> ModuleVector:
-        return self._act(g, self.vmatrix(g).inverse()(x), inverse=True)
+        twist = self._twist(g)
+        if twist[2] is None:
+            twist[2] = twist[0].inverse()
+        return self._act(g, twist[2](x), inverse=True)
 
     def ad_rho(self, u: AlgElement, x: ModuleVector) -> ModuleVector:
         """(rho(u) x) . u* for a unitary u."""

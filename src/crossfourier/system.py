@@ -23,7 +23,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import ALG_TOL, AlgAutomorphism, AlgElement, AutomorphismStack, BlockAlgebra, stack_blocks
+from .algebra import (
+    ALG_TOL, AlgAutomorphism, AlgElement, AutomorphismStack, BlockAlgebra, Interner, Numbering, adjoints,
+    stack_blocks, stacked_norms,
+)
 from .groups import Group, Cyclic, FreeProductZ2Z3, Zd, ball, default_length
 
 
@@ -325,88 +328,6 @@ def default_triples(system: TwistedSystem, rng=None, n_samples: int = 200) -> It
     return [(pool[i], pool[j], pool[k]) for i, j, k in idx]
 
 
-def _norms(blocks) -> np.ndarray:
-    """AlgElement.norm of every row of a stacked element, bit for bit.
-
-    A row with a NaN entry gets NaN and one with an infinite entry inf,
-    where the SVD would fail or return NaN.
-    """
-    out = None
-    for x in blocks:
-        if x.shape[1] == 1:
-            # the scalar abs() of AlgElement.norm; np.abs rounds differently
-            v = np.hypot(x.real, x.imag).reshape(len(x))
-        else:
-            finite = np.isfinite(x).all(axis=(1, 2))
-            if finite.all():
-                v = np.linalg.norm(x, 2, axis=(1, 2))
-            else:
-                v = np.abs(x).max(axis=(1, 2))
-                if finite.any():
-                    v[finite] = np.linalg.norm(x[finite], 2, axis=(1, 2))
-        out = v if out is None else np.maximum(out, v)
-    return out
-
-
-def _adjoint(x: np.ndarray) -> np.ndarray:
-    return x.conj().transpose(0, 2, 1)
-
-
-class _Numbering:
-    """Distinct hashable items numbered in first-seen order."""
-
-    def __init__(self):
-        self.number: dict = {}
-        self.items: list = []
-
-    def __call__(self, item) -> int:
-        n = self.number.get(item)
-        if n is None:
-            n = self.number[item] = len(self.items)
-            self.items.append(item)
-        return n
-
-    def many(self, items: Sequence) -> np.ndarray:
-        try:
-            return np.fromiter(map(self.number.__getitem__, items), dtype=np.int64, count=len(items))
-        except KeyError:  # number the new items first
-            for item in dict.fromkeys(items):
-                self(item)
-            return self.many(items)
-
-
-class _Interner:
-    """Values looked up once per distinct int64 key, each call's new keys in increasing order."""
-
-    def __init__(self, lookup: Callable[[int], object]):
-        self.lookup = lookup
-        self.keys = np.empty(0, dtype=np.int64)  # sorted
-        self.key_rows = np.empty(0, dtype=np.int64)
-        self.values: list = []
-        self.taken = 0
-
-    def rows(self, codes: np.ndarray) -> np.ndarray:
-        """Rows in `values` of the keys `codes`, of the same shape."""
-        distinct, inverse = np.unique(codes, return_inverse=True)
-        at = np.searchsorted(self.keys, distinct)
-        found = at < len(self.keys)
-        found[found] = self.keys[at[found]] == distinct[found]
-        new = distinct[~found]
-        if len(new):
-            rows = np.arange(len(self.values), len(self.values) + len(new))
-            self.values += [self.lookup(c) for c in new.tolist()]
-            keys = np.concatenate([self.keys, new])
-            order = np.argsort(keys)
-            self.keys, self.key_rows = keys[order], np.concatenate([self.key_rows, rows])[order]
-            at = np.searchsorted(self.keys, distinct)
-        return self.key_rows[at][inverse].reshape(codes.shape)
-
-    def fresh(self) -> list:
-        """The values looked up since the last call."""
-        out, self.taken = self.values[self.taken:], len(self.values)
-        return out
-
-
 class _Worst:
     """Largest defect per axiom and the first sample reaching it.
 
@@ -463,14 +384,14 @@ def validate_system(
 
     # group elements are numbered and a pair (a, b) of numbers is coded a * M + b
     M = 1 << 32
-    elements = _Numbering()
+    elements = Numbering()
 
     def split(code):
         return elements.items[code // M], elements.items[code % M]
 
     mul = system.group.mul
-    sigmas = _Interner(lambda code: system.cocycle(*split(code)))
-    alphas = _Interner(lambda i: system.action(elements.items[i]))
+    sigmas = Interner(lambda code: system.cocycle(*split(code)))
+    alphas = Interner(lambda i: system.action(elements.items[i]))
     # the distinct pairs (g, h), (h, k) in first-seen order -> number of their product
     products: dict = {}
 
@@ -519,7 +440,7 @@ def validate_system(
             lhs = [np.matmul(x, y) for x, y in zip(sigma(r_gh), sigma(r_ghk))]
             acted = alpha_table.apply(r_g, sigma(r_hk))
             rhs = [np.matmul(x, y) for x, y in zip(acted, sigma(r_ghk2))]
-            worst.update("cocycle", _norms(minus(lhs, rhs)), lambda i: chunk[i])
+            worst.update("cocycle", stacked_norms(minus(lhs, rhs)), lambda i: chunk[i])
         if not n_triples:
             raise ValueError("sample of triples must be nonempty")
 
@@ -539,13 +460,14 @@ def validate_system(
         for lo in range(0, len(pairs), step):
             sig_st, sig_se, sig_es = pair_sigmas[lo:lo + step].T
             sig = sigma(sig_st)
-            sig_star = [_adjoint(y) for y in sig]
+            sig_star = [adjoints(y) for y in sig]
             defects = np.maximum(
-                _norms(minus([np.matmul(y, z) for y, z in zip(sig, sig_star)], unit)),
-                _norms(minus([np.matmul(z, y) for y, z in zip(sig, sig_star)], unit)),
+                stacked_norms(minus([np.matmul(y, z) for y, z in zip(sig, sig_star)], unit)),
+                stacked_norms(minus([np.matmul(z, y) for y, z in zip(sig, sig_star)], unit)),
             )
             worst.update("unitarity", defects, lambda i: split(int(pairs[lo + i])))
-            defects = np.maximum(_norms(minus(sigma(sig_se), unit)), _norms(minus(sigma(sig_es), unit)))
+            defects = np.maximum(stacked_norms(minus(sigma(sig_se), unit)),
+                                 stacked_norms(minus(sigma(sig_es), unit)))
             worst.update("normalization", defects, lambda i: split(int(pairs[lo + i])))
             if not probes:
                 continue
@@ -554,13 +476,13 @@ def validate_system(
             xs = [b[np.tile(np.arange(n_probes), len(sig_st))] for b in probe_table]
             lhs = alpha_table.apply(a_s, alpha_table.apply(a_t, xs))
             # (sig a) sig^*, as sig * action(st)(x) * sig.star()
-            rhs = [np.matmul(np.matmul(y, x), _adjoint(y))
+            rhs = [np.matmul(np.matmul(y, x), adjoints(y))
                    for y, x in zip(sigma(np.repeat(sig_st, n_probes)), alpha_table.apply(a_st, xs))]
-            worst.update("action", _norms(minus(lhs, rhs)), lambda i: split(int(pairs[lo + i // n_probes])))
+            worst.update("action", stacked_norms(minus(lhs, rhs)), lambda i: split(int(pairs[lo + i // n_probes])))
 
         if probes:
             acted = alpha_table.apply(np.full(n_probes, identity), probe_table)
-            worst.update("action", _norms(minus(acted, probe_table)), lambda i: split(e * M + e))
+            worst.update("action", stacked_norms(minus(acted, probe_table)), lambda i: split(e * M + e))
 
     return SystemReport(
         worst.value["action"], worst.value["cocycle"], worst.value["normalization"],

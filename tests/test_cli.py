@@ -267,6 +267,32 @@ def test_console_entry_point(tmp_path):
     assert '"passed": true' in proc.stdout
 
 
+def test_experiment_reports_match_the_benchmark_reference():
+    # the eleven benchmark configs with one BLAS thread, run in a fresh
+    # process: every report, timestamp aside, hashes to its stored digest
+    root = Path(__file__).resolve().parents[1]
+    env = subprocess_env(CROSSFOURIER_THREADS="1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    code = (
+        "import json, sys\n"
+        "import crossfourier\n"  # caps the BLAS threads before workloads imports numpy
+        f"sys.path.insert(0, {str(root / 'perfbench')!r})\n"
+        "import workloads\n"
+        "from crossfourier import cli\n"
+        "out = {}\n"
+        "for name, config in workloads.EXPERIMENT_CONFIGS.items():\n"
+        "    exit_code, report = cli.run_config(json.loads(json.dumps(config)))\n"
+        "    out[name] = [exit_code, workloads.report_digest(report)]\n"
+        "print(json.dumps(out))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    reference = json.loads((root / "perfbench" / "reference.json").read_text())["report_sha256"]
+    assert len(reference) == 11
+    assert json.loads(proc.stdout) == {name: [0, digest] for name, digest in reference.items()}
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
 def test_crossfourier_threads_caps_blas_at_import():
     env = subprocess_env(CROSSFOURIER_THREADS="1")

@@ -1,8 +1,10 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from crossfourier.algebra import AlgAutomorphism, BlockAlgebra
 from crossfourier.crossed import (
@@ -446,6 +448,33 @@ def test_largest_singular_value_dense_and_sparse_paths_agree():
         assert comp.largest_singular_value() == pytest.approx(want, abs=1e-8)
         v = comp.top_singular_vector()
         assert np.linalg.norm(comp.matrix @ v) / np.linalg.norm(v) == pytest.approx(want, abs=1e-8)
+
+
+def _arpack_fails(monkeypatch):
+    def svds(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", svds)
+
+
+def test_lanczos_non_convergence_falls_back_to_the_dense_svd(monkeypatch):
+    _arpack_fails(monkeypatch)
+    sys_ = trivial_system(BlockAlgebra([1]), Zd(1))
+    A = sys_.algebra
+    comp = compression_matrix(CcElement(sys_, {(1,): A.unit(), (-1,): A.unit()}), 301)  # 603 > 600
+    want = 2 * np.cos(np.pi / (2 * 301 + 2))
+    assert comp.largest_singular_value() == pytest.approx(want, abs=1e-12)
+    v = comp.top_singular_vector()
+    assert np.linalg.norm(comp.matrix @ v) / np.linalg.norm(v) == pytest.approx(want, abs=1e-12)
+
+
+def test_lanczos_non_convergence_past_the_dense_budget_names_the_shape(monkeypatch):
+    import crossfourier.crossed as crossed
+
+    _arpack_fails(monkeypatch)
+    n = math.isqrt(crossed._DEFAULT_DENSE_BYTES // 16) + 1  # the first dimension past the budget
+    with pytest.raises(ValueError, match=f"{n} x {n}"):
+        crossed.largest_singular_value(scipy.sparse.identity(n, dtype=complex, format="csr"))
 
 
 def test_singular_values_go_through_the_module_level_function(monkeypatch):

@@ -1,0 +1,229 @@
+"""Randomized twisted-convolution identities over every group family.
+
+A draw is a group family, block dimensions, three support sizes and a seed.
+The system over the family is exterior equivalent to a plain one: a base
+action (a block swap where the group's relations allow it) and a base
+cocycle (theta where one is shipped), perturbed by the coboundary of
+unitaries w_g, so the action is inner and the cocycle is not central.  The
+ring axioms hold to 1e-10, and the packed product, star, sum, scalar
+multiples, regular_apply and the norms are bit for bit (float.hex) the
+per-pair AlgElement loop kept here as the oracle, insertion order included.
+"""
+
+import zlib
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from crossfourier.algebra import AlgAutomorphism, BlockAlgebra
+from crossfourier.crossed import SUPPORT_TOL, CcElement
+from crossfourier.decay import regular_apply
+from crossfourier.groups import Cyclic, Dihedral, DirectProduct, FreeF2, FreeProductZ2Z3, Zd, ball, default_length
+from crossfourier.system import (
+    TwistedSystem,
+    generator_action,
+    theta_cocycle,
+    trivial_cocycle,
+    validate_system,
+)
+
+TOL = 1e-10
+
+# family -> (group, theta or None, which generators may act by a block swap)
+FAMILIES = {
+    "cyclic": (Cyclic(6), "1/6", [True]),
+    "dihedral": (Dihedral(4), None, [True, False]),
+    "product-of-finite": (DirectProduct([Cyclic(2), Cyclic(3)]), None, [True, False]),
+    "Zd": (Zd(2), "1/5", [True, True]),
+    "free-F2": (FreeF2(), None, [True, True]),
+    "free-product-Z2-Z3": (FreeProductZ2Z3(), None, [True, False]),
+}
+DIMS = [(1,), (1, 1), (2, 1), (3,)]
+
+
+def _unitary(A: BlockAlgebra, group, g):
+    """w_g: a unitary drawn from a seed fixed by g alone, and w_e = 1."""
+    if g == group.identity():
+        return A.unit()
+    return A.random_unitary(np.random.default_rng(zlib.crc32(group.word(g).encode())))
+
+
+def make_system(family: str, dims: tuple) -> TwistedSystem:
+    """(Ad(w_g) action(g), w_g action(g)(w_h) cocycle(g, h) w_gh^*) over the base system."""
+    group, theta, may_swap = FAMILIES[family]
+    A = BlockAlgebra(dims)
+    swap = AlgAutomorphism.block_permutation(A, [1, 0]) if dims == (1, 1) else AlgAutomorphism.identity(A)
+    images = [swap if ok else AlgAutomorphism.identity(A) for ok in may_swap]
+    base_action = generator_action(group, A, images)
+    base_cocycle = theta_cocycle(group, A, theta) if theta else trivial_cocycle(A)
+
+    def action(g):
+        return AlgAutomorphism.conjugation(A, _unitary(A, group, g).blocks).compose(base_action(g))
+
+    def cocycle(g, h):
+        w = _unitary(A, group, g) * base_action(g)(_unitary(A, group, h)) * base_cocycle(g, h)
+        return w * _unitary(A, group, group.mul(g, h)).star()
+
+    return TwistedSystem(A, group, action, cocycle, tag=f"perturbed-{family}")
+
+
+_SYSTEMS: dict = {}
+
+
+def system_for(family, dims):
+    key = (family, dims)
+    if key not in _SYSTEMS:
+        _SYSTEMS[key] = make_system(family, dims)
+    return _SYSTEMS[key]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("dims", DIMS, ids=str)
+def test_drawn_systems_are_twisted_systems(family, dims):
+    report = validate_system(system_for(family, dims), n_samples=40)
+    assert report.passed, report.as_dict()
+
+
+# -- the per-pair loop, as every operation ran before the packed layout ------------
+
+
+def loop_pruned(coeffs: dict) -> dict:
+    return {g: a for g, a in coeffs.items() if a.norm() >= SUPPORT_TOL}
+
+
+def loop_mul(system, c1: dict, c2: dict) -> dict:
+    out: dict = {}
+    for g, a in c1.items():
+        act_g = system.action(g)
+        for h, b in c2.items():
+            k = system.group.mul(g, h)
+            term = a * act_g(b) * system.cocycle(g, h)
+            out[k] = out[k] + term if k in out else term
+    return loop_pruned(out)
+
+
+def loop_star(system, c: dict) -> dict:
+    out = {}
+    for g, a in c.items():
+        ginv = system.group.inv(g)
+        out[ginv] = system.act(ginv, system.cocycle(g, ginv).star() * a.star())
+    return loop_pruned(out)
+
+
+def loop_add(c1: dict, c2: dict) -> dict:
+    out = dict(c1)
+    for g, a in c2.items():
+        out[g] = out[g] + a if g in out else a
+    return loop_pruned(out)
+
+
+def loop_scale(scalar, c: dict) -> dict:
+    return loop_pruned({g: scalar * a for g, a in c.items()})
+
+
+def loop_regular_apply(system, f: dict, xi: dict) -> dict:
+    key = system.group.sort_key
+    out: dict = {}
+    for g, a in sorted(f.items(), key=lambda item: key(item[0])):
+        for h2, x in sorted(xi.items(), key=lambda item: key(item[0])):
+            h = system.group.mul(g, h2)
+            term = system.act_inv(h, a * system.cocycle(g, h2)) * x
+            out[h] = out[h] + term if h in out else term
+    return loop_pruned(out)
+
+
+def loop_norms(system, c: dict) -> list:
+    total = system.algebra.zero()
+    for g, a in c.items():
+        total = total + system.act_inv(g, a.star() * a)
+    return [sum(a.norm() for a in c.values()), max((a.norm() for a in c.values()), default=0.0),
+            float(np.sqrt(total.norm()))]
+
+
+def hexes(points, coeffs) -> list:
+    """The points in order, then float.hex of every real and imaginary part."""
+    out = [repr(g) for g in points]
+    for a in coeffs:
+        for m in a.blocks:
+            for z in m.reshape(-1):
+                out += [float(z.real).hex(), float(z.imag).hex()]
+    return out
+
+
+def packed_hexes(f: CcElement) -> list:
+    points = f._points  # insertion order, which the arithmetic follows
+    return hexes(points, [f.coeff(g) for g in points])
+
+
+def loop_hexes(c: dict) -> list:
+    return hexes(list(c), list(c.values()))
+
+
+def norm_hexes(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+# -- draws -----------------------------------------------------------------------------
+
+draws = given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    dims=st.sampled_from(DIMS),
+    sizes=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+    seed=st.integers(0, 2**32 - 1),
+)
+fixed = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+def _draw(family, dims, sizes, seed):
+    """The system and three coefficient maps, each on distinct points of ball(2)."""
+    system = system_for(family, dims)
+    rng = np.random.default_rng(seed)
+    pool = ball(2, default_length(system.group))
+    coeffs = []
+    for size in sizes:
+        idx = rng.choice(len(pool), size=min(size, len(pool)), replace=False)
+        coeffs.append({pool[i]: system.algebra.random_element(rng) for i in idx})
+    return system, coeffs
+
+
+@fixed
+@draws
+def test_ring_axioms(family, dims, sizes, seed):
+    system, coeffs = _draw(family, dims, sizes, seed)
+    f1, f2, f3 = (CcElement(system, c) for c in coeffs)
+    defects = {
+        "associativity": ((f1 * f2) * f3) - (f1 * (f2 * f3)),
+        "left_distributivity": (f1 * (f2 + f3)) - (f1 * f2 + f1 * f3),
+        "right_distributivity": ((f1 + f2) * f3) - (f1 * f3 + f2 * f3),
+        "star_antihomomorphism": (f1 * f2).star() - f2.star() * f1.star(),
+        "star_involution": f1.star().star() - f1,
+    }
+    for name, defect in defects.items():
+        assert defect.norm_l1() <= TOL, (name, defect.norm_l1())
+
+
+@fixed
+@draws
+def test_packed_arithmetic_is_the_pair_loop(family, dims, sizes, seed):
+    system, (c1, c2, c3) = _draw(family, dims, sizes, seed)
+    f1, f2, f3 = (CcElement(system, c) for c in (c1, c2, c3))
+    scalar = complex(*np.random.default_rng(seed).normal(size=2))
+    c12 = loop_mul(system, c1, c2)
+    cases = [
+        (f1 * f2, c12),
+        ((f1 * f2) * f3, loop_mul(system, c12, c3)),
+        (f1.star(), loop_star(system, c1)),
+        ((f1 * f2).star(), loop_star(system, c12)),
+        (f1 + f2, loop_add(c1, c2)),
+        (f1 - f2, loop_add(c1, loop_scale(-1.0, c2))),
+        (scalar * f1, loop_scale(scalar, c1)),
+        ((f1 + f3) * f2.star(), loop_mul(system, loop_add(c1, c3), loop_star(system, c2))),
+        (regular_apply(f1, f2), loop_regular_apply(system, c1, c2)),
+    ]
+    for packed, loop in cases:
+        assert packed_hexes(packed) == loop_hexes(loop)
+        assert norm_hexes([packed.norm_l1(), packed.norm_linf(), packed.module_norm()]) == \
+            norm_hexes(loop_norms(system, loop))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -134,6 +135,19 @@ def test_ball_brute_force_oracle_on_z2():
                 key=Z2.sort_key,
             )
             assert sorted(ball(R, length), key=Z2.sort_key) == expect
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_zd_ball_is_the_box_scan_in_order(d):
+    # the (2 floor(R) + 1)^d box scan that the budgeted enumeration replaced,
+    # kept as the oracle: same points, same order, under all four lengths
+    G = Zd(d)
+    for length in (word_length(G), one_norm(G), two_norm(G), squared_two_norm(G)):
+        for R in (0, 0.5, 1, 2, 2.5, 3, 4.99, 6, 7.3):
+            b = math.isqrt(int(math.floor(R))) if length.tag == "squared-two-norm" else int(math.floor(R))
+            box = itertools.product(range(-b, b + 1), repeat=d)
+            expect = sorted((g for g in box if length(g) <= R), key=lambda g: (length(g), G.sort_key(g)))
+            assert ball(R, length) == expect, (length.tag, R)
 
 
 def test_ball_monotone_and_deterministic():

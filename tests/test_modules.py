@@ -125,6 +125,26 @@ def test_scaled_v_breaks_axiom_iii():
     assert report.axiom_violations["iii"] > 1.0  # inner products scale by 4
 
 
+def test_v_inverse_is_built_once_per_group_element(monkeypatch):
+    sys_ = theta_system(Cyclic(12), "1/12")
+    w = np.exp(2j * np.pi / 12)
+    rep = unitary_tensor_rep(sys_, lambda j: np.diag([w ** j, w ** -j]), 2)
+    calls = []
+    original = ModuleOperator.inverse
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ModuleOperator, "inverse", counting)
+    x = random_vector(sys_.algebra, 2, np.random.default_rng(0))
+    for _ in range(3):
+        for g in (1, 5):
+            y = rep.v_apply(g, rep.v_inverse_apply(g, x))
+            assert max(float(np.abs(a - b).max()) for a, b in zip(y.blocks, x.blocks)) < 1e-12
+    assert len(calls) == 2
+
+
 def test_v_preserves_norm():
     sys_ = theta_system(Zd(2), "1/5")
     rep = trivial_rep(sys_)
