@@ -26,8 +26,13 @@ realizing each entry in the defining representation of A gives a complex
 matrix whose largest singular value is the compressed norm.  On finite
 groups the full-radius compression is the exact reduced norm.
 
-The compression is assembled in one pass, with one inverse action per row
-and batched block products, and stored as a CSR matrix (CompressedRep.sparse);
+The compression is assembled in one pass on integer codes: the ball numbers
+its points and translates itself by each support point g into the row of
+every g h (Ball.translate), so rows, columns and terms are array gathers in
+(column, support point) order.  Each cocycle value is looked up once per
+entry through the system's cache and stacked once per distinct value, each
+row's inverse action is built once, and the block products are batched.
+The result is stored as a CSR matrix (CompressedRep.sparse);
 CompressedRep.matrix is the dense array, built on demand.  Singular values
 densify only below the dense SVD cutoff and run Lanczos on the CSR above it.
 """
@@ -68,9 +73,10 @@ class CcElement:
     the coefficient at points[i]; all arithmetic runs on these arrays.  An
     element built from a mapping keeps the given AlgElements and stacks them
     on first use; one built by arithmetic makes its row AlgElements (views
-    of the stack) on first use.  Stored values always have norm >= 1e-14, so
-    the support is canonical.  Instances are immutable; arithmetic returns
-    new elements.
+    of the stack) on first use.  A value of norm < 1e-14 is never stored, so
+    the support is canonical; one whose norm is NaN is kept, so overflow
+    propagates instead of vanishing.  Instances are immutable; arithmetic
+    returns new elements.
     """
 
     def __init__(self, system: TwistedSystem, coeffs: Mapping):
@@ -79,7 +85,7 @@ class CcElement:
             if a.algebra != system.algebra:
                 raise ValueError("coefficient algebra does not match the system")
             norm = a.norm()
-            if norm >= SUPPORT_TOL:
+            if not norm < SUPPORT_TOL:
                 points.append(system.group.check(g))
                 values.append(a)
                 norms.append(norm)
@@ -242,7 +248,7 @@ def _packed(system: TwistedSystem, points: list, blocks: list) -> CcElement:
         out._store(system, [], [])
         return out
     norms = stacked_norms(blocks)
-    keep = norms >= SUPPORT_TOL
+    keep = ~(norms < SUPPORT_TOL)  # NaN rows stay
     if not keep.all():
         points = list(itertools.compress(points, keep.tolist()))
         blocks = [b[keep] for b in blocks]
@@ -438,33 +444,27 @@ def compression_matrix(f: CcElement, R: float, length: LengthFunction | None = N
     idx = ball(R, length)
     if not idx:
         raise ValueError("empty ball")
-    pos = {g: i for i, g in enumerate(idx)}
-    grp, dims = system.group, system.algebra.dims
-    support = f.support()
-    # one (row, column, support index, cocycle) per nonzero block; (h', h)
-    # fixes g = h'h^{-1}, so no block gets two contributions
-    rows, cols, terms, sigmas = [], [], [], []
-    for c, h in enumerate(idx):
-        for t, g in enumerate(support):
-            r = pos.get(grp.mul(g, h))
-            if r is not None:
-                rows.append(r)
-                cols.append(c)
-                terms.append(t)
-                sigmas.append(system.cocycle(g, h))
     D = system.algebra.rep_dim
     shape = (len(idx) * D, len(idx) * D)
-    if not rows:
+    order = f._sorted_rows()
+    support = [f._points[i] for i in order]
+    # the row of g h for each column h and support point g, column-major;
+    # (h', h) fixes g = h'h^{-1}, so no block gets two contributions
+    targets = np.stack([idx.translate(g) for g in support], axis=1).ravel() if support else np.empty(0, int)
+    entries = np.flatnonzero(targets >= 0)
+    if not len(entries):
         return CompressedRep(system, R, length, tuple(idx), scipy.sparse.csr_matrix(shape, dtype=complex))
-    rows, cols = np.array(rows), np.array(cols)
+    rows = targets[entries]
+    cols, terms = np.divmod(entries, len(support))
+    sigmas = _cocycles(system, zip(map(support.__getitem__, terms.tolist()), map(idx.__getitem__, cols.tolist())))
     distinct, row_of = np.unique(rows, return_inverse=True)
-    inverses = AutomorphismStack([system.action(idx[r]).inverse() for r in distinct])
+    inverses = AutomorphismStack([system.action(idx[r]).inverse() for r in distinct.tolist()])
     # a . cocycle per source block, one matmul over all contributions
-    terms = np.array(f._sorted_rows())[terms]
-    products = [np.matmul(c[terms], s) for c, s in zip(f._blocks, stack_blocks(sigmas))]
+    terms = np.array(order)[terms]
+    products = [np.matmul(c[terms], s) for c, s in zip(f._blocks, sigmas)]
     coo_rows, coo_cols, coo_data = [], [], []
     offset = 0
-    for d, y in zip(dims, inverses.apply(row_of, products)):
+    for d, y in zip(system.algebra.dims, inverses.apply(row_of, products)):
         i, j = np.indices((d, d))
         coo_rows.append((rows[:, None, None] * D + offset + i).ravel())
         coo_cols.append((cols[:, None, None] * D + offset + j).ravel())
@@ -475,6 +475,17 @@ def compression_matrix(f: CcElement, R: float, length: LengthFunction | None = N
     sparse = scipy.sparse.csr_matrix((data, (np.concatenate(coo_rows), np.concatenate(coo_cols))), shape=shape)
     sparse.eliminate_zeros()
     return CompressedRep(system, R, length, tuple(idx), sparse)
+
+
+def compression_bytes(f: CcElement, R: float, length: LengthFunction | None = None) -> int:
+    """An upper bound on the bytes of the values compression_matrix(f, R, length) stores.
+
+    16 bytes per complex value, |ball(R)| |supp f| sum_j d_j^2 values, with
+    |ball(R)| counted by ball_size, so the default lengths build no ball.
+    """
+    if length is None:
+        length = default_length(f.system.group)
+    return 16 * ball_size(R, length) * len(f) * f.system.algebra.total_dim
 
 
 def full_radius(system: TwistedSystem) -> float:

@@ -230,8 +230,8 @@ def decay_constant_probe(
         rng = np.random.default_rng(0)
     if length is None:
         length = default_length(system.group)
+    R_prime = default_radii(system, [2 * R], length)[0]  # counts ball(2R) before ball(R) is built
     pool = ball(R, length)
-    R_prime = default_radii(system, [2 * R], length)[0]
     samples = [delta(system)]
     for _ in range(sample_budget):
         samples.append(random_cc_in(system, pool, 4, rng))

@@ -13,7 +13,9 @@ import numpy as np
 from .algebra import pure_states
 from .config import ConfigError, build_element, build_length, build_rep, compression_to_wire, element_to_wire
 from .crossed import (
+    _DEFAULT_DENSE_BYTES,
     CcElement,
+    compression_bytes,
     compression_matrix,
     default_radii,
     delta,
@@ -66,9 +68,26 @@ def run_arithmetic_suite(system, params, rng):
     return {"max_violations": worst, "n_triples": n}, None, passed
 
 
+def _check_compression_budget(f, radii):
+    """ConfigError if compressing f to the ball of one of the radii could pass
+    _DEFAULT_DENSE_BYTES; compression_bytes counts the balls, so none is built.
+
+    The bound also covers the nets, which compress T f - f, supported in supp f.
+    """
+    for R in radii:
+        nbytes = compression_bytes(f, float(R))
+        if nbytes > _DEFAULT_DENSE_BYTES:
+            raise ConfigError(
+                f"the compression at radius {R} could store {nbytes} bytes, "
+                f"past the budget of {_DEFAULT_DENSE_BYTES}; choose smaller radii"
+            )
+
+
 def run_norms(system, params, rng):
     f = build_element(system, params.get("element"), rng)
     radii = params.get("radii")
+    dump_radius = params.get("dump_compression")
+    _check_compression_budget(f, list(radii or []) + ([] if dump_radius is None else [dump_radius]))
     bounds = opnorm_bounds(f, radii)
     results = {
         "element": element_to_wire(f),
@@ -94,7 +113,6 @@ def run_norms(system, params, rng):
     profile = tail_profile(f)
     csv_rows = [["shell", "l1"]] + [[m, v] for m, v in profile]
     results["shell_profile"] = [{"shell": m, "l1": v} for m, v in profile]
-    dump_radius = params.get("dump_compression")
     if dump_radius is not None:
         results["compression"] = compression_to_wire(compression_matrix(f, float(dump_radius)))
     return results, csv_rows, passed
@@ -103,6 +121,7 @@ def run_norms(system, params, rng):
 def _net_report(system, net, params, rng):
     f = build_element(system, params.get("element"), rng)
     radii = params.get("radii", None)
+    _check_compression_budget(f, list(radii or []))
     target = float(params.get("target_error", 1e-6))
     report = run_convergence(net, f, radii, target, rng)
     pd_radius = float(params.get("pd_radius", 4))

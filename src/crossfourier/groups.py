@@ -6,7 +6,9 @@ product Z2 * Z3.  Elements are plain hashable Python values in a canonical
 normal form, so equality of values is equality of group elements.
 
 Each family also ships the length functions and (where they exist) the
-Folner sequences used by the truncation and summation machinery.
+Folner sequences used by the truncation and summation machinery.  A ball
+numbers its points in ball order and left-translates itself by any group
+element as an int64 array of those numbers (Ball.translate).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
+
+import numpy as np
 
 Elt = Any  # per-family canonical value (int, tuple of ints, tuple of letters)
 
@@ -520,16 +524,15 @@ def word_length(group: Group) -> LengthFunction:
     raise ValueError(f"no word length shipped for {group.name}")
 
 
-def _word_lengths(group: Group, radius: float = math.inf) -> dict:
-    """{g: word length of g} for every g of word length <= radius, breadth first.
+def _word_lengths(group: Group) -> dict:
+    """{g: word length of g} over a finite group, breadth first.
 
-    The letters are the standard generators and their inverses; on Z2 * Z3
-    (letters s, t, t^-1) the word length is the block length.
+    The letters are the standard generators and their inverses.
     """
     letters = list(dict.fromkeys(x for s in group.generators() for x in (s, group.inv(s))))
     table = {group.identity(): 0}
     frontier, n = [group.identity()], 0
-    while frontier and n < radius:
+    while frontier:
         n += 1
         nxt = []
         for g in frontier:
@@ -570,8 +573,41 @@ def default_length(group: Group) -> LengthFunction:
 # -- ball enumeration ---------------------------------------------------------
 
 
-def ball(R: float, length: LengthFunction) -> list:
-    """All g with L(g) <= R, ordered by (length, lexicographic key).
+class Ball(list):
+    """The points of a ball in ball order, numbered by their positions.
+
+    translate(g) is the int64 array whose entry i is the position of
+    g * self[i], or -1 where that product lies outside the ball.  A call is
+    O(|ball|) array work (per letter of g on the free families), and no
+    table larger than the ball is kept:
+      Z^d: the coordinates are added and the linearized codes looked up;
+      F2 and Z2 * Z3: one left-multiplication table per letter, applied right
+        to left along the normal form of g (a product along a reduced word
+        never comes back into the ball once it has left it);
+      finite groups: |ball| products.
+    What translate needs is built on its first call.
+    """
+
+    def __init__(self, group: Group, points: list, first: list | None = None, tail: list | None = None):
+        super().__init__(points)
+        self.group = group
+        # free families: point i is letter number first[i] times point tail[i]
+        self._first, self._tail = first, tail
+        self._translate = None
+
+    def translate(self, g: Elt) -> np.ndarray:
+        if self._translate is None:
+            if isinstance(self.group, Zd):
+                self._translate = _zd_translate(self, self.group.d)
+            elif self._first is not None:
+                self._translate = _free_translate(self.group, self._first, self._tail)
+            else:
+                self._translate = _finite_translate(self.group, self)
+        return self._translate(g)
+
+
+def ball(R: float, length: LengthFunction) -> Ball:
+    """All g with L(g) <= R, ordered by (length, lexicographic key), as a Ball.
 
     Exact and duplicate-free; the order is the index order used by every
     matrix compression, so it must never change.
@@ -587,12 +623,110 @@ def ball(R: float, length: LengthFunction) -> list:
     elif (isinstance(group, FreeF2) and length.tag == "word") or (
         isinstance(group, FreeProductZ2Z3) and length.tag == "block"
     ):
-        candidates = ((n, g) for g, n in _word_lengths(group, math.floor(R)).items())
+        return _free_ball(group, math.floor(R))
     else:
         raise ValueError(f"no ball enumeration for {group.name} with {length.tag}")
     keyed = [((L, group.sort_key(g)), g) for L, g in candidates if L <= R]
     keyed.sort(key=operator.itemgetter(0))
-    return [g for _, g in keyed]
+    return Ball(group, [g for _, g in keyed])
+
+
+def _letters(group: Group) -> list:
+    """The letters (F2) or syllables (Z2 * Z3) of the normal forms, in sort-key order."""
+    return sorted(group._ORDER, key=group._ORDER.get)
+
+
+def _free_ball(group: Group, r: int) -> Ball:
+    """ball(r) of F2 (word length) or Z2 * Z3 (block length), breadth first.
+
+    Level n is every letter x, in sort-key order, put in front of every
+    point of level n - 1 that x may precede, in ball order; that is
+    (length, lexicographic key) order, so no sort is needed.
+    """
+    letters = _letters(group)
+    # x may precede a word starting with y unless x y reduces; any x may
+    # precede the identity, whose first letter is numbered -1
+    precede = [[len(group.mul((x,), (y,))) == 2 for y in letters] + [True] for x in letters]
+    points, first, tail = [group.identity()], [-1], [-1]
+    level = range(1)
+    for _ in range(r):
+        start = len(points)
+        for x, letter in enumerate(letters):
+            ok = precede[x]
+            rows = [i for i in level if ok[first[i]]]
+            points += [(letter,) + points[i] for i in rows]
+            first += [x] * len(rows)
+            tail += rows
+        level = range(start, len(points))
+    return Ball(group, points, first, tail)
+
+
+def _free_translate(group: Group, first: list, tail: list) -> Callable:
+    """Left translation of a free-family ball through one table per letter.
+
+    x times the point y w (y its first letter) is x prepended to y w, or,
+    when x y reduces to the syllable z (possibly empty), z prepended to w.
+    Each table has a trailing -1 so that a product outside the ball stays
+    outside.
+    """
+    letters = _letters(group)
+    number = {x: i for i, x in enumerate(letters)}
+    n = len(first)
+    first, tail, rows = np.array(first), np.array(tail), np.arange(n)
+    prepend = np.full((len(letters), n + 1), -1)  # the row of letter x times point i
+    prepend[first[1:], tail[1:]] = rows[1:]
+    tables = np.full((len(letters), n + 1), -1)
+    for x, letter in enumerate(letters):
+        # indexed by the first letter y of a point (the identity's -1 last):
+        # whether x y reduces, and the letter then put in front (-1: none)
+        reduced = [group.mul((letter,), (y,)) for y in letters]
+        on_tail = np.array([len(p) < 2 for p in reduced] + [False])
+        put = np.array([x if len(p) == 2 else number[p[0]] if p else -1 for p in reduced] + [x])
+        base = np.where(on_tail[first], tail, rows)
+        z = put[first]
+        tables[x, :n] = np.where(z < 0, base, prepend[z, base])
+
+    def translate(g):
+        out = rows
+        for letter in reversed(g):
+            out = tables[number[letter]][out]
+        return out
+
+    return translate
+
+
+def _zd_translate(points: list, d: int) -> Callable:
+    """Left translation of a Z^d ball: coordinate sums looked up by their codes.
+
+    A point is coded by its coordinates shifted into [0, 2r] for the largest
+    coordinate r of the ball, read in base 2r + 1; a sum is in the ball iff
+    every coordinate lies in [-r, r] and its code is a point's code.
+    """
+    n = len(points)
+    coords = np.array(points, dtype=np.int64).reshape(n, d)
+    r = int(np.abs(coords).max())
+    weights = (2 * r + 1) ** np.arange(d, dtype=np.int64)
+    codes = (coords + r) @ weights
+    order = np.argsort(codes)
+    codes = codes[order]
+
+    def translate(g):
+        if max(map(abs, g)) > 2 * r:  # no sum reaches the ball
+            return np.full(n, -1, dtype=np.int64)
+        y = coords + np.array(g, dtype=np.int64)
+        c = (y + r) @ weights
+        at = np.minimum(np.searchsorted(codes, c), n - 1)
+        found = (np.abs(y) <= r).all(axis=1) & (codes[at] == c)
+        return np.where(found, order[at], -1)
+
+    return translate
+
+
+def _finite_translate(group: Group, points: list) -> Callable:
+    """Left translation of a finite-group ball, one product per point."""
+    pos = {h: i for i, h in enumerate(points)}
+    mul, n = group.mul, len(points)
+    return lambda g: np.fromiter((pos.get(mul(g, h), -1) for h in points), dtype=np.int64, count=n)
 
 
 def ball_size(R: float, length: LengthFunction) -> int:

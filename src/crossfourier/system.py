@@ -8,6 +8,9 @@ A system packages an action rule g -> automorphism and a unitary cocycle rule
     cocycle(g, e) = cocycle(e, g) = 1.
 
 Rules are closed-form and pure; on infinite groups they are never tables.
+The shipped rules build each value they need once per system: one theta
+value per distinct B(g, h), one section lift per element, no extra compose
+with the identity along a normal form.
 Validation is exhaustive on finite groups up to order 64 and sampled from
 ball(3)^3 otherwise; it runs batched over stacked values (validate_system).
 """
@@ -15,6 +18,7 @@ ball(3)^3 otherwise; it runs batched over stacked values (validate_system).
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -104,10 +108,8 @@ def generator_action(group: Group, algebra: BlockAlgebra, images: Sequence[AlgAu
         return table[abs(k)]
 
     def rule(g):
-        auto = ident
-        for i, k in group.decompose(g):
-            auto = auto.compose(power(i, k))
-        return auto
+        factors = [power(i, k) for i, k in group.decompose(g)]
+        return functools.reduce(AlgAutomorphism.compose, factors) if factors else ident
 
     return rule
 
@@ -149,8 +151,15 @@ def theta_cocycle(group: Group, algebra: BlockAlgebra, theta) -> Callable:
     else:
         raise ValueError(f"theta cocycles are shipped for Z^d and Z_n, not {group.name}")
 
+    one = algebra.unit()
+    values: dict = {}  # B(g, h) -> the cocycle value, built once per distinct B
+
     def rule(g, h):
-        return cmath.exp(2j * cmath.pi * th * bform(g, h)) * algebra.unit()
+        b = bform(g, h)
+        value = values.get(b)
+        if value is None:
+            value = values[b] = cmath.exp(2j * cmath.pi * th * b) * one
+        return value
 
     return rule
 
@@ -203,8 +212,15 @@ def section_cocycle_system(ext: CentralExtension) -> TwistedSystem:
     cocycle(g, h) is the canonical unitary of C*(Z) at z = s(g) s(h) s(gh)^{-1},
     realized through the characters of Z; the action is trivial since Z is central.
     """
-    e = ext.group.identity()
-    if ext.lift(e) != ext.center[0]:
+    lifts: dict = {}  # g -> s(g), lifted once
+
+    def lift(g):
+        k = lifts.get(g)
+        if k is None:
+            k = lifts[g] = ext.lift(g)
+        return k
+
+    if lift(ext.group.identity()) != ext.center[0]:
         raise ValueError("section does not map the group identity to the identity")
     m = len(ext.center)
     algebra = BlockAlgebra([1] * m)
@@ -212,7 +228,7 @@ def section_cocycle_system(ext: CentralExtension) -> TwistedSystem:
     unitaries = [algebra.scalar([cmath.exp(2j * cmath.pi * j * k / m) for j in range(m)]) for k in range(m)]
 
     def rule(g, h):
-        z = ext.kmul(ext.kmul(ext.lift(g), ext.lift(h)), ext.kinv(ext.lift(ext.group.mul(g, h))))
+        z = ext.kmul(ext.kmul(lift(g), lift(h)), ext.kinv(lift(ext.group.mul(g, h))))
         return unitaries[ext.center_index(z)]
 
     return TwistedSystem(algebra, ext.group, trivial_action(algebra), rule, tag="central-extension-section")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,23 @@ def test_decay_probe_weight_overflow_is_config_error(tmp_path, capsys):
     assert run_cli(tmp_path, config) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "overflows" in err
+
+
+F2 = {"algebra": [1], "group": {"family": "free-F2"}}
+Z3 = {"algebra": [1], "group": {"family": "Zd", "d": 3}}
+
+
+@pytest.mark.parametrize("experiment, system", [
+    ({"tag": "norms", "radii": [2, 20]}, F2),  # ball(20) of F2 has 6.97e9 points
+    ({"tag": "norms", "radii": [2], "dump_compression": 20}, F2),
+    ({"tag": "fejer", "indices": [2], "radii": [2000]}, Z3),
+    ({"tag": "decay-probe", "radius": 20}, F2),
+], ids=["norms", "dump", "fejer", "decay-probe"])
+def test_radius_past_the_compression_budget_fails_before_building_its_ball(tmp_path, capsys, experiment, system):
+    start = time.perf_counter()
+    assert run_cli(tmp_path, base_config(tmp_path, experiment, system=system)) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_fejer_experiment_writes_report_and_csv(tmp_path):

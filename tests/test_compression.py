@@ -1,0 +1,173 @@
+"""The coded compression assembly against the per-entry loop it replaced.
+
+compression_matrix finds the row of every (column h, support point g) entry
+through Ball.translate and looks each cocycle value up once per entry.  The
+loop below is the assembly as it ran before: one group product, one ball
+lookup and one cocycle lookup per entry.  Both must give the same CSR
+matrix byte for byte (indptr, indices and data, signed zeros included), on
+every group family, on Z^d under each length, for block dimensions [1],
+[1, 1], [2, 1] and [3], at radii 0 to 4 and at one radius of at least 6 on
+the free families, on a cold system and again on the warm one.
+"""
+
+import cmath
+
+import numpy as np
+import pytest
+import scipy.sparse
+
+from families import DIMS, FAMILIES, make_system
+from crossfourier.algebra import AutomorphismStack, BlockAlgebra, stack_blocks
+from crossfourier.crossed import CcElement, compression_matrix, random_cc
+from crossfourier.groups import (
+    Zd, ball, default_length, one_norm, squared_two_norm, two_norm, word_length,
+)
+from crossfourier.system import section_cocycle_system, sl2z_extension, theta_cocycle, theta_system
+
+
+def loop_compression(f, R, length):
+    """The per-entry assembly: (rows, columns, terms, cocycles) gathered in one Python loop."""
+    system = f.system
+    idx = ball(R, length)
+    pos = {g: i for i, g in enumerate(idx)}
+    grp, dims = system.group, system.algebra.dims
+    support = f.support()
+    rows, cols, terms, sigmas = [], [], [], []
+    for c, h in enumerate(idx):
+        for t, g in enumerate(support):
+            r = pos.get(grp.mul(g, h))
+            if r is not None:
+                rows.append(r)
+                cols.append(c)
+                terms.append(t)
+                sigmas.append(system.cocycle(g, h))
+    D = system.algebra.rep_dim
+    shape = (len(idx) * D, len(idx) * D)
+    if not rows:
+        return scipy.sparse.csr_matrix(shape, dtype=complex)
+    rows, cols = np.array(rows), np.array(cols)
+    distinct, row_of = np.unique(rows, return_inverse=True)
+    inverses = AutomorphismStack([system.action(idx[r]).inverse() for r in distinct])
+    terms = np.array(f._sorted_rows())[terms]
+    products = [np.matmul(c[terms], s) for c, s in zip(f._blocks, stack_blocks(sigmas))]
+    coo_rows, coo_cols, coo_data = [], [], []
+    offset = 0
+    for d, y in zip(dims, inverses.apply(row_of, products)):
+        i, j = np.indices((d, d))
+        coo_rows.append((rows[:, None, None] * D + offset + i).ravel())
+        coo_cols.append((cols[:, None, None] * D + offset + j).ravel())
+        coo_data.append(y.ravel())
+        offset += d
+    data = np.concatenate(coo_data) + 0j
+    sparse = scipy.sparse.csr_matrix((data, (np.concatenate(coo_rows), np.concatenate(coo_cols))), shape=shape)
+    sparse.eliminate_zeros()
+    return sparse
+
+
+def csr_bytes(m) -> tuple:
+    return m.shape, m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes()
+
+
+def element(system, extra=(), seed=0, size=5):
+    """Random coefficients on points of ball(2), imaginary ones included, plus `extra` points."""
+    rng = np.random.default_rng(seed)
+    pool = ball(2, default_length(system.group))
+    points = [pool[i] for i in rng.choice(len(pool), size=min(size, len(pool)), replace=False)]
+    points += [g for g in extra if g not in points]
+    f = random_cc(system, points, rng)
+    # imaginary units make signed zeros under conjugation
+    return f + CcElement(system, {points[0]: 1j * system.algebra.unit()})
+
+
+def assert_cold_and_warm(f, R, length):
+    """Compress on the cold system, then check the loop and the warm system against it."""
+    coded = csr_bytes(compression_matrix(f, R, length).sparse)
+    assert coded == csr_bytes(loop_compression(f, R, length))
+    assert coded == csr_bytes(compression_matrix(f, R, length).sparse)
+
+
+# far points of the infinite families, so products leave the ball
+FAR = {
+    "Zd": [(3, -3), (0, 5)],
+    "free-F2": [("a", "b", "A", "B"), ("B", "B", "B")],
+    "free-product-Z2-Z3": [("s", "t", "s", "T", "s"), ("T", "s", "t")],
+}
+
+
+@pytest.mark.parametrize("dims", DIMS, ids=str)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_coded_compression_is_the_loop_on_every_family(family, dims):
+    system = make_system(family, dims)
+    f = element(system, FAR.get(family, ()), seed=len(dims))
+    length = default_length(system.group)
+    for R in range(5):
+        assert_cold_and_warm(f, R, length)
+
+
+@pytest.mark.parametrize("family, R", [("free-F2", 6), ("free-product-Z2-Z3", 9)])
+def test_coded_compression_is_the_loop_on_large_free_balls(family, R):
+    system = make_system(family, (1,))
+    assert_cold_and_warm(element(system, FAR[family], size=3), R, default_length(system.group))
+
+
+@pytest.mark.parametrize("make_length", [one_norm, two_norm, squared_two_norm, word_length])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_coded_compression_is_the_loop_on_zd_lengths(d, make_length):
+    system = theta_system(Zd(d), "1/5", BlockAlgebra([2, 1]))
+    length = make_length(system.group)
+    # sums whose unit-step paths leave the ball and come back into it (a
+    # corner step out of a two-norm ball), and sums that never reach it
+    extra = [(1,) + (-1,) * (d - 1), (2,) + (-2,) * (d - 1), (-3,) + (1,) * (d - 1), (9,) * d]
+    f = element(system, extra, seed=d)
+    for R in (0, 1, 1.5, 2, 2.5, 3, 4):
+        assert_cold_and_warm(f, R, length)
+
+
+def test_coded_compression_of_the_empty_element_is_empty():
+    system = theta_system(Zd(2), "1/5")
+    rep = compression_matrix(CcElement(system, {}), 2)
+    assert rep.sparse.shape == (13, 13) and rep.sparse.nnz == 0
+
+
+# -- the rules evaluate each value once, with the same bits ------------------------------
+
+
+def hexes(a) -> list:
+    return [float(v).hex() for m in a.blocks for z in m.ravel() for v in (z.real, z.imag)]
+
+
+def test_theta_rule_is_the_closed_form_and_builds_each_value_once():
+    A = BlockAlgebra([2, 1])
+    group = Zd(2)
+    rule = theta_cocycle(group, A, "1/5")
+    points = ball(3, default_length(group))
+    seen = {}
+    for g in points:
+        for h in points:
+            b = g[1] * h[0]
+            want = cmath.exp(2j * cmath.pi * 0.2 * b) * A.unit()
+            value = rule(g, h)
+            assert hexes(value) == hexes(want)
+            assert seen.setdefault(b, value) is value
+
+
+def test_section_rule_is_the_closed_form_and_lifts_each_element_once():
+    ext = sl2z_extension()
+    lifted = []
+    lift = ext.lift
+
+    def counting_lift(g):
+        lifted.append(g)
+        return lift(g)
+
+    ext.lift = counting_lift
+    system = section_cocycle_system(ext)
+    A, group = system.algebra, system.group
+    points = ball(3, default_length(group))
+    for g in points:
+        for h in points:
+            z = ext.kmul(ext.kmul(lift(g), lift(h)), ext.kinv(lift(group.mul(g, h))))
+            k = ext.center_index(z)
+            want = A.scalar([cmath.exp(2j * cmath.pi * j * k / 2) for j in range(2)])
+            assert hexes(system.cocycle(g, h)) == hexes(want)
+    assert len(lifted) == len(set(lifted))

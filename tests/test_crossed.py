@@ -248,6 +248,21 @@ def test_fourier_uniqueness_at_cc_level():
 # -- compressions ------------------------------------------------------------------
 
 
+def test_overflow_is_kept_in_the_support():
+    # 1e200 squared overflows: f * f is inf + nan j at 0, and the NaN norms
+    # of -(f * f) and f * f - f * f are not below the support tolerance
+    sys_ = theta_system(Zd(1), "1/5")
+    f = delta(sys_, (0,), 1e200 * sys_.algebra.unit())
+    with np.errstate(over="ignore", invalid="ignore"):
+        ff = f * f
+        neg = (-1.0) * ff
+        diff = ff - ff
+    assert ff.support() == neg.support() == diff.support() == [(0,)]
+    assert math.isinf(ff.coeff((0,)).blocks[0][0, 0].real)
+    assert math.isnan(neg.norm_l1()) and math.isnan(diff.norm_l1())
+    assert CcElement(sys_, {(1,): math.nan * sys_.algebra.unit()}).support() == [(1,)]
+
+
 def test_compression_of_unit_is_identity():
     for make in SYSTEMS.values():
         sys_ = make()

@@ -1,16 +1,14 @@
 """Randomized twisted-convolution identities over every group family.
 
-A draw is a group family, block dimensions, three support sizes and a seed.
-The system over the family is exterior equivalent to a plain one: a base
-action (a block swap where the group's relations allow it) and a base
-cocycle (theta where one is shipped), perturbed by the coboundary of
-unitaries w_g, so the action is inner and the cocycle is not central.  The
-ring axioms hold to 1e-10, and the packed product, star, sum, scalar
-multiples, regular_apply and the norms are bit for bit (float.hex) the
-per-pair AlgElement loop kept here as the oracle, insertion order included.
+A draw is a group family, block dimensions, three support sizes and a seed;
+the system over the family is the perturbed one of families.py, whose
+action is inner and whose cocycle is not central.  The ring axioms hold to
+1e-10, and the packed product, star, sum, scalar multiples, regular_apply
+and the norms are bit for bit (float.hex) the per-pair AlgElement loop kept
+here as the oracle, insertion order included.  At full radius on the finite
+families the compression is a *-homomorphism, and every compression norm
+lies between 0 and the exact norm, itself at most the l1 norm.
 """
-
-import zlib
 
 import numpy as np
 import pytest
@@ -18,66 +16,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from crossfourier.algebra import AlgAutomorphism, BlockAlgebra
-from crossfourier.crossed import SUPPORT_TOL, CcElement
-from crossfourier.decay import regular_apply
-from crossfourier.groups import Cyclic, Dihedral, DirectProduct, FreeF2, FreeProductZ2Z3, Zd, ball, default_length
-from crossfourier.system import (
-    TwistedSystem,
-    generator_action,
-    theta_cocycle,
-    trivial_cocycle,
-    validate_system,
+from families import DIMS, FAMILIES, system_for
+from crossfourier.crossed import (
+    SUPPORT_TOL, CcElement, compression_matrix, exact_norm_finite, full_radius, opnorm_bounds,
 )
+from crossfourier.decay import regular_apply
+from crossfourier.groups import ball, default_length
+from crossfourier.system import validate_system
 
 TOL = 1e-10
-
-# family -> (group, theta or None, which generators may act by a block swap)
-FAMILIES = {
-    "cyclic": (Cyclic(6), "1/6", [True]),
-    "dihedral": (Dihedral(4), None, [True, False]),
-    "product-of-finite": (DirectProduct([Cyclic(2), Cyclic(3)]), None, [True, False]),
-    "Zd": (Zd(2), "1/5", [True, True]),
-    "free-F2": (FreeF2(), None, [True, True]),
-    "free-product-Z2-Z3": (FreeProductZ2Z3(), None, [True, False]),
-}
-DIMS = [(1,), (1, 1), (2, 1), (3,)]
-
-
-def _unitary(A: BlockAlgebra, group, g):
-    """w_g: a unitary drawn from a seed fixed by g alone, and w_e = 1."""
-    if g == group.identity():
-        return A.unit()
-    return A.random_unitary(np.random.default_rng(zlib.crc32(group.word(g).encode())))
-
-
-def make_system(family: str, dims: tuple) -> TwistedSystem:
-    """(Ad(w_g) action(g), w_g action(g)(w_h) cocycle(g, h) w_gh^*) over the base system."""
-    group, theta, may_swap = FAMILIES[family]
-    A = BlockAlgebra(dims)
-    swap = AlgAutomorphism.block_permutation(A, [1, 0]) if dims == (1, 1) else AlgAutomorphism.identity(A)
-    images = [swap if ok else AlgAutomorphism.identity(A) for ok in may_swap]
-    base_action = generator_action(group, A, images)
-    base_cocycle = theta_cocycle(group, A, theta) if theta else trivial_cocycle(A)
-
-    def action(g):
-        return AlgAutomorphism.conjugation(A, _unitary(A, group, g).blocks).compose(base_action(g))
-
-    def cocycle(g, h):
-        w = _unitary(A, group, g) * base_action(g)(_unitary(A, group, h)) * base_cocycle(g, h)
-        return w * _unitary(A, group, group.mul(g, h)).star()
-
-    return TwistedSystem(A, group, action, cocycle, tag=f"perturbed-{family}")
-
-
-_SYSTEMS: dict = {}
-
-
-def system_for(family, dims):
-    key = (family, dims)
-    if key not in _SYSTEMS:
-        _SYSTEMS[key] = make_system(family, dims)
-    return _SYSTEMS[key]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -91,7 +38,7 @@ def test_drawn_systems_are_twisted_systems(family, dims):
 
 
 def loop_pruned(coeffs: dict) -> dict:
-    return {g: a for g, a in coeffs.items() if a.norm() >= SUPPORT_TOL}
+    return {g: a for g, a in coeffs.items() if not a.norm() < SUPPORT_TOL}
 
 
 def loop_mul(system, c1: dict, c2: dict) -> dict:
@@ -227,3 +174,37 @@ def test_packed_arithmetic_is_the_pair_loop(family, dims, sizes, seed):
         assert packed_hexes(packed) == loop_hexes(loop)
         assert norm_hexes([packed.norm_l1(), packed.norm_linf(), packed.module_norm()]) == \
             norm_hexes(loop_norms(system, loop))
+
+
+# -- the compression on the finite families ------------------------------------------
+
+FINITE = sorted(name for name, (group, _, _) in FAMILIES.items() if group.is_finite)
+finite_draw = dict(
+    family=st.sampled_from(FINITE),
+    dims=st.sampled_from(DIMS),
+    sizes=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@fixed
+@given(**finite_draw)
+def test_full_radius_compression_is_a_star_homomorphism(family, dims, sizes, seed):
+    system, (c1, c2, _) = _draw(family, dims, sizes, seed)
+    f1, f2 = CcElement(system, c1), CcElement(system, c2)
+    R = full_radius(system)
+    m1, m2 = (compression_matrix(f, R).matrix for f in (f1, f2))
+    scale = 1.0 + f1.norm_l1() * (1.0 + f2.norm_l1())
+    assert np.abs(compression_matrix(f1 * f2, R).matrix - m1 @ m2).max() <= TOL * scale
+    assert np.abs(compression_matrix(f1.star(), R).matrix - m1.conj().T).max() <= TOL * scale
+
+
+@fixed
+@given(**finite_draw, radius=st.integers(0, 4))
+def test_compression_norms_lie_below_the_exact_norm(family, dims, sizes, seed, radius):
+    system, (c1, _, _) = _draw(family, dims, sizes, seed)
+    f = CcElement(system, c1)
+    exact = exact_norm_finite(f)
+    scale = TOL * (1.0 + f.norm_l1())
+    assert opnorm_bounds(f, [radius]).lower <= exact + scale
+    assert exact <= f.norm_l1() + scale
