@@ -15,6 +15,7 @@ ConfigError, which the CLI maps to exit code 1.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from .groups import (
     LengthFunction,
     Zd,
     ball,
+    ball_size,
     block_length,
     default_length,
     one_norm,
@@ -37,7 +39,7 @@ from .groups import (
     two_norm,
     word_length,
 )
-from .crossed import CcElement
+from .crossed import _DEFAULT_DENSE_BYTES, CcElement
 from .modules import endomorphism_rep, trivial_rep, unitary_tensor_rep
 from .system import (
     TwistedSystem,
@@ -51,6 +53,22 @@ from .system import (
 
 class ConfigError(ValueError):
     pass
+
+
+# The most points a config may make a sampling ball or a Gram matrix's index
+# set hold: 8192, where a dense n x n complex matrix reaches the 1 GiB
+# budget of the compressions.
+BALL_POINT_BUDGET = math.isqrt(_DEFAULT_DENSE_BYTES // 16)
+
+
+def check_ball_budget(R: float, length: LengthFunction, what: str):
+    """ConfigError if ball(R, length) has more than BALL_POINT_BUDGET points; ball_size counts, builds none."""
+    n = ball_size(R, length)
+    if n > BALL_POINT_BUDGET:
+        raise ConfigError(
+            f"the {what} ball of radius {R} has {n} points, past the budget of {BALL_POINT_BUDGET}; "
+            "choose a smaller radius"
+        )
 
 
 def build_group(spec: dict) -> Group:
@@ -199,7 +217,9 @@ def build_element(system: TwistedSystem, spec, rng) -> CcElement:
         if "support" in rspec:
             support = [system.group.normal_form(w) for w in rspec["support"]]
         else:
-            pool = ball(rspec.get("radius", 1), default_length(system.group))
+            radius, length = rspec.get("radius", 1), default_length(system.group)
+            check_ball_budget(radius, length, "sampling")
+            pool = ball(radius, length)
             count = min(int(rspec.get("count", 3)), len(pool))
             idx = rng.choice(len(pool), size=count, replace=False)
             support = [pool[i] for i in idx]

@@ -26,15 +26,20 @@ realizing each entry in the defining representation of A gives a complex
 matrix whose largest singular value is the compressed norm.  On finite
 groups the full-radius compression is the exact reduced norm.
 
-The compression is assembled in one pass on integer codes: the ball numbers
-its points and translates itself by each support point g into the row of
-every g h (Ball.translate), so rows, columns and terms are array gathers in
-(column, support point) order.  Each cocycle value is looked up once per
-entry through the system's cache and stacked once per distinct value, each
-row's inverse action is built once, and the block products are batched.
-The result is stored as a CSR matrix (CompressedRep.sparse);
-CompressedRep.matrix is the dense array, built on demand.  Singular values
-densify only below the dense SVD cutoff and run Lanczos on the CSR above it.
+The compression is assembled in one pass on integer codes from a
+CompressionPlan, which the system keeps per (radius, length tag) for as
+long as it lives.  The plan owns the ball, which numbers its points and
+translates itself by a support point g into the row of every g h
+(Ball.translate), and one stack of the inverse actions of the ball points.
+Per support point g it keeps the rows g contributes to, their columns h and
+the stacked cocycle values cocycle(g, h), each looked up once per plan.
+Compressing f gathers the pieces of supp f, forms a . cocycle by one
+batched matmul per block and applies the inverse actions, so every element
+compressed at one radius reuses the ball, translations, cocycles and
+actions of the ones before it.  The result is stored as a CSR matrix
+(CompressedRep.sparse); CompressedRep.matrix is the dense array, built on
+demand.  Singular values densify only below the dense SVD cutoff and run
+Lanczos on the CSR above it.
 """
 
 from __future__ import annotations
@@ -431,50 +436,94 @@ class CompressedRep:
         return _top_singular(self.sparse, vectors=True)[1]
 
 
+class CompressionPlan:
+    """What compressing to ball(R) of one system under one length shares between elements.
+
+    The plan owns the ball and builds, on first use, one AutomorphismStack of
+    the inverse actions of the ball points.  For each support point g it
+    keeps, built on g's first use, the rows of the entries g contributes
+    (the positions of g h, Ball.translate), their columns h and the stacked
+    cocycle values cocycle(g, h), each looked up through the system's cache
+    once per plan.  compression_matrix keeps one plan per (float R, length
+    tag) on the system, so a plan lives exactly as long as its system.  The
+    plan holds no reference back to the system: without that cycle, a
+    dropped system and its plans are freed at once by reference counting,
+    not at the next full collection.
+    """
+
+    def __init__(self, R: float, length: LengthFunction):
+        self.ball = ball(R, length)
+        if not self.ball:
+            raise ValueError("empty ball")
+        self.index = tuple(self.ball)
+        self._inverses = None
+        self._pieces: dict = {}  # g -> (rows, columns, cocycle blocks)
+
+    def _piece(self, system: TwistedSystem, g) -> tuple:
+        piece = self._pieces.get(g)
+        if piece is None:
+            targets = self.ball.translate(g)
+            cols = np.flatnonzero(targets >= 0)
+            sigma = _cocycles(system, zip(itertools.repeat(g), map(self.ball.__getitem__, cols.tolist())))
+            piece = self._pieces[g] = (targets[cols], cols, sigma)
+        return piece
+
+    def compress(self, f: CcElement) -> scipy.sparse.csr_matrix:
+        """The CSR matrix of P_R Lambda(f) P_R, entries taken from the pieces of supp f in support order.
+
+        f lives over the system that keeps this plan.  (h', h) fixes
+        g = h'h^{-1}, so no block gets two contributions, and the CSR
+        conversion puts the entries in canonical order whatever order they
+        come in.
+        """
+        system = f.system
+        D = system.algebra.rep_dim
+        shape = (len(self.ball) * D, len(self.ball) * D)
+        order = f._sorted_rows()
+        pieces = [self._piece(system, f._points[i]) for i in order]
+        counts = [len(rows) for rows, _, _ in pieces]
+        if not sum(counts):
+            return scipy.sparse.csr_matrix(shape, dtype=complex)
+        rows = np.concatenate([p[0] for p in pieces])
+        cols = np.concatenate([p[1] for p in pieces])
+        sigmas = [np.concatenate(blocks) for blocks in zip(*(p[2] for p in pieces))]
+        if self._inverses is None:
+            self._inverses = AutomorphismStack([system.action(h).inverse() for h in self.ball])
+        # a . cocycle per source block, one matmul over all contributions
+        terms = np.repeat(order, counts)
+        products = [np.matmul(c[terms], s) for c, s in zip(f._blocks, sigmas)]
+        coo_rows, coo_cols, coo_data = [], [], []
+        offset = 0
+        for d, y in zip(system.algebra.dims, self._inverses.apply(rows, products)):
+            i, j = np.indices((d, d))
+            coo_rows.append((rows[:, None, None] * D + offset + i).ravel())
+            coo_cols.append((cols[:, None, None] * D + offset + j).ravel())
+            coo_data.append(y.ravel())
+            offset += d
+        # adding to 0 turns -0.0 parts into +0.0, as filling a zeroed dense matrix did
+        data = np.concatenate(coo_data) + 0j
+        sparse = scipy.sparse.csr_matrix((data, (np.concatenate(coo_rows), np.concatenate(coo_cols))), shape=shape)
+        sparse.eliminate_zeros()
+        return sparse
+
+
 def compression_matrix(f: CcElement, R: float, length: LengthFunction | None = None) -> CompressedRep:
     """Compression of the regular representation of f to the ball of radius R.
 
     Index order is the deterministic ball order, so matrices are reproducible
     bit for bit.  The A-valued entry at (h', h) is
     action(h')^{-1}( f(h'h^{-1}) cocycle(h'h^{-1}, h) ) for h'h^{-1} in supp(f).
+    The ball, translations, cocycles and inverse actions come from the
+    system's CompressionPlan, so they are built once per (system, R, length).
     """
     system = f.system
     if length is None:
         length = default_length(system.group)
-    idx = ball(R, length)
-    if not idx:
-        raise ValueError("empty ball")
-    D = system.algebra.rep_dim
-    shape = (len(idx) * D, len(idx) * D)
-    order = f._sorted_rows()
-    support = [f._points[i] for i in order]
-    # the row of g h for each column h and support point g, column-major;
-    # (h', h) fixes g = h'h^{-1}, so no block gets two contributions
-    targets = np.stack([idx.translate(g) for g in support], axis=1).ravel() if support else np.empty(0, int)
-    entries = np.flatnonzero(targets >= 0)
-    if not len(entries):
-        return CompressedRep(system, R, length, tuple(idx), scipy.sparse.csr_matrix(shape, dtype=complex))
-    rows = targets[entries]
-    cols, terms = np.divmod(entries, len(support))
-    sigmas = _cocycles(system, zip(map(support.__getitem__, terms.tolist()), map(idx.__getitem__, cols.tolist())))
-    distinct, row_of = np.unique(rows, return_inverse=True)
-    inverses = AutomorphismStack([system.action(idx[r]).inverse() for r in distinct.tolist()])
-    # a . cocycle per source block, one matmul over all contributions
-    terms = np.array(order)[terms]
-    products = [np.matmul(c[terms], s) for c, s in zip(f._blocks, sigmas)]
-    coo_rows, coo_cols, coo_data = [], [], []
-    offset = 0
-    for d, y in zip(system.algebra.dims, inverses.apply(row_of, products)):
-        i, j = np.indices((d, d))
-        coo_rows.append((rows[:, None, None] * D + offset + i).ravel())
-        coo_cols.append((cols[:, None, None] * D + offset + j).ravel())
-        coo_data.append(y.ravel())
-        offset += d
-    # adding to 0 turns -0.0 parts into +0.0, as filling a zeroed dense matrix did
-    data = np.concatenate(coo_data) + 0j
-    sparse = scipy.sparse.csr_matrix((data, (np.concatenate(coo_rows), np.concatenate(coo_cols))), shape=shape)
-    sparse.eliminate_zeros()
-    return CompressedRep(system, R, length, tuple(idx), sparse)
+    key = (float(R), length.tag)
+    plan = system._compression_plans.get(key)
+    if plan is None:
+        plan = system._compression_plans[key] = CompressionPlan(R, length)
+    return CompressedRep(system, R, length, plan.index, plan.compress(f))
 
 
 def compression_bytes(f: CcElement, R: float, length: LengthFunction | None = None) -> int:

@@ -203,6 +203,7 @@ class DecayProbe:
     constant_lower: float
     witness: CcElement
     samples: tuple  # (ratio, support words)
+    witness_lower: float  # compression norm of the witness at the probe's radius; not reported
 
     def as_dict(self):
         return {
@@ -235,17 +236,20 @@ def decay_constant_probe(
     samples = [delta(system)]
     for _ in range(sample_budget):
         samples.append(random_cc_in(system, pool, 4, rng))
-    best, best_f, rows = 0.0, samples[0], []
+    best, best_f, best_lower, rows = 0.0, samples[0], None, []
     for f in samples:
         denom = f.weighted_module_norm(weight)
         if denom < 1e-14:
             continue
-        ratio = opnorm_bounds(f, [R_prime], length).lower / denom
+        lower = opnorm_bounds(f, [R_prime], length).lower
+        ratio = lower / denom
         rows.append((ratio, [system.group.word(g) for g in f.support()]))
         if ratio > best:
-            best, best_f = ratio, f
+            best, best_f, best_lower = ratio, f, lower
+    if best_lower is None:  # no ratio passed 0 (every denominator may be below 1e-14): the first sample stays
+        best_lower = opnorm_bounds(best_f, [R_prime], length).lower
     rows.sort(key=lambda t: -t[0])
-    return DecayProbe(best, best_f, tuple(rows[:10]))
+    return DecayProbe(best, best_f, tuple(rows[:10]), best_lower)
 
 
 # -- content probe ------------------------------------------------------------------------

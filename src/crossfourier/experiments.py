@@ -11,13 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import pure_states
-from .config import ConfigError, build_element, build_length, build_rep, compression_to_wire, element_to_wire
+from .config import (
+    ConfigError, build_element, build_length, build_rep, check_ball_budget, compression_to_wire, element_to_wire,
+)
 from .crossed import (
     _DEFAULT_DENSE_BYTES,
     CcElement,
     compression_bytes,
     compression_matrix,
-    default_radii,
     delta,
     opnorm_bounds,
     random_cc_in,
@@ -60,10 +61,12 @@ def run_arithmetic_suite(system, params, rng):
         f1 = random_cc_in(system, pool, 3, rng)
         f2 = random_cc_in(system, pool, 3, rng)
         f3 = random_cc_in(system, pool, 3, rng)
-        worst["associativity"] = max(worst["associativity"], (((f1 * f2) * f3) - (f1 * (f2 * f3))).norm_l1())
-        worst["distributivity"] = max(worst["distributivity"], ((f1 * (f2 + f3)) - (f1 * f2 + f1 * f3)).norm_l1())
-        worst["involution"] = max(worst["involution"], ((f1 * f2).star() - f2.star() * f1.star()).norm_l1())
-        worst["involution"] = max(worst["involution"], (f1.star().star() - f1).norm_l1())
+        # the product is deterministic, so f1 f2 and f1* are formed once per triple
+        f12, f1_star = f1 * f2, f1.star()
+        worst["associativity"] = max(worst["associativity"], ((f12 * f3) - (f1 * (f2 * f3))).norm_l1())
+        worst["distributivity"] = max(worst["distributivity"], ((f1 * (f2 + f3)) - (f12 + f1 * f3)).norm_l1())
+        worst["involution"] = max(worst["involution"], (f12.star() - f2.star() * f1_star).norm_l1())
+        worst["involution"] = max(worst["involution"], (f1_star.star() - f1).norm_l1())
     passed = max(worst.values()) <= 1e-10
     return {"max_violations": worst, "n_triples": n}, None, passed
 
@@ -122,10 +125,12 @@ def _net_report(system, net, params, rng):
     f = build_element(system, params.get("element"), rng)
     radii = params.get("radii", None)
     _check_compression_budget(f, list(radii or []))
-    target = float(params.get("target_error", 1e-6))
-    report = run_convergence(net, f, radii, target, rng)
     pd_radius = float(params.get("pd_radius", 4))
     length = default_length(system.group)
+    if not system.group.is_finite and any(T.scalar_kernel is not None for T in net.multipliers):
+        check_ball_budget(pd_radius, length, "pd_radius")  # pd_check builds a |ball|^2 Gram matrix
+    target = float(params.get("target_error", 1e-6))
+    report = run_convergence(net, f, radii, target, rng)
     pd_results = []
     pd_ok = True
     for i, T in zip(net.indices, net.multipliers):
@@ -206,9 +211,7 @@ def run_decay_probe(system, params, rng):
         lo, hi = inv_l2_bracket(w)
         results["inv_l2_bracket"] = [lo, hi]
         # the l1 route is a theorem: the witness respects it
-        f = probe.witness
-        lower = opnorm_bounds(f, default_radii(system, [2 * float(params.get("radius", 2))])).lower
-        passed = lower <= hi * f.weighted_l2_norm(w) + 1e-9
+        passed = probe.witness_lower <= hi * probe.witness.weighted_l2_norm(w) + 1e-9
     return results, None, passed
 
 

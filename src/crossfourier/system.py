@@ -52,6 +52,7 @@ class TwistedSystem:
         self.tag = tag
         self._action_cache: dict = {}
         self._cocycle_cache: dict = {}
+        self._compression_plans: dict = {}  # (float R, length tag) -> crossed.CompressionPlan
 
     def __repr__(self):
         return f"TwistedSystem({self.algebra!r}, {self.group.name}, tag={self.tag})"

@@ -176,7 +176,9 @@ Z3 = {"algebra": [1], "group": {"family": "Zd", "d": 3}}
     ({"tag": "norms", "radii": [2], "dump_compression": 20}, F2),
     ({"tag": "fejer", "indices": [2], "radii": [2000]}, Z3),
     ({"tag": "decay-probe", "radius": 20}, F2),
-], ids=["norms", "dump", "fejer", "decay-probe"])
+    ({"tag": "fejer", "indices": [2], "pd_radius": 2000}, Z3),  # a |ball|^2 Gram matrix
+    ({"tag": "norms", "element": {"random": {"radius": 20}}}, F2),  # the sampling ball
+], ids=["norms", "dump", "fejer", "decay-probe", "fejer-pd-radius", "random-element-radius"])
 def test_radius_past_the_compression_budget_fails_before_building_its_ball(tmp_path, capsys, experiment, system):
     start = time.perf_counter()
     assert run_cli(tmp_path, base_config(tmp_path, experiment, system=system)) == 1

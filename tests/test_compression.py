@@ -7,10 +7,14 @@ lookup and one cocycle lookup per entry.  Both must give the same CSR
 matrix byte for byte (indptr, indices and data, signed zeros included), on
 every group family, on Z^d under each length, for block dimensions [1],
 [1, 1], [2, 1] and [3], at radii 0 to 4 and at one radius of at least 6 on
-the free families, on a cold system and again on the warm one.
+the free families, on a cold system and again on the warm one.  A warm
+system compresses through the CompressionPlan it keeps per radius and
+length, so a sequence of elements through one system is checked too.
 """
 
 import cmath
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -121,6 +125,76 @@ def test_coded_compression_is_the_loop_on_zd_lengths(d, make_length):
     f = element(system, extra, seed=d)
     for R in (0, 1, 1.5, 2, 2.5, 3, 4):
         assert_cold_and_warm(f, R, length)
+
+
+def sequence(system):
+    """Elements with overlapping, disjoint and far supports, one with a NaN coefficient."""
+    unit = system.algebra.unit()
+    first = element(system, seed=1, size=4)
+    pool = [g for g in ball(2, default_length(system.group)) if g not in first.support()]
+    overlapping = element(system, first.support()[:2] + pool[:1], seed=2, size=1)
+    disjoint = random_cc(system, pool[1:4], np.random.default_rng(3))
+    nan = first + float("nan") * CcElement(system, {pool[0]: unit})
+    out = [first, overlapping, disjoint, nan, first]
+    if FAR.get(family_of(system)):
+        out.append(random_cc(system, FAR[family_of(system)], np.random.default_rng(4)))
+        out.append(overlapping + random_cc(system, FAR[family_of(system)][:1], np.random.default_rng(5)))
+    return out
+
+
+def family_of(system) -> str:
+    return system.tag.removeprefix("perturbed-")
+
+
+@pytest.mark.parametrize("dims", DIMS, ids=str)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_one_warm_system_compresses_a_sequence_as_the_loop(family, dims):
+    system = make_system(family, dims)
+    length = default_length(system.group)
+    for k, f in enumerate(sequence(system)):
+        for R in (2, 2.0, 3)[k % 2:]:
+            rep = compression_matrix(f, R, length)
+            assert type(rep.radius) is type(R) and rep.length is length
+            assert csr_bytes(rep.sparse) == csr_bytes(loop_compression(f, R, length))
+    assert sorted(system._compression_plans) == [(2.0, length.tag), (3.0, length.tag)]
+
+
+def test_a_support_already_seen_makes_no_cocycle_calls():
+    system = make_system("free-F2", (2, 1))
+    calls = []
+    cocycle = system.cocycle
+
+    def counting(g, h):
+        calls.append((g, h))
+        return cocycle(g, h)
+
+    system.cocycle = counting
+    f = element(system, FAR["free-F2"], seed=6)
+    compression_matrix(f, 3)
+    assert calls
+    calls.clear()
+    # new coefficients on the same support, then on part of it
+    g = random_cc(system, f.support(), np.random.default_rng(7))
+    compression_matrix(g, 3.0)
+    compression_matrix(random_cc(system, f.support()[1:], np.random.default_rng(8)), 3)
+    assert calls == []
+
+
+def test_a_system_is_freed_with_its_plans():
+    # no reference cycle: dropping the system frees it and its plans before
+    # any collection, so a long run that builds a system per task does not
+    # hold the dead ones until the next full collection
+    system = make_system("Zd", (2, 1))
+    f = element(system, FAR["Zd"])
+    rep = compression_matrix(f, 3)
+    assert system._compression_plans
+    ref = weakref.ref(system)
+    gc.disable()
+    try:
+        del system, f, rep
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_coded_compression_of_the_empty_element_is_empty():

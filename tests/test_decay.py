@@ -206,6 +206,26 @@ def test_decay_probe_commutative_bound():
     assert probe.constant_lower <= k_hi + 1e-9
 
 
+def test_decay_probe_records_the_compression_norm_of_its_witness():
+    sys_ = theta_system(Zd(2), "1/5")
+    k = make_weight("power", 1.0, one_norm(Zd(2)))
+    probe = decay_constant_probe(sys_, k, R=2, sample_budget=8, rng=np.random.default_rng(3))
+    want = opnorm_bounds(probe.witness, [4], one_norm(Zd(2))).lower
+    assert probe.witness_lower == want
+    assert probe.constant_lower == want / probe.witness.weighted_module_norm(k)
+    assert "witness_lower" not in probe.as_dict()
+
+
+def test_decay_probe_compresses_its_witness_when_no_sample_is_kept(monkeypatch):
+    # every denominator below 1e-14: no ratio is formed and the unit stays the witness
+    monkeypatch.setattr(CcElement, "weighted_module_norm", lambda self, weight: 0.0)
+    sys_ = theta_system(Zd(1), "1/5")
+    probe = decay_constant_probe(sys_, make_weight("constant"), R=2, sample_budget=4)
+    assert probe.constant_lower == 0.0 and probe.samples == ()
+    assert probe.witness.support() == [(0,)]
+    assert probe.witness_lower == pytest.approx(1.0, abs=1e-12)
+
+
 # -- content ----------------------------------------------------------------------------
 
 
