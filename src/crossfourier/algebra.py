@@ -40,6 +40,7 @@ class BlockAlgebra:
         self.rep_dim = sum(dims)          # dimension of the defining representation
         self.total_dim = sum(d * d for d in dims)
         self.is_commutative = all(d == 1 for d in dims)
+        self._unit = None
 
     def __repr__(self):
         return f"BlockAlgebra{self.dims}"
@@ -74,7 +75,10 @@ class BlockAlgebra:
         return self.element([np.zeros((d, d)) for d in self.dims])
 
     def unit(self) -> "AlgElement":
-        return self.element([np.eye(d) for d in self.dims])
+        """The unit, built once per algebra (elements are immutable)."""
+        if self._unit is None:
+            self._unit = self.element([np.eye(d) for d in self.dims])
+        return self._unit
 
     def basis(self) -> list["AlgElement"]:
         """Matrix units, a spanning set used by validators and solvers."""
@@ -292,6 +296,18 @@ def classify(a: AlgElement, tol: float = ALG_TOL) -> Classification:
     return Classification(selfadjoint, unitary, positive, projection, central)
 
 
+def _is_unitary(u: np.ndarray) -> bool:
+    """Whether ||U U^* - 1||_2 <= ALG_TOL.
+
+    ||X||_2 <= ||X||_F, so a Frobenius norm of at most half the tolerance
+    accepts without the SVD of the spectral norm.  The half is a margin far
+    wider than the rounding of either norm, so the Frobenius test accepts
+    only what the spectral test accepts.
+    """
+    defect = u @ u.conj().T - np.eye(len(u))
+    return np.linalg.norm(defect) <= 0.5 * ALG_TOL or not np.linalg.norm(defect, 2) > ALG_TOL
+
+
 class AlgAutomorphism:
     """Block permutation composed with per-block unitary conjugation.
 
@@ -312,7 +328,7 @@ class AlgAutomorphism:
             d = algebra.dims[k]
             if u.shape != (d, d):
                 raise ValueError("conjugator shape mismatch")
-            if np.linalg.norm(u @ u.conj().T - np.eye(d), 2) > ALG_TOL:
+            if not _is_unitary(u):
                 raise ValueError("conjugator is not unitary to 1e-10")
             mats.append(_freeze(u))
         self.algebra = algebra

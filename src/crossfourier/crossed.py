@@ -38,8 +38,9 @@ batched matmul per block and applies the inverse actions, so every element
 compressed at one radius reuses the ball, translations, cocycles and
 actions of the ones before it.  The result is stored as a CSR matrix
 (CompressedRep.sparse); CompressedRep.matrix is the dense array, built on
-demand.  Singular values densify only below the dense SVD cutoff and run
-Lanczos on the CSR above it.
+demand.  Singular values densify only up to the dense SVD cutoff (300) and
+run Lanczos on the CSR above it, in real arithmetic when the compression is
+real.
 """
 
 from __future__ import annotations
@@ -62,8 +63,11 @@ from .system import TwistedSystem
 
 SUPPORT_TOL = 1e-14
 
-# Dense SVD below this dimension, Lanczos (deterministic fixed start) above.
-_DENSE_SVD_LIMIT = 600
+# Dense SVD up to this dimension, Lanczos (deterministic fixed start) above.
+# Past about 300 Lanczos on the sparse compressions is the faster of the two;
+# every compression of the benchmark's experiment configs (161 at most) stays
+# dense.
+_DENSE_SVD_LIMIT = 300
 
 # Default radius schedules stop before a dense compression passes 1 GiB
 # (dimension 8192).  Explicit radii are not capped.
@@ -379,16 +383,20 @@ def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool):
     """(largest singular value, its right singular vector or None).
 
     Dense SVD of matrix.toarray() up to _DENSE_SVD_LIMIT, Lanczos on the
-    sparse matrix from a fixed start above it.  When Lanczos does not
-    converge, the dense SVD runs instead if the dense matrix fits in
-    _DEFAULT_DENSE_BYTES; otherwise ValueError.
+    sparse matrix from a fixed start above it.  Lanczos runs in real
+    arithmetic on matrix.real when every stored entry is real (real
+    coefficients, cocycle and action values), in complex arithmetic
+    otherwise; the returned vector is complex either way.  When Lanczos
+    does not converge, the dense SVD runs instead if the dense matrix fits
+    in _DEFAULT_DENSE_BYTES; otherwise ValueError.
     """
     n = matrix.shape[0]
     dense = n <= _DENSE_SVD_LIMIT
     if not dense:
         v0 = np.ones(n) / np.sqrt(n)
+        operand = matrix if np.any(matrix.data.imag) else matrix.real
         try:
-            out = scipy.sparse.linalg.svds(matrix, k=1, v0=v0, return_singular_vectors=vectors, maxiter=5000)
+            out = scipy.sparse.linalg.svds(operand, k=1, v0=v0, return_singular_vectors=vectors, maxiter=5000)
         except scipy.sparse.linalg.ArpackNoConvergence as err:
             if 16 * n * n > _DEFAULT_DENSE_BYTES:
                 raise ValueError(
@@ -401,7 +409,7 @@ def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool):
     if not vectors:
         return float(out[0]), None
     _, s, vh = out
-    return float(s[0]), vh[0].conj()
+    return float(s[0]), vh[0].conj().astype(complex, copy=False)
 
 
 def largest_singular_value(matrix: scipy.sparse.csr_matrix) -> float:

@@ -12,7 +12,8 @@ import numpy as np
 
 from .algebra import pure_states
 from .config import (
-    ConfigError, build_element, build_length, build_rep, check_ball_budget, compression_to_wire, element_to_wire,
+    BALL_POINT_BUDGET, ConfigError, build_element, build_length, build_rep, check_ball_budget, compression_to_wire,
+    element_to_wire,
 )
 from .crossed import (
     _DEFAULT_DENSE_BYTES,
@@ -127,8 +128,18 @@ def _net_report(system, net, params, rng):
     _check_compression_budget(f, list(radii or []))
     pd_radius = float(params.get("pd_radius", 4))
     length = default_length(system.group)
-    if not system.group.is_finite and any(T.scalar_kernel is not None for T in net.multipliers):
-        check_ball_budget(pd_radius, length, "pd_radius")  # pd_check builds a |ball|^2 Gram matrix
+    if any(T.scalar_kernel is not None for T in net.multipliers):
+        # pd_check builds a |S|^2 Gram matrix over the finite group or ball(pd_radius)
+        if system.group.is_finite:
+            S = system.group.elements()
+            if len(S) > BALL_POINT_BUDGET:
+                raise ConfigError(
+                    f"the pd set, all of {system.group.name}, has {len(S)} points, past the budget of "
+                    f"{BALL_POINT_BUDGET}; choose a smaller group"
+                )
+        else:
+            check_ball_budget(pd_radius, length, "pd_radius")
+            S = ball(pd_radius, length)
     target = float(params.get("target_error", 1e-6))
     report = run_convergence(net, f, radii, target, rng)
     pd_results = []
@@ -136,7 +147,6 @@ def _net_report(system, net, params, rng):
     for i, T in zip(net.indices, net.multipliers):
         if T.scalar_kernel is None:
             continue
-        S = system.group.elements() if system.group.is_finite else ball(pd_radius, length)
         is_pd, mineig = pd_check(T.scalar_kernel, S, system.group)
         pd_results.append({"index": i, "pd": is_pd, "min_eigenvalue": mineig})
         pd_ok = pd_ok and is_pd

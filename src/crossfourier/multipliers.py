@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .algebra import ALG_TOL, AlgElement
+from .algebra import ALG_TOL, AlgElement, Numbering
 from .crossed import CcElement, cc_unit, default_radii, opnorm_bounds, random_cc_in
 from .groups import ball, default_length
 from .modules import EquivariantRep, ModuleVector
@@ -98,6 +98,20 @@ def right_multiplier(system: TwistedSystem, psi: Callable, bound: float | None =
 # -- positive definiteness ------------------------------------------------------
 
 
+def gram_matrix(phi: Callable, S: list, group) -> np.ndarray:
+    """[phi(g_i^{-1} g_j)] over the points g_i of S, as a complex array.
+
+    phi is evaluated once per distinct g_i^{-1} g_j, in first-seen row-major
+    order, and its values are scattered into the matrix.
+    """
+    n = len(S)
+    keys = Numbering()
+    codes = np.empty((n, n), dtype=np.int64)
+    for i, hi in enumerate(map(group.inv, S)):
+        codes[i] = keys.many([group.mul(hi, gj) for gj in S])
+    return np.array([complex(phi(k)) for k in keys.items], dtype=complex)[codes]
+
+
 def pd_check(phi: Callable, S: Iterable, group) -> tuple[bool, float]:
     """Gram matrix [phi(g_i^{-1} g_j)] check over the finite subset S.
 
@@ -108,11 +122,7 @@ def pd_check(phi: Callable, S: Iterable, group) -> tuple[bool, float]:
     S = list(S)
     if not S:
         raise ValueError("subset must be nonempty")
-    n = len(S)
-    gram = np.empty((n, n), dtype=complex)
-    for i, gi in enumerate(S):
-        for j, gj in enumerate(S):
-            gram[i, j] = complex(phi(group.mul(group.inv(gi), gj)))
+    gram = gram_matrix(phi, S, group)
     if np.max(np.abs(gram - gram.conj().T)) > ALG_TOL:
         raise ValueError("Gram matrix is not Hermitian: phi(g^-1) != conj(phi(g))")
     mineig = float(np.min(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))))

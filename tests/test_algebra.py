@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crossfourier.algebra import (
+    ALG_TOL,
     AlgAutomorphism,
     BlockAlgebra,
     PointMap,
@@ -20,6 +21,16 @@ def test_unit_and_involution():
     a, b = A.random_element(rng), A.random_element(rng)
     assert ((A.unit() * a) - a).norm() == 0
     assert ((a * b).star() - b.star() * a.star()).norm() < 1e-14
+
+
+def test_unit_is_one_read_only_element_per_algebra():
+    A = BlockAlgebra([2, 1])
+    unit = A.unit()
+    assert A.unit() is unit
+    assert all(not b.flags.writeable for b in unit.blocks)
+    assert all(np.array_equal(b, np.eye(d)) and b.dtype == complex for b, d in zip(unit.blocks, A.dims))
+    with pytest.raises(ValueError):
+        unit.blocks[0][0, 0] = 2
 
 
 def test_commutative_product_is_pointwise():
@@ -90,6 +101,44 @@ def test_automorphism_rejects_bad_data():
         AlgAutomorphism(A, [1, 0], [np.eye(2), np.eye(1)])
     with pytest.raises(ValueError, match="unitary"):
         AlgAutomorphism(A, [0, 1], [2 * np.eye(2), np.eye(1)])
+
+
+def _near_unitaries():
+    """Conjugators U = Q diag(sqrt(1 + e)) Q^* whose defect U U^* - 1 = Q diag(e) Q^* sits near 1e-10.
+
+    One defect eigenvalue e_1 sweeps across the tolerance (the spectral norm
+    just below and just above it); the rest make the Frobenius norm land just
+    below or above it too, or on either side of half of it.
+    """
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3):
+        q = BlockAlgebra([d]).random_unitary(rng).blocks[0]
+        for lead in (0.3, 0.45, 0.5, 0.55, 0.7, 0.9, 0.99, 0.999999, 1.0, 1.000001, 1.01, 1.1, 1.5):
+            for rest in (0.0, 0.3, 0.6, 0.75):
+                for sign in (1, -1):
+                    e = ALG_TOL * np.array([sign * lead] + [rest] * (d - 1))
+                    yield q @ np.diag(np.sqrt(1 + e)) @ q.conj().T
+                    yield np.diag(np.sqrt(1 + e))
+
+
+def test_unitarity_prefilter_decides_as_the_spectral_norm_check():
+    decisions = {True: 0, False: 0}
+    frobenius_above = 0
+    for u in _near_unitaries():
+        d = len(u)
+        defect = u @ u.conj().T - np.eye(d)
+        want = not np.linalg.norm(defect, 2) > ALG_TOL  # the spectral-only check
+        frobenius_above += bool(want and np.linalg.norm(defect) > ALG_TOL)
+        try:
+            AlgAutomorphism.conjugation(BlockAlgebra([d]), [u])
+            accepted = True
+        except ValueError as exc:
+            assert "unitary" in str(exc)
+            accepted = False
+        assert accepted == want
+        decisions[accepted] += 1
+    # both decisions occur, and spectral accepts whose Frobenius norm is past the tolerance
+    assert decisions[True] and decisions[False] and frobenius_above
 
 
 def test_automorphism_power():

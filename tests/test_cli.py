@@ -169,6 +169,7 @@ def test_decay_probe_weight_overflow_is_config_error(tmp_path, capsys):
 
 F2 = {"algebra": [1], "group": {"family": "free-F2"}}
 Z3 = {"algebra": [1], "group": {"family": "Zd", "d": 3}}
+Z10000 = {"algebra": [1], "group": {"family": "finite-cyclic", "n": 10000}}
 
 
 @pytest.mark.parametrize("experiment, system", [
@@ -178,7 +179,8 @@ Z3 = {"algebra": [1], "group": {"family": "Zd", "d": 3}}
     ({"tag": "decay-probe", "radius": 20}, F2),
     ({"tag": "fejer", "indices": [2], "pd_radius": 2000}, Z3),  # a |ball|^2 Gram matrix
     ({"tag": "norms", "element": {"random": {"radius": 20}}}, F2),  # the sampling ball
-], ids=["norms", "dump", "fejer", "decay-probe", "fejer-pd-radius", "random-element-radius"])
+    ({"tag": "fejer", "indices": [2]}, Z10000),  # a |G|^2 Gram matrix over the whole finite group
+], ids=["norms", "dump", "fejer", "decay-probe", "fejer-pd-radius", "random-element-radius", "finite-pd-set"])
 def test_radius_past_the_compression_budget_fails_before_building_its_ball(tmp_path, capsys, experiment, system):
     start = time.perf_counter()
     assert run_cli(tmp_path, base_config(tmp_path, experiment, system=system)) == 1
@@ -311,6 +313,30 @@ def test_experiment_reports_match_the_benchmark_reference():
     reference = json.loads((root / "perfbench" / "reference.json").read_text())["report_sha256"]
     assert len(reference) == 11
     assert json.loads(proc.stdout) == {name: [0, digest] for name, digest in reference.items()}
+
+
+def test_every_benchmark_experiment_compression_is_at_or_below_the_dense_cutoff(monkeypatch):
+    # the eleven digests above hold only while every singular value they
+    # take stays on the dense SVD path
+    import importlib.util
+
+    import crossfourier.crossed as crossed
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    dims = []
+    original = crossed._top_singular
+
+    def spy(matrix, vectors):
+        dims.append(matrix.shape[0])
+        return original(matrix, vectors)
+
+    monkeypatch.setattr(crossed, "_top_singular", spy)
+    for config in workloads.EXPERIMENT_CONFIGS.values():
+        assert run_config(json.loads(json.dumps(config)))[0] == 0
+    assert dims and max(dims) <= crossed._DENSE_SVD_LIMIT
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")

@@ -21,12 +21,14 @@ import pytest
 import scipy.sparse
 
 from families import DIMS, FAMILIES, make_system
-from crossfourier.algebra import AutomorphismStack, BlockAlgebra, stack_blocks
+from crossfourier.algebra import AlgAutomorphism, AutomorphismStack, BlockAlgebra, stack_blocks
 from crossfourier.crossed import CcElement, compression_matrix, random_cc
 from crossfourier.groups import (
     Zd, ball, default_length, one_norm, squared_two_norm, two_norm, word_length,
 )
-from crossfourier.system import section_cocycle_system, sl2z_extension, theta_cocycle, theta_system
+from crossfourier.system import (
+    TwistedSystem, generator_action, section_cocycle_system, sl2z_extension, theta_cocycle, theta_system,
+)
 
 
 def loop_compression(f, R, length):
@@ -124,6 +126,21 @@ def test_coded_compression_is_the_loop_on_zd_lengths(d, make_length):
     extra = [(1,) + (-1,) * (d - 1), (2,) + (-2,) * (d - 1), (-3,) + (1,) * (d - 1), (9,) * d]
     f = element(system, extra, seed=d)
     for R in (0, 1, 1.5, 2, 2.5, 3, 4):
+        assert_cold_and_warm(f, R, length)
+
+
+def test_coded_compression_is_the_loop_on_the_rotation_system():
+    # Z acting on M2 + C by powers of a rotation, with a cocycle rule that
+    # returns the (shared) unit for every key
+    A = BlockAlgebra([2, 1])
+    phi = np.pi / 7
+    u = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    Z = Zd(1)
+    action = generator_action(Z, A, [AlgAutomorphism.conjugation(A, [u, np.eye(1)])])
+    system = TwistedSystem(A, Z, action, lambda g, h: A.unit(), tag="rotation")
+    f = element(system, [(7,), (-9,)])
+    length = default_length(Z)
+    for R in (0, 1, 2, 4, 20):
         assert_cold_and_warm(f, R, length)
 
 

@@ -453,16 +453,67 @@ def test_projective_system_validates_and_star_matches_adjoint():
 
 def test_largest_singular_value_dense_and_sparse_paths_agree():
     # the path graph pins the answer in closed form on both sides of the
-    # dense/Lanczos cutoff (600)
+    # dense/Lanczos cutoff (300), and twice as far out
+    import crossfourier.crossed as crossed
+
+    assert 2 * 149 + 1 <= crossed._DENSE_SVD_LIMIT < 2 * 150 + 1
     sys_ = trivial_system(BlockAlgebra([1]), Zd(1))
     A = sys_.algebra
     f = CcElement(sys_, {(1,): A.unit(), (-1,): A.unit()})
-    for R in (299, 301):  # 599 and 603 dimensions
+    for R in (149, 150, 299, 301):  # 299, 301, 599 and 603 dimensions
         comp = compression_matrix(f, R)
         want = 2 * np.cos(np.pi / (2 * R + 2))
         assert comp.largest_singular_value() == pytest.approx(want, abs=1e-8)
         v = comp.top_singular_vector()
         assert np.linalg.norm(comp.matrix @ v) / np.linalg.norm(v) == pytest.approx(want, abs=1e-8)
+
+
+def _real_and_complex_compressions():
+    """A real compression (trivial system, real coefficients) and a complex one, both past the cutoff."""
+    rng = np.random.default_rng(21)
+    F2 = trivial_system(BlockAlgebra([1]), FreeF2())
+    pool = ball(2, default_length(F2.group))
+    real = CcElement(F2, {pool[i]: F2.algebra.scalar(rng.normal()) for i in rng.choice(len(pool), 6, replace=False)})
+    Z2 = theta_system(Zd(2), "1/5")
+    cplx = random_cc(Z2, ball(2, default_length(Z2.group)), rng)
+    return compression_matrix(real, 5), compression_matrix(cplx, 13)  # 485 and 365 dimensions
+
+
+def test_lanczos_runs_in_real_arithmetic_only_on_real_compressions(monkeypatch):
+    import crossfourier.crossed as crossed
+
+    real, cplx = _real_and_complex_compressions()
+    assert not np.any(real.sparse.data.imag) and np.any(cplx.sparse.data.imag)
+    dtypes = []
+    original = scipy.sparse.linalg.svds
+
+    def spy(matrix, *args, **kwargs):
+        dtypes.append(matrix.dtype)
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", spy)
+    for comp in (real, cplx):
+        assert comp.sparse.shape[0] > crossed._DENSE_SVD_LIMIT
+        comp.largest_singular_value()
+    assert dtypes == [np.float64, np.complex128]
+
+
+def test_real_lanczos_agrees_with_complex_lanczos_on_a_real_compression():
+    real, _ = _real_and_complex_compressions()
+    n = real.sparse.shape[0]
+    v0 = np.ones(n) / np.sqrt(n)
+    complex_value = scipy.sparse.linalg.svds(real.sparse, k=1, v0=v0, return_singular_vectors=False, maxiter=5000)[0]
+    value = real.largest_singular_value()
+    assert value == pytest.approx(complex_value, rel=1e-12)
+    assert value == pytest.approx(np.linalg.svd(real.matrix, compute_uv=False)[0], rel=1e-12)
+
+
+def test_top_singular_vector_stays_complex_on_both_lanczos_paths():
+    for comp in _real_and_complex_compressions():
+        v = comp.top_singular_vector()
+        assert v.dtype == np.complex128 and v.shape == (comp.sparse.shape[0],)
+        ratio = np.linalg.norm(comp.sparse @ v) / np.linalg.norm(v)
+        assert ratio == pytest.approx(comp.largest_singular_value(), rel=1e-12)
 
 
 def _arpack_fails(monkeypatch):
@@ -476,7 +527,7 @@ def test_lanczos_non_convergence_falls_back_to_the_dense_svd(monkeypatch):
     _arpack_fails(monkeypatch)
     sys_ = trivial_system(BlockAlgebra([1]), Zd(1))
     A = sys_.algebra
-    comp = compression_matrix(CcElement(sys_, {(1,): A.unit(), (-1,): A.unit()}), 301)  # 603 > 600
+    comp = compression_matrix(CcElement(sys_, {(1,): A.unit(), (-1,): A.unit()}), 301)  # 603 > 300
     want = 2 * np.cos(np.pi / (2 * 301 + 2))
     assert comp.largest_singular_value() == pytest.approx(want, abs=1e-12)
     v = comp.top_singular_vector()

@@ -3,7 +3,7 @@ import pytest
 
 from crossfourier.algebra import BlockAlgebra, PointMap
 from crossfourier.crossed import CcElement, delta, exact_norm_finite, random_cc
-from crossfourier.groups import Cyclic, Zd, ball, one_norm
+from crossfourier.groups import Cyclic, FreeF2, Zd, ball, one_norm, word_length
 from crossfourier.modules import (
     ModuleOperator,
     ModuleVector,
@@ -21,6 +21,7 @@ from crossfourier.multipliers import (
     make_endo_multiplier,
     make_gilbert_multiplier,
     make_matrix_coeff_multiplier,
+    gram_matrix,
     multiplier_norm_probe,
     pd_check,
     scalar_multiplier,
@@ -94,6 +95,35 @@ def test_pd_check_rejects_non_hermitian():
     Z = Zd(1)
     with pytest.raises(ValueError, match="Hermitian"):
         pd_check(lambda g: 1.0 if g[0] >= 0 else 0.5, [(k,) for k in range(-2, 3)], Z)
+
+
+def _loop_gram(phi, S, group):
+    """The per-entry fill: one phi call per Gram entry."""
+    gram = np.empty((len(S), len(S)), dtype=complex)
+    for i, gi in enumerate(S):
+        for j, gj in enumerate(S):
+            gram[i, j] = complex(phi(group.mul(group.inv(gi), gj)))
+    return gram
+
+
+@pytest.mark.parametrize("group, S, phi", [
+    (Zd(2), list(ball(3, one_norm(Zd(2)))), lambda g: max(0.0, 1 - (abs(g[0]) + abs(g[1])) / 4)),
+    (FreeF2(), list(ball(2, word_length(FreeF2()))), lambda g: 0.5 ** len(g) * (1j if len(g) == 1 else 1)),
+    (Cyclic(12), list(range(12)), lambda g: complex(np.exp(2j * np.pi * g / 12)) if g % 5 else float("nan")),
+], ids=["Z2-fejer", "F2-word", "Z12-nan"])
+def test_gram_matrix_is_the_per_entry_fill_with_one_phi_call_per_distinct_point(group, S, phi):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return phi(g)
+
+    gram = gram_matrix(counted, S, group)
+    want = _loop_gram(phi, S, group)
+    assert gram.dtype == want.dtype and gram.shape == want.shape
+    assert gram.tobytes() == want.tobytes()
+    distinct = {group.mul(group.inv(gi), gj) for gi in S for gj in S}
+    assert len(calls) == len(set(calls)) == len(distinct)
 
 
 def test_pd_check_detects_non_pd():
