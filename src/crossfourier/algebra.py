@@ -13,7 +13,7 @@ finite-dimensional C*-algebra, so nothing is lost by this representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -165,64 +165,6 @@ def sum_from_zero(terms: np.ndarray, axis: int = 0) -> np.ndarray:
     """zero + t_0 + t_1 + ... along `axis`, left to right as AlgElement sums run."""
     zero = np.zeros(terms.shape[:axis] + (1,) + terms.shape[axis + 1:], dtype=terms.dtype)
     return np.add.accumulate(np.concatenate([zero, terms], axis=axis), axis=axis).take(-1, axis=axis)
-
-
-class Numbering:
-    """Distinct hashable items numbered in first-seen order."""
-
-    def __init__(self):
-        self.number: dict = {}
-        self.items: list = []
-
-    def __call__(self, item) -> int:
-        n = self.number.get(item)
-        if n is None:
-            n = self.number[item] = len(self.items)
-            self.items.append(item)
-        return n
-
-    def many(self, items: Sequence) -> np.ndarray:
-        if self.items:
-            try:
-                return np.fromiter(map(self.number.__getitem__, items), dtype=np.int64, count=len(items))
-            except KeyError:  # number the new items first
-                pass
-        new = [item for item in dict.fromkeys(items) if item not in self.number]
-        self.number.update(zip(new, range(len(self.items), len(self.items) + len(new))))
-        self.items += new
-        return np.fromiter(map(self.number.__getitem__, items), dtype=np.int64, count=len(items))
-
-
-class Interner:
-    """Values looked up once per distinct int64 key, each call's new keys in increasing order."""
-
-    def __init__(self, lookup: Callable[[int], object]):
-        self.lookup = lookup
-        self.keys = np.empty(0, dtype=np.int64)  # sorted
-        self.key_rows = np.empty(0, dtype=np.int64)
-        self.values: list = []
-        self.taken = 0
-
-    def rows(self, codes: np.ndarray) -> np.ndarray:
-        """Rows in `values` of the keys `codes`, of the same shape."""
-        distinct, inverse = np.unique(codes, return_inverse=True)
-        at = np.searchsorted(self.keys, distinct)
-        found = at < len(self.keys)
-        found[found] = self.keys[at[found]] == distinct[found]
-        new = distinct[~found]
-        if len(new):
-            rows = np.arange(len(self.values), len(self.values) + len(new))
-            self.values += [self.lookup(c) for c in new.tolist()]
-            keys = np.concatenate([self.keys, new])
-            order = np.argsort(keys)
-            self.keys, self.key_rows = keys[order], np.concatenate([self.key_rows, rows])[order]
-            at = np.searchsorted(self.keys, distinct)
-        return self.key_rows[at][inverse].reshape(codes.shape)
-
-    def fresh(self) -> list:
-        """The values looked up since the last call."""
-        out, self.taken = self.values[self.taken:], len(self.values)
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,22 +351,26 @@ class AutomorphismStack:
     def __init__(self, autos: Sequence[AlgAutomorphism]):
         self.perms = np.array([a.perm for a in autos])
         self.unitaries = [np.stack(col) for col in zip(*(a.unitaries for a in autos))]
+        self._permutes = bool((self.perms != np.arange(self.perms.shape[-1])).any())
 
     def extend(self, autos: Sequence[AlgAutomorphism]):
         """Append more automorphisms after the present rows."""
         more = AutomorphismStack(autos)
         self.perms = np.concatenate([self.perms, more.perms])
         self.unitaries = [np.concatenate(p) for p in zip(self.unitaries, more.unitaries)]
+        self._permutes = self._permutes or more._permutes
 
     def apply(self, which: np.ndarray, blocks: Sequence[np.ndarray]) -> list:
-        perms = self.perms[which]
+        perms = self.perms[which] if self._permutes else None
         out = []
         for k, table in enumerate(self.unitaries):
-            x = np.empty_like(blocks[k])
-            for j, b in enumerate(blocks):
-                if b.shape[1:] == x.shape[1:]:
-                    chosen = perms[:, k] == j
-                    x[chosen] = b[chosen]
+            x = blocks[k]  # every row keeps its own block k unless some automorphism permutes
+            if perms is not None:
+                x = np.empty_like(blocks[k])
+                for j, b in enumerate(blocks):
+                    if b.shape[1:] == x.shape[1:]:
+                        chosen = perms[:, k] == j
+                        x[chosen] = b[chosen]
             u = table[which]
             out.append(np.matmul(np.matmul(u, x), u.conj().transpose(0, 2, 1)))
         return out

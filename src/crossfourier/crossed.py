@@ -7,16 +7,16 @@ u_g a = action(g)(a) u_g and u_g u_h = cocycle(g, h) u_{gh}:
     (f1 * f2)(k) = sum_g f1(g) . action(g)(f2(g^{-1}k)) . cocycle(g, g^{-1}k)
     f*(h)        = action(h)( cocycle(h^{-1}, h)* . f(h^{-1})* )
 
-An element is stored packed: its support points in insertion order, a
-{g: row} index and one read-only (n, d_j, d_j) complex array per algebra
-block j, row i holding the coefficient at the i-th point.  The product is
-one batched pair kernel (pair_sum): the pairs (g, h) are enumerated g-major,
-f1(g) and f2(h) gathered, the actions applied through one AutomorphismStack
-(skipped when every automorphism is exactly the identity) and the cocycles
-stacked once per distinct value, then each term is formed by batched
-matmuls and added to its product point in pair order.  The involution, sums,
-scalar multiples and norms are array operations.  Every result is bit for
-bit the per-coefficient AlgElement arithmetic in the same order.
+An element is stored packed: its support points in insertion order, their
+codes in the system's coded group, a {g: row} index and one read-only
+(n, d_j, d_j) complex array per algebra block j, row i the coefficient at
+the i-th point.  The product is one batched pair kernel on codes
+(pair_sum): the pairs (g, h), g-major, are multiplied as one code array,
+their products numbered in first-seen order, the coefficients, cocycles and
+actions gathered from the system's tables, each term formed by batched
+matmuls and added to its product in pair order; only the distinct products
+are decoded into group elements.  Every result is bit for bit the
+per-coefficient AlgElement arithmetic in the same order.
 
 Operator norms are bounded from below by compressing the regular
 representation to a ball and from above by the l1 norm.  The compression
@@ -26,21 +26,15 @@ realizing each entry in the defining representation of A gives a complex
 matrix whose largest singular value is the compressed norm.  On finite
 groups the full-radius compression is the exact reduced norm.
 
-The compression is assembled in one pass on integer codes from a
-CompressionPlan, which the system keeps per (radius, length tag) for as
-long as it lives.  The plan owns the ball, which numbers its points and
-translates itself by a support point g into the row of every g h
-(Ball.translate), and one stack of the inverse actions of the ball points.
-Per support point g it keeps the rows g contributes to, their columns h and
-the stacked cocycle values cocycle(g, h), each looked up once per plan.
-Compressing f gathers the pieces of supp f, forms a . cocycle by one
-batched matmul per block and applies the inverse actions, so every element
-compressed at one radius reuses the ball, translations, cocycles and
-actions of the ones before it.  The result is stored as a CSR matrix
-(CompressedRep.sparse); CompressedRep.matrix is the dense array, built on
-demand.  Singular values densify only up to the dense SVD cutoff (300) and
-run Lanczos on the CSR above it, in real arithmetic when the compression is
-real.
+The compression is assembled in one pass from a CompressionPlan, kept by
+the system per (radius, length tag): the ball, which translates itself by
+a support point g into the row of every g h (Ball.translate), the inverse
+actions of its points, and per support point g the rows, columns and
+cocycle rows of its entries.  Every element compressed at one radius
+reuses what the ones before it built.  The result is a CSR matrix
+(CompressedRep.sparse; .matrix is the dense array, built on demand).
+Singular values densify only up to the dense SVD cutoff (300) and run
+Lanczos on the CSR above it, in real arithmetic on a real compression.
 """
 
 from __future__ import annotations
@@ -55,10 +49,8 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .algebra import (
-    AlgElement, AutomorphismStack, Numbering, adjoints, stack_blocks, stacked_norms, sum_from_zero,
-)
-from .groups import LengthFunction, ball, ball_size, default_length, word_length
+from .algebra import AlgElement, AutomorphismStack, adjoints, stack_blocks, stacked_norms, sum_from_zero
+from .groups import LengthFunction, Numbering, ball, ball_size, default_length, word_length
 from .system import TwistedSystem
 
 SUPPORT_TOL = 1e-14
@@ -77,12 +69,13 @@ _DEFAULT_DENSE_BYTES = 1 << 30
 class CcElement:
     """Finitely supported function G -> A over a twisted system.
 
-    Stored packed: the support points in insertion order, a {g: row} index
-    and one read-only (n, d_j, d_j) array per algebra block j whose row i is
-    the coefficient at points[i]; all arithmetic runs on these arrays.  An
-    element built from a mapping keeps the given AlgElements and stacks them
-    on first use; one built by arithmetic makes its row AlgElements (views
-    of the stack) on first use.  A value of norm < 1e-14 is never stored, so
+    Stored packed: the support points in insertion order, their codes, a
+    {g: row} index and one read-only (n, d_j, d_j) array per algebra block j
+    whose row i is the coefficient at points[i]; all arithmetic runs on these
+    arrays.  An element built from a mapping keeps the given AlgElements,
+    stacks them and encodes its points on first use; one built by arithmetic
+    comes with its codes and makes its row AlgElements (views of the stack)
+    on first use.  A value of norm < 1e-14 is never stored, so
     the support is canonical; one whose norm is NaN is kept, so overflow
     propagates instead of vanishing.  Instances are immutable; arithmetic
     returns new elements.
@@ -100,10 +93,12 @@ class CcElement:
                 norms.append(norm)
         self._store(system, points, norms, coefficients=values)
 
-    def _store(self, system, points: list, norms: list, blocks: list | None = None, coefficients: list | None = None):
+    def _store(self, system, points: list, norms: list, blocks: list | None = None, coefficients: list | None = None,
+               codes: np.ndarray | None = None):
         """Set the state; at least one of blocks (read-only) and coefficients is given when points are."""
         self.system = system
         self._points = points
+        self._code_array = codes            # or None until _codes encodes the points
         self._rows = {g: i for i, g in enumerate(points)}
         self._norms = norms                 # AlgElement.norm of each row
         self._stack = blocks                # or None until _blocks stacks the coefficients
@@ -123,6 +118,12 @@ class CcElement:
             for x in self._stack:
                 x.flags.writeable = False
         return self._stack
+
+    def _codes(self) -> np.ndarray:
+        """The code of each point in the system's coded group."""
+        if self._code_array is None:
+            self._code_array = self.system.coded.encode(self._points)
+        return self._code_array
 
     def _sorted_rows(self) -> list:
         if self._order is None:
@@ -179,13 +180,16 @@ class CcElement:
             i, j = (list(r) for r in zip(*shared))
             for z, x, y in zip(blocks, self._blocks, other._blocks):
                 z[i] = x[i] + y[j]
-        return _packed(self.system, self._points + [other._points[j] for j in new], blocks)
+        codes = None
+        if self._code_array is not None and other._code_array is not None:
+            codes = np.concatenate([self._code_array, other._code_array[new]])
+        return _packed(self.system, self._points + [other._points[j] for j in new], blocks, codes)
 
     def __sub__(self, other: "CcElement") -> "CcElement":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "CcElement":
-        return _packed(self.system, self._points, [scalar * x for x in self._blocks])
+        return _packed(self.system, self._points, [scalar * x for x in self._blocks], self._code_array)
 
     # -- twisted product and involution ------------------------------------------
 
@@ -196,11 +200,12 @@ class CcElement:
         return pair_sum(self, other, _product_terms)
 
     def star(self) -> "CcElement":
-        sys_, grp = self.system, self.system.group
-        inverses = [grp.inv(g) for g in self._points]
-        sigma = _cocycles(sys_, zip(self._points, inverses))
+        sys_, codes = self.system, self._codes()
+        inverses = sys_.coded.inv(codes)
+        sigma = sys_.cocycle_blocks(sys_.cocycle_rows(codes, inverses))
         x = [np.matmul(adjoints(s), adjoints(a)) for s, a in zip(sigma, self._blocks)]
-        return _packed(sys_, inverses, act_rows(sys_, inverses, np.arange(len(inverses)), x))
+        acted = sys_.act_rows(inverses, np.arange(len(inverses)), x)
+        return _packed(sys_, sys_.coded.decode(inverses), acted, inverses)
 
     # -- norms ---------------------------------------------------------------------
 
@@ -213,7 +218,7 @@ class CcElement:
     def gram(self) -> AlgElement:
         """sum_g action(g)^{-1}(f(g)* f(g)), the module inner product <f, f>."""
         x = [np.matmul(adjoints(a), a) for a in self._blocks]
-        acted = act_rows(self.system, self._points, np.arange(len(self)), x, inverse=True)
+        acted = self.system.act_rows(self._codes(), np.arange(len(self)), x, inverse=True)
         return self.system.algebra.element([sum_from_zero(y) for y in acted])
 
     def module_norm(self) -> float:
@@ -250,8 +255,9 @@ class CcElement:
         return _packed(self.system, self._points, [w[:, None, None] * x for x in self._blocks]).module_norm()
 
 
-def _packed(system: TwistedSystem, points: list, blocks: list) -> CcElement:
-    """The element with row i of `blocks` at points[i] (distinct, canonical), rows of norm < 1e-14 dropped."""
+def _packed(system: TwistedSystem, points: list, blocks: list, codes: np.ndarray | None = None) -> CcElement:
+    """The element with row i of `blocks` at points[i] (distinct, canonical, coded codes[i] if given),
+    rows of norm < 1e-14 dropped."""
     out = CcElement.__new__(CcElement)
     if not points:
         out._store(system, [], [])
@@ -262,34 +268,11 @@ def _packed(system: TwistedSystem, points: list, blocks: list) -> CcElement:
         points = list(itertools.compress(points, keep.tolist()))
         blocks = [b[keep] for b in blocks]
         norms = norms[keep]
+        codes = None if codes is None else codes[keep]
     for b in blocks:
         b.flags.writeable = False
-    out._store(system, points, norms.tolist(), blocks=blocks)
+    out._store(system, points, norms.tolist(), blocks=blocks, codes=codes)
     return out
-
-
-def _cocycles(system: TwistedSystem, keys: Iterable) -> list:
-    """cocycle(g, h) for each (g, h) in keys, stacked; each distinct value stacked once."""
-    values = Numbering()
-    rows = values.many([system.cocycle(g, h) for g, h in keys])
-    if not values.items:
-        return [np.empty((0, d, d), dtype=complex) for d in system.algebra.dims]
-    return [b[rows] for b in stack_blocks(values.items)]
-
-
-def act_rows(system: TwistedSystem, points: list, which: np.ndarray, blocks: list, inverse: bool = False) -> list:
-    """action(points[which[i]]), or its inverse automorphism, applied to row i of blocks.
-
-    Rows are bit for bit AlgAutomorphism.__call__ (AutomorphismStack).  When
-    every automorphism is exactly the identity the blocks are returned as
-    they are, which can differ from applying it only in the sign of a zero.
-    """
-    autos = [system.action(g) for g in points]
-    if all(a.exact_identity for a in autos):
-        return blocks
-    if inverse:
-        autos = [a.inverse() for a in autos]
-    return AutomorphismStack(autos).apply(which, blocks)
 
 
 class Pairs(NamedTuple):
@@ -299,10 +282,10 @@ class Pairs(NamedTuple):
     a: list             # f1(g), one stacked array per block
     b: list             # f2(h)
     sigma: list         # cocycle(g, h)
-    left_points: list   # the support of f1 in pair order ...
-    left: np.ndarray    # ... and each pair's g as an index into it
-    points: list        # the products gh in first-seen order ...
-    at: np.ndarray      # ... and each pair's gh as an index into it
+    left_codes: np.ndarray  # the codes of supp f1 in pair order ...
+    left: np.ndarray    # ... and each pair's g as an index into them
+    codes: np.ndarray   # the codes of the products gh in first-seen order ...
+    at: np.ndarray      # ... and each pair's gh as an index into them
 
 
 def pair_sum(f1: CcElement, f2: CcElement, terms: Callable[[Pairs], list], support_order: bool = False) -> CcElement:
@@ -312,24 +295,28 @@ def pair_sum(f1: CcElement, f2: CcElement, terms: Callable[[Pairs], list], suppo
     order, or in support order when asked.  The terms at each point are
     added in pair order starting from the first, as out[k] = out[k] + term
     adds them (np.add.at adds in index order); the points of the result are
-    the products in first-seen order.
+    the products in first-seen order.  f2 may live over another system on
+    an equal group; its points are then coded in f1's.
     """
-    system = f1.system
+    system, coded = f1.system, f1.system.coded
     if not len(f1) or not len(f2):
         return _packed(system, [], [])
-    rows1 = f1._sorted_rows() if support_order else list(range(len(f1)))
-    rows2 = f2._sorted_rows() if support_order else list(range(len(f2)))
-    gs = [f1._points[i] for i in rows1]
-    hs = [f2._points[i] for i in rows2]
-    mul = system.group.mul
+    left, right = np.divmod(np.arange(len(f1) * len(f2)), len(f2))
+    codes1, codes2 = f1._codes(), f2._codes()
+    if f2.system.coded is not coded:  # f2 over another group object (regular_apply)
+        codes2 = coded.encode(f2._points)
+    rows_a, rows_b = left, right
+    if support_order:
+        rows1, rows2 = np.array(f1._sorted_rows()), np.array(f2._sorted_rows())
+        codes1, codes2, rows_a, rows_b = codes1[rows1], codes2[rows2], rows1[left], rows2[right]
+    g, h = codes1[left], codes2[right]
     products = Numbering()
-    at = products.many([mul(g, h) for g in gs for h in hs])
-    left = np.repeat(np.arange(len(gs)), len(hs))
-    rows_a, rows_b = np.array(rows1)[left], np.array(rows2 * len(gs))
+    at = products.many(coded.mul(g, h))
+    codes = np.array(products.items, dtype=np.int64)
     a = [x[rows_a] for x in f1._blocks]
     b = [x[rows_b] for x in f2._blocks]
-    sigma = _cocycles(system, itertools.product(gs, hs))
-    summands = terms(Pairs(system, a, b, sigma, gs, left, products.items, at))
+    sigma = system.cocycle_blocks(system.cocycle_rows(g, h))
+    summands = terms(Pairs(system, a, b, sigma, codes1, left, codes, at))
     # products are numbered as first seen, so a pair is its product's first
     # exactly when its number passes every earlier one; that pair starts the
     # sum and the others are added in order
@@ -339,12 +326,12 @@ def pair_sum(f1: CcElement, f2: CcElement, terms: Callable[[Pairs], list], suppo
     sums = [t[first] for t in summands]
     for s, t in zip(sums, summands):
         np.add.at(s, at[later], t[later])
-    return _packed(system, products.items, sums)
+    return _packed(system, coded.decode(codes), sums, codes)
 
 
 def _product_terms(pairs: Pairs) -> list:
     """f1(g) . action(g)(f2(h)) . cocycle(g, h) for each pair."""
-    acted = act_rows(pairs.system, pairs.left_points, pairs.left, pairs.b)
+    acted = pairs.system.act_rows(pairs.left_codes, pairs.left, pairs.b)
     return [np.matmul(np.matmul(x, y), s) for x, y, s in zip(pairs.a, acted, pairs.sigma)]
 
 
@@ -447,12 +434,12 @@ class CompressedRep:
 class CompressionPlan:
     """What compressing to ball(R) of one system under one length shares between elements.
 
-    The plan owns the ball and builds, on first use, one AutomorphismStack of
-    the inverse actions of the ball points.  For each support point g it
-    keeps, built on g's first use, the rows of the entries g contributes
-    (the positions of g h, Ball.translate), their columns h and the stacked
-    cocycle values cocycle(g, h), each looked up through the system's cache
-    once per plan.  compression_matrix keeps one plan per (float R, length
+    The plan owns the ball and builds, on first use, the codes of the ball
+    points and one AutomorphismStack of their inverse actions.  For each
+    support point g it keeps, built on g's first use, the rows of the
+    entries g contributes (the positions of g h, Ball.translate), their
+    columns h and the rows of cocycle(g, h) in the system's cocycle table
+    (TwistedSystem.cocycle_rows).  compression_matrix keeps one plan per (float R, length
     tag) on the system, so a plan lives exactly as long as its system.  The
     plan holds no reference back to the system: without that cycle, a
     dropped system and its plans are freed at once by reference counting,
@@ -464,16 +451,18 @@ class CompressionPlan:
         if not self.ball:
             raise ValueError("empty ball")
         self.index = tuple(self.ball)
-        self._inverses = None
-        self._pieces: dict = {}  # g -> (rows, columns, cocycle blocks)
+        self._codes = self._inverses = None
+        self._pieces: dict = {}  # code of g -> (rows, columns, cocycle rows)
 
-    def _piece(self, system: TwistedSystem, g) -> tuple:
-        piece = self._pieces.get(g)
+    def _piece(self, system: TwistedSystem, code: int, g) -> tuple:
+        piece = self._pieces.get(code)
         if piece is None:
+            if self._codes is None:
+                self._codes = system.coded.encode(self.ball)
             targets = self.ball.translate(g)
             cols = np.flatnonzero(targets >= 0)
-            sigma = _cocycles(system, zip(itertools.repeat(g), map(self.ball.__getitem__, cols.tolist())))
-            piece = self._pieces[g] = (targets[cols], cols, sigma)
+            sigma = system.cocycle_rows(np.full(len(cols), code, dtype=np.int64), self._codes[cols])
+            piece = self._pieces[code] = (targets[cols], cols, sigma)
         return piece
 
     def compress(self, f: CcElement) -> scipy.sparse.csr_matrix:
@@ -487,14 +476,14 @@ class CompressionPlan:
         system = f.system
         D = system.algebra.rep_dim
         shape = (len(self.ball) * D, len(self.ball) * D)
-        order = f._sorted_rows()
-        pieces = [self._piece(system, f._points[i]) for i in order]
+        order, codes = f._sorted_rows(), f._codes().tolist()
+        pieces = [self._piece(system, codes[i], f._points[i]) for i in order]
         counts = [len(rows) for rows, _, _ in pieces]
         if not sum(counts):
             return scipy.sparse.csr_matrix(shape, dtype=complex)
         rows = np.concatenate([p[0] for p in pieces])
         cols = np.concatenate([p[1] for p in pieces])
-        sigmas = [np.concatenate(blocks) for blocks in zip(*(p[2] for p in pieces))]
+        sigmas = system.cocycle_blocks(np.concatenate([p[2] for p in pieces]))
         if self._inverses is None:
             self._inverses = AutomorphismStack([system.action(h).inverse() for h in self.ball])
         # a . cocycle per source block, one matmul over all contributions

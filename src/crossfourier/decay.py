@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import state_norm
 from .crossed import (
-    CcElement, Pairs, act_rows, compression_matrix, default_radii, delta, opnorm_bounds, pair_sum, random_cc,
+    CcElement, Pairs, compression_matrix, default_radii, delta, opnorm_bounds, pair_sum, random_cc,
     random_cc_in,
 )
 from .groups import (
@@ -170,15 +170,19 @@ def _zd_inv_l2_bracket(w: Weight) -> tuple[float, float]:
     """Exact sum over the 1-norm ball(M) plus a shell-by-shell tail bound past M.
 
     M doubles from 32 until the tail is below 1e-3 of the sum, M reaches 4096,
-    or the next ball would pass _BRACKET_POINTS.
+    or the next ball would pass _BRACKET_POINTS.  ball(M/2) is a prefix of
+    ball(M), so each doubling adds the new points to the running sum, in the
+    order and with the bits of a sum over all of ball(M).
     """
     d = w.length.group.d
     L1 = one_norm(w.length.group)
     M = 32
     while M > 1 and ball_size(M, L1) > _BRACKET_POINTS:
         M //= 2
+    partial, done = 0, 0
     while True:
-        partial = sum(w.inv_sq(g) for g in ball(M, L1))
+        points = ball(M, L1)
+        partial, done = sum(map(w.inv_sq, points[done:]), partial), len(points)
         if w.tag == "power":
             # per-shell bounds const (1 + m)^{d-1-expo} decrease in m: compare with the integral
             expo, const = _power_tail(w.length, w.param)
@@ -373,7 +377,7 @@ def regular_apply(f: CcElement, xi: CcElement) -> CcElement:
 def _regular_terms(pairs: Pairs) -> list:
     """action(gh)^{-1}(f(g) cocycle(g, h)) xi(h) for each pair."""
     y = [np.matmul(a, s) for a, s in zip(pairs.a, pairs.sigma)]
-    acted = act_rows(pairs.system, pairs.points, pairs.at, y, inverse=True)
+    acted = pairs.system.act_rows(pairs.codes, pairs.at, y, inverse=True)
     return [np.matmul(u, x) for u, x in zip(acted, pairs.b)]
 
 

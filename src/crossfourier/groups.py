@@ -9,6 +9,12 @@ Each family also ships the length functions and (where they exist) the
 Folner sequences used by the truncation and summation machinery.  A ball
 numbers its points in ball order and left-translates itself by any group
 element as an int64 array of those numbers (Ball.translate).
+
+A CodedGroup (coded_group) gives elements int64 codes and multiplies and
+inverts whole code arrays: Z^d adds coordinate codes near 0; finite groups
+up to order 1024 gather products from a multiplication table that group.mul
+fills as pairs appear; the free families, larger groups and points far out
+in Z^d are numbered as they appear and multiplied through group.mul.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -503,6 +510,218 @@ class FreeProductZ2Z3(Group):
         return [self._SYLLABLE_POWER[x] for x in g]
 
 
+# -- coded elements -----------------------------------------------------------
+
+
+class Numbering:
+    """Distinct hashable items numbered in first-seen order.
+
+    many() takes a list, or an int64 array, which past 256 keys is numbered
+    through its distinct values (np.unique).
+    """
+
+    def __init__(self):
+        self.number: dict = {}
+        self.items: list = []
+
+    def many(self, items) -> np.ndarray:
+        if isinstance(items, np.ndarray):
+            if len(items) > 256:
+                distinct, first, inverse = np.unique(items, return_index=True, return_inverse=True)
+                order = np.argsort(first)
+                numbers = np.empty(len(distinct), dtype=np.int64)
+                numbers[order] = self.many(distinct[order].tolist())
+                return numbers[inverse]
+            items = items.tolist()
+        if not self.items:
+            self.items += dict.fromkeys(items)
+            self.number.update(zip(self.items, range(len(self.items))))
+            return np.fromiter(map(self.number.__getitem__, items), dtype=np.int64, count=len(items))
+        try:
+            return np.fromiter(map(self.number.__getitem__, items), dtype=np.int64, count=len(items))
+        except KeyError:  # then one dict lookup per item: a new item is first
+            pass          # numbered known + its first position, then renumbered in first-seen order
+        known = len(self.items)
+        numbers = np.fromiter(map(self.number.setdefault, items, itertools.count(known)), dtype=np.int64,
+                              count=len(items))
+        fresh = list(itertools.islice(self.number, known, None))
+        new = numbers >= known
+        numbers[new] = known + np.searchsorted(np.fromiter(itertools.islice(self.number.values(), known, None),
+                                                           dtype=np.int64, count=len(fresh)), numbers[new])
+        self.number.update(zip(fresh, range(known, known + len(fresh))))
+        self.items += fresh
+        return numbers
+
+
+def first_entries(numbers: np.ndarray, known: int) -> np.ndarray:
+    """The position of the first entry of each number from `known` on, in number order."""
+    at = np.flatnonzero(numbers >= known)
+    return at[np.unique(numbers[at], return_index=True)[1]]
+
+
+# Code pairs whose products a CodedGroup keeps (and whose cocycle values a
+# system keeps, for a rule without keys): about 2 MB of tables.  A call
+# with more pairs than the room left looks them all up one by one, so a
+# long chain of large products holds no table per pair.
+PAIR_MEMO = 1 << 14
+
+
+class CodedGroup:
+    """int64 codes of group elements, with products and inverses of code arrays.
+
+    mul(a, b)[i] codes the product of the elements coded a[i] and b[i], and
+    inv(a)[i] the inverse of a[i].  This base, used by finite groups, the
+    free families and Z^d for d > 5, numbers elements as they first appear
+    and forms products and inverses through group.mul and group.inv, one
+    call per entry (the tuple path); the products of up to PAIR_MEMO
+    distinct code pairs are kept, from the calls that fit in the room left.
+    A finite group of order up to 1024 numbers its elements in the order of
+    group.elements() instead, and keeps their inverses and a dense
+    multiplication table (8 MB at order 1024) filled as pairs appear.
+    Codes are only compared and looked up, so no result depends on which
+    number an element gets.
+    """
+
+    def __init__(self, group: Group):
+        self.group = weakref.proxy(group)  # the group keeps its coded view; no cycle back
+        self._numbering, self._pairs = Numbering(), Numbering()
+        self._products = np.empty(0, dtype=np.int64)  # by pair number
+        self._table = self._residues = None
+        if group.is_finite and len(elements := group.elements()) <= 1024:
+            self.encode(elements)
+            self._inverses = self.encode(list(map(group.inv, elements)))
+            self._table = np.full((len(elements),) * 2, -1, dtype=np.int64)
+            if isinstance(group, Cyclic):
+                self._residues = np.array(elements, dtype=np.int64)
+
+    def encode(self, points: list) -> np.ndarray:
+        return self._numbering.many(points)
+
+    def decode(self, codes: np.ndarray) -> list:
+        items = self._numbering.items
+        return [items[c] for c in codes.tolist()]
+
+    def coordinates(self, codes: np.ndarray) -> np.ndarray | None:
+        """The elements as int64 coordinates small enough for a theta key
+        (residues on Z_n up to order 1024, (n, d) rows on Z^d), or None."""
+        return None if self._residues is None else self._residues[codes]
+
+    def pair_keys(self, a: np.ndarray, b: np.ndarray):
+        """One key per code pair, for Numbering.many; numbers stay below 2^31."""
+        return a << 32 | b
+
+    def _tuple_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.encode(list(map(self.group.mul, self.decode(a), self.decode(b))))
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self._table is None:
+            known = len(self._pairs.items)
+            if known + len(a) > PAIR_MEMO:
+                return self._tuple_mul(a, b)
+            pairs = self._pairs.many(self.pair_keys(a, b))
+            if len(self._pairs.items) > known:
+                at = first_entries(pairs, known)
+                self._products = np.concatenate([self._products, self._tuple_mul(a[at], b[at])])
+            return self._products[pairs]
+        out = self._table[a, b]
+        new = np.flatnonzero(out < 0)
+        if len(new):
+            out[new] = self._table[a[new], b[new]] = self._tuple_mul(a[new], b[new])
+        return out
+
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        if self._table is None:
+            return self.encode(list(map(self.group.inv, self.decode(a))))
+        return self._inverses[a]
+
+
+class ZdCodes(CodedGroup):
+    """Z^d, d <= 5: a point with every coordinate in [-R, R), R = 2^(b-3) for
+    b = min(32, 62 // d), has a linear code, coordinate g_i + 2^(b-1) as
+    digit i in base 2^b.
+
+    A linear code is K, the identity's code, plus a linear function of the
+    point, so a product of two is a + b - K (no digit carries, since each
+    coordinate sum lies in [-2R, 2R)) and an inverse 2K - a, kept when a
+    mask test finds every coordinate back in [-R, R).  Any other point is
+    numbered as it first appears and coded -1 - its number; products and
+    inverses that leave the range or meet such a point take the tuple path.
+    So every point, however large, has one code.
+    """
+
+    def __init__(self, group: "Zd"):
+        super().__init__(group)
+        self.d, bits = group.d, min(32, 62 // group.d)
+        self.range = 1 << (bits - 3)
+        self._shifts = bits * np.arange(self.d, dtype=np.int64)
+        digits = int(np.left_shift(1, self._shifts).sum())  # a 1 in every digit
+        self._half, self._mask = 1 << (bits - 1), (1 << bits) - 1
+        self._offset = self._half * digits
+        # a digit g_i + 2^(b-1) + R, for g_i in [-2R, 2R), has top bits 10 iff g_i is in [-R, R)
+        self._lift, self._top = self.range * digits, (3 << (bits - 2)) * digits
+
+    def encode(self, points: list) -> np.ndarray:
+        try:
+            coords = np.array(points, dtype=np.int64).reshape(-1, self.d)
+        except OverflowError:  # a coordinate past int64
+            coords = None
+        if coords is not None and ((coords + self.range).view(np.uint64) < 2 * self.range).all():
+            return (coords + self._half) @ (1 << self._shifts)
+        weights, R = (1 << self._shifts).tolist(), self.range
+
+        def code(p):
+            if all(-R <= x < R for x in p):
+                return sum((x + self._half) * w for x, w in zip(p, weights))
+            return -1 - int(self._numbering.many([p])[0])
+
+        return np.array(list(map(code, points)), dtype=np.int64)
+
+    def _linear_coordinates(self, codes: np.ndarray) -> np.ndarray:
+        return (np.right_shift(codes[:, None], self._shifts) & self._mask) - self._half
+
+    def decode(self, codes: np.ndarray) -> list:
+        out = list(map(tuple, self._linear_coordinates(codes).tolist()))
+        if self._numbering.items:
+            items = self._numbering.items
+            for i in np.flatnonzero(codes < 0).tolist():
+                out[i] = items[-1 - int(codes[i])]
+        return out
+
+    def coordinates(self, codes: np.ndarray) -> np.ndarray | None:
+        if self._numbering.items and (codes < 0).any():
+            return None
+        return self._linear_coordinates(codes)
+
+    def pair_keys(self, a: np.ndarray, b: np.ndarray):
+        return list(zip(a.tolist(), b.tolist()))
+
+    def _linear_or(self, out: np.ndarray, operands: np.ndarray, tuple_path: Callable) -> np.ndarray:
+        """out where it is a linear code made from linear codes (operands < 0 where one is not), else the tuple path."""
+        bad = ((out + self._lift) & self._top) != self._offset
+        if self._numbering.items:
+            bad |= operands < 0
+        at = np.flatnonzero(bad)
+        if len(at):
+            out[at] = tuple_path(at)
+        return out
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._linear_or(a + b - self._offset, a | b, lambda at: self._tuple_mul(a[at], b[at]))
+
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        return self._linear_or(2 * self._offset - a, a, lambda at: CodedGroup.inv(self, a[at]))
+
+
+def coded_group(group: Group) -> CodedGroup:
+    """The coded view of the group, made on first use and kept on it, so the
+    systems and balls over one group share its tables: ZdCodes on Z^d up to
+    d = 5, the numbered CodedGroup otherwise."""
+    coded = group.__dict__.get("_coded")
+    if coded is None:
+        coded = group._coded = ZdCodes(group) if isinstance(group, Zd) and group.d <= 5 else CodedGroup(group)
+    return coded
+
+
 # -- length functions ---------------------------------------------------------
 
 
@@ -578,13 +797,13 @@ class Ball(list):
 
     translate(g) is the int64 array whose entry i is the position of
     g * self[i], or -1 where that product lies outside the ball.  A call is
-    O(|ball|) array work (per letter of g on the free families), and no
-    table larger than the ball is kept:
-      Z^d: the coordinates are added and the linearized codes looked up;
+    O(|ball|) array work (per letter of g on the free families):
       F2 and Z2 * Z3: one left-multiplication table per letter, applied right
         to left along the normal form of g (a product along a reduced word
         never comes back into the ball once it has left it);
-      finite groups: |ball| products.
+      other groups: the codes of the products g h in the group's coded view
+        (coded_group, whose tables the systems over the group share),
+        looked up among the points' codes.
     What translate needs is built on its first call.
     """
 
@@ -597,12 +816,10 @@ class Ball(list):
 
     def translate(self, g: Elt) -> np.ndarray:
         if self._translate is None:
-            if isinstance(self.group, Zd):
-                self._translate = _zd_translate(self, self.group.d)
-            elif self._first is not None:
+            if self._first is not None:
                 self._translate = _free_translate(self.group, self._first, self._tail)
             else:
-                self._translate = _finite_translate(self.group, self)
+                self._translate = _coded_translate(self.group, self)
         return self._translate(g)
 
 
@@ -695,38 +912,27 @@ def _free_translate(group: Group, first: list, tail: list) -> Callable:
     return translate
 
 
-def _zd_translate(points: list, d: int) -> Callable:
-    """Left translation of a Z^d ball: coordinate sums looked up by their codes.
+def _coded_translate(group: Group, points: list) -> Callable:
+    """Left translation through the coded group: the codes of g h, found among the sorted codes of the points.
 
-    A point is coded by its coordinates shifted into [0, 2r] for the largest
-    coordinate r of the ball, read in base 2r + 1; a sum is in the ball iff
-    every coordinate lies in [-r, r] and its code is a point's code.
+    An element has one code, so equal codes are equal points.  On Z^d, with
+    r the ball's largest coordinate, a g past 2r in some coordinate moves
+    no point into the ball and is answered without products.
     """
-    n = len(points)
-    coords = np.array(points, dtype=np.int64).reshape(n, d)
-    r = int(np.abs(coords).max())
-    weights = (2 * r + 1) ** np.arange(d, dtype=np.int64)
-    codes = (coords + r) @ weights
+    coded, n = coded_group(group), len(points)
+    codes = coded.encode(points)
     order = np.argsort(codes)
-    codes = codes[order]
+    ordered = codes[order]
+    r = int(np.abs(np.array(points)).max()) if isinstance(group, Zd) else math.inf
 
     def translate(g):
-        if max(map(abs, g)) > 2 * r:  # no sum reaches the ball
+        if r < math.inf and max(map(abs, g)) > 2 * r:
             return np.full(n, -1, dtype=np.int64)
-        y = coords + np.array(g, dtype=np.int64)
-        c = (y + r) @ weights
-        at = np.minimum(np.searchsorted(codes, c), n - 1)
-        found = (np.abs(y) <= r).all(axis=1) & (codes[at] == c)
-        return np.where(found, order[at], -1)
+        c = coded.mul(np.repeat(coded.encode([g]), n), codes)
+        at = np.minimum(np.searchsorted(ordered, c), n - 1)
+        return np.where(ordered[at] == c, order[at], -1)
 
     return translate
-
-
-def _finite_translate(group: Group, points: list) -> Callable:
-    """Left translation of a finite-group ball, one product per point."""
-    pos = {h: i for i, h in enumerate(points)}
-    mul, n = group.mul, len(points)
-    return lambda g: np.fromiter((pos.get(mul(g, h), -1) for h in points), dtype=np.int64, count=n)
 
 
 def ball_size(R: float, length: LengthFunction) -> int:

@@ -23,9 +23,9 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .algebra import ALG_TOL, AlgElement, Numbering
+from .algebra import ALG_TOL, AlgElement
 from .crossed import CcElement, cc_unit, default_radii, opnorm_bounds, random_cc_in
-from .groups import ball, default_length
+from .groups import Numbering, ball, coded_group, default_length
 from .modules import EquivariantRep, ModuleVector
 from .system import TwistedSystem
 
@@ -98,18 +98,37 @@ def right_multiplier(system: TwistedSystem, psi: Callable, bound: float | None =
 # -- positive definiteness ------------------------------------------------------
 
 
+# Entries per step of the Gram fill and of the in-place checks of pd_check,
+# which bounds their temporaries whatever the size of S.
+_GRAM_CHUNK = 1 << 15
+
+
 def gram_matrix(phi: Callable, S: list, group) -> np.ndarray:
     """[phi(g_i^{-1} g_j)] over the points g_i of S, as a complex array.
 
-    phi is evaluated once per distinct g_i^{-1} g_j, in first-seen row-major
-    order, and its values are scattered into the matrix.
+    The entries g_i^{-1} g_j are formed on codes (groups.coded_group) a
+    block of rows at a time.  phi is evaluated once per distinct
+    g_i^{-1} g_j, in first-seen row-major order, and its values scattered
+    into the matrix.
     """
     n = len(S)
-    keys = Numbering()
-    codes = np.empty((n, n), dtype=np.int64)
-    for i, hi in enumerate(map(group.inv, S)):
-        codes[i] = keys.many([group.mul(hi, gj) for gj in S])
-    return np.array([complex(phi(k)) for k in keys.items], dtype=complex)[codes]
+    coded = coded_group(group)
+    codes = coded.encode(S)
+    inverses = coded.inv(codes)
+    keys, values = Numbering(), np.empty(0, dtype=complex)
+    gram = np.empty((n, n), dtype=complex)
+    step = max(1, _GRAM_CHUNK // n)
+    for lo in range(0, n, step):
+        rows = inverses[lo:lo + step]
+        known = len(keys.items)
+        at = keys.many(coded.mul(np.repeat(rows, n), np.tile(codes, len(rows))))
+        if len(keys.items) > known:
+            if len(keys.items) > len(values):  # grow by doubling
+                values = np.concatenate([values, np.empty(max(len(values), len(keys.items)), dtype=complex)])
+            fresh = coded.decode(np.array(keys.items[known:], dtype=np.int64))
+            values[known:len(keys.items)] = [complex(phi(k)) for k in fresh]
+        gram[lo:lo + step] = values[at].reshape(len(rows), n)
+    return gram
 
 
 def pd_check(phi: Callable, S: Iterable, group) -> tuple[bool, float]:
@@ -117,15 +136,26 @@ def pd_check(phi: Callable, S: Iterable, group) -> tuple[bool, float]:
 
     Raises if the Gram matrix is not Hermitian to 1e-10 (which signals
     phi(g^{-1}) != conj(phi(g))); otherwise returns (pd flag, min eigenvalue)
-    with pd meaning min eigenvalue >= -1e-10.
+    with pd meaning min eigenvalue >= -1e-10.  The eigenvalues are those of
+    (G + G^*) / 2; eigvalsh reads only its lower triangle, which is formed
+    in place, so neither check holds a second n x n array.
     """
     S = list(S)
     if not S:
         raise ValueError("subset must be nonempty")
     gram = gram_matrix(phi, S, group)
-    if np.max(np.abs(gram - gram.conj().T)) > ALG_TOL:
+    n = len(S)
+    step = max(1, _GRAM_CHUNK // n)
+    # a NaN anywhere makes the maximum NaN, as one np.max over the matrix does
+    defect = np.max([np.max(np.abs(gram[lo:lo + step] - gram[:, lo:lo + step].conj().T)) for lo in range(0, n, step)])
+    if defect > ALG_TOL:
         raise ValueError("Gram matrix is not Hermitian: phi(g^-1) != conj(phi(g))")
-    mineig = float(np.min(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))))
+    for lo in range(0, n, step):
+        # entries (i, j), j <= i, of rows lo..hi-1; they read only entries on or above the diagonal
+        hi = min(lo + step, n)
+        block = gram[lo:hi, :hi]
+        np.copyto(block, 0.5 * (block + gram[:hi, lo:hi].conj().T), where=np.tri(hi - lo, hi, lo, dtype=bool))
+    mineig = float(np.min(np.linalg.eigvalsh(gram)))
     return mineig >= -ALG_TOL, mineig
 
 

@@ -11,8 +11,16 @@ Rules are closed-form and pure; on infinite groups they are never tables.
 The shipped rules build each value they need once per system: one theta
 value per distinct B(g, h), one section lift per element, no extra compose
 with the identity along a normal form.
+
+Each system works on the coded view of its group (system.coded, kept on
+the group) and keeps, as long as it lives, the tables the batched
+arithmetic gathers from: cocycle values stacked once per key (B(g, h) for
+theta rules, 0 for the trivial rule, the code pair otherwise, for up to
+groups.PAIR_MEMO code pairs) and one AutomorphismStack of actions per
+direction, one row per code, each value looked up through cocycle() or
+action() once.
 Validation is exhaustive on finite groups up to order 64 and sampled from
-ball(3)^3 otherwise; it runs batched over stacked values (validate_system).
+ball(3)^3 otherwise; it runs batched on the same tables (validate_system).
 """
 
 from __future__ import annotations
@@ -28,14 +36,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .algebra import (
-    ALG_TOL, AlgAutomorphism, AlgElement, AutomorphismStack, BlockAlgebra, Interner, Numbering, adjoints,
-    stack_blocks, stacked_norms,
+    ALG_TOL, AlgAutomorphism, AlgElement, AutomorphismStack, BlockAlgebra, adjoints, stack_blocks, stacked_norms,
 )
-from .groups import Group, Cyclic, FreeProductZ2Z3, Zd, ball, default_length
+from .groups import (
+    PAIR_MEMO, Group, Cyclic, FreeProductZ2Z3, Numbering, Zd, ball, coded_group, default_length, first_entries,
+)
 
 
 class TwistedSystem:
-    """The quadruple (algebra, group, action, cocycle) with memoized rules."""
+    """The quadruple (algebra, group, action, cocycle) with memoized rules and coded tables."""
 
     def __init__(
         self,
@@ -53,9 +62,23 @@ class TwistedSystem:
         self._action_cache: dict = {}
         self._cocycle_cache: dict = {}
         self._compression_plans: dict = {}  # (float R, length tag) -> crossed.CompressionPlan
+        self._sigma_keys = Numbering()  # cocycle key of a rule with keys -> its number
+        self._sigma_rows = np.empty(0, dtype=np.int64)  # key number -> row of the stacked values
+        self._sigma_values = Numbering()  # id of each distinct value -> its row
+        self._sigma_kept: list = []  # the distinct values, kept so that their ids stay theirs
+        self._sigma_table = [np.empty((0, d, d), dtype=complex) for d in algebra.dims]
+        self._alpha_rows = Numbering()  # code -> row of _alphas and of the stacks
+        self._alphas: list = []
+        self._alpha_identity: dict = {}  # code -> whether its action is exactly the identity
+        self._alpha_stacks: list = [None, None]  # action, inverse
 
     def __repr__(self):
         return f"TwistedSystem({self.algebra!r}, {self.group.name}, tag={self.tag})"
+
+    @functools.cached_property
+    def coded(self):
+        """The coded view of the group (groups.coded_group), shared with its balls."""
+        return coded_group(self.group)
 
     def action(self, g) -> AlgAutomorphism:
         auto = self._action_cache.get(g)
@@ -78,6 +101,79 @@ class TwistedSystem:
     def act_inv(self, g, a: AlgElement) -> AlgElement:
         """Apply action(g)^{-1} (the inverse automorphism, not action(g^{-1}))."""
         return self.action(g).inverse()(a)
+
+    # -- the coded tables ---------------------------------------------------------
+
+    def cocycle_rows(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """The row of cocycle(g[i], h[i]) in the stacked values (cocycle_blocks), for code arrays g, h.
+
+        Values are keyed by the rule's keys(coded, g, h) where it has them
+        (theta and trivial rules), by the code pair otherwise, and looked up
+        through cocycle() once per new key, at its first pair.  Code pairs
+        are keyed up to groups.PAIR_MEMO of them; a call with more pairs than
+        the room left looks them up through cocycle() one by one, whose
+        cache keeps them.
+        Each distinct value object is stacked once.
+        """
+        keys_of = getattr(self._cocycle_rule, "keys", None)
+        known = len(self._sigma_keys.items)
+        if keys_of is None and known + len(g) > PAIR_MEMO:
+            return self._value_rows(list(map(self.cocycle, self.coded.decode(g), self.coded.decode(h))))
+        numbers = self._sigma_keys.many(keys_of(self.coded, g, h) if keys_of else self.coded.pair_keys(g, h))
+        if len(self._sigma_keys.items) > known:
+            at = first_entries(numbers, known)
+            values = list(map(self.cocycle, self.coded.decode(g[at]), self.coded.decode(h[at])))
+            self._sigma_rows = np.concatenate([self._sigma_rows, self._value_rows(values)])
+        return self._sigma_rows[numbers]
+
+    def _value_rows(self, values: list) -> np.ndarray:
+        stacked = len(self._sigma_kept)
+        rows = self._sigma_values.many(list(map(id, values)))
+        fresh = [values[i] for i in first_entries(rows, stacked)]
+        if fresh:
+            self._sigma_kept += fresh
+            self._sigma_table = [np.concatenate(p) for p in zip(self._sigma_table, stack_blocks(fresh))]
+        return rows
+
+    def cocycle_blocks(self, rows: np.ndarray) -> list:
+        return [t[rows] for t in self._sigma_table]
+
+    def _action_rows(self, codes: np.ndarray) -> np.ndarray:
+        known = len(self._alpha_rows.items)
+        rows = self._alpha_rows.many(codes)
+        new = self._alpha_rows.items[known:]
+        if new:
+            autos = list(map(self.action, self.coded.decode(np.array(new, dtype=np.int64))))
+            self._alphas += autos
+            self._alpha_identity.update(zip(new, (a.exact_identity for a in autos)))
+        return rows
+
+    def _action_stack(self, inverse: bool) -> AutomorphismStack:
+        """The stack of every action (or its inverse) added so far, by row."""
+        stack = self._alpha_stacks[inverse]
+        more = self._alphas[0 if stack is None else len(stack.perms):]
+        if more:
+            more = [a.inverse() for a in more] if inverse else more
+            if stack is None:
+                stack = self._alpha_stacks[inverse] = AutomorphismStack(more)
+            else:
+                stack.extend(more)
+        return stack
+
+    def act_rows(self, codes: np.ndarray, which: np.ndarray, blocks: list, inverse: bool = False) -> list:
+        """action(g), or its inverse automorphism, for g coded codes[which[i]], applied to row i of blocks.
+
+        Bit for bit AlgAutomorphism.__call__.  When the action of every code
+        given is exactly the identity the blocks are returned as they are,
+        which can differ from applying it only in the sign of a zero.
+        """
+        keys = codes.tolist()
+        if not all(map(self._alpha_identity.__contains__, keys)):
+            self._action_rows(codes)
+        if all(map(self._alpha_identity.__getitem__, keys)):
+            return blocks
+        rows = self._action_rows(codes)
+        return self._action_stack(inverse).apply(rows[which], blocks)
 
 
 # -- action rules --------------------------------------------------------------
@@ -120,7 +216,9 @@ def generator_action(group: Group, algebra: BlockAlgebra, images: Sequence[AlgAu
 
 def trivial_cocycle(algebra: BlockAlgebra) -> Callable:
     one = algebra.unit()
-    return lambda g, h: one
+    rule = lambda g, h: one
+    rule.keys = lambda coded, g, h: np.zeros(len(g), dtype=np.int64)  # one value under one key
+    return rule
 
 
 def _theta_value(theta) -> float:
@@ -136,6 +234,7 @@ def theta_cocycle(group: Group, algebra: BlockAlgebra, theta) -> Callable:
       Z^d, d >= 2:  B(m, n) = sum_{i<j} m_j n_i   (for d = 2 this is m_2 n_1)
       Z^1:          B(m, n) = m n
       Z_n:          B(j, k) = j k, which needs n * theta to be an integer.
+    rule.keys(coded, g, h) is B on code arrays, so a system stacks each value once.
     """
     th = _theta_value(theta)
 
@@ -145,10 +244,13 @@ def theta_cocycle(group: Group, algebra: BlockAlgebra, theta) -> Callable:
         else:
             def bform(g, h):
                 return sum(g[j] * h[i] for i in range(group.d) for j in range(i + 1, group.d))
+        # B on coordinate rows, with lower[j, i] = 1 for j > i
+        lower = np.tril(np.ones((group.d, group.d), dtype=np.int64), -1)
+        bforms = (lambda x, y: x[:, 0] * y[:, 0]) if group.d == 1 else (lambda x, y: ((x @ lower) * y).sum(axis=1))
     elif isinstance(group, Cyclic):
         if abs(group.n * th - round(group.n * th)) > 1e-12:
             raise ValueError(f"theta = {theta} is not well-defined on Z_{group.n}: n*theta must be an integer")
-        bform = lambda g, h: g * h
+        bform = bforms = lambda g, h: g * h
     else:
         raise ValueError(f"theta cocycles are shipped for Z^d and Z_n, not {group.name}")
 
@@ -162,6 +264,13 @@ def theta_cocycle(group: Group, algebra: BlockAlgebra, theta) -> Callable:
             value = values[b] = cmath.exp(2j * cmath.pi * th * b) * one
         return value
 
+    def keys(coded, g, h):
+        x, y = coded.coordinates(g), coded.coordinates(h)
+        if x is None or y is None:  # B on the points themselves
+            return list(map(bform, coded.decode(g), coded.decode(h)))
+        return bforms(x, y)
+
+    rule.keys = keys
     return rule
 
 
@@ -381,15 +490,13 @@ def validate_system(
 
     The check is batched and takes the triples in chunks of _VALIDATE_CHUNK
     from any iterable (the exhaustive ones are made as they are taken), so
-    memory is bounded by the chunk and the distinct values.  Group elements
-    are numbered, every distinct cocycle and action value is looked up once
-    through the system's caches and stacked once, and each axiom is
-    evaluated as gathers and batched matmuls.  The products are those of
-    the AlgElement arithmetic, in the same order, so violations and
-    witnesses are bit for bit those of a loop over the samples; each
-    witness is the first sample reaching its violation.  Violations are
-    reported, never raised; the report passes iff every violation is
-    finite and at most 1e-10.
+    memory is bounded by the chunk and the distinct values.  It runs on
+    codes and the system's stacked cocycles and actions, each axiom as
+    gathers and batched matmuls.  The products are those of the AlgElement
+    arithmetic, in the same order, so violations and witnesses are bit for
+    bit those of a loop over the samples; each witness is the first sample
+    reaching its violation.  Violations are reported, never raised; the
+    report passes iff every violation is finite and at most 1e-10.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -399,38 +506,11 @@ def validate_system(
     if probes is None:
         probes = system.algebra.basis() + [system.algebra.random_element(rng) for _ in range(3)]
 
-    # group elements are numbered and a pair (a, b) of numbers is coded a * M + b
-    M = 1 << 32
-    elements = Numbering()
-
-    def split(code):
-        return elements.items[code // M], elements.items[code % M]
-
-    mul = system.group.mul
-    sigmas = Interner(lambda code: system.cocycle(*split(code)))
-    alphas = Interner(lambda i: system.action(elements.items[i]))
-    # the distinct pairs (g, h), (h, k) in first-seen order -> number of their product
-    products: dict = {}
-
+    coded = system.coded
+    pairs, firsts = Numbering(), []  # the distinct pairs (g, h), (h, k) in first-seen order, as codes
     unit = system.algebra.unit().blocks
     worst = _Worst()
-    # the looked-up values, each stacked once, as rows come in
-    sigma_table = [np.empty((0, d, d), dtype=complex) for d in system.algebra.dims]
-    alpha_table = None
-
-    def stack_fresh():
-        nonlocal alpha_table
-        new = sigmas.fresh()
-        if new:
-            sigma_table[:] = [np.concatenate(p) for p in zip(sigma_table, stack_blocks(new))]
-        new = alphas.fresh()
-        if new and alpha_table is None:
-            alpha_table = AutomorphismStack(new)
-        elif new:
-            alpha_table.extend(new)
-
-    def sigma(rows):
-        return [b[rows] for b in sigma_table]
+    sigma, rows = system.cocycle_blocks, system.cocycle_rows
 
     def minus(xs, ys):
         return [x - y for x, y in zip(xs, ys)]
@@ -440,41 +520,38 @@ def validate_system(
         n_triples = 0
         while chunk := list(itertools.islice(triples, _VALIDATE_CHUNK)):
             n_triples += len(chunk)
-            g, h, k = elements.many(list(itertools.chain.from_iterable(chunk))).reshape(-1, 3).T
+            g, h, k = coded.encode(list(itertools.chain.from_iterable(chunk))).reshape(-1, 3).T
             # (g, h) then (h, k) of each triple
-            pair_codes = np.stack([g * M + h, h * M + k], axis=1).ravel()
-            distinct, first, inverse = np.unique(pair_codes, return_index=True, return_inverse=True)
-            for code in distinct[np.argsort(first)].tolist():
-                if code not in products:
-                    products[code] = elements(mul(*split(code)))
-            product = np.array([products[c] for c in distinct.tolist()], dtype=np.int64)
-            gh, hk = product[inverse].reshape(-1, 2).T
-            left, right = pair_codes.reshape(-1, 2).T
+            left, right = np.stack([g, h], axis=1).ravel(), np.stack([h, k], axis=1).ravel()
+            known = len(pairs.items)
+            at = first_entries(pairs.many(coded.pair_keys(left, right)), known)
+            firsts.append(np.stack([left[at], right[at]]))
+            gh, hk = coded.mul(g, h), coded.mul(h, k)
             # cocycle rows at (g, h), (gh, k), (h, k), (g, hk); action rows at g
-            r_gh, r_ghk, r_hk, r_ghk2 = sigmas.rows(np.stack([left, gh * M + k, right, g * M + hk]))
-            r_g = alphas.rows(g)
-            stack_fresh()
+            r_gh, r_ghk, r_hk, r_ghk2 = np.split(rows(np.concatenate([g, gh, h, g]), np.concatenate([h, k, k, hk])), 4)
+            r_g = system._action_rows(g)
             lhs = [np.matmul(x, y) for x, y in zip(sigma(r_gh), sigma(r_ghk))]
-            acted = alpha_table.apply(r_g, sigma(r_hk))
+            acted = system._action_stack(False).apply(r_g, sigma(r_hk))
             rhs = [np.matmul(x, y) for x, y in zip(acted, sigma(r_ghk2))]
             worst.update("cocycle", stacked_norms(minus(lhs, rhs)), lambda i: chunk[i])
         if not n_triples:
             raise ValueError("sample of triples must be nonempty")
 
         # per distinct pair (s, t): cocycle (s, t), (s, e), (e, s); action of st, t, s
-        pairs = np.array(list(products), dtype=np.int64)
-        s, t = pairs // M, pairs % M
-        e = elements(system.group.identity())
-        pair_sigmas = sigmas.rows(np.stack([pairs, s * M + e, e * M + s], axis=1))
-        st = np.array(list(products.values()), dtype=np.int64)
-        pair_alphas = alphas.rows(np.stack([st, t, s], axis=1))
-        identity = alphas.rows(np.array([e]))[0]
-        stack_fresh()
+        s, t = np.concatenate(firsts, axis=1)
+        e = np.full(len(s), coded.encode([system.group.identity()])[0])
+        pair_sigmas = rows(np.concatenate([s, s, e]), np.concatenate([t, e, s])).reshape(3, -1).T
+        pair_alphas = system._action_rows(np.concatenate([coded.mul(s, t), t, s])).reshape(3, -1).T
+        identity = system._action_rows(e[:1])[0]
+        stack = system._action_stack(False)
+
+        def witness(i):
+            return tuple(coded.decode(np.array([s[i], t[i]])))
 
         n_probes = len(probes)
         probe_table = stack_blocks(probes) if probes else []
         step = max(1, _VALIDATE_CHUNK // max(n_probes, 1))
-        for lo in range(0, len(pairs), step):
+        for lo in range(0, len(s), step):
             sig_st, sig_se, sig_es = pair_sigmas[lo:lo + step].T
             sig = sigma(sig_st)
             sig_star = [adjoints(y) for y in sig]
@@ -482,24 +559,24 @@ def validate_system(
                 stacked_norms(minus([np.matmul(y, z) for y, z in zip(sig, sig_star)], unit)),
                 stacked_norms(minus([np.matmul(z, y) for y, z in zip(sig, sig_star)], unit)),
             )
-            worst.update("unitarity", defects, lambda i: split(int(pairs[lo + i])))
+            worst.update("unitarity", defects, lambda i: witness(lo + i))
             defects = np.maximum(stacked_norms(minus(sigma(sig_se), unit)),
                                  stacked_norms(minus(sigma(sig_es), unit)))
-            worst.update("normalization", defects, lambda i: split(int(pairs[lo + i])))
+            worst.update("normalization", defects, lambda i: witness(lo + i))
             if not probes:
                 continue
             # pair-major, probe-minor rows: row i checks pair i // n_probes
             a_st, a_t, a_s = np.repeat(pair_alphas[lo:lo + step], n_probes, axis=0).T
             xs = [b[np.tile(np.arange(n_probes), len(sig_st))] for b in probe_table]
-            lhs = alpha_table.apply(a_s, alpha_table.apply(a_t, xs))
+            lhs = stack.apply(a_s, stack.apply(a_t, xs))
             # (sig a) sig^*, as sig * action(st)(x) * sig.star()
             rhs = [np.matmul(np.matmul(y, x), adjoints(y))
-                   for y, x in zip(sigma(np.repeat(sig_st, n_probes)), alpha_table.apply(a_st, xs))]
-            worst.update("action", stacked_norms(minus(lhs, rhs)), lambda i: split(int(pairs[lo + i // n_probes])))
+                   for y, x in zip(sigma(np.repeat(sig_st, n_probes)), stack.apply(a_st, xs))]
+            worst.update("action", stacked_norms(minus(lhs, rhs)), lambda i: witness(lo + i // n_probes))
 
         if probes:
-            acted = alpha_table.apply(np.full(n_probes, identity), probe_table)
-            worst.update("action", stacked_norms(minus(acted, probe_table)), lambda i: split(e * M + e))
+            acted = stack.apply(np.full(n_probes, identity), probe_table)
+            worst.update("action", stacked_norms(minus(acted, probe_table)), lambda i: (system.group.identity(),) * 2)
 
     return SystemReport(
         worst.value["action"], worst.value["cocycle"], worst.value["normalization"],

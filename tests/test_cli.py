@@ -291,11 +291,10 @@ def test_console_entry_point(tmp_path):
 
 def test_experiment_reports_match_the_benchmark_reference():
     # the eleven benchmark configs with one BLAS thread, run in a fresh
-    # process: every report, timestamp aside, hashes to its stored digest
+    # process under each of two fixed string-hash seeds (F2 letters are
+    # strings, so a report that came to depend on hash order would fail
+    # every time): every report, timestamp aside, hashes to its digest
     root = Path(__file__).resolve().parents[1]
-    env = subprocess_env(CROSSFOURIER_THREADS="1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env.pop(var, None)
     code = (
         "import json, sys\n"
         "import crossfourier\n"  # caps the BLAS threads before workloads imports numpy
@@ -308,11 +307,15 @@ def test_experiment_reports_match_the_benchmark_reference():
         "    out[name] = [exit_code, workloads.report_digest(report)]\n"
         "print(json.dumps(out))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
     reference = json.loads((root / "perfbench" / "reference.json").read_text())["report_sha256"]
     assert len(reference) == 11
-    assert json.loads(proc.stdout) == {name: [0, digest] for name, digest in reference.items()}
+    for hash_seed in ("0", "12345"):
+        env = subprocess_env(CROSSFOURIER_THREADS="1", PYTHONHASHSEED=hash_seed)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, (hash_seed, proc.stderr)
+        assert json.loads(proc.stdout) == {name: [0, digest] for name, digest in reference.items()}, hash_seed
 
 
 def test_every_benchmark_experiment_compression_is_at_or_below_the_dense_cutoff(monkeypatch):

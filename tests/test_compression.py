@@ -24,10 +24,11 @@ from families import DIMS, FAMILIES, make_system
 from crossfourier.algebra import AlgAutomorphism, AutomorphismStack, BlockAlgebra, stack_blocks
 from crossfourier.crossed import CcElement, compression_matrix, random_cc
 from crossfourier.groups import (
-    Zd, ball, default_length, one_norm, squared_two_norm, two_norm, word_length,
+    Cyclic, FreeF2, Zd, ball, default_length, one_norm, squared_two_norm, two_norm, word_length,
 )
 from crossfourier.system import (
     TwistedSystem, generator_action, section_cocycle_system, sl2z_extension, theta_cocycle, theta_system,
+    trivial_system,
 )
 
 
@@ -210,6 +211,24 @@ def test_a_system_is_freed_with_its_plans():
     try:
         del system, f, rep
         assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("make_group", [lambda: Zd(2), lambda: Cyclic(12), FreeF2], ids=["Z2", "Z12", "F2"])
+def test_a_fresh_group_is_freed_with_its_coded_view(make_group):
+    # the group keeps its coded view (groups.coded_group), which must not
+    # point back at it: a system built per task frees its group and tables
+    # at once, as above
+    group = make_group()
+    system = trivial_system(BlockAlgebra([1]), group)
+    f = random_cc(system, ball(1, default_length(group)), np.random.default_rng(0))
+    rep = compression_matrix(f * f.star(), 2)
+    refs = [weakref.ref(x) for x in (system, group, system.coded)]
+    gc.disable()
+    try:
+        del system, group, f, rep
+        assert [r() for r in refs] == [None] * 3
     finally:
         gc.enable()
 

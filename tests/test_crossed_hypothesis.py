@@ -5,9 +5,11 @@ the system over the family is the perturbed one of families.py, whose
 action is inner and whose cocycle is not central.  The ring axioms hold to
 1e-10, and the packed product, star, sum, scalar multiples, regular_apply
 and the norms are bit for bit (float.hex) the per-pair AlgElement loop kept
-here as the oracle, insertion order included.  At full radius on the finite
-families the compression is a *-homomorphism, and every compression norm
-lies between 0 and the exact norm, itself at most the l1 norm.
+here as the oracle, insertion order included.  Each system is shared by
+every draw, so its coded tables are warm with pairs seen before when new
+ones come in.  At full radius on the finite families the compression is a
+*-homomorphism, and every compression norm lies between 0 and the exact
+norm, itself at most the l1 norm.
 """
 
 import numpy as np
@@ -17,12 +19,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from families import DIMS, FAMILIES, system_for
+from crossfourier.algebra import AlgAutomorphism, BlockAlgebra
 from crossfourier.crossed import (
     SUPPORT_TOL, CcElement, compression_matrix, exact_norm_finite, full_radius, opnorm_bounds,
 )
 from crossfourier.decay import regular_apply
-from crossfourier.groups import ball, default_length
-from crossfourier.system import validate_system
+from crossfourier.groups import Zd, ball, default_length
+from crossfourier import system as system_module
+from crossfourier.system import (
+    TwistedSystem, generator_action, sl2z_system, theta_system, trivial_cocycle, validate_system,
+)
 
 TOL = 1e-10
 
@@ -124,16 +130,39 @@ draws = given(
 fixed = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
-def _draw(family, dims, sizes, seed):
-    """The system and three coefficient maps, each on distinct points of ball(2)."""
+def _draw(family, dims, sizes, seed, radius=2):
+    """The system and three coefficient maps, each on distinct points of ball(radius)."""
     system = system_for(family, dims)
     rng = np.random.default_rng(seed)
-    pool = ball(2, default_length(system.group))
+    pool = ball(radius, default_length(system.group))
     coeffs = []
     for size in sizes:
         idx = rng.choice(len(pool), size=min(size, len(pool)), replace=False)
         coeffs.append({pool[i]: system.algebra.random_element(rng) for i in idx})
     return system, coeffs
+
+
+def _swap_system():
+    """Z on C + C by powers of the block swap, untwisted: the action is exactly
+    the identity at the even points only, and every value is real."""
+    A, Z = BlockAlgebra([1, 1]), Zd(1)
+    return TwistedSystem(A, Z, generator_action(Z, A, [AlgAutomorphism.block_permutation(A, [1, 0])]),
+                         trivial_cocycle(A), tag="swap")
+
+
+SWAP = _swap_system()
+
+
+def _real_draw(sizes, seed):
+    """Three real coefficient maps on SWAP, the first on even points only, so
+    that calls whose points all act as the identity and calls mixing both
+    kinds of point meet the same warm system."""
+    rng = np.random.default_rng(seed)
+    coeffs = []
+    for k, size in enumerate(sizes):
+        points = rng.choice(np.arange(-6, 7, 2 if k == 0 else 1), size=min(size, 7), replace=False)
+        coeffs.append({(int(g),): SWAP.algebra.scalar(rng.normal(size=2)) for g in points})
+    return coeffs
 
 
 @fixed
@@ -169,11 +198,71 @@ def test_packed_arithmetic_is_the_pair_loop(family, dims, sizes, seed):
         (scalar * f1, loop_scale(scalar, c1)),
         ((f1 + f3) * f2.star(), loop_mul(system, loop_add(c1, c3), loop_star(system, c2))),
         (regular_apply(f1, f2), loop_regular_apply(system, c1, c2)),
+        # the other factor orders, pairs met above and before, and pairs with
+        # points of ball(3) that the system may not have coded yet
+        (f2 * f1, loop_mul(system, c2, c1)),
+        (f1 * f1, loop_mul(system, c1, c1)),
+        ((f3 * f2) * f1, loop_mul(system, loop_mul(system, c3, c2), c1)),
     ]
+    _, (c4, _, _) = _draw(family, dims, sizes, seed + 1, radius=3)
+    f4 = CcElement(system, c4)
+    cases += [(f4 * f1, loop_mul(system, c4, c1)), (f2 * f4, loop_mul(system, c2, c4)),
+              (f4.star(), loop_star(system, c4))]
+    r1, r2, r3 = _real_draw(sizes, seed)
+    n1, n2, n3 = (loop_scale(-1.0, r) for r in (r1, r2, r3))  # imaginary parts -0.0, real parts of both signs
+    e1, e3, m1, m2, m3 = (CcElement(SWAP, c) for c in (r1, r3, n1, n2, n3))
+    swap_cases = [
+        (e1 * m2, loop_mul(SWAP, r1, n2)),  # left points even: actions skipped
+        (e3 * m1, loop_mul(SWAP, r3, n1)),  # left points of both parities: applied
+        (m1.star(), loop_star(SWAP, n1)),
+        (m3.star(), loop_star(SWAP, n3)),
+        (regular_apply(m1, m1), loop_regular_apply(SWAP, n1, n1)),
+        (regular_apply(m3, m2), loop_regular_apply(SWAP, n3, n2)),
+    ]
+    for sys_, pairs in ((system, cases), (SWAP, swap_cases)):
+        for packed, loop in pairs:
+            assert packed_hexes(packed) == loop_hexes(loop)
+            assert norm_hexes([packed.norm_l1(), packed.norm_linf(), packed.module_norm()]) == \
+                norm_hexes(loop_norms(sys_, loop))
+
+
+@pytest.mark.parametrize("d, far", [(1, 2**40), (2, 2**28), (3, 300000), (5, 3**45)])
+def test_points_past_the_linear_codes_are_the_pair_loop(d, far):
+    # Z^d codes points linearly only near 0; farther ones, up to past int64,
+    # and products leaving that range are exact, theta cocycle included
+    system = theta_system(Zd(d), "1/7", BlockAlgebra([2, 1]))
+    rng = np.random.default_rng(d)
+    unit = lambda k: tuple(far * k if i == d - 1 else 1 - i for i in range(d))
+    c1 = {g: system.algebra.random_element(rng) for g in [unit(1), unit(-2), (0,) * d, unit(4)]}
+    c2 = {g: system.algebra.random_element(rng) for g in [unit(3), (1,) * d, unit(-1)]}
+    f1, f2 = CcElement(system, c1), CcElement(system, c2)
+    c12 = loop_mul(system, c1, c2)
+    cases = [(f1 * f2, c12), ((f1 * f2) * f1, loop_mul(system, c12, c1)), (f1.star(), loop_star(system, c1)),
+             (f2 * f2.star(), loop_mul(system, c2, loop_star(system, c2))),
+             (regular_apply(f1, f2), loop_regular_apply(system, c1, c2))]
+    # xi over another system on an equal group object: its points are what count
+    other = theta_system(Zd(d), "1/7", BlockAlgebra([2, 1]))
+    cases.append((regular_apply(f1, CcElement(other, c2)), loop_regular_apply(system, c1, c2)))
     for packed, loop in cases:
         assert packed_hexes(packed) == loop_hexes(loop)
-        assert norm_hexes([packed.norm_l1(), packed.norm_linf(), packed.module_norm()]) == \
-            norm_hexes(loop_norms(system, loop))
+
+
+def test_cocycle_pairs_past_the_memo_bound_are_the_pair_loop(monkeypatch):
+    # the section cocycle has no keys: code pairs are keyed up to the bound, then looked up one by one
+    monkeypatch.setattr(system_module, "PAIR_MEMO", 40)
+    system = sl2z_system()
+    rng = np.random.default_rng(5)
+    pool = ball(3, default_length(system.group))
+    c1, c2 = ({pool[i]: system.algebra.random_element(rng) for i in rng.choice(len(pool), 7, replace=False)}
+              for _ in range(2))
+    f1, f2 = CcElement(system, c1), CcElement(system, c2)
+    small = {g: c1[g] for g in list(c1)[:4]}
+    c12 = loop_mul(system, c1, c2)
+    cases = [(CcElement(system, small) * CcElement(system, small), loop_mul(system, small, small)),
+             (f1 * f2, c12), (f1.star(), loop_star(system, c1)), ((f1 * f2) * f1, loop_mul(system, c12, c1))]
+    for packed, loop in cases:
+        assert packed_hexes(packed) == loop_hexes(loop)
+    assert len(system._sigma_keys.items) <= 16 + 7  # the pairs of the small product and the star only
 
 
 # -- the compression on the finite families ------------------------------------------

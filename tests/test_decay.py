@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from crossfourier.groups import (
     FreeProductZ2Z3,
     Zd,
     ball,
+    ball_size,
     block_length,
     one_norm,
+    one_norm_shell_floor,
+    shell_series,
     shell_size,
     squared_two_norm,
     two_norm,
@@ -168,6 +172,57 @@ def test_zd_inv_l2_bracket_respects_the_ball_budget(monkeypatch, length, tag, pa
     lo, hi = inv_l2_bracket(make_weight(tag, param, length))
     assert sizes and max(sizes) <= budget
     assert 1.0 <= lo <= hi < math.inf
+
+
+BRACKET_CASES = pytest.mark.parametrize(
+    "length, tag, param",
+    # last balls ball(1024), ball(64) and ball(32): five doublings, one, none
+    [(one_norm(Zd(1)), "power", 1.0), (two_norm(Zd(2)), "exponential", 0.9), (squared_two_norm(Zd(3)), "exp", 0.05)],
+    ids=["z1-power", "z2-exponential", "z3-exp"],
+)
+
+
+def resummed_bracket(w):
+    """The Z^d bracket as it was: the sum over each ball(M) formed from scratch."""
+    d, L1, M = w.length.group.d, one_norm(w.length.group), 32
+    while M > 1 and ball_size(M, L1) > decay._BRACKET_POINTS:
+        M //= 2
+    while True:
+        partial = sum(w.inv_sq(g) for g in ball(M, L1))
+        if w.tag == "power":
+            expo, const = decay._power_tail(w.length, w.param)
+            tail = const * (M + 1.0) ** (d - expo) / (expo - d)
+        else:
+            terms, remainder = shell_series(
+                lambda m: shell_size(m, L1) * decay._inv_sq(w.tag, w.param, one_norm_shell_floor(m, w.length)),
+                M + 1, 1e-16 * max(partial, 1.0))
+            tail = sum(terms) + remainder
+        if tail < 1e-3 * partial or M >= 4096 or ball_size(2 * M, L1) > decay._BRACKET_POINTS:
+            return math.sqrt(partial), math.sqrt(partial + tail)
+        M *= 2
+
+
+@BRACKET_CASES
+def test_zd_bracket_weighs_each_point_of_its_last_ball_once(monkeypatch, length, tag, param):
+    calls = []
+    inv_sq = decay.Weight.inv_sq
+
+    def counting(self, g):
+        calls.append(g)
+        return inv_sq(self, g)
+
+    monkeypatch.setattr(decay.Weight, "inv_sq", counting)
+    inv_l2_bracket(make_weight(tag, param, length))
+    L1 = one_norm(length.group)
+    last = next(M for M in (2 ** k for k in range(13)) if ball_size(M, L1) == len(calls))
+    assert calls == list(ball(last, L1))
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="sum() compensates float rounding from Python 3.12 on")
+@BRACKET_CASES
+def test_zd_bracket_is_the_resummed_bracket_bit_for_bit(length, tag, param):
+    w = make_weight(tag, param, length)
+    assert [v.hex() for v in inv_l2_bracket(w)] == [v.hex() for v in resummed_bracket(w)]
 
 
 # -- decay probe ------------------------------------------------------------------

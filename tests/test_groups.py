@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from crossfourier import groups
 from crossfourier.groups import (
+    coded_group,
     Cyclic,
     Dihedral,
     DirectProduct,
@@ -14,6 +16,7 @@ from crossfourier.groups import (
     ball,
     ball_size,
     block_length,
+    default_length,
     folner_sequence,
     one_norm,
     shell_series,
@@ -242,3 +245,61 @@ def test_shell_series_bounds_a_geometric_tail():
     # a zero term stops the series once it is past the 8th
     terms, remainder = shell_series(lambda m: 1.0 if m < 8 else 0.0, 0, 1e-12)
     assert (len(terms), remainder) == (10, 0.0)
+
+
+# -- coded elements ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS + [Zd(3), Zd(6)], ids=lambda G: G.name)
+def test_coded_products_and_inverses_are_the_group_operations(group):
+    # every pair of ball(3) (past 256 pairs: the np.unique numbering), cold and then from the tables
+    coded = coded_group(group)
+    points = ball(3, default_length(group))
+    codes = coded.encode(points)
+    a, b = np.repeat(codes, len(codes)), np.tile(codes, len(codes))
+    want = [group.mul(g, h) for g in points for h in points]
+    for _ in range(2):
+        assert coded.decode(coded.mul(a, b)) == want
+        assert coded.decode(coded.inv(codes)) == [group.inv(g) for g in points]
+        assert coded.decode(coded.encode(points)) == list(points)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_zd_codes_take_points_past_the_linear_range(d):
+    # linear codes cover [-R, R) per coordinate; past it, up to beyond int64, points are numbered
+    group = Zd(d)
+    coded = coded_group(group)
+    R, huge = coded.range, 3 ** 50
+    points = [(R - 1,) * d, (-R,) * d, (R,) + (0,) * (d - 1), (0,) * (d - 1) + (-R - 1,),
+              (huge,) * d, (-huge,) + (1,) * (d - 1), (2 ** 63,) * d, group.identity()]
+    codes = coded.encode(points)
+    assert coded.decode(codes) == points
+    assert (codes[[0, 1, 7]] >= 0).all() and (codes[2:7] < 0).all()
+    assert list(coded.encode(points)) == list(codes)  # one code per point
+    a, b = np.repeat(codes, len(codes)), np.tile(codes, len(codes))
+    assert coded.decode(coded.mul(a, b)) == [group.mul(g, h) for g in points for h in points]
+    assert coded.decode(coded.inv(codes)) == [group.inv(g) for g in points]
+    # a product that leaves the range of two linear codes gets the code of its point
+    twice = coded.mul(codes[:1], codes[:1])
+    assert twice[0] < 0 and twice[0] == coded.encode([group.mul(points[0], points[0])])[0]
+
+
+def test_a_large_finite_group_numbers_only_the_elements_it_meets():
+    group = Cyclic(5000)
+    coded = coded_group(group)
+    a, b = coded.encode([3, 7]), coded.encode([10, 4999])
+    assert coded.decode(coded.mul(a, b)) == [13, 6]
+    assert coded.decode(coded.inv(a)) == [4997, 4993]
+    assert coded._numbering.items == [3, 7, 10, 4999, 13, 6, 4997, 4993] and coded._table is None
+
+
+def test_the_pair_memo_stops_at_its_bound(monkeypatch):
+    monkeypatch.setattr(groups, "PAIR_MEMO", 50)
+    group = FreeF2()
+    coded = coded_group(group)
+    points = ball(2, default_length(group))
+    codes = coded.encode(points)
+    assert coded.decode(coded.mul(codes[:5], codes[:5])) == [group.mul(g, g) for g in points[:5]]
+    a, b = np.repeat(codes, len(codes)), np.tile(codes, len(codes))  # 289 pairs: past the bound
+    assert coded.decode(coded.mul(a, b)) == [group.mul(g, h) for g in points for h in points]
+    assert len(coded._pairs.items) == 5

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from crossfourier.algebra import BlockAlgebra, PointMap
 from crossfourier.crossed import CcElement, delta, exact_norm_finite, random_cc
-from crossfourier.groups import Cyclic, FreeF2, Zd, ball, one_norm, word_length
+from crossfourier.groups import Cyclic, FreeF2, Zd, ball, folner_sequence, one_norm, word_length
 from crossfourier.modules import (
     ModuleOperator,
     ModuleVector,
@@ -122,8 +124,32 @@ def test_gram_matrix_is_the_per_entry_fill_with_one_phi_call_per_distinct_point(
     want = _loop_gram(phi, S, group)
     assert gram.dtype == want.dtype and gram.shape == want.shape
     assert gram.tobytes() == want.tobytes()
-    distinct = {group.mul(group.inv(gi), gj) for gi in S for gj in S}
-    assert len(calls) == len(set(calls)) == len(distinct)
+    # once per distinct g_i^-1 g_j, in first-seen row-major order
+    assert calls == list(dict.fromkeys(group.mul(group.inv(gi), gj) for gi in S for gj in S))
+
+
+def test_pd_check_of_a_multi_chunk_gram_is_the_full_matrix_check_in_a_fraction_of_the_memory():
+    # the Z^2 Fejer kernel (N = 30) over ball(16): 545 points, ten row chunks
+    group = Zd(2)
+    S, folner = list(ball(16, one_norm(group))), folner_sequence(group)
+    phi = lambda g: folner.ratio(g, 30)
+    gram = gram_matrix(phi, S, group)
+    assert gram.tobytes() == _loop_gram(phi, S, group).tobytes()
+    want = float(np.min(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))))
+    tracemalloc.start()
+    try:
+        is_pd, mineig = pd_check(phi, S, group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert is_pd and mineig.hex() == want.hex()
+    assert peak <= 2.5 * gram.nbytes
+
+
+def test_pd_check_finds_an_asymmetry_in_the_last_row_chunk():
+    S = [(k,) for k in range(600)]
+    with pytest.raises(ValueError, match="Hermitian"):
+        pd_check(lambda g: 0.5 if g == (599,) else 1.0, S, Zd(1))
 
 
 def test_pd_check_detects_non_pd():
