@@ -12,6 +12,7 @@ finite-dimensional C*-algebra, so nothing is lost by this representation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -128,8 +129,18 @@ class BlockAlgebra:
 
 
 def block_norm(m: np.ndarray) -> float:
-    """Largest singular value of one block matrix; abs() of the entry for a 1 x 1 block."""
-    return float(np.linalg.norm(m, 2)) if m.shape[0] > 1 else float(abs(m[0, 0]))
+    """Largest singular value of one block matrix; abs() of the entry for a 1 x 1 block.
+
+    A block with a NaN entry gets NaN and one with an infinite entry inf, as
+    in stacked_norms.
+    """
+    if m.shape[0] == 1:
+        return float(abs(m[0, 0]))
+    try:
+        v = float(np.linalg.norm(m, 2))
+    except np.linalg.LinAlgError:
+        v = math.nan
+    return v if v == v else float(np.abs(m).max())
 
 
 def stacked_norms(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -203,8 +214,13 @@ class AlgElement:
         return AlgElement(self.algebra, tuple(_freeze(x.conj().T) for x in self.blocks))
 
     def norm(self) -> float:
-        """C*-norm: max over blocks of the largest singular value."""
-        return max(block_norm(x) for x in self.blocks)
+        """C*-norm: max over blocks of the largest singular value; NaN if any block's is NaN."""
+        if len(self.blocks) == 1:
+            return block_norm(self.blocks[0])
+        norms = [block_norm(x) for x in self.blocks]
+        # max() keeps an earlier value over a later NaN; the sum of norms is NaN iff one is
+        total = sum(norms)
+        return max(norms) if total == total else math.nan
 
     def is_zero(self, tol: float = 1e-14) -> bool:
         return self.norm() <= tol

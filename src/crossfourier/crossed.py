@@ -33,8 +33,14 @@ actions of its points, and per support point g the rows, columns and
 cocycle rows of its entries.  Every element compressed at one radius
 reuses what the ones before it built.  The result is a CSR matrix
 (CompressedRep.sparse; .matrix is the dense array, built on demand).
-Singular values densify only up to the dense SVD cutoff (300) and run
-Lanczos on the CSR above it, in real arithmetic on a real compression.
+Singular values densify only up to the dense SVD cutoff (300).  Above it
+one Lanczos run on x -> M^H (M x) (the CSR and its adjoint, in real
+arithmetic on a real compression) stops at the residual 1e-8 (about
+sqrt(eps)), and the value returned is ||M v|| / ||v|| recomputed from its
+Ritz vector v: a lower bound with its own witness, below the top singular
+value by at most the Kato-Temple term ||r||^2 / (rho - sigma_2^2), which is
+of order eps over the relative gap.  So a full-radius value on a finite
+group above 300 dimensions is the exact norm up to that term.
 """
 
 from __future__ import annotations
@@ -60,6 +66,13 @@ SUPPORT_TOL = 1e-14
 # every compression of the benchmark's experiment configs (161 at most) stays
 # dense.
 _DENSE_SVD_LIMIT = 300
+
+# Lanczos stops once the residual r of the Ritz pair (rho, v) of M^H M is at
+# most this times rho, about sqrt(eps).  The value needs no more: by
+# Kato-Temple, sigma_1^2 - rho <= ||r||^2 / (rho - sigma_2^2), so the Ritz
+# value is off by about eps * rho over the relative gap, and whatever the
+# gap, rho = ||M v||^2 / ||v||^2 is a lower bound witnessed by v.
+_LANCZOS_TOL = 1e-8
 
 # Default radius schedules stop before a dense compression passes 1 GiB
 # (dimension 8192).  Explicit radii are not capped.
@@ -213,7 +226,9 @@ class CcElement:
         return sum(self._norms)
 
     def norm_linf(self) -> float:
-        return max(self._norms, default=0.0)
+        """The largest coefficient norm; NaN if any is (max() would keep an earlier value over it)."""
+        total = self.norm_l1()
+        return max(self._norms, default=0.0) if total == total else math.nan
 
     def gram(self) -> AlgElement:
         """sum_g action(g)^{-1}(f(g)* f(g)), the module inner product <f, f>."""
@@ -369,30 +384,38 @@ def random_cc_in(system: TwistedSystem, pool: list, max_size: int, rng) -> CcEle
 def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool):
     """(largest singular value, its right singular vector or None).
 
-    Dense SVD of matrix.toarray() up to _DENSE_SVD_LIMIT, Lanczos on the
-    sparse matrix from a fixed start above it.  Lanczos runs in real
-    arithmetic on matrix.real when every stored entry is real (real
-    coefficients, cocycle and action values), in complex arithmetic
-    otherwise; the returned vector is complex either way.  When Lanczos
-    does not converge, the dense SVD runs instead if the dense matrix fits
-    in _DEFAULT_DENSE_BYTES; otherwise ValueError.
+    Dense SVD of matrix.toarray() up to _DENSE_SVD_LIMIT.  Above it, one
+    Lanczos run (ARPACK eigsh, k = 1, fixed start) on the implicit Gram
+    operator x -> M^H (M x), with the CSR adjoint built once, to the
+    residual _LANCZOS_TOL; in real arithmetic on matrix.real when every
+    stored entry is real (real coefficients, cocycle and action values), in
+    complex arithmetic otherwise.  The value returned is ||M v|| / ||v||,
+    recomputed from the matrix and the Ritz vector v that is returned
+    (complex either way): a lower bound witnessed by v, within the
+    Kato-Temple term of the top singular value.  When Lanczos does not
+    converge, the dense SVD runs instead if the dense matrix fits in
+    _DEFAULT_DENSE_BYTES; otherwise ValueError.
     """
     n = matrix.shape[0]
-    dense = n <= _DENSE_SVD_LIMIT
-    if not dense:
-        v0 = np.ones(n) / np.sqrt(n)
+    if n > _DENSE_SVD_LIMIT:
         operand = matrix if np.any(matrix.data.imag) else matrix.real
+        adjoint = operand.conj().T.tocsr()
+        gram = scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=lambda x: adjoint @ (operand @ x), dtype=operand.dtype)
         try:
-            out = scipy.sparse.linalg.svds(operand, k=1, v0=v0, return_singular_vectors=vectors, maxiter=5000)
+            _, ritz = scipy.sparse.linalg.eigsh(
+                gram, k=1, v0=np.ones(n) / np.sqrt(n), tol=_LANCZOS_TOL, maxiter=5000)
         except scipy.sparse.linalg.ArpackNoConvergence as err:
             if 16 * n * n > _DEFAULT_DENSE_BYTES:
                 raise ValueError(
                     f"Lanczos did not converge on the {n} x {matrix.shape[1]} compression, "
                     "which is too large for the dense SVD"
                 ) from err
-            dense = True
-    if dense:
-        out = np.linalg.svd(matrix.toarray(), compute_uv=vectors)
+        else:
+            v = ritz[:, 0].astype(complex)
+            value = float(np.linalg.norm(matrix @ v) / np.linalg.norm(v))
+            return value, (v if vectors else None)
+    out = np.linalg.svd(matrix.toarray(), compute_uv=vectors)
     if not vectors:
         return float(out[0]), None
     _, s, vh = out

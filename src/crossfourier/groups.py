@@ -367,7 +367,14 @@ class FreeF2(Group):
         return tuple(out)
 
     def mul(self, g, h):
-        return self._reduce_concat(g, h)
+        # g and h are reduced: only the letters where they meet can cancel
+        if not g or not h or g[-1] != _F2_INV[h[0]]:
+            return g + h
+        i, j = len(g) - 1, 1
+        while i and j < len(h) and g[i - 1] == _F2_INV[h[j]]:
+            i -= 1
+            j += 1
+        return g[:i] + h[j:]
 
     def inv(self, g):
         return tuple(_F2_INV[x] for x in reversed(g))
@@ -454,10 +461,18 @@ class FreeProductZ2Z3(Group):
             stack.append(syl)
 
     def mul(self, g, h):
-        stack = list(g)
-        for syl in h:
-            self._push(stack, syl)
-        return tuple(stack)
+        # g and h are in normal form: only the syllables where they meet
+        # cancel or merge, and a merged t-syllable ends the reduction
+        i, j = len(g), 0
+        while i and j < len(h):
+            x, y = g[i - 1], h[j]
+            if x != y and "s" in (x, y):
+                break
+            if x == y != "s":
+                return g[:i - 1] + ("T" if x == "t" else "t",) + h[j + 1:]
+            i -= 1
+            j += 1
+        return g[:i] + h[j:]
 
     def inv(self, g):
         inv_syl = {"s": "s", "t": "T", "T": "t"}

@@ -263,6 +263,34 @@ def test_overflow_is_kept_in_the_support():
     assert CcElement(sys_, {(1,): math.nan * sys_.algebra.unit()}).support() == [(1,)]
 
 
+def test_coefficient_norms_propagate_nan_like_the_packed_norms():
+    # Z acting on C + C by the block swap: with the right factor scalar([inf, -2])
+    # at 0, the product has the coefficient [1, nan] at 1, a NaN after a finite block
+    from crossfourier.algebra import stacked_norms
+
+    A = BlockAlgebra([1, 1])
+    Z = Zd(1)
+    swap = AlgAutomorphism.block_permutation(A, [1, 0])
+    sys_ = TwistedSystem(A, Z, generator_action(Z, A, [swap]), lambda g, h: A.unit(), tag="swap")
+    f1 = CcElement(sys_, {(0,): A.scalar([1.0, 0.5]), (1,): A.scalar([0.0, 1.0])})
+    with np.errstate(invalid="ignore"):
+        f2 = CcElement(sys_, {(0,): A.scalar([math.inf, -2.0]), (1,): A.unit()})
+        p = f1 * f2
+        small_then_nan = A.scalar([1e-20, math.nan])
+    items = p.items()
+    norms = [a.norm() for _, a in items]
+    packed = stacked_norms([np.stack([a.blocks[j] for _, a in items]) for j in range(2)])
+    np.testing.assert_array_equal(norms, packed)
+    assert math.isnan(p.coeff((1,)).norm())
+    assert math.isnan(p.norm_l1()) and math.isnan(sum(norms)) and math.isnan(p.norm_linf())
+    assert CcElement(sys_, {(1,): small_then_nan}).support() == [(1,)]
+    # a 2 x 2 block with a NaN or infinite entry: NaN or inf, where the SVD fails
+    M2 = BlockAlgebra([1, 2])
+    for bad in (math.nan, math.inf):
+        a = M2.element([np.ones((1, 1)), np.array([[1.0, bad], [0.0, 1.0]])])
+        np.testing.assert_array_equal([a.norm()], stacked_norms([b[None] for b in a.blocks]))
+
+
 def test_compression_of_unit_is_identity():
     for make in SYSTEMS.values():
         sys_ = make()
@@ -485,13 +513,13 @@ def test_lanczos_runs_in_real_arithmetic_only_on_real_compressions(monkeypatch):
     real, cplx = _real_and_complex_compressions()
     assert not np.any(real.sparse.data.imag) and np.any(cplx.sparse.data.imag)
     dtypes = []
-    original = scipy.sparse.linalg.svds
+    original = scipy.sparse.linalg.eigsh
 
-    def spy(matrix, *args, **kwargs):
-        dtypes.append(matrix.dtype)
-        return original(matrix, *args, **kwargs)
+    def spy(operator, *args, **kwargs):
+        dtypes.append(operator.dtype)
+        return original(operator, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "svds", spy)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
     for comp in (real, cplx):
         assert comp.sparse.shape[0] > crossed._DENSE_SVD_LIMIT
         comp.largest_singular_value()
@@ -516,11 +544,57 @@ def test_top_singular_vector_stays_complex_on_both_lanczos_paths():
         assert ratio == pytest.approx(comp.largest_singular_value(), rel=1e-12)
 
 
+def _lanczos_compressions():
+    """Compressions past the cutoff: the real path graph, complex Z2-theta and the rotation system."""
+    sys_ = trivial_system(BlockAlgebra([1]), Zd(1))
+    A = sys_.algebra
+    path = compression_matrix(CcElement(sys_, {(1,): A.unit(), (-1,): A.unit()}), 301)  # 603 dimensions
+    _, cplx = _real_and_complex_compressions()
+    rotation = rotation_system()
+    rng = np.random.default_rng(5)
+    f = random_cc(rotation, ball(2, default_length(rotation.group)), rng)
+    return [path, cplx, compression_matrix(f, 100)]  # 603, 365 and 603 dimensions
+
+
+def test_lanczos_value_is_its_own_witness_and_pins_the_top_singular_value():
+    import crossfourier.crossed as crossed
+
+    for comp in _lanczos_compressions():
+        assert comp.sparse.shape[0] > crossed._DENSE_SVD_LIMIT
+        value = comp.largest_singular_value()
+        v = comp.top_singular_vector()
+        assert value == pytest.approx(np.linalg.norm(comp.sparse @ v) / np.linalg.norm(v), rel=1e-15)
+        top = np.linalg.svd(comp.matrix, compute_uv=False)[0]
+        assert top * (1 - 1e-12) <= value <= top * (1 + 1e-14)
+
+
+def test_lanczos_converges_on_a_cluster_without_the_dense_svd(monkeypatch):
+    import crossfourier.crossed as crossed
+
+    # a permuted complex diagonal whose top two singular values are 1e-9 apart
+    n = 2 * crossed._DENSE_SVD_LIMIT
+    rng = np.random.default_rng(3)
+    singular = np.concatenate([[1.0, 1.0 - 1e-9], rng.uniform(0.0, 0.99, n - 2)])
+    entries = singular * np.exp(2j * np.pi * rng.uniform(size=n))
+    matrix = scipy.sparse.csr_matrix((entries, (rng.permutation(n), np.arange(n))), shape=(n, n))
+    calls = []
+    original = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    value = crossed.largest_singular_value(matrix)
+    assert calls == []
+    assert 1.0 - 2e-9 <= value <= 1.0 + 1e-14
+
+
 def _arpack_fails(monkeypatch):
-    def svds(*args, **kwargs):
+    def eigsh(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-    monkeypatch.setattr(scipy.sparse.linalg, "svds", svds)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
 
 
 def test_lanczos_non_convergence_falls_back_to_the_dense_svd(monkeypatch):

@@ -53,6 +53,23 @@ def test_normal_form_relator_collapse():
     assert G.normal_form("s t^2 s") == ("s", "T", "s")
 
 
+def _letter_by_letter(group, g, h):
+    """The product reduced one letter of h at a time, as normal_form reduces a word."""
+    if isinstance(group, FreeF2):
+        return group._reduce_concat(g, h)
+    stack = list(g)
+    for syl in h:
+        group._push(stack, syl)
+    return tuple(stack)
+
+
+@pytest.mark.parametrize("group, radius", [(FreeF2(), 5), (FreeProductZ2Z3(), 11)], ids=["F2", "Z2*Z3"])
+def test_free_products_reduce_where_the_words_meet(group, radius):
+    points = ball(radius, default_length(group))
+    for g, h in itertools.product(points, repeat=2):
+        assert group.mul(g, h) == _letter_by_letter(group, g, h)
+
+
 def test_normal_form_abelian_addition():
     Z2 = Zd(2)
     assert Z2.normal_form("(1,0)+(0,1)") == (1, 1)
