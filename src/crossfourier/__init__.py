@@ -61,7 +61,6 @@ from .crossed import (
     CcElement,
     CompressedRep,
     cc_unit,
-    cc_zero,
     compression_matrix,
     delta,
     exact_norm_finite,

@@ -222,9 +222,6 @@ class AlgElement:
         total = sum(norms)
         return max(norms) if total == total else math.nan
 
-    def is_zero(self, tol: float = 1e-14) -> bool:
-        return self.norm() <= tol
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -235,20 +232,20 @@ class Classification:
     central: bool
 
 
-def classify(a: AlgElement, tol: float = ALG_TOL) -> Classification:
-    """Flags decided to `tol`; positivity via minimum eigenvalue >= -tol."""
-    selfadjoint = (a - a.star()).norm() <= tol
+def classify(a: AlgElement) -> Classification:
+    """Flags decided to ALG_TOL; positivity via minimum eigenvalue >= -ALG_TOL."""
+    selfadjoint = (a - a.star()).norm() <= ALG_TOL
     unit = a.algebra.unit()
-    unitary = (a.star() * a - unit).norm() <= tol and (a * a.star() - unit).norm() <= tol
+    unitary = (a.star() * a - unit).norm() <= ALG_TOL and (a * a.star() - unit).norm() <= ALG_TOL
     positive = False
     if selfadjoint:
         mineig = min(
             float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))) for m in a.blocks
         )
-        positive = mineig >= -tol
-    projection = selfadjoint and (a * a - a).norm() <= tol
+        positive = mineig >= -ALG_TOL
+    projection = selfadjoint and (a * a - a).norm() <= ALG_TOL
     central = all(
-        np.linalg.norm(m - (np.trace(m) / m.shape[0]) * np.eye(m.shape[0]), 2) <= tol
+        np.linalg.norm(m - (np.trace(m) / m.shape[0]) * np.eye(m.shape[0]), 2) <= ALG_TOL
         for m in a.blocks
     )
     return Classification(selfadjoint, unitary, positive, projection, central)
@@ -340,14 +337,13 @@ class AlgAutomorphism:
             out = base.compose(out)
         return out
 
-    def is_identity(self, tol: float = ALG_TOL) -> bool:
+    def is_identity(self) -> bool:
+        """Acts as the identity to ALG_TOL, which for a block algebra is: fixes every block, scalar unitaries."""
         return all(
-            p == k and np.linalg.norm(u - u[0, 0] * np.eye(u.shape[0]), 2) <= tol and abs(abs(u[0, 0]) - 1) <= tol
+            p == k and np.linalg.norm(u - u[0, 0] * np.eye(u.shape[0]), 2) <= ALG_TOL
+            and abs(abs(u[0, 0]) - 1) <= ALG_TOL
             for k, (p, u) in enumerate(zip(self.perm, self.unitaries))
-        ) or self._acts_as_identity(tol)
-
-    def _acts_as_identity(self, tol):
-        return all((self(b) - b).norm() <= tol for b in self.algebra.basis())
+        )
 
 
 def stack_blocks(elements: Sequence[AlgElement]) -> list:

@@ -5,7 +5,8 @@
     crossfourier presets list
 
 One experiment per invocation; compose runs with shell scripts so each
-report's provenance stays atomic.  Exit codes: 0 pass, 1 config error,
+report's provenance stays atomic.  Exit codes: 0 pass, 1 config error (any
+input the library rejects with a ValueError, a resource budget included),
 2 invariant violation.  Set CROSSFOURIER_THREADS to cap BLAS thread pools
 (read when the crossfourier package is imported).
 """
@@ -203,7 +204,7 @@ def main(argv=None) -> int:
         }
         print(canonical_json(summary))
         return code
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, the library's argument checks, numpy's LinAlgError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

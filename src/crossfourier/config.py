@@ -10,13 +10,13 @@ A config names a system by four blocks:
     "cocycle": {"kind": "theta", "theta": "1/5"}  or trivial / section / table
 
 theta accepts a rational string like "1/5" or a float.  Config errors raise
-ConfigError, which the CLI maps to exit code 1.
+ConfigError; the CLI maps it, and every other ValueError of the library, to
+exit code 1.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -107,15 +107,6 @@ def build_length(tag: str, group: Group) -> LengthFunction:
     raise ConfigError(f"unknown length tag {tag!r}")
 
 
-def parse_theta(value) -> float:
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"cannot parse theta {value!r}") from None
-    return float(value)
-
-
 def build_system(spec: dict) -> TwistedSystem:
     try:
         algebra = BlockAlgebra(spec["algebra"])
@@ -145,12 +136,7 @@ def build_system(spec: dict) -> TwistedSystem:
         perms = action_spec.get("generator_permutations")
         if not perms:
             raise ConfigError("permutation-of-points needs 'generator_permutations'")
-        images = []
-        for perm in perms:
-            try:
-                images.append(AlgAutomorphism.block_permutation(algebra, perm))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+        images = [AlgAutomorphism.block_permutation(algebra, perm) for perm in perms]
         if len(images) != len(group.generators()):
             raise ConfigError("one permutation per group generator required")
         action = generator_action(group, algebra, images)
@@ -158,12 +144,12 @@ def build_system(spec: dict) -> TwistedSystem:
         table_spec = action_spec.get("table")
         if not group.is_finite or not table_spec:
             raise ConfigError("table actions need a finite group and a 'table'")
-        table = {}
-        for word, perm in table_spec.items():
-            table[group.normal_form(word)] = AlgAutomorphism.block_permutation(algebra, perm)
-
-        def action(g, table=table):
-            return table[g]
+        table = {group.normal_form(word): AlgAutomorphism.block_permutation(algebra, perm)
+                 for word, perm in table_spec.items()}
+        missing = next((g for g in group.elements() if g not in table), None)
+        if missing is not None:
+            raise ConfigError(f"the action table has no entry for the group element {group.word(missing)}")
+        action = table.__getitem__
     else:
         raise ConfigError(f"unknown action kind {kind!r}")
 
@@ -171,10 +157,7 @@ def build_system(spec: dict) -> TwistedSystem:
     if ckind == "trivial":
         cocycle = trivial_cocycle(algebra)
     elif ckind == "theta":
-        try:
-            cocycle = theta_cocycle(group, algebra, parse_theta(cocycle_spec.get("theta", 0.0)))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        cocycle = theta_cocycle(group, algebra, cocycle_spec.get("theta", 0.0))
     elif ckind == "table":
         entries = cocycle_spec.get("entries")
         if not group.is_finite or not entries:

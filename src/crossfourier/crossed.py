@@ -16,7 +16,11 @@ their products numbered in first-seen order, the coefficients, cocycles and
 actions gathered from the system's tables, each term formed by batched
 matmuls and added to its product in pair order; only the distinct products
 are decoded into group elements.  Every result is bit for bit the
-per-coefficient AlgElement arithmetic in the same order.
+per-coefficient AlgElement arithmetic in the same order, except where an
+identity action is skipped (TwistedSystem.act_rows): there a zero may change
+sign, and a coefficient with an inf or NaN entry keeps finite entries where
+the AlgElement arithmetic makes the whole block NaN (its norm is NaN both
+ways).
 
 Operator norms are bounded from below by compressing the regular
 representation to a ball and from above by the l1 norm.  The compression
@@ -363,12 +367,8 @@ def cc_unit(system: TwistedSystem) -> CcElement:
     return delta(system)
 
 
-def cc_zero(system: TwistedSystem) -> CcElement:
-    return CcElement(system, {})
-
-
-def random_cc(system: TwistedSystem, support: Iterable, rng, scale: float = 1.0) -> CcElement:
-    return CcElement(system, {g: system.algebra.random_element(rng, scale) for g in support})
+def random_cc(system: TwistedSystem, support: Iterable, rng) -> CcElement:
+    return CcElement(system, {g: system.algebra.random_element(rng) for g in support})
 
 
 def random_cc_in(system: TwistedSystem, pool: list, max_size: int, rng) -> CcElement:
@@ -546,15 +546,13 @@ def compression_matrix(f: CcElement, R: float, length: LengthFunction | None = N
     return CompressedRep(system, R, length, plan.index, plan.compress(f))
 
 
-def compression_bytes(f: CcElement, R: float, length: LengthFunction | None = None) -> int:
-    """An upper bound on the bytes of the values compression_matrix(f, R, length) stores.
+def compression_bytes(f: CcElement, R: float) -> int:
+    """An upper bound on the bytes of the values compression_matrix(f, R) stores.
 
     16 bytes per complex value, |ball(R)| |supp f| sum_j d_j^2 values, with
     |ball(R)| counted by ball_size, so the default lengths build no ball.
     """
-    if length is None:
-        length = default_length(f.system.group)
-    return 16 * ball_size(R, length) * len(f) * f.system.algebra.total_dim
+    return 16 * ball_size(R, default_length(f.system.group)) * len(f) * f.system.algebra.total_dim
 
 
 def full_radius(system: TwistedSystem) -> float:

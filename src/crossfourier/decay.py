@@ -223,7 +223,6 @@ def decay_constant_probe(
     R: float = 2,
     sample_budget: int = 30,
     rng=None,
-    length: LengthFunction | None = None,
 ) -> DecayProbe:
     """Certified lower bound for any valid decay constant of the system.
 
@@ -233,8 +232,7 @@ def decay_constant_probe(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if length is None:
-        length = default_length(system.group)
+    length = default_length(system.group)
     R_prime = default_radii(system, [2 * R], length)[0]  # counts ball(2R) before ball(R) is built
     pool = ball(R, length)
     samples = [delta(system)]
@@ -283,7 +281,6 @@ def content_probe(
     E: Iterable,
     sample_budget: int = 40,
     rng=None,
-    R: float | None = None,
     warm_start: CcElement | None = None,
 ) -> ContentEstimate:
     """Lower-bound search for the content of E: sup of the operator norm over
@@ -300,8 +297,7 @@ def content_probe(
     if not E:
         raise ValueError("subset must be nonempty")
     length = default_length(system.group)
-    if R is None:
-        R = default_radii(system, [2 * max(length(g) for g in E) + 2], length)[0]
+    R = default_radii(system, [2 * max(length(g) for g in E) + 2], length)[0]
 
     def objective(f: CcElement) -> float:
         denom = f.module_norm()
@@ -337,14 +333,13 @@ def content_probe(
 _SHELL_NORMS = {"l1": CcElement.norm_l1, "linf": CcElement.norm_linf, "module": CcElement.module_norm}
 
 
-def tail_profile(f: CcElement, length: LengthFunction | None = None, norm_tag: str = "l1") -> list:
-    """Per-shell norms of f: shell m collects m-1 < L(g) <= m (shell 0 is L = 0).
+def tail_profile(f: CcElement, norm_tag: str = "l1") -> list:
+    """Per-shell norms of f under the default length L: shell m collects m-1 < L(g) <= m (shell 0 is L = 0).
 
     Exhibits vanishing at infinity of coefficient families; finitely
     supported data is zero beyond the largest support radius.
     """
-    if length is None:
-        length = default_length(f.system.group)
+    length = default_length(f.system.group)
     if norm_tag not in _SHELL_NORMS:
         raise ValueError(f"unknown norm tag {norm_tag!r}")
     norm = _SHELL_NORMS[norm_tag]
@@ -404,13 +399,6 @@ class CommutativeInequalityResult:
     residual: float   # rhs - lhs; the inequality holds iff >= -1e-12
     lhs: float        # || |Lambda(f) xi|_omega ||_2
     rhs: float        # || |f|_omega * |xi|_omega ||_2
-
-    @property
-    def passed(self) -> bool:
-        return self.residual >= -1e-12
-
-    def as_dict(self):
-        return {"residual": self.residual, "lhs": self.lhs, "rhs": self.rhs, "passed": self.passed}
 
 
 def commutative_inequality_check(

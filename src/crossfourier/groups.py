@@ -1073,10 +1073,7 @@ class FolnerSequence:
 
     def ratio(self, g: Elt, i: int) -> float:
         """|g F_i n F_i| / |F_i|, computed exactly."""
-        F = self.set_at(i)
-        Fset = set(F)
-        count = sum(1 for x in F if self.group.mul(g, x) in Fset)
-        return count / len(F)
+        raise NotImplementedError
 
 
 class BoxFolner(FolnerSequence):
@@ -1085,9 +1082,6 @@ class BoxFolner(FolnerSequence):
     On Z these give the classical Fejer kernel: the ratio at g is
     max(0, 1 - |g|/i) per axis.
     """
-
-    def __init__(self, group: Zd):
-        super().__init__(group)
 
     def set_at(self, i: int):
         if i < 1:

@@ -39,9 +39,9 @@ class InvariantIdeal:
     def is_everything(self):
         return len(self.blocks) == len(self.algebra.dims)
 
-    def contains(self, a: AlgElement, tol: float = MEMBERSHIP_TOL) -> bool:
-        """Membership: the block components outside the ideal vanish."""
-        return all(block_norm(m) <= tol for j, m in enumerate(a.blocks) if j not in self.blocks)
+    def contains(self, a: AlgElement) -> bool:
+        """Membership: the block components outside the ideal vanish, to MEMBERSHIP_TOL."""
+        return all(block_norm(m) <= MEMBERSHIP_TOL for j, m in enumerate(a.blocks) if j not in self.blocks)
 
     def element_from(self, a: AlgElement) -> AlgElement:
         """Compression of a onto the ideal blocks (the J-component)."""
@@ -182,31 +182,26 @@ def e_invariance_probe(
     generators: Sequence[CcElement],
     sample_budget: int = 40,
     rng=None,
-    candidate_blocks: Iterable[int] | None = None,
 ) -> EInvarianceReport:
     """Probe whether expectations of sampled ideal elements stay in the ideal.
 
     Samples z = h1 * gen * h2 from the algebraic ideal the generators span
     and tests the coefficient of z at the identity against the candidate
-    blocks (default: the orbit closure of the generators' identity
-    coefficients, which is the induced ideal when the generators come from an
-    invariant ideal of the algebra).  Violations are reported, not raised;
+    blocks: the orbit closure of the generators' identity coefficients, which
+    is the induced ideal when the generators come from an invariant ideal of
+    the algebra.  Violations are reported, not raised;
     only membership of finitely many images is ever tested.
     """
     if not generators:
         raise ValueError("generator list must be nonempty")
     if rng is None:
         rng = np.random.default_rng(0)
-    if candidate_blocks is None:
-        touched: set = set()
-        for gen in generators:
-            e_coeff = gen.expectation()
-            for j, m in enumerate(e_coeff.blocks):
-                if float(np.linalg.norm(m)) > MEMBERSHIP_TOL:
-                    touched.add(j)
-        candidate = orbit_closure(system, touched)
-    else:
-        candidate = InvariantIdeal(system.algebra, frozenset(candidate_blocks))
+    touched: set = set()
+    for gen in generators:
+        for j, m in enumerate(gen.expectation().blocks):
+            if float(np.linalg.norm(m)) > MEMBERSHIP_TOL:
+                touched.add(j)
+    candidate = orbit_closure(system, touched)
 
     pool = (
         system.group.elements()

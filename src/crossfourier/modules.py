@@ -104,8 +104,8 @@ def basis_vector(algebra: BlockAlgebra, rank: int, i: int) -> ModuleVector:
     return ModuleVector(algebra, tuple(entries))
 
 
-def random_vector(algebra: BlockAlgebra, rank: int, rng, scale: float = 1.0) -> ModuleVector:
-    return ModuleVector(algebra, tuple(algebra.random_element(rng, scale) for _ in range(rank)))
+def random_vector(algebra: BlockAlgebra, rank: int, rng) -> ModuleVector:
+    return ModuleVector(algebra, tuple(algebra.random_element(rng) for _ in range(rank)))
 
 
 class ModuleOperator(_Stacked):
@@ -250,8 +250,8 @@ class EquivariantReport:
                 "passed": self.passed}
 
 
-def validate_equivariant(rep: EquivariantRep, n_samples: int = 40, rng=None) -> EquivariantReport:
-    """Max violations of the four equivariance axioms on random samples.
+def validate_equivariant(rep: EquivariantRep, rng=None) -> EquivariantReport:
+    """Max violations of the four equivariance axioms on 40 random samples.
 
       (i)   rho(action(g)(a)) = v(g) rho(a) v(g)^{-1}
       (ii)  v(g) v(h) = ad_rho(cocycle(g, h)) v(gh)
@@ -266,6 +266,7 @@ def validate_equivariant(rep: EquivariantRep, n_samples: int = 40, rng=None) -> 
     grp = sys_.group
     worst = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0, "unit": 0.0}
     e = grp.identity()
+    n_samples = 40
     for _ in range(n_samples):
         g = grp.random_element(rng)
         h = grp.random_element(rng)
@@ -294,7 +295,7 @@ def validate_equivariant(rep: EquivariantRep, n_samples: int = 40, rng=None) -> 
     return EquivariantReport(worst, n_samples)
 
 
-def central_part(rep: EquivariantRep, tol: float = 1e-10) -> list[ModuleVector]:
+def central_part(rep: EquivariantRep) -> list[ModuleVector]:
     """Orthonormal basis of {z : rho(a) z = z . a for all a}.
 
     The defining equations are complex-linear in z, so the space is the null
@@ -320,5 +321,5 @@ def central_part(rep: EquivariantRep, tol: float = 1e-10) -> list[ModuleVector]:
     M = np.array(columns).T
     _, s, vh = np.linalg.svd(M)
     scale = max(1.0, float(s[0])) if len(s) else 1.0
-    null = [i for i in range(vh.shape[0]) if i >= len(s) or s[i] <= tol * scale]
+    null = [i for i in range(vh.shape[0]) if i >= len(s) or s[i] <= ALG_TOL * scale]
     return [unflatten(vh[i].conj()) for i in null]

@@ -18,6 +18,7 @@ lower bounds only.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -87,12 +88,12 @@ def expectation_multiplier(system: TwistedSystem) -> Multiplier:
     return scalar_multiplier(system, lambda g: 1.0 if g == e else 0.0, bound=1.0, g_support=[e])
 
 
-def left_multiplier(system: TwistedSystem, psi: Callable, bound: float | None = None) -> Multiplier:
-    return Multiplier(system, "left", lambda g, a: psi(g) * a, bound=bound, preserves_ideals=True)
+def left_multiplier(system: TwistedSystem, psi: Callable) -> Multiplier:
+    return Multiplier(system, "left", lambda g, a: psi(g) * a, preserves_ideals=True)
 
 
-def right_multiplier(system: TwistedSystem, psi: Callable, bound: float | None = None) -> Multiplier:
-    return Multiplier(system, "right", lambda g, a: a * psi(g), bound=bound, preserves_ideals=True)
+def right_multiplier(system: TwistedSystem, psi: Callable) -> Multiplier:
+    return Multiplier(system, "right", lambda g, a: a * psi(g), preserves_ideals=True)
 
 
 # -- positive definiteness ------------------------------------------------------
@@ -162,8 +163,8 @@ def pd_check(phi: Callable, S: Iterable, group) -> tuple[bool, float]:
 # -- matrix-coefficient recipe ----------------------------------------------------
 
 
-def is_central_vector(rep: EquivariantRep, z: ModuleVector, tol: float = ALG_TOL) -> bool:
-    return all((rep.rho(a)(z) - z.right(a)).norm() <= tol for a in rep.system.algebra.basis())
+def is_central_vector(rep: EquivariantRep, z: ModuleVector) -> bool:
+    return all((rep.rho(a)(z) - z.right(a)).norm() <= ALG_TOL for a in rep.system.algebra.basis())
 
 
 def make_matrix_coeff_multiplier(rep: EquivariantRep, x: ModuleVector, y: ModuleVector) -> Multiplier:
@@ -219,8 +220,6 @@ def make_gilbert_multiplier(
     eta1,
     eta2,
     side: str = "left",
-    sample_pairs=None,
-    tol: float = ALG_TOL,
 ) -> Multiplier:
     """One-sided multiplier from a factorization through a representation pi.
 
@@ -229,9 +228,10 @@ def make_gilbert_multiplier(
     side = "right": requires pi(a) eta1(t) = eta1(t) . a and
                     psi(s t^{-1}) = Ad(cocycle(s, s t^{-1})) action(s)(<eta1(s), eta2(t)>).
 
-    Both conditions are validated on the sample pairs to 1e-10; a violation
-    rejects the construction and reports the witness pair.  The advertised
-    bound is the product of the sup norms.
+    Both conditions are validated to 1e-10 on the pairs of a finite group of
+    order <= 24, of ball(2) otherwise; a violation rejects the construction
+    and reports the witness pair.  The advertised bound is the product of the
+    sup norms.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -240,9 +240,7 @@ def make_gilbert_multiplier(
     f1, sup1 = _as_eta(system, rank, eta1)
     f2, sup2 = _as_eta(system, rank, eta2)
 
-    if sample_pairs is None:
-        pool = grp.elements() if grp.is_finite and len(grp.elements()) <= 24 else ball(2, default_length(grp))
-        sample_pairs = [(s, t) for s in pool for t in pool]
+    pool = grp.elements() if grp.is_finite and len(grp.elements()) <= 24 else ball(2, default_length(grp))
 
     def factor_value(s, t):
         inner = f1(s).inner(f2(t))
@@ -257,17 +255,17 @@ def make_gilbert_multiplier(
 
     centered = f2 if side == "left" else f1
     basis = system.algebra.basis()
-    for s, t in sample_pairs:
+    for s, t in itertools.product(pool, repeat=2):
         for a in basis:
             lhs = rep_pi(a)(centered(t))
             rhs = centered(t).right(a)
             v = (lhs - rhs).norm()
-            if v > tol:
+            if v > ALG_TOL:
                 raise ValueError(
                     f"centrality condition fails at t={grp.word(t)} with violation {v:.3e}"
                 )
         v = (factor_value(s, t) - psi(grp.mul(s, grp.inv(t)))).norm()
-        if v > tol:
+        if v > ALG_TOL:
             raise ValueError(
                 f"factorization condition fails at pair ({grp.word(s)}, {grp.word(t)}) "
                 f"with violation {v:.3e}"
@@ -281,19 +279,19 @@ def make_gilbert_multiplier(
 # -- endomorphism recipe --------------------------------------------------------------
 
 
-def make_endo_multiplier(system: TwistedSystem, beta: Callable, n_samples: int = 40, rng=None) -> Multiplier:
+def make_endo_multiplier(system: TwistedSystem, beta: Callable) -> Multiplier:
     """Constant-in-g multiplier T_g(a) = beta(a).
 
     Requires beta to commute with every action automorphism and to fix every
-    cocycle value; both are validated on samples and a violation rejects the
-    construction.  The applied map is then multiplicative on finitely
-    supported elements, which is spot-checked on sampled products.
+    cocycle value; both are validated on 40 samples (fixed seed) and a
+    violation rejects the construction.  The applied map is then
+    multiplicative on finitely supported elements, which is spot-checked on
+    sampled products.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     grp, A = system.group, system.algebra
     probes = A.basis() + [A.random_element(rng) for _ in range(3)]
-    for _ in range(n_samples):
+    for _ in range(40):
         g = grp.random_element(rng)
         h = grp.random_element(rng)
         for x in probes:
@@ -321,32 +319,21 @@ class NormProbe:
     ratio_max: float
     witnesses: list  # (ratio, support words)
 
-    def as_dict(self):
-        return {"ratio_max": self.ratio_max,
-                "witnesses": [{"ratio": r, "support": s} for r, s in self.witnesses]}
 
-
-def multiplier_norm_probe(
-    T: Multiplier,
-    sample_budget: int = 20,
-    R: float | None = None,
-    rng=None,
-    support_radius: float = 2,
-) -> NormProbe:
+def multiplier_norm_probe(T: Multiplier, sample_budget: int = 20) -> NormProbe:
     """Max over sampled f of opnorm_lower(T . f, R) / opnorm_upper(f).
 
-    This is a certified lower bound for the multiplier norm (the denominator
-    is the l1 upper bound of f); it is reported strictly as a lower bound and
-    never claimed to be the norm itself.
+    f is drawn (fixed seed) on ball(min(2, R)), R = 4 or the full radius of a
+    finite group.  This is a certified lower bound for the multiplier norm
+    (the denominator is the l1 upper bound of f); it is reported strictly as
+    a lower bound and never claimed to be the norm itself.
     """
     system = T.system
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     grp = system.group
     length = default_length(grp)
-    if R is None:
-        R = default_radii(system, [4], length)[0]
-    pool = ball(min(support_radius, R), length)
+    R = default_radii(system, [4], length)[0]
+    pool = ball(min(2, R), length)
     samples = [cc_unit(system)]
     for _ in range(sample_budget):
         samples.append(random_cc_in(system, pool, 3, rng))

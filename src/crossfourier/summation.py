@@ -54,21 +54,19 @@ class SummingNet:
     def bounds(self) -> tuple:
         return tuple(T.bound for T in self.multipliers)
 
-    def __len__(self):
-        return len(self.indices)
-
 
 # -- Fejer ------------------------------------------------------------------------
 
 
-def fejer_net(system: TwistedSystem, indices: Sequence[int], folner: FolnerSequence | None = None) -> SummingNet:
-    """Scalar kernels phi_i(g) = |g F_i n F_i| / |F_i| from a Folner sequence.
+def fejer_net(system: TwistedSystem, indices: Sequence[int]) -> SummingNet:
+    """Scalar kernels phi_i(g) = |g F_i n F_i| / |F_i| from the group's Folner sequence.
 
     Each kernel is normalized positive definite with finite support inside
-    F_i F_i^{-1}, so the declared bound is 1.
+    F_i F_i^{-1}, so the declared bound is 1.  Indices start at 1.
     """
-    if folner is None:
-        folner = folner_sequence(system.group)
+    folner = folner_sequence(system.group)
+    if any(int(i) < 1 for i in indices):
+        raise ValueError("Folner index must be >= 1")
     mults = []
     for i in indices:
         phi = _fejer_kernel(folner, int(i))
@@ -238,9 +236,10 @@ def run_convergence(
     R_schedule: Iterable[float] | None = None,
     target_error: float = 1e-6,
     rng=None,
-    n_pointwise: int = 8,
 ) -> ConvergenceReport:
     """Per-index error metrics for T^i . f against f, plus the pointwise surrogate.
+
+    The surrogate is taken at supp f and 8 points drawn from ball(3).
 
     Compressed-operator-norm errors are reported at every scheduled radius;
     they are dominated by the l1 error since the operator norm is.  For
@@ -256,7 +255,7 @@ def run_convergence(
     R_schedule = [float(R) for R in R_schedule]
 
     pool = ball(3, length)
-    picks = list(rng.choice(len(pool), size=min(n_pointwise, len(pool)), replace=False))
+    picks = list(rng.choice(len(pool), size=min(8, len(pool)), replace=False))
     point_gs = sorted({pool[i] for i in picks} | set(f.support()), key=system.group.sort_key)
     probes = system.algebra.basis()[:4] + [system.algebra.random_element(rng)]
 

@@ -38,8 +38,9 @@ import numpy as np
 from .algebra import (
     ALG_TOL, AlgAutomorphism, AlgElement, AutomorphismStack, BlockAlgebra, adjoints, stack_blocks, stacked_norms,
 )
+from . import groups
 from .groups import (
-    PAIR_MEMO, Group, Cyclic, FreeProductZ2Z3, Numbering, Zd, ball, coded_group, default_length, first_entries,
+    Group, Cyclic, FreeProductZ2Z3, Numbering, Zd, ball, coded_group, default_length, first_entries,
 )
 
 
@@ -117,7 +118,7 @@ class TwistedSystem:
         """
         keys_of = getattr(self._cocycle_rule, "keys", None)
         known = len(self._sigma_keys.items)
-        if keys_of is None and known + len(g) > PAIR_MEMO:
+        if keys_of is None and known + len(g) > groups.PAIR_MEMO:
             return self._value_rows(list(map(self.cocycle, self.coded.decode(g), self.coded.decode(h))))
         numbers = self._sigma_keys.many(keys_of(self.coded, g, h) if keys_of else self.coded.pair_keys(g, h))
         if len(self._sigma_keys.items) > known:
@@ -163,9 +164,12 @@ class TwistedSystem:
     def act_rows(self, codes: np.ndarray, which: np.ndarray, blocks: list, inverse: bool = False) -> list:
         """action(g), or its inverse automorphism, for g coded codes[which[i]], applied to row i of blocks.
 
-        Bit for bit AlgAutomorphism.__call__.  When the action of every code
-        given is exactly the identity the blocks are returned as they are,
-        which can differ from applying it only in the sign of a zero.
+        Bit for bit AlgAutomorphism.__call__, except that when the action of
+        every code given is exactly the identity the blocks are returned as
+        they are.  That differs from applying it (1 x 1^*) in the sign of a
+        zero, and in a block with an inf or NaN entry: applying spreads NaN
+        over the block, returning keeps its finite entries.  Its norm is NaN
+        either way.
         """
         keys = codes.tolist()
         if not all(map(self._alpha_identity.__contains__, keys)):
@@ -222,9 +226,11 @@ def trivial_cocycle(algebra: BlockAlgebra) -> Callable:
 
 
 def _theta_value(theta) -> float:
-    if isinstance(theta, str):
-        theta = Fraction(theta)
-    return float(theta)
+    """theta as a float, from a number or a rational string like "1/5"."""
+    try:
+        return float(Fraction(theta) if isinstance(theta, str) else theta)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse theta {theta!r}") from None
 
 
 def theta_cocycle(group: Group, algebra: BlockAlgebra, theta) -> Callable:

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from crossfourier import experiments
 from crossfourier.cli import PRESETS, main, run_config
 from crossfourier.config import ConfigError
+from crossfourier.decay import CommutativeInequalityResult
 
 
 def base_config(tmp_path, experiment, system=None, seed=5):
@@ -186,6 +188,35 @@ def test_radius_past_the_compression_budget_fails_before_building_its_ball(tmp_p
     assert run_cli(tmp_path, base_config(tmp_path, experiment, system=system)) == 1
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def table_action_system(table):
+    return {"algebra": [1, 1], "group": {"family": "finite-cyclic", "n": 2},
+            "action": {"kind": "table", "table": table}}
+
+
+def test_table_action_from_config(tmp_path):
+    config = base_config(tmp_path, {"tag": "validate"}, system=table_action_system({"0": [0, 1], "1": [1, 0]}))
+    assert run_cli(tmp_path, config) == 0
+
+
+Z2_LATTICE = {"algebra": [1], "group": {"family": "Zd", "d": 2}}
+
+
+@pytest.mark.parametrize("experiment, system, message", [
+    ({"tag": "validate"}, table_action_system({"1": [1, 0]}), "no entry for the group element 0"),
+    ({"tag": "validate"}, table_action_system({"0": [0, 1], "1": [1, 1]}), "not a permutation"),
+    ({"tag": "fejer", "indices": [0]}, Z3, "Folner index must be >= 1"),
+    ({"tag": "validate"}, dict(Z2_LATTICE, cocycle={"kind": "theta", "theta": "1/0"}), "cannot parse theta '1/0'"),
+    ({"tag": "norms", "element": {"points": [{"g": "(1,x)"}]}, "radii": [1]}, Z2_LATTICE, "unknown generator"),
+    ({"tag": "fejer", "indices": [2]}, F2, "no Folner sequence"),
+], ids=["table-without-identity", "table-bad-permutation", "fejer-index-0", "theta-1-over-0", "bad-word",
+        "fejer-on-F2"])
+def test_rejected_input_exits_one_with_a_config_error(tmp_path, capsys, experiment, system, message):
+    # every ValueError of the library leaves main as exit 1, never as a traceback
+    assert run_cli(tmp_path, base_config(tmp_path, experiment, system=system)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
 
 
 def test_fejer_experiment_writes_report_and_csv(tmp_path):
@@ -370,6 +401,25 @@ def test_commutative_inequality_experiment(tmp_path):
     code, report = run_config(config)
     assert code == 0
     assert report["results"]["min_residual"] >= -1e-12
+
+
+def test_commutative_inequality_records_the_twisted_experiment(tmp_path, monkeypatch):
+    system = {"algebra": [1, 1], "group": {"family": "Zd", "d": 1}, "cocycle": {"kind": "theta", "theta": 0.37}}
+    experiment = {"tag": "commutative-inequality", "n_samples": 10}
+    _, plain = run_config(base_config(tmp_path, experiment, system=system))
+    config = base_config(tmp_path, dict(experiment, record_twisted_experiment=True), system=system)
+    _, report = run_config(config)
+    twisted = report["results"].pop("twisted_experiment")
+    assert isinstance(twisted["counterexamples"], int) and set(twisted) == {"min_residual", "counterexamples"}
+    # the observations draw nothing from the seed
+    assert report["results"] == plain["results"]
+    # and never decide the verdict: a negative twisted residual at every check still passes
+    negative = CommutativeInequalityResult(-1.0, 1.0, 0.0)
+    monkeypatch.setattr(experiments, "twisted_inequality_experiment", lambda *args: negative)
+    code, report = run_config(config)
+    n_checks = plain["results"]["n_checks"]
+    assert report["results"]["twisted_experiment"] == {"min_residual": -1.0, "counterexamples": n_checks}
+    assert report["results"]["min_residual"] >= -1e-12 and report["passed"] is True and code == 0
 
 
 def test_content_probe_experiment(tmp_path):

@@ -291,6 +291,21 @@ def test_coefficient_norms_propagate_nan_like_the_packed_norms():
         np.testing.assert_array_equal([a.norm()], stacked_norms([b[None] for b in a.blocks]))
 
 
+def test_star_over_an_identity_action_keeps_finite_entries_beside_an_inf():
+    # the one departure from the AlgElement arithmetic: the action of every point is
+    # exactly the identity, so star() skips it, where applying it, 1 x 1^*, spreads
+    # the NaN of inf * 0 over the whole block
+    A = BlockAlgebra([2])
+    sys_ = trivial_system(A, Zd(1))
+    a = A.element([[[math.inf, 1.0], [2.0, 3.0]]])
+    h, h_inv = (-1,), (1,)
+    with np.errstate(invalid="ignore"):
+        packed = CcElement(sys_, {h_inv: a}).star().coeff(h)
+        oracle = sys_.act(h, sys_.cocycle(h_inv, h).star() * a.star())
+    assert np.isfinite(packed.blocks[0][:, 1]).all() and np.isnan(oracle.blocks[0]).all()
+    assert math.isnan(packed.norm()) and math.isnan(oracle.norm())
+
+
 def test_compression_of_unit_is_identity():
     for make in SYSTEMS.values():
         sys_ = make()

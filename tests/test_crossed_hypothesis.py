@@ -25,7 +25,7 @@ from crossfourier.crossed import (
 )
 from crossfourier.decay import regular_apply
 from crossfourier.groups import Zd, ball, default_length
-from crossfourier import system as system_module
+from crossfourier import groups
 from crossfourier.system import (
     TwistedSystem, generator_action, sl2z_system, theta_system, trivial_cocycle, validate_system,
 )
@@ -249,7 +249,7 @@ def test_points_past_the_linear_codes_are_the_pair_loop(d, far):
 
 def test_cocycle_pairs_past_the_memo_bound_are_the_pair_loop(monkeypatch):
     # the section cocycle has no keys: code pairs are keyed up to the bound, then looked up one by one
-    monkeypatch.setattr(system_module, "PAIR_MEMO", 40)
+    monkeypatch.setattr(groups, "PAIR_MEMO", 40)
     system = sl2z_system()
     rng = np.random.default_rng(5)
     pool = ball(3, default_length(system.group))

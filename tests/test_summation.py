@@ -25,6 +25,12 @@ from crossfourier.summation import (
 from crossfourier.system import theta_system, trivial_system
 
 
+def test_fejer_net_rejects_an_index_below_one():
+    for group in (Zd(1), Cyclic(4)):
+        with pytest.raises(ValueError, match="Folner index must be >= 1"):
+            fejer_net(trivial_system(BlockAlgebra([1]), group), [2, 0])
+
+
 def test_fejer_kernel_closed_form_on_z():
     sys_ = trivial_system(BlockAlgebra([1]), Zd(1))
     net = fejer_net(sys_, [1, 2, 4, 8])

@@ -47,6 +47,12 @@ def test_theta_on_finite_cyclic():
         theta_system(Cyclic(12), "1/5")
 
 
+def test_unparseable_theta_is_a_value_error():
+    for theta in ("1/0", "one fifth", None):
+        with pytest.raises(ValueError, match="cannot parse theta"):
+            theta_system(Zd(2), theta)
+
+
 def test_action_system_with_nontrivial_action():
     A = BlockAlgebra([2, 1])
     phi = np.pi / 7
