@@ -118,6 +118,9 @@ def build_system(spec: dict) -> TwistedSystem:
 
     action_spec = spec.get("action", {"kind": "trivial"})
     cocycle_spec = spec.get("cocycle", {"kind": "trivial"})
+    for name, block in (("action", action_spec), ("cocycle", cocycle_spec)):
+        if not isinstance(block, dict):
+            raise ConfigError(f"the {name} block must be an object with a 'kind', not {block!r}")
     kind = action_spec.get("kind", "trivial")
 
     if cocycle_spec.get("kind") == "section":
@@ -144,6 +147,8 @@ def build_system(spec: dict) -> TwistedSystem:
         table_spec = action_spec.get("table")
         if not group.is_finite or not table_spec:
             raise ConfigError("table actions need a finite group and a 'table'")
+        if not isinstance(table_spec, dict):
+            raise ConfigError(f"the action 'table' must map group words to permutations, not {table_spec!r}")
         table = {group.normal_form(word): AlgAutomorphism.block_permutation(algebra, perm)
                  for word, perm in table_spec.items()}
         missing = next((g for g in group.elements() if g not in table), None)
@@ -164,9 +169,11 @@ def build_system(spec: dict) -> TwistedSystem:
             raise ConfigError("table cocycles need a finite group and 'entries'")
         table = {}
         for row in entries:
-            g = group.normal_form(row["g"])
-            h = group.normal_form(row["h"])
-            table[(g, h)] = algebra.from_wire(row["blocks"])
+            try:
+                g, h, blocks = row["g"], row["h"], row["blocks"]
+            except (KeyError, TypeError):
+                raise ConfigError(f"each cocycle table row needs 'g', 'h' and 'blocks', not {row!r}") from None
+            table[(group.normal_form(g), group.normal_form(h))] = algebra.from_wire(blocks)
         unit = algebra.unit()
 
         def cocycle(g, h, table=table):

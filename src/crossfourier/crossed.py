@@ -37,14 +37,19 @@ actions of its points, and per support point g the rows, columns and
 cocycle rows of its entries.  Every element compressed at one radius
 reuses what the ones before it built.  The result is a CSR matrix
 (CompressedRep.sparse; .matrix is the dense array, built on demand).
-Singular values densify only up to the dense SVD cutoff (300).  Above it
-one Lanczos run on x -> M^H (M x) (the CSR and its adjoint, in real
-arithmetic on a real compression) stops at the residual 1e-8 (about
-sqrt(eps)), and the value returned is ||M v|| / ||v|| recomputed from its
-Ritz vector v: a lower bound with its own witness, below the top singular
-value by at most the Kato-Temple term ||r||^2 / (rho - sigma_2^2), which is
-of order eps over the relative gap.  So a full-radius value on a finite
-group above 300 dimensions is the exact norm up to that term.
+Singular values densify only up to the dense SVD cutoff (300).  Above it a
+plain Lanczos loop runs on x -> M^H (M x) (the CSR and its adjoint, in real
+arithmetic on a real compression) from the fixed start ones / sqrt(n).  It
+never restarts and stores no Krylov basis: a first pass keeps only the
+tridiagonal coefficients until the top Ritz pair passes ARPACK's test at
+1e-8 (about sqrt(eps)), and a second pass replays the same recurrence to sum
+the Ritz vector v.  v is accepted only if its explicit residual is at most
+1e-8 rho ||v||, and the value returned is ||M v|| / ||v||: a lower bound
+with its own witness, below the top singular value by at most the
+Kato-Temple term ||r||^2 / (rho - sigma_2^2), which is of order eps over the
+relative gap.  So a full-radius value on a finite group above 300 dimensions
+is the exact norm up to that term.  Past the step cap, or when the residual
+check fails, the dense SVD runs if the matrix fits in 1 GiB.
 """
 
 from __future__ import annotations
@@ -56,8 +61,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .algebra import AlgElement, AutomorphismStack, adjoints, stack_blocks, stacked_norms, sum_from_zero
 from .groups import LengthFunction, Numbering, ball, ball_size, default_length, word_length
@@ -71,12 +76,18 @@ SUPPORT_TOL = 1e-14
 # dense.
 _DENSE_SVD_LIMIT = 300
 
-# Lanczos stops once the residual r of the Ritz pair (rho, v) of M^H M is at
-# most this times rho, about sqrt(eps).  The value needs no more: by
-# Kato-Temple, sigma_1^2 - rho <= ||r||^2 / (rho - sigma_2^2), so the Ritz
-# value is off by about eps * rho over the relative gap, and whatever the
-# gap, rho = ||M v||^2 / ||v||^2 is a lower bound witnessed by v.
+# Lanczos stops once the estimated residual |beta_j s_j| of its top Ritz pair
+# is at most this times the Ritz value, and its Ritz vector v is accepted once
+# the explicit residual r = M^H M v - rho v has ||r|| <= this * rho * ||v||;
+# about sqrt(eps).  The value needs no more: by Kato-Temple, sigma_1^2 - rho
+# <= ||r||^2 / (rho - sigma_2^2), so the Ritz value is off by about eps * rho
+# over the relative gap, and whatever the gap, rho = ||M v||^2 / ||v||^2 is a
+# lower bound witnessed by v.
 _LANCZOS_TOL = 1e-8
+
+# Lanczos gives up after this many steps, about twice as many operator
+# applications counting the second pass, and the dense fallback runs.
+_LANCZOS_STEPS = 20_000
 
 # Default radius schedules stop before a dense compression passes 1 GiB
 # (dimension 8192).  Explicit radii are not capped.
@@ -381,40 +392,99 @@ def random_cc_in(system: TwistedSystem, pool: list, max_size: int, rng) -> CcEle
 # -- compressed regular representation ---------------------------------------------
 
 
+def _top_ritz(alphas: list, betas: list):
+    """(theta, s): the largest eigenvalue of the tridiagonal and its unit eigenvector, or (None, None)."""
+    try:
+        theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(len(alphas) - 1,) * 2)
+    except np.linalg.LinAlgError:  # inverse iteration failed on a tight cluster
+        return None, None
+    return theta[0], s[:, 0]
+
+
+def _lanczos_top(operand: scipy.sparse.csr_matrix, adjoint: scipy.sparse.csr_matrix):
+    """Top Ritz vector of x -> M^H (M x) by two passes of plain Lanczos, or None.
+
+    Pass 1 runs the three-term recurrence from ones / sqrt(n), keeping only
+    alpha and beta, and tests the top Ritz pair (theta, s) of the tridiagonal
+    at step 10 and then every max(10, j // 8) steps against ARPACK's test
+    |beta_j s_j| <= _LANCZOS_TOL * theta (or beta_j = 0).  Pass 2 replays the
+    recurrence from the stored coefficients, the same operations in the same
+    order, so every q_j is pass 1's bit for bit, and sums v = sum_j s_j q_j.
+    No restart, no reorthogonalization, no stored basis: memory is O(n).
+    None when the step cap is reached first.
+    """
+    n = operand.shape[0]
+    start = np.full(n, 1 / np.sqrt(n), dtype=operand.dtype)
+    axpy = scipy.linalg.get_blas_funcs("axpy", (start,))  # y += a x in place
+    alphas, betas = [], []
+    q_prev, q, beta = np.zeros_like(start), start, 0.0
+    check = 10
+    for j in range(1, _LANCZOS_STEPS + 1):
+        w = adjoint @ (operand @ q)
+        alpha = np.vdot(q, w).real
+        axpy(q, w, a=-alpha)
+        axpy(q_prev, w, a=-beta)
+        beta = math.sqrt(np.vdot(w, w).real)
+        alphas.append(alpha)
+        betas.append(beta)
+        if j == check or j == _LANCZOS_STEPS or beta == 0.0:
+            check = j + max(10, j // 8)
+            theta, s = _top_ritz(alphas, betas[:-1])
+            if s is not None and (beta == 0.0 or abs(beta * s[-1]) <= _LANCZOS_TOL * theta):
+                break
+            if beta == 0.0:
+                return None
+        w *= 1 / beta
+        q_prev, q = q, w
+    else:
+        return None
+    v = s[0] * start
+    q_prev, q, beta = np.zeros_like(start), start, 0.0
+    for i in range(1, j):
+        w = adjoint @ (operand @ q)
+        axpy(q, w, a=-alphas[i - 1])
+        axpy(q_prev, w, a=-beta)
+        beta = betas[i - 1]
+        w *= 1 / beta
+        q_prev, q = q, w
+        axpy(q, v, a=s[i])
+    return v
+
+
 def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool):
     """(largest singular value, its right singular vector or None).
 
-    Dense SVD of matrix.toarray() up to _DENSE_SVD_LIMIT.  Above it, one
-    Lanczos run (ARPACK eigsh, k = 1, fixed start) on the implicit Gram
-    operator x -> M^H (M x), with the CSR adjoint built once, to the
-    residual _LANCZOS_TOL; in real arithmetic on matrix.real when every
-    stored entry is real (real coefficients, cocycle and action values), in
-    complex arithmetic otherwise.  The value returned is ||M v|| / ||v||,
-    recomputed from the matrix and the Ritz vector v that is returned
-    (complex either way): a lower bound witnessed by v, within the
-    Kato-Temple term of the top singular value.  When Lanczos does not
-    converge, the dense SVD runs instead if the dense matrix fits in
+    Dense SVD of matrix.toarray() up to _DENSE_SVD_LIMIT.  Above it, the
+    two-pass Lanczos of _lanczos_top on the implicit Gram operator
+    x -> M^H (M x), with the CSR adjoint built once, from the fixed start
+    ones / sqrt(n); in real arithmetic on matrix.real when every stored entry
+    is real (real coefficients, cocycle and action values), in complex
+    arithmetic otherwise.  Its Ritz vector v is accepted only if the explicit
+    residual passes, ||M^H M v - rho v|| <= _LANCZOS_TOL * rho * ||v|| with
+    rho = ||M v||^2 / ||v||^2.  The value returned is then ||M v|| / ||v||,
+    recomputed from the matrix and the v that is returned (complex either
+    way): a lower bound witnessed by v, within the Kato-Temple term of the
+    top singular value.  When the step cap is reached or the residual check
+    fails, the dense SVD runs instead if the dense matrix fits in
     _DEFAULT_DENSE_BYTES; otherwise ValueError.
     """
     n = matrix.shape[0]
     if n > _DENSE_SVD_LIMIT:
         operand = matrix if np.any(matrix.data.imag) else matrix.real
         adjoint = operand.conj().T.tocsr()
-        gram = scipy.sparse.linalg.LinearOperator(
-            (n, n), matvec=lambda x: adjoint @ (operand @ x), dtype=operand.dtype)
-        try:
-            _, ritz = scipy.sparse.linalg.eigsh(
-                gram, k=1, v0=np.ones(n) / np.sqrt(n), tol=_LANCZOS_TOL, maxiter=5000)
-        except scipy.sparse.linalg.ArpackNoConvergence as err:
-            if 16 * n * n > _DEFAULT_DENSE_BYTES:
-                raise ValueError(
-                    f"Lanczos did not converge on the {n} x {matrix.shape[1]} compression, "
-                    "which is too large for the dense SVD"
-                ) from err
-        else:
-            v = ritz[:, 0].astype(complex)
-            value = float(np.linalg.norm(matrix @ v) / np.linalg.norm(v))
-            return value, (v if vectors else None)
+        v = _lanczos_top(operand, adjoint)
+        if v is not None:
+            image = operand @ v
+            rho = np.vdot(image, image).real / np.vdot(v, v).real
+            if np.linalg.norm(adjoint @ image - rho * v) <= _LANCZOS_TOL * rho * np.linalg.norm(v):
+                v = v.astype(complex) / np.linalg.norm(v)
+                value = float(np.linalg.norm(matrix @ v) / np.linalg.norm(v))
+                return value, (v if vectors else None)
+        if 16 * n * n > _DEFAULT_DENSE_BYTES:
+            raise ValueError(
+                f"Lanczos did not converge on the {n} x {matrix.shape[1]} compression, "
+                "which is too large for the dense SVD"
+            )
     out = np.linalg.svd(matrix.toarray(), compute_uv=vectors)
     if not vectors:
         return float(out[0]), None

@@ -60,3 +60,13 @@ def system_for(family, dims):
     if key not in _SYSTEMS:
         _SYSTEMS[key] = make_system(family, dims)
     return _SYSTEMS[key]
+
+
+def rotation_system():
+    """Z acting on M2 + C by powers of a rotation conjugation, untwisted."""
+    A = BlockAlgebra([2, 1])
+    phi = np.pi / 7
+    u = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    theta = AlgAutomorphism.conjugation(A, [u, np.eye(1)])
+    Z = Zd(1)
+    return TwistedSystem(A, Z, generator_action(Z, A, [theta]), lambda g, h: A.unit(), tag="rotation")

@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crossfourier import experiments
@@ -201,6 +202,8 @@ def test_table_action_from_config(tmp_path):
 
 
 Z2_LATTICE = {"algebra": [1], "group": {"family": "Zd", "d": 2}}
+CYCLIC_2 = {"algebra": [1, 1], "group": {"family": "finite-cyclic", "n": 2}}
+ONES_2 = [[1.0, 0.0], [1.0, 0.0]]  # the unit of C + C on the wire
 
 
 @pytest.mark.parametrize("experiment, system, message", [
@@ -210,8 +213,12 @@ Z2_LATTICE = {"algebra": [1], "group": {"family": "Zd", "d": 2}}
     ({"tag": "validate"}, dict(Z2_LATTICE, cocycle={"kind": "theta", "theta": "1/0"}), "cannot parse theta '1/0'"),
     ({"tag": "norms", "element": {"points": [{"g": "(1,x)"}]}, "radii": [1]}, Z2_LATTICE, "unknown generator"),
     ({"tag": "fejer", "indices": [2]}, F2, "no Folner sequence"),
+    ({"tag": "validate"}, dict(CYCLIC_2, action="trivial"), "the action block must be an object"),
+    ({"tag": "validate"}, table_action_system([[0, 1], [1, 0]]), "the action 'table' must map group words"),
+    ({"tag": "validate"}, dict(CYCLIC_2, cocycle={"kind": "table", "entries": [{"h": "1", "blocks": ONES_2}]}),
+     "each cocycle table row needs 'g', 'h' and 'blocks'"),
 ], ids=["table-without-identity", "table-bad-permutation", "fejer-index-0", "theta-1-over-0", "bad-word",
-        "fejer-on-F2"])
+        "fejer-on-F2", "action-as-a-string", "table-action-as-a-list", "cocycle-row-without-g"])
 def test_rejected_input_exits_one_with_a_config_error(tmp_path, capsys, experiment, system, message):
     # every ValueError of the library leaves main as exit 1, never as a traceback
     assert run_cli(tmp_path, base_config(tmp_path, experiment, system=system)) == 1
@@ -349,17 +356,23 @@ def test_experiment_reports_match_the_benchmark_reference():
         assert json.loads(proc.stdout) == {name: [0, digest] for name, digest in reference.items()}, hash_seed
 
 
-def test_every_benchmark_experiment_compression_is_at_or_below_the_dense_cutoff(monkeypatch):
-    # the eleven digests above hold only while every singular value they
-    # take stays on the dense SVD path
+def load_workloads():
+    """perfbench/workloads.py as a module (perfbench is not a package)."""
     import importlib.util
-
-    import crossfourier.crossed as crossed
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_every_benchmark_experiment_compression_is_at_or_below_the_dense_cutoff(monkeypatch):
+    # the eleven digests above hold only while every singular value they
+    # take stays on the dense SVD path
+    import crossfourier.crossed as crossed
+
+    workloads = load_workloads()
     dims = []
     original = crossed._top_singular
 
@@ -371,6 +384,35 @@ def test_every_benchmark_experiment_compression_is_at_or_below_the_dense_cutoff(
     for config in workloads.EXPERIMENT_CONFIGS.values():
         assert run_config(json.loads(json.dumps(config)))[0] == 0
     assert dims and max(dims) <= crossed._DENSE_SVD_LIMIT
+
+
+def test_lanczos_resolves_the_clustered_norms_element_without_the_dense_svd(monkeypatch):
+    # the Z2-theta-R24 element of cycle 56 (from 0) of the seed-4 norms
+    # workload: 1201 dimensions, top singular values 3.8038535, 3.80385349
+    # and 3.80385025, which cost ARPACK 32 161 operator applications
+    import crossfourier.crossed as crossed
+
+    norms = load_workloads().Norms(4)
+    for _ in range(57):
+        tasks = {label: run for label, run, _ in norms.cycle()}
+    f, R = tasks["norms/Z2-theta-R24"].__defaults__
+    comp = crossed.compression_matrix(f, R)
+    assert comp.sparse.shape == (1201, 1201)
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    value = crossed.largest_singular_value(comp.sparse)
+    v = comp.top_singular_vector()
+    assert calls == []
+    assert value >= 3.8038534985138877  # the value ARPACK returned
+    top = svd(comp.matrix, compute_uv=False)[0]
+    assert top * (1 - 1e-12) <= value <= top * (1 + 1e-14)
+    assert np.linalg.norm(comp.sparse @ v) / np.linalg.norm(v) == pytest.approx(value, rel=1e-15)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")

@@ -18,16 +18,7 @@ from crossfourier.crossed import (
 )
 from crossfourier.groups import Cyclic, Dihedral, DirectProduct, FreeF2, Zd, ball, default_length
 from crossfourier.system import TwistedSystem, generator_action, theta_system, trivial_system, sl2z_system
-
-
-def rotation_system():
-    """Z acting on M2 + C by powers of a rotation conjugation, untwisted."""
-    A = BlockAlgebra([2, 1])
-    phi = np.pi / 7
-    u = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-    theta = AlgAutomorphism.conjugation(A, [u, np.eye(1)])
-    Z = Zd(1)
-    return TwistedSystem(A, Z, generator_action(Z, A, [theta]), lambda g, h: A.unit(), tag="rotation")
+from families import rotation_system
 
 
 def projective_z2_system():
@@ -528,13 +519,13 @@ def test_lanczos_runs_in_real_arithmetic_only_on_real_compressions(monkeypatch):
     real, cplx = _real_and_complex_compressions()
     assert not np.any(real.sparse.data.imag) and np.any(cplx.sparse.data.imag)
     dtypes = []
-    original = scipy.sparse.linalg.eigsh
+    original = crossed._lanczos_top
 
-    def spy(operator, *args, **kwargs):
-        dtypes.append(operator.dtype)
-        return original(operator, *args, **kwargs)
+    def spy(operand, adjoint):
+        dtypes.append(operand.dtype)
+        return original(operand, adjoint)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    monkeypatch.setattr(crossed, "_lanczos_top", spy)
     for comp in (real, cplx):
         assert comp.sparse.shape[0] > crossed._DENSE_SVD_LIMIT
         comp.largest_singular_value()
@@ -605,15 +596,33 @@ def test_lanczos_converges_on_a_cluster_without_the_dense_svd(monkeypatch):
     assert 1.0 - 2e-9 <= value <= 1.0 + 1e-14
 
 
-def _arpack_fails(monkeypatch):
-    def eigsh(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
-
-
 def test_lanczos_non_convergence_falls_back_to_the_dense_svd(monkeypatch):
-    _arpack_fails(monkeypatch)
+    import crossfourier.crossed as crossed
+
+    monkeypatch.setattr(crossed, "_LANCZOS_STEPS", 1)
+    calls = []
+    original = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    sys_ = trivial_system(BlockAlgebra([1]), Zd(1))
+    A = sys_.algebra
+    comp = compression_matrix(CcElement(sys_, {(1,): A.unit(), (-1,): A.unit()}), 301)  # 603 > 300
+    want = 2 * np.cos(np.pi / (2 * 301 + 2))
+    assert comp.largest_singular_value() == pytest.approx(want, abs=1e-12)
+    assert calls == [(603, 603)]
+    v = comp.top_singular_vector()
+    assert np.linalg.norm(comp.matrix @ v) / np.linalg.norm(v) == pytest.approx(want, abs=1e-12)
+
+
+def test_a_ritz_vector_failing_the_explicit_residual_check_is_not_returned(monkeypatch):
+    import crossfourier.crossed as crossed
+
+    # Lanczos hands back the start vector, far from the top singular vector
+    monkeypatch.setattr(crossed, "_lanczos_top", lambda operand, adjoint: np.ones(operand.shape[0]))
     sys_ = trivial_system(BlockAlgebra([1]), Zd(1))
     A = sys_.algebra
     comp = compression_matrix(CcElement(sys_, {(1,): A.unit(), (-1,): A.unit()}), 301)  # 603 > 300
@@ -626,10 +635,12 @@ def test_lanczos_non_convergence_falls_back_to_the_dense_svd(monkeypatch):
 def test_lanczos_non_convergence_past_the_dense_budget_names_the_shape(monkeypatch):
     import crossfourier.crossed as crossed
 
-    _arpack_fails(monkeypatch)
+    monkeypatch.setattr(crossed, "_LANCZOS_STEPS", 1)
     n = math.isqrt(crossed._DEFAULT_DENSE_BYTES // 16) + 1  # the first dimension past the budget
+    # distinct diagonal entries, so that one step does not span an invariant subspace
+    matrix = scipy.sparse.diags(np.arange(1.0, n + 1), format="csr", dtype=complex)
     with pytest.raises(ValueError, match=f"{n} x {n}"):
-        crossed.largest_singular_value(scipy.sparse.identity(n, dtype=complex, format="csr"))
+        crossed.largest_singular_value(matrix)
 
 
 def test_singular_values_go_through_the_module_level_function(monkeypatch):

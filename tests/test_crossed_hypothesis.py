@@ -9,8 +9,13 @@ here as the oracle, insertion order included.  Each system is shared by
 every draw, so its coded tables are warm with pairs seen before when new
 ones come in.  At full radius on the finite families the compression is a
 *-homomorphism, and every compression norm lies between 0 and the exact
-norm, itself at most the l1 norm.
+norm, itself at most the l1 norm.  Past the dense cutoff, on every infinite
+family, Lanczos converges without the dense fallback, and its value pins the
+top singular value of a dense SVD and is the ratio ||M v|| / ||v|| of the
+vector it returns.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,16 +23,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from families import DIMS, FAMILIES, system_for
+from families import DIMS, FAMILIES, rotation_system, system_for
 from crossfourier.algebra import AlgAutomorphism, BlockAlgebra
 from crossfourier.crossed import (
-    SUPPORT_TOL, CcElement, compression_matrix, exact_norm_finite, full_radius, opnorm_bounds,
+    _DENSE_SVD_LIMIT, SUPPORT_TOL, CcElement, compression_matrix, exact_norm_finite, full_radius, opnorm_bounds,
 )
 from crossfourier.decay import regular_apply
-from crossfourier.groups import Zd, ball, default_length
+from crossfourier.groups import FreeF2, Zd, ball, default_length
 from crossfourier import groups
 from crossfourier.system import (
-    TwistedSystem, generator_action, sl2z_system, theta_system, trivial_cocycle, validate_system,
+    TwistedSystem, generator_action, sl2z_system, theta_system, trivial_cocycle, trivial_system, validate_system,
 )
 
 TOL = 1e-10
@@ -297,3 +302,39 @@ def test_compression_norms_lie_below_the_exact_norm(family, dims, sizes, seed, r
     scale = TOL * (1.0 + f.norm_l1())
     assert opnorm_bounds(f, [radius]).lower <= exact + scale
     assert exact <= f.norm_l1() + scale
+
+
+# -- the Lanczos path on the infinite families -------------------------------------
+
+# family -> (system, radii whose compressions lie past the dense cutoff, element kind)
+LANCZOS_FAMILIES = {
+    "Z-path": (trivial_system(BlockAlgebra([1]), Zd(1)), (151, 450), "path"),  # 303 to 901 dimensions
+    "Z2-theta": (theta_system(Zd(2), "1/5"), (13, 16), "random"),  # 365 to 545
+    "F2": (trivial_system(BlockAlgebra([1]), FreeF2()), (5, 5), "random"),  # 485
+    "Z2*Z3-section": (sl2z_system(), (10, 11), "random"),  # 436 and 628
+    "Z-M2+C": (rotation_system(), (51, 120), "random"),  # 309 to 723
+}
+
+
+@pytest.mark.parametrize("family", sorted(LANCZOS_FAMILIES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=5)
+@given(data=st.data(), size=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_lanczos_value_pins_the_top_singular_value_with_its_own_witness(family, data, size, seed):
+    system, (lo, hi), kind = LANCZOS_FAMILIES[family]
+    R = data.draw(st.integers(lo, hi), label="radius")
+    if kind == "path":
+        e = system.algebra.unit()
+        f = CcElement(system, {(1,): e, (-1,): e})
+    else:
+        rng = np.random.default_rng(seed)
+        pool = ball(2, default_length(system.group))
+        f = CcElement(system, {pool[i]: system.algebra.random_element(rng)
+                               for i in rng.choice(len(pool), size=min(size, len(pool)), replace=False)})
+    comp = compression_matrix(f, R)
+    assert comp.sparse.shape[0] > _DENSE_SVD_LIMIT
+    with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("the dense fallback ran")):
+        value = comp.largest_singular_value()
+        v = comp.top_singular_vector()
+    assert np.linalg.norm(comp.sparse @ v) / np.linalg.norm(v) == pytest.approx(value, rel=1e-15)
+    top = np.linalg.svd(comp.matrix, compute_uv=False)[0]
+    assert top * (1 - 1e-12) <= value <= top * (1 + 1e-14)
