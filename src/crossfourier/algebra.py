@@ -93,11 +93,22 @@ class BlockAlgebra:
         return out
 
     def random_element(self, rng, scale: float = 1.0) -> "AlgElement":
-        blocks = []
+        return self.element([x[0] for x in self.random_stack(rng, 1, scale)])
+
+    def random_stack(self, rng, n: int, scale: float = 1.0) -> list:
+        """n random elements as one (n, d_j, d_j) array per block, row i the i-th.
+
+        Each element takes, block by block, d_j^2 standard normals for the
+        real parts and d_j^2 for the imaginary parts, all from one draw, so the
+        rows are the values of n random_element calls made in turn.
+        """
+        z = rng.normal(size=(n, 2 * self.total_dim))
+        out, at = [], 0
         for d in self.dims:
-            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            blocks.append(scale * m / np.sqrt(2 * d))
-        return self.element(blocks)
+            re, im = (z[:, at + k * d * d:at + (k + 1) * d * d].reshape(n, d, d) for k in (0, 1))
+            out.append(scale * (re + 1j * im) / np.sqrt(2 * d))
+            at += 2 * d * d
+        return out
 
     def random_unitary(self, rng) -> "AlgElement":
         blocks = []
@@ -458,5 +469,9 @@ def pure_states(algebra: BlockAlgebra, sample_budget: int = 5, rng=None) -> list
 
 def state_norm(a: AlgElement, omega) -> float:
     """||a||_omega = omega(a* a)^(1/2)."""
-    val = omega(a.star() * a)
-    return float(np.sqrt(max(val.real, 0.0)))
+    return state_root(omega(a.star() * a))
+
+
+def state_root(value: complex) -> float:
+    """omega(a* a)^(1/2) from the value omega(a* a), a negative real part (rounding) read as 0."""
+    return float(np.sqrt(max(value.real, 0.0)))

@@ -8,19 +8,26 @@ u_g a = action(g)(a) u_g and u_g u_h = cocycle(g, h) u_{gh}:
     f*(h)        = action(h)( cocycle(h^{-1}, h)* . f(h^{-1})* )
 
 An element is stored packed: its support points in insertion order, their
-codes in the system's coded group, a {g: row} index and one read-only
-(n, d_j, d_j) complex array per algebra block j, row i the coefficient at
-the i-th point.  The product is one batched pair kernel on codes
-(pair_sum): the pairs (g, h), g-major, are multiplied as one code array,
-their products numbered in first-seen order, the coefficients, cocycles and
-actions gathered from the system's tables, each term formed by batched
-matmuls and added to its product in pair order; only the distinct products
-are decoded into group elements.  Every result is bit for bit the
-per-coefficient AlgElement arithmetic in the same order, except where an
-identity action is skipped (TwistedSystem.act_rows): there a zero may change
-sign, and a coefficient with an inf or NaN entry keeps finite entries where
-the AlgElement arithmetic makes the whole block NaN (its norm is NaN both
-ways).
+codes in the system's coded group and one read-only (n, d_j, d_j) complex
+array per algebra block j, row i the coefficient at the i-th point; its
+{g: row} index and row norms are built on first use.  The product is one
+batched pair kernel on codes (pair_sum): the pairs (g, h), g-major, are
+multiplied as one code array, their products numbered in first-seen order,
+the coefficients, cocycles and actions gathered from the system's tables,
+each term formed by batched matmuls and added to its product in pair order;
+only the distinct products are decoded into group elements.
+
+The kernel takes a batch of independent couples (f1, f2), as a list of
+first and a list of second factors, and runs it in one pass, the products numbered by (couple, code) so that each couple keeps its
+own pairs, order and points (products, decay.regular_applies); stars, sums
+and differences batch the same way.  f1 * f2, f.star(), f + g and f - g are
+batches of one, and a sampling experiment forms each stage of a chunk of
+samples in one call.  Every result is bit for bit the per-coefficient
+AlgElement arithmetic in the same order, except where an identity action is
+skipped (TwistedSystem.act_rows, when the action is the identity at every
+point of the batch): there a zero may change sign, and a coefficient with an
+inf or NaN entry keeps finite entries where the AlgElement arithmetic makes
+the whole block NaN (its norm is NaN both ways).
 
 Operator norms are bounded from below by compressing the regular
 representation to a ball and from above by the l1 norm.  The compression
@@ -97,13 +104,14 @@ _DEFAULT_DENSE_BYTES = 1 << 30
 class CcElement:
     """Finitely supported function G -> A over a twisted system.
 
-    Stored packed: the support points in insertion order, their codes, a
-    {g: row} index and one read-only (n, d_j, d_j) array per algebra block j
-    whose row i is the coefficient at points[i]; all arithmetic runs on these
-    arrays.  An element built from a mapping keeps the given AlgElements,
+    Stored packed: the support points in insertion order, their codes and
+    one read-only (n, d_j, d_j) array per algebra block j whose row i is the
+    coefficient at points[i]; all arithmetic runs on these arrays.  An
+    element built from a mapping keeps the given AlgElements and their norms,
     stacks them and encodes its points on first use; one built by arithmetic
-    comes with its codes and makes its row AlgElements (views of the stack)
-    on first use.  A value of norm < 1e-14 is never stored, so
+    (or random_cc) comes with its stack, often views of a batch's arrays, and
+    makes its row AlgElements (views of the stack), its {g: row} index and
+    its row norms on first use.  A value of norm < 1e-14 is never stored, so
     the support is canonical; one whose norm is NaN is kept, so overflow
     propagates instead of vanishing.  Instances are immutable; arithmetic
     returns new elements.
@@ -121,19 +129,32 @@ class CcElement:
                 norms.append(norm)
         self._store(system, points, norms, coefficients=values)
 
-    def _store(self, system, points: list, norms: list, blocks: list | None = None, coefficients: list | None = None,
-               codes: np.ndarray | None = None):
+    def _store(self, system, points: list, norms: list | None = None, blocks: list | None = None,
+               coefficients: list | None = None, codes: np.ndarray | None = None):
         """Set the state; at least one of blocks (read-only) and coefficients is given when points are."""
         self.system = system
         self._points = points
         self._code_array = codes            # or None until _codes encodes the points
-        self._rows = {g: i for i, g in enumerate(points)}
-        self._norms = norms                 # AlgElement.norm of each row
+        self._row_index = None              # {g: row}, on first use
+        self._norm_list = norms             # AlgElement.norm of each row, or None until first read
         self._stack = blocks                # or None until _blocks stacks the coefficients
         self._coefficients = coefficients   # row AlgElements, or None until first use
         self._order = None                  # rows in support order, on first use
 
     # -- basic structure ------------------------------------------------------
+
+    @property
+    def _rows(self) -> dict:
+        if self._row_index is None:
+            self._row_index = {g: i for i, g in enumerate(self._points)}
+        return self._row_index
+
+    @property
+    def _norms(self) -> list:
+        """AlgElement.norm of each row (stacked_norms, bit for bit)."""
+        if self._norm_list is None:
+            self._norm_list = stacked_norms(self._blocks).tolist() if self._points else []
+        return self._norm_list
 
     @property
     def _blocks(self) -> list:
@@ -142,7 +163,7 @@ class CcElement:
             if self._coefficients:
                 self._stack = stack_blocks(self._coefficients)
             else:
-                self._stack = [np.empty((0, d, d), dtype=complex) for d in self.system.algebra.dims]
+                self._stack = _no_blocks(self.system)
             for x in self._stack:
                 x.flags.writeable = False
         return self._stack
@@ -194,27 +215,11 @@ class CcElement:
 
     # -- linear structure -------------------------------------------------------
 
-    def _same_system(self, other: "CcElement"):
-        if self.system is not other.system:
-            raise ValueError("elements live over different systems")
-
     def __add__(self, other: "CcElement") -> "CcElement":
-        self._same_system(other)
-        at = [self._rows.get(g) for g in other._points]
-        shared = [(i, j) for j, i in enumerate(at) if i is not None]
-        new = [j for j, i in enumerate(at) if i is None]
-        blocks = [np.concatenate([x, y[new]]) for x, y in zip(self._blocks, other._blocks)]
-        if shared:
-            i, j = (list(r) for r in zip(*shared))
-            for z, x, y in zip(blocks, self._blocks, other._blocks):
-                z[i] = x[i] + y[j]
-        codes = None
-        if self._code_array is not None and other._code_array is not None:
-            codes = np.concatenate([self._code_array, other._code_array[new]])
-        return _packed(self.system, self._points + [other._points[j] for j in new], blocks, codes)
+        return sums([self], [other])[0]
 
     def __sub__(self, other: "CcElement") -> "CcElement":
-        return self + (-1.0) * other
+        return differences([self], [other])[0]
 
     def __rmul__(self, scalar) -> "CcElement":
         return _packed(self.system, self._points, [scalar * x for x in self._blocks], self._code_array)
@@ -224,16 +229,10 @@ class CcElement:
     def __mul__(self, other):
         if not isinstance(other, CcElement):
             return NotImplemented
-        self._same_system(other)
-        return pair_sum(self, other, _product_terms)
+        return products([self], [other])[0]
 
     def star(self) -> "CcElement":
-        sys_, codes = self.system, self._codes()
-        inverses = sys_.coded.inv(codes)
-        sigma = sys_.cocycle_blocks(sys_.cocycle_rows(codes, inverses))
-        x = [np.matmul(adjoints(s), adjoints(a)) for s, a in zip(sigma, self._blocks)]
-        acted = sys_.act_rows(inverses, np.arange(len(inverses)), x)
-        return _packed(sys_, sys_.coded.decode(inverses), acted, inverses)
+        return stars([self])[0]
 
     # -- norms ---------------------------------------------------------------------
 
@@ -285,84 +284,262 @@ class CcElement:
         return _packed(self.system, self._points, [w[:, None, None] * x for x in self._blocks]).module_norm()
 
 
+def _no_blocks(system: TwistedSystem) -> list:
+    return [np.empty((0, d, d), dtype=complex) for d in system.algebra.dims]
+
+
 def _packed(system: TwistedSystem, points: list, blocks: list, codes: np.ndarray | None = None) -> CcElement:
     """The element with row i of `blocks` at points[i] (distinct, canonical, coded codes[i] if given),
     rows of norm < 1e-14 dropped."""
-    out = CcElement.__new__(CcElement)
-    if not points:
-        out._store(system, [], [])
-        return out
-    norms = stacked_norms(blocks)
-    keep = ~(norms < SUPPORT_TOL)  # NaN rows stay
-    if not keep.all():
+    return _packed_many(system, points, blocks, codes, [len(points)])[0]
+
+
+def _dropped(blocks: list) -> np.ndarray | None:
+    """Which rows have a norm (AlgElement.norm) below SUPPORT_TOL, or None if no row has.
+
+    The norm of a 1 x 1 block is its hypot, that of a larger block at least
+    its largest entry, so the SVD of stacked_norms decides only the rows
+    whose largest entry is below twice the tolerance.  A row with a NaN
+    entry has a NaN bound and norm, and is kept.
+    """
+    bound = None
+    for x in blocks:
+        if x.shape[1] == 1:
+            v = np.hypot(x.real, x.imag).reshape(len(x))
+        else:
+            v = np.maximum.reduce(np.abs(x).reshape(len(x), -1), axis=1)
+        bound = v if bound is None else np.maximum(bound, v)
+    low = bound < 2 * SUPPORT_TOL
+    if not np.count_nonzero(low):
+        return None
+    low[low] = stacked_norms([x[low] for x in blocks]) < SUPPORT_TOL
+    return low if np.count_nonzero(low) else None
+
+
+def _packed_many(system: TwistedSystem, points: list, blocks: list, codes: np.ndarray | None,
+                 counts: list) -> list:
+    """_packed on consecutive runs of rows: the c-th element takes the next counts[c] rows.
+
+    Rows are pruned in one pass over all of them; the elements' blocks are
+    read-only views of the shared arrays, and their norms are computed on
+    first read.
+    """
+    drop = _dropped(blocks) if points else None
+    if drop is not None:
+        keep = ~drop
+        counts = np.bincount(np.repeat(np.arange(len(counts)), counts)[keep], minlength=len(counts)).tolist()
         points = list(itertools.compress(points, keep.tolist()))
         blocks = [b[keep] for b in blocks]
-        norms = norms[keep]
         codes = None if codes is None else codes[keep]
     for b in blocks:
         b.flags.writeable = False
-    out._store(system, points, norms.tolist(), blocks=blocks, codes=codes)
+    if len(counts) == 1:
+        f = CcElement.__new__(CcElement)
+        f._store(system, points, blocks=blocks, codes=codes)
+        return [f]
+    out, lo = [], 0
+    for hi in itertools.accumulate(counts):
+        f = CcElement.__new__(CcElement)
+        f._store(system, points[lo:hi], blocks=[b[lo:hi] for b in blocks],
+                 codes=None if codes is None else codes[lo:hi])
+        out.append(f)
+        lo = hi
     return out
 
 
+def _system_of(elements) -> TwistedSystem:
+    system = elements[0].system
+    if any(f.system is not system for f in elements):
+        raise ValueError("elements live over different systems")
+    return system
+
+
+def _gathered(elements, coded, support_order: bool = False) -> tuple:
+    """(codes, blocks, rows) of a list of elements, concatenated in turn.
+
+    codes: every element's points coded in `coded`, each element's in
+    insertion order, or in support order when asked; blocks: their
+    coefficient arrays, concatenated (a fresh copy unless there is one
+    element, whose read-only arrays they are); rows: the row of each code in
+    blocks, or None in insertion order, where it is the position.
+    """
+    codes = [f._codes() if f.system.coded is coded else coded.encode(f._points) for f in elements]
+    if len(elements) == 1:
+        codes, blocks = codes[0], elements[0]._blocks
+    else:
+        codes, blocks = np.concatenate(codes), [np.concatenate(col) for col in zip(*(f._blocks for f in elements))]
+    if not support_order:
+        return codes, blocks, None
+    starts = itertools.accumulate((len(f) for f in elements), initial=0)
+    rows = np.concatenate([np.array(f._sorted_rows(), dtype=np.int64) + k for f, k in zip(elements, starts)])
+    return codes[rows], blocks, rows
+
+
+def _pair_indices(n1: list, n2: list) -> tuple:
+    """(couple, left, right) of the pairs of couples with supports of sizes n1[c] x n2[c]:
+    couple after couple, g-major, left and right indexing the concatenated supports.
+    couple is None for a single couple."""
+    if len(n1) == 1:
+        return (None,) + np.divmod(np.arange(n1[0] * n2[0]), n2[0])
+    sizes = np.multiply(n1, n2)
+    couple = np.repeat(np.arange(len(n1)), sizes)
+    left, right = np.divmod(np.arange(len(couple)) - np.repeat(np.cumsum(sizes) - sizes, sizes),
+                            np.repeat(n2, sizes))
+    left += np.repeat(np.cumsum(n1) - n1, sizes)
+    right += np.repeat(np.cumsum(n2) - n2, sizes)
+    return couple, left, right
+
+
+def _numbered(couple: np.ndarray | None, codes: np.ndarray, n: int) -> tuple:
+    """(at, first, counts) for the keys (couple[i], codes[i]) of a batch of n couples (codes[i] for couple None).
+
+    at numbers the distinct keys in first-seen order; first marks the entry
+    where each number is first seen, which is the entry whose number passes
+    every earlier one; counts[c] is the number of distinct keys of couple c.
+    Codes may take 62 bits, so a key is the couple and the rank of its code
+    among the distinct codes, never the two packed into one int.
+    """
+    keys = Numbering()
+    if couple is None:
+        at = keys.many(codes)
+    else:
+        _, rank = np.unique(codes, return_inverse=True)
+        at = keys.many(couple * (int(rank.max()) + 1) + rank)
+    first = np.empty(len(at), dtype=bool)
+    first[0], first[1:] = True, at[1:] > np.maximum.accumulate(at)[:-1]
+    counts = [len(keys.items)] if couple is None else np.bincount(couple[first], minlength=n).tolist()
+    return at, first, counts
+
+
+def _summed(terms: list, at: np.ndarray, first: np.ndarray) -> list:
+    """Row k: the terms numbered k added in position order, starting from the first,
+    as out[k] = out[k] + term adds them (np.add.at adds in index order)."""
+    sums = [t[first] for t in terms]
+    if len(sums[0]) < len(at):  # some number has a later entry
+        later = ~first
+        for s, t in zip(sums, terms):
+            np.add.at(s, at[later], t[later])
+    return sums
+
+
 class Pairs(NamedTuple):
-    """The pairs (g, h) of two supports, g-major, one entry per pair."""
+    """The pairs (g, h) of a batch of couples (f1, f2), couple after couple, one entry per pair."""
 
     system: TwistedSystem
     a: list             # f1(g), one stacked array per block
     b: list             # f2(h)
     sigma: list         # cocycle(g, h)
-    left_codes: np.ndarray  # the codes of supp f1 in pair order ...
+    left_codes: np.ndarray  # the codes of every supp f1 in pair order ...
     left: np.ndarray    # ... and each pair's g as an index into them
     codes: np.ndarray   # the codes of the products gh in first-seen order ...
     at: np.ndarray      # ... and each pair's gh as an index into them
 
 
-def pair_sum(f1: CcElement, f2: CcElement, terms: Callable[[Pairs], list], support_order: bool = False) -> CcElement:
-    """The element k -> sum over the pairs (g, h) with gh = k of terms(pairs).
+def pair_sum(firsts: list, seconds: list, terms: Callable[[Pairs], list], support_order: bool = False) -> list:
+    """For each couple (f1, f2) = (firsts[c], seconds[c]), the element k -> sum over its pairs
+    (g, h) with gh = k of terms(pairs).
 
-    Pairs run over supp f1 x supp f2, g-major, each support in insertion
-    order, or in support order when asked.  The terms at each point are
+    One pass serves the whole batch: the codes and blocks of every couple are
+    concatenated, and the gathers, the cocycle and action rows, the matmuls
+    of `terms` and the sums run once over all pairs.  Each couple keeps its
+    own order: its pairs run over supp f1 x supp f2, g-major, each support in
+    insertion order, or in support order when asked; its terms at a point are
     added in pair order starting from the first, as out[k] = out[k] + term
-    adds them (np.add.at adds in index order); the points of the result are
-    the products in first-seen order.  f2 may live over another system on
-    an equal group; its points are then coded in f1's.
+    adds them; its points are its products in first-seen order.  So every
+    element is the one a batch of one gives, bit for bit, except that an
+    identity action is skipped only when every action in the batch is the
+    identity (TwistedSystem.act_rows).  Products are numbered by (couple,
+    code), so couples never share a point.  Every f1 lives over one system;
+    an f2 may live over another system on an equal group, and its points are
+    then coded in f1's.
     """
-    system, coded = f1.system, f1.system.coded
-    if not len(f1) or not len(f2):
-        return _packed(system, [], [])
-    left, right = np.divmod(np.arange(len(f1) * len(f2)), len(f2))
-    codes1, codes2 = f1._codes(), f2._codes()
-    if f2.system.coded is not coded:  # f2 over another group object (regular_apply)
-        codes2 = coded.encode(f2._points)
-    rows_a, rows_b = left, right
-    if support_order:
-        rows1, rows2 = np.array(f1._sorted_rows()), np.array(f2._sorted_rows())
-        codes1, codes2, rows_a, rows_b = codes1[rows1], codes2[rows2], rows1[left], rows2[right]
+    if len(firsts) != len(seconds):
+        raise ValueError("a batch needs as many second factors as first ones")
+    if not firsts:
+        return []
+    system = _system_of(firsts)
+    coded = system.coded
+    n1, n2 = [len(f) for f in firsts], [len(f) for f in seconds]
+    if not any(map(int.__mul__, n1, n2)):
+        return _packed_many(system, [], _no_blocks(system), None, [0] * len(firsts))
+    codes1, blocks1, rows1 = _gathered(firsts, coded, support_order)
+    codes2, blocks2, rows2 = _gathered(seconds, coded, support_order)
+    couple, left, right = _pair_indices(n1, n2)
     g, h = codes1[left], codes2[right]
-    products = Numbering()
-    at = products.many(coded.mul(g, h))
-    codes = np.array(products.items, dtype=np.int64)
-    a = [x[rows_a] for x in f1._blocks]
-    b = [x[rows_b] for x in f2._blocks]
+    gh = coded.mul(g, h)
+    at, first, counts = _numbered(couple, gh, len(firsts))
+    codes = gh[first]
+    a = [x[left if rows1 is None else rows1[left]] for x in blocks1]
+    b = [x[right if rows2 is None else rows2[right]] for x in blocks2]
     sigma = system.cocycle_blocks(system.cocycle_rows(g, h))
-    summands = terms(Pairs(system, a, b, sigma, codes1, left, codes, at))
-    # products are numbered as first seen, so a pair is its product's first
-    # exactly when its number passes every earlier one; that pair starts the
-    # sum and the others are added in order
-    first = np.empty(len(at), dtype=bool)
-    first[0], first[1:] = True, at[1:] > np.maximum.accumulate(at)[:-1]
-    later = ~first
-    sums = [t[first] for t in summands]
-    for s, t in zip(sums, summands):
-        np.add.at(s, at[later], t[later])
-    return _packed(system, coded.decode(codes), sums, codes)
+    sums = _summed(terms(Pairs(system, a, b, sigma, codes1, left, codes, at)), at, first)
+    return _packed_many(system, coded.decode(codes), sums, codes, counts)
 
 
 def _product_terms(pairs: Pairs) -> list:
     """f1(g) . action(g)(f2(h)) . cocycle(g, h) for each pair."""
     acted = pairs.system.act_rows(pairs.left_codes, pairs.left, pairs.b)
     return [np.matmul(np.matmul(x, y), s) for x, y, s in zip(pairs.a, acted, pairs.sigma)]
+
+
+def products(firsts: list, seconds: list) -> list:
+    """firsts[c] * seconds[c] for each c, elements of one system, in one pair_sum pass."""
+    if firsts and seconds:
+        _system_of([firsts[0], *seconds])
+    return pair_sum(firsts, seconds, _product_terms)
+
+
+def stars(elements: list) -> list:
+    """f* for each element of one system, in one pass over all their rows.
+
+    As in pair_sum, the action is skipped only when it is the identity at
+    every point of the batch.
+    """
+    if not elements:
+        return []
+    system = _system_of(elements)
+    counts = [len(f) for f in elements]
+    if not sum(counts):
+        return _packed_many(system, [], _no_blocks(system), None, counts)
+    codes, blocks, _ = _gathered(elements, system.coded)
+    inverses = system.coded.inv(codes)
+    sigma = system.cocycle_blocks(system.cocycle_rows(codes, inverses))
+    x = [np.matmul(adjoints(s), adjoints(a)) for s, a in zip(sigma, blocks)]
+    acted = system.act_rows(inverses, np.arange(len(inverses)), x)
+    return _packed_many(system, system.coded.decode(inverses), acted, inverses, counts)
+
+
+def sums(firsts: list, seconds: list) -> list:
+    """firsts[c] + seconds[c] for each c, elements of one system, in one pass."""
+    return _combined(firsts, seconds, None)
+
+
+def differences(firsts: list, seconds: list) -> list:
+    """firsts[c] - seconds[c] for each c: the rows of the second enter as (-1.0) * f2(h),
+    which is not -f2(h) in the sign of a zero or on an infinite part."""
+    return _combined(firsts, seconds, -1.0)
+
+
+def _combined(firsts: list, seconds: list, scale) -> list:
+    """f1 + scale f2 per couple: the rows of f1, then those of f2, keyed by (couple, code).
+
+    A point of both supports gets f1(g) + f2(g) at its place in f1; the other
+    points of f2 follow in their order, as a {g: coefficient} merge does.
+    """
+    seq = [f for couple in zip(firsts, seconds, strict=True) for f in couple]
+    if not seq:
+        return []
+    system = _system_of(seq)
+    sizes = [len(f) for f in seq]
+    if not sum(sizes):
+        return _packed_many(system, [], _no_blocks(system), None, [0] * len(firsts))
+    codes = np.concatenate([f._codes() for f in seq])
+    scaled = (f._blocks if scale is None or k % 2 == 0 else [scale * x for x in f._blocks] for k, f in enumerate(seq))
+    blocks = [np.concatenate(col) for col in zip(*scaled)]
+    couple = None if len(firsts) == 1 else np.repeat(np.arange(len(firsts)), np.add(sizes[::2], sizes[1::2]))
+    at, first, counts = _numbered(couple, codes, len(firsts))
+    points = list(itertools.compress(itertools.chain.from_iterable(f._points for f in seq), first.tolist()))
+    return _packed_many(system, points, _summed(blocks, at, first), codes[first], counts)
 
 
 def delta(system: TwistedSystem, g=None, a: AlgElement | None = None) -> CcElement:
@@ -379,7 +556,18 @@ def cc_unit(system: TwistedSystem) -> CcElement:
 
 
 def random_cc(system: TwistedSystem, support: Iterable, rng) -> CcElement:
-    return CcElement(system, {g: system.algebra.random_element(rng) for g in support})
+    """A random_element draw at each support point in turn, stacked as drawn.
+
+    A repeated point keeps its last draw at its first position, as the
+    {g: draw} mapping of the same draws does.
+    """
+    support = list(support)
+    blocks = system.algebra.random_stack(rng, len(support))
+    last = dict(zip(support, range(len(support))))
+    if len(last) < len(support):
+        rows = np.fromiter(last.values(), dtype=np.int64, count=len(last))
+        blocks = [x[rows] for x in blocks]
+    return _packed(system, [system.group.check(g) for g in last], blocks)
 
 
 def random_cc_in(system: TwistedSystem, pool: list, max_size: int, rng) -> CcElement:

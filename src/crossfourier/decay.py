@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import state_norm
+from .algebra import state_norm, state_root
 from .crossed import (
     CcElement, Pairs, compression_matrix, default_radii, delta, opnorm_bounds, pair_sum, random_cc,
     random_cc_in,
@@ -366,7 +366,12 @@ def regular_apply(f: CcElement, xi: CcElement) -> CcElement:
     (Lambda(f) xi)(h) = sum_g action(h)^{-1}( f(g) cocycle(g, g^{-1}h) ) xi(g^{-1}h),
     summed over the pairs of both supports in support order (pair_sum).
     """
-    return pair_sum(f, xi, _regular_terms, support_order=True)
+    return regular_applies([f], [xi])[0]
+
+
+def regular_applies(fs: list, xis: list) -> list:
+    """regular_apply(fs[c], xis[c]) for each c, the fs over one system, in one pair_sum pass."""
+    return pair_sum(fs, xis, _regular_terms, support_order=True)
 
 
 def _regular_terms(pairs: Pairs) -> list:
@@ -409,8 +414,14 @@ def commutative_inequality_check(
     Requires commutative coefficients, f valued in the fixed-point algebra of
     the action (checked on the generators to 1e-10), and a point evaluation.
     """
-    if not system.algebra.is_commutative:
-        raise ValueError("the inequality check needs a commutative algebra")
+    check_fixed_point(system, f)
+    return collapse_residuals(system, regular_apply(f, xi), f, xi, [omega])[0]
+
+
+def check_fixed_point(system: TwistedSystem, f: CcElement):
+    """ValueError unless the algebra is commutative and f is valued in the fixed-point
+    algebra of the action, checked on the generators to 1e-10."""
+    _check_commutative(system)
     for s in system.group.generators():
         for g, a in f.items():
             v = (system.act(s, a) - a).norm()
@@ -418,10 +429,28 @@ def commutative_inequality_check(
                 raise ValueError(
                     f"f is not valued in the fixed-point algebra: moved by {system.group.word(s)} ({v:.3e})"
                 )
-    lhs_vec = regular_apply(f, xi)
-    lhs = _l2(state_profile(lhs_vec, omega))
-    rhs = _l2(scalar_convolve(state_profile(f, omega), state_profile(xi, omega), system.group))
-    return CommutativeInequalityResult(rhs - lhs, lhs, rhs)
+
+
+def _check_commutative(system: TwistedSystem):
+    if not system.algebra.is_commutative:
+        raise ValueError("the inequality check needs a commutative algebra")
+
+
+def collapse_residuals(system: TwistedSystem, applied: CcElement, f: CcElement, xi: CcElement, states) -> list:
+    """Both sides of the collapse inequality at each state, given applied = Lambda(f) xi (regular_apply).
+
+    f is the element whose profile is collapsed (the twisted one in the
+    experiment).  The squares v(g)* v(g) of the three elements are formed
+    once; each state's profiles are then state_profile's, bit for bit.
+    """
+    squares = [[(g, a.star() * a) for g, a in v.items()] for v in (applied, f, xi)]
+    out = []
+    for omega in states:
+        lhs_profile, f_profile, xi_profile = ({g: state_root(omega(s)) for g, s in sq} for sq in squares)
+        lhs = _l2(lhs_profile)
+        rhs = _l2(scalar_convolve(f_profile, xi_profile, system.group))
+        out.append(CommutativeInequalityResult(rhs - lhs, lhs, rhs))
+    return out
 
 
 def twisted_inequality_experiment(
@@ -433,9 +462,6 @@ def twisted_inequality_experiment(
     instead of f itself.  A negative residual here is a recorded observation,
     never a test failure: the general inequality is not established.
     """
-    if not system.algebra.is_commutative:
-        raise ValueError("the inequality check needs a commutative algebra")
+    _check_commutative(system)
     twisted = CcElement(system, {g: system.act_inv(g, a) for g, a in f.items()})
-    lhs = _l2(state_profile(regular_apply(f, xi), omega))
-    rhs = _l2(scalar_convolve(state_profile(twisted, omega), state_profile(xi, omega), system.group))
-    return CommutativeInequalityResult(rhs - lhs, lhs, rhs)
+    return collapse_residuals(system, regular_apply(f, xi), twisted, xi, [omega])[0]

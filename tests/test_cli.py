@@ -295,6 +295,27 @@ def test_determinism_byte_identical_reports(tmp_path):
     assert strip(r1) == strip(r2)
 
 
+# 70 samples fill one chunk of 64 and part of the next
+@pytest.mark.parametrize("experiment", [
+    *({"tag": "arithmetic-suite", "n_triples": n} for n in (0, 1, 7, 70)),
+    *({"tag": "commutative-inequality", "n_samples": n, "record_twisted_experiment": True} for n in (1, 7, 70)),
+], ids=lambda e: f"{e['tag']}-{e.get('n_triples', e.get('n_samples'))}")
+def test_sampling_reports_do_not_depend_on_the_chunk(tmp_path, monkeypatch, experiment):
+    # each chunk's samples are drawn first and each stage formed for the whole
+    # chunk in one call; chunks of one sample are the per-sample loop
+    system = None
+    if experiment["tag"] == "commutative-inequality":
+        system = {"algebra": [1, 1, 1], "group": {"family": "Zd", "d": 1},
+                  "cocycle": {"kind": "theta", "theta": 0.37}}
+    config = base_config(tmp_path, experiment, system=system)
+    strip = lambda rep: {k: v for k, v in rep.items() if k != "timestamp"}
+    _, chunked = run_config(config)
+    for chunk in (1, 3):
+        monkeypatch.setattr(experiments, "_CHUNK", chunk)
+        _, report = run_config(config)
+        assert strip(report) == strip(chunked)
+
+
 def test_seed_override_changes_payload(tmp_path):
     config = base_config(
         tmp_path,

@@ -8,6 +8,7 @@ import scipy.sparse.linalg
 
 from crossfourier.algebra import AlgAutomorphism, BlockAlgebra
 from crossfourier.crossed import (
+    SUPPORT_TOL,
     CcElement,
     cc_unit,
     compression_matrix,
@@ -226,6 +227,23 @@ def test_weight_below_one_rejected():
         f.weighted_l2_norm(lambda g: 0.5)
 
 
+def test_random_cc_is_the_mapping_of_its_draws():
+    # one draw per support point in turn, as {g: random_element} made them: a
+    # repeated point keeps its last draw at its first position
+    A = BlockAlgebra([2, 1])
+    sys_ = theta_system(Zd(1), 0.37, algebra=A)
+    support = [(1,), (0,), (1,), (2,), (0,)]
+    used = np.random.default_rng(4)
+    f = random_cc(sys_, support, used)
+    rng = np.random.default_rng(4)
+    draws = {g: [1.0 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2 * d) for d in A.dims]
+             for g in support}
+    assert f._points == list(draws) == [(1,), (0,), (2,)]
+    for g, blocks in draws.items():
+        assert [m.tobytes() for m in f.coeff(g).blocks] == [m.tobytes() for m in blocks]
+    assert used.random() == rng.random()  # and no more draws
+
+
 def test_fourier_uniqueness_at_cc_level():
     sys_ = theta_system(Zd(2), "1/5")
     rng = np.random.default_rng(9)
@@ -252,6 +270,20 @@ def test_overflow_is_kept_in_the_support():
     assert math.isinf(ff.coeff((0,)).blocks[0][0, 0].real)
     assert math.isnan(neg.norm_l1()) and math.isnan(diff.norm_l1())
     assert CcElement(sys_, {(1,): math.nan * sys_.algebra.unit()}).support() == [(1,)]
+
+
+def test_pruning_takes_the_norm_not_the_largest_entry():
+    # arithmetic drops the rows of norm below 1e-14; a 2 x 2 block whose largest
+    # entry is below that may still have a norm above it, and is kept, as is a
+    # 1 x 1 block of norm exactly 1e-14
+    A = BlockAlgebra([2, 1])
+    sys_ = trivial_system(A, Zd(1))
+    blocks = {(0,): [[1.5, 0.0], [0.0, 0.0]], (1,): [[0.8, 0.8], [0.8, 0.8]], (2,): [[0.6, 0.0], [0.0, 0.0]],
+              (3,): [[0.6, 0.0], [0.0, 0.6]], (4,): [[0.0, 0.0], [0.0, 0.0]]}
+    f = CcElement(sys_, {g: A.element([m, [[1.0 if g == (4,) else 0.0]]]) for g, m in blocks.items()})
+    small = 1e-14 * f
+    assert small.support() == [g for g, a in f.items() if not (1e-14 * a).norm() < SUPPORT_TOL] == [(0,), (1,), (4,)]
+    assert small.norm_l1() == sum((1e-14 * f.coeff(g)).norm() for g in small.support())
 
 
 def test_coefficient_norms_propagate_nan_like_the_packed_norms():

@@ -5,7 +5,9 @@ the system over the family is the perturbed one of families.py, whose
 action is inner and whose cocycle is not central.  The ring axioms hold to
 1e-10, and the packed product, star, sum, scalar multiples, regular_apply
 and the norms are bit for bit (float.hex) the per-pair AlgElement loop kept
-here as the oracle, insertion order included.  Each system is shared by
+here as the oracle, insertion order included, one operation at a time and
+in batches (crossed.products, stars, sums, differences and
+decay.regular_applies).  Each system is shared by
 every draw, so its coded tables are warm with pairs seen before when new
 ones come in.  At full radius on the finite families the compression is a
 *-homomorphism, and every compression norm lies between 0 and the exact
@@ -23,12 +25,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from families import DIMS, FAMILIES, rotation_system, system_for
+from families import DIMS, FAMILIES, make_system, rotation_system, system_for
 from crossfourier.algebra import AlgAutomorphism, BlockAlgebra
 from crossfourier.crossed import (
-    _DENSE_SVD_LIMIT, SUPPORT_TOL, CcElement, compression_matrix, exact_norm_finite, full_radius, opnorm_bounds,
+    _DENSE_SVD_LIMIT, SUPPORT_TOL, CcElement, compression_matrix, differences, exact_norm_finite, full_radius,
+    opnorm_bounds, products, stars, sums,
 )
-from crossfourier.decay import regular_apply
+from crossfourier.decay import regular_applies, regular_apply
 from crossfourier.groups import FreeF2, Zd, ball, default_length
 from crossfourier import groups
 from crossfourier.system import (
@@ -124,6 +127,43 @@ def norm_hexes(values) -> list:
     return [float(v).hex() for v in values]
 
 
+def nonfinite(system, c: dict) -> dict:
+    """c with an inf entry in the coefficient at its first point and a NaN entry in the one at its last."""
+    out = dict(c)
+    points = list(c)
+    for g, bad in ((points[0], np.inf), (points[-1], np.nan)):
+        blocks = [np.array(x) for x in c[g].blocks]
+        blocks[-1][0, 0] = complex(bad, 1.0)
+        out[g] = system.algebra.element(blocks)
+    return out
+
+
+def batch_cases(system, named: list, couples: list, other=None) -> list:
+    """(packed, loop) for every batched operation on the couples (i, j) of the (element, map) pairs named;
+    with another system, the regular_applies also run with each xi moved over to it."""
+    firsts, seconds = ([named[k][0] for k in ks] for ks in zip(*couples))
+    maps = [(named[i][1], named[j][1]) for i, j in couples]
+    cases = list(zip(products(firsts, seconds), [loop_mul(system, x, y) for x, y in maps]))
+    cases += zip(sums(firsts, seconds), [loop_add(x, y) for x, y in maps])
+    cases += zip(differences(firsts, seconds), [loop_add(x, loop_scale(-1.0, y)) for x, y in maps])
+    cases += zip(stars([f for f, _ in named]), [loop_star(system, c) for _, c in named])
+    cases += zip(regular_applies(firsts, seconds), [loop_regular_apply(system, x, y) for x, y in maps])
+    if other is not None:
+        moved = [CcElement(other, y) for _, y in maps]
+        cases += zip(regular_applies(firsts, moved), [loop_regular_apply(system, x, y) for x, y in maps])
+    return cases
+
+
+def assert_cases(system, cases):
+    """Points and coefficients bit for bit; the norms too where every coefficient is finite
+    (norm_linf is NaN where a coefficient norm is, the loop's max() is not)."""
+    for packed, loop in cases:
+        assert packed_hexes(packed) == loop_hexes(loop)
+        if all(np.isfinite(m).all() for a in loop.values() for m in a.blocks):
+            assert norm_hexes([packed.norm_l1(), packed.norm_linf(), packed.module_norm()]) == \
+                norm_hexes(loop_norms(system, loop))
+
+
 # -- draws -----------------------------------------------------------------------------
 
 draws = given(
@@ -186,6 +226,7 @@ def test_ring_axioms(family, dims, sizes, seed):
         assert defect.norm_l1() <= TOL, (name, defect.norm_l1())
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the inf and NaN entries
 @fixed
 @draws
 def test_packed_arithmetic_is_the_pair_loop(family, dims, sizes, seed):
@@ -224,11 +265,14 @@ def test_packed_arithmetic_is_the_pair_loop(family, dims, sizes, seed):
         (regular_apply(m1, m1), loop_regular_apply(SWAP, n1, n1)),
         (regular_apply(m3, m2), loop_regular_apply(SWAP, n3, n2)),
     ]
+    # the same operations in batches: couples of different sizes, empty elements,
+    # coefficients with inf and NaN entries and xi over another system on the same group
+    c5 = nonfinite(system, c3)
+    named = [(f1, c1), (f2, c2), (f3, c3), (f4, c4), (CcElement(system, c5), c5), (CcElement(system, {}), {})]
+    couples = [(0, 1), (1, 0), (5, 2), (2, 5), (3, 0), (4, 1), (0, 4), (5, 5), (0, 0), (2, 3)]
+    cases += batch_cases(system, named, couples, other=make_system(family, dims))
     for sys_, pairs in ((system, cases), (SWAP, swap_cases)):
-        for packed, loop in pairs:
-            assert packed_hexes(packed) == loop_hexes(loop)
-            assert norm_hexes([packed.norm_l1(), packed.norm_linf(), packed.module_norm()]) == \
-                norm_hexes(loop_norms(sys_, loop))
+        assert_cases(sys_, pairs)
 
 
 @pytest.mark.parametrize("d, far", [(1, 2**40), (2, 2**28), (3, 300000), (5, 3**45)])
@@ -248,6 +292,8 @@ def test_points_past_the_linear_codes_are_the_pair_loop(d, far):
     # xi over another system on an equal group object: its points are what count
     other = theta_system(Zd(d), "1/7", BlockAlgebra([2, 1]))
     cases.append((regular_apply(f1, CcElement(other, c2)), loop_regular_apply(system, c1, c2)))
+    # in one batch, far points included
+    cases += batch_cases(system, [(f1, c1), (f2, c2)], [(0, 1), (1, 0), (1, 1)], other=other)
     for packed, loop in cases:
         assert packed_hexes(packed) == loop_hexes(loop)
 
