@@ -300,9 +300,6 @@ class AlgAutomorphism:
         self.algebra = algebra
         self.perm = perm
         self.unitaries = tuple(mats)
-        # exactly the identity map, so applying it may be skipped
-        self.exact_identity = perm == tuple(range(len(perm))) and all(
-            np.array_equal(u, np.eye(len(u))) for u in mats)
         self._inverse = None
 
     @staticmethod

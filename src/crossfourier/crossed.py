@@ -18,16 +18,14 @@ each term formed by batched matmuls and added to its product in pair order;
 only the distinct products are decoded into group elements.
 
 The kernel takes a batch of independent couples (f1, f2), as a list of
-first and a list of second factors, and runs it in one pass, the products numbered by (couple, code) so that each couple keeps its
-own pairs, order and points (products, decay.regular_applies); stars, sums
-and differences batch the same way.  f1 * f2, f.star(), f + g and f - g are
+first and a list of second factors, and runs it in one pass, the products
+numbered by (couple, code) so that each couple keeps its own pairs, order
+and points (products, decay.regular_applies); stars, sums and differences
+batch the same way.  f1 * f2, f.star(), f + g and f - g are
 batches of one, and a sampling experiment forms each stage of a chunk of
-samples in one call.  Every result is bit for bit the per-coefficient
-AlgElement arithmetic in the same order, except where an identity action is
-skipped (TwistedSystem.act_rows, when the action is the identity at every
-point of the batch): there a zero may change sign, and a coefficient with an
-inf or NaN entry keeps finite entries where the AlgElement arithmetic makes
-the whole block NaN (its norm is NaN both ways).
+samples in one call.  Every result is the same alone as in any batch, and
+bit for bit the per-coefficient AlgElement arithmetic in the same order,
+with the actions applied as TwistedSystem.act_rows applies them.
 
 Operator norms are bounded from below by compressing the regular
 representation to a ball and from above by the l1 norm.  The compression
@@ -39,9 +37,10 @@ groups the full-radius compression is the exact reduced norm.
 
 The compression is assembled in one pass from a CompressionPlan, kept by
 the system per (radius, length tag): the ball, which translates itself by
-a support point g into the row of every g h (Ball.translate), the inverse
-actions of its points, and per support point g the rows, columns and
-cocycle rows of its entries.  Every element compressed at one radius
+a support point g into the row of every g h (Ball.translate), the codes of
+its points, and per support point g the rows, columns and cocycle rows of
+its entries; the inverse actions come from the system's stack
+(TwistedSystem.act_rows).  Every element compressed at one radius
 reuses what the ones before it built.  The result is a CSR matrix
 (CompressedRep.sparse; .matrix is the dense array, built on demand).
 Singular values densify only up to the dense SVD cutoff (300).  Above it a
@@ -71,7 +70,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .algebra import AlgElement, AutomorphismStack, adjoints, stack_blocks, stacked_norms, sum_from_zero
+from .algebra import AlgElement, adjoints, stack_blocks, stacked_norms, sum_from_zero
 from .groups import LengthFunction, Numbering, ball, ball_size, default_length, word_length
 from .system import TwistedSystem
 
@@ -446,12 +445,10 @@ def pair_sum(firsts: list, seconds: list, terms: Callable[[Pairs], list], suppor
     insertion order, or in support order when asked; its terms at a point are
     added in pair order starting from the first, as out[k] = out[k] + term
     adds them; its points are its products in first-seen order.  So every
-    element is the one a batch of one gives, bit for bit, except that an
-    identity action is skipped only when every action in the batch is the
-    identity (TwistedSystem.act_rows).  Products are numbered by (couple,
-    code), so couples never share a point.  Every f1 lives over one system;
-    an f2 may live over another system on an equal group, and its points are
-    then coded in f1's.
+    element is the one a batch of one gives, bit for bit.  Products are
+    numbered by (couple, code), so couples never share a point.  Every f1
+    lives over one system; an f2 may live over another system on an equal
+    group, and its points are then coded in f1's.
     """
     if len(firsts) != len(seconds):
         raise ValueError("a batch needs as many second factors as first ones")
@@ -490,11 +487,7 @@ def products(firsts: list, seconds: list) -> list:
 
 
 def stars(elements: list) -> list:
-    """f* for each element of one system, in one pass over all their rows.
-
-    As in pair_sum, the action is skipped only when it is the identity at
-    every point of the batch.
-    """
+    """f* for each element of one system, in one pass over all their rows."""
     if not elements:
         return []
     system = _system_of(elements)
@@ -715,8 +708,7 @@ class CompressedRep:
 class CompressionPlan:
     """What compressing to ball(R) of one system under one length shares between elements.
 
-    The plan owns the ball and builds, on first use, the codes of the ball
-    points and one AutomorphismStack of their inverse actions.  For each
+    The plan owns the ball and encodes its points on first use.  For each
     support point g it keeps, built on g's first use, the rows of the
     entries g contributes (the positions of g h, Ball.translate), their
     columns h and the rows of cocycle(g, h) in the system's cocycle table
@@ -732,7 +724,7 @@ class CompressionPlan:
         if not self.ball:
             raise ValueError("empty ball")
         self.index = tuple(self.ball)
-        self._codes = self._inverses = None
+        self._codes = None
         self._pieces: dict = {}  # code of g -> (rows, columns, cocycle rows)
 
     def _piece(self, system: TwistedSystem, code: int, g) -> tuple:
@@ -765,14 +757,12 @@ class CompressionPlan:
         rows = np.concatenate([p[0] for p in pieces])
         cols = np.concatenate([p[1] for p in pieces])
         sigmas = system.cocycle_blocks(np.concatenate([p[2] for p in pieces]))
-        if self._inverses is None:
-            self._inverses = AutomorphismStack([system.action(h).inverse() for h in self.ball])
         # a . cocycle per source block, one matmul over all contributions
         terms = np.repeat(order, counts)
         products = [np.matmul(c[terms], s) for c, s in zip(f._blocks, sigmas)]
         coo_rows, coo_cols, coo_data = [], [], []
         offset = 0
-        for d, y in zip(system.algebra.dims, self._inverses.apply(rows, products)):
+        for d, y in zip(system.algebra.dims, system.act_rows(self._codes, rows, products, inverse=True)):
             i, j = np.indices((d, d))
             coo_rows.append((rows[:, None, None] * D + offset + i).ravel())
             coo_cols.append((cols[:, None, None] * D + offset + j).ravel())
@@ -791,8 +781,8 @@ def compression_matrix(f: CcElement, R: float, length: LengthFunction | None = N
     Index order is the deterministic ball order, so matrices are reproducible
     bit for bit.  The A-valued entry at (h', h) is
     action(h')^{-1}( f(h'h^{-1}) cocycle(h'h^{-1}, h) ) for h'h^{-1} in supp(f).
-    The ball, translations, cocycles and inverse actions come from the
-    system's CompressionPlan, so they are built once per (system, R, length).
+    The ball, translations and cocycles come from the system's
+    CompressionPlan, so they are built once per (system, R, length).
     """
     system = f.system
     if length is None:

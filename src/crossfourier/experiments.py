@@ -54,8 +54,16 @@ from .summation import abel_poisson_net, approx_data_net, fejer_net, folner_appr
 from .system import sl2z_system, validate_system
 
 
+def _count(params, key: str, default: int) -> int:
+    """The sample count params[key] (default if absent); ConfigError naming the key below 1."""
+    n = int(params.get(key, default))
+    if n < 1:
+        raise ConfigError(f"{key} must be at least 1, got {n}")
+    return n
+
+
 def run_validate(system, params, rng):
-    report = validate_system(system, n_samples=int(params.get("n_samples", 200)), rng=rng)
+    report = validate_system(system, n_samples=_count(params, "n_samples", 200), rng=rng)
     return report.as_dict(), None, report.passed
 
 
@@ -75,7 +83,7 @@ def _chunks(n: int):
 
 def run_arithmetic_suite(system, params, rng):
     # no timing in the payload: reports must be byte-identical under a seed
-    n = int(params.get("n_triples", 200))
+    n = _count(params, "n_triples", 200)
     pool = ball(1, default_length(system.group))
     worst = {"associativity": 0.0, "distributivity": 0.0, "involution": 0.0}
     for size in _chunks(n):
@@ -264,7 +272,7 @@ def run_content_probe(system, params, rng):
 def run_commutative_inequality(system, params, rng):
     if not system.algebra.is_commutative:
         raise ConfigError("the commutative-inequality experiment needs all-1 blocks")
-    n = int(params.get("n_samples", 200))
+    n = _count(params, "n_samples", 200)
     states = pure_states(system.algebra)
     min_residual, rows = np.inf, []
     twisted_min, twisted_negatives = np.inf, 0
@@ -310,7 +318,7 @@ def run_ideals(system, params, rng):
     if espec:
         J = orbit_closure(system, espec["blocks"])
         gens = [delta(system, None, J.element_from(system.algebra.unit()))]
-        report = e_invariance_probe(system, gens, int(params.get("sample_budget", 40)), rng)
+        report = e_invariance_probe(system, gens, _count(params, "sample_budget", 40), rng)
         results["e_invariance"] = report.as_dict()
         passed = passed and report.passed
     return results, None, passed
@@ -318,6 +326,7 @@ def run_ideals(system, params, rng):
 
 def run_psl_preset(system, params, rng):
     """The SL(2,Z) model end to end; the configured system block is ignored."""
+    n_samples = _count(params, "n_samples", 100)
     sys_ = sl2z_system()
     L = block_length(sys_.group)
     pool = ball(3, L)
@@ -344,7 +353,7 @@ def run_psl_preset(system, params, rng):
     e = sys_.group.identity()
     net = approx_data_net(rep, [({e: one}, {e: one})])
     preserved = True
-    for _ in range(int(params.get("n_samples", 100))):
+    for _ in range(n_samples):
         support = [pool[i] for i in rng.choice(len(pool), size=2, replace=False)]
         f = CcElement(sys_, {g: Jp.element_from(A.random_element(rng)) for g in support})
         for T in net.multipliers:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import ALG_TOL, AlgElement, AutomorphismStack, BlockAlgebra, adjoints, sum_from_zero
+from .algebra import ALG_TOL, AlgElement, BlockAlgebra, adjoints, sum_from_zero
 from .system import TwistedSystem
 
 MAX_RANK = 8
@@ -175,22 +175,22 @@ class EquivariantRep:
         return self._rho(a)
 
     def _twist(self, g) -> list:
-        """[V_g, the stack (action(g), its inverse), V_g^{-1}], built once per g.
+        """[V_g, the code of g, V_g^{-1}], built once per g.
 
         The inverse of V_g is left None until v_inverse_apply first needs it.
         """
         twist = self._twists.get(g)
         if twist is None:
-            auto = self.system.action(g)
-            twist = self._twists[g] = [self._vmatrix(g), AutomorphismStack([auto, auto.inverse()]), None]
+            twist = self._twists[g] = [self._vmatrix(g), self.system.coded.encode([g]), None]
         return twist
 
     def vmatrix(self, g) -> ModuleOperator:
         return self._twist(g)[0]
 
     def _act(self, g, x: ModuleVector, inverse: bool) -> ModuleVector:
-        """action(g), or its inverse automorphism, applied to every entry of x."""
-        return ModuleVector._of(x.algebra, self._twist(g)[1].apply(np.full(x.rank, int(inverse)), x.blocks))
+        """action(g), or its inverse automorphism, applied to every entry of x (TwistedSystem.act_rows)."""
+        acted = self.system.act_rows(self._twist(g)[1], np.zeros(x.rank, dtype=np.int64), x.blocks, inverse)
+        return ModuleVector._of(x.algebra, acted)
 
     def v_apply(self, g, x: ModuleVector) -> ModuleVector:
         return self.vmatrix(g)(self._act(g, x, inverse=False))

@@ -18,7 +18,10 @@ arithmetic gathers from: cocycle values stacked once per key (B(g, h) for
 theta rules, 0 for the trivial rule, the code pair otherwise, for up to
 groups.PAIR_MEMO code pairs) and one AutomorphismStack of actions per
 direction, one row per code, each value looked up through cocycle() or
-action() once.
+action() once.  act_rows is the one place that applies stacked actions.
+Whether it applies them is decided once per system: a system whose action
+rule is trivial_action's skips them, every other system applies each one,
+the identity included.
 Validation is exhaustive on finite groups up to order 64 and sampled from
 ball(3)^3 otherwise; it runs batched on the same tables (validate_system).
 """
@@ -68,9 +71,9 @@ class TwistedSystem:
         self._sigma_values = Numbering()  # id of each distinct value -> its row
         self._sigma_kept: list = []  # the distinct values, kept so that their ids stay theirs
         self._sigma_table = [np.empty((0, d, d), dtype=complex) for d in algebra.dims]
+        self._skips_action = getattr(action_rule, "trivial", False)
         self._alpha_rows = Numbering()  # code -> row of _alphas and of the stacks
         self._alphas: list = []
-        self._alpha_identity: dict = {}  # code -> whether its action is exactly the identity
         self._alpha_stacks: list = [None, None]  # action, inverse
 
     def __repr__(self):
@@ -139,16 +142,6 @@ class TwistedSystem:
     def cocycle_blocks(self, rows: np.ndarray) -> list:
         return [t[rows] for t in self._sigma_table]
 
-    def _action_rows(self, codes: np.ndarray) -> np.ndarray:
-        known = len(self._alpha_rows.items)
-        rows = self._alpha_rows.many(codes)
-        new = self._alpha_rows.items[known:]
-        if new:
-            autos = list(map(self.action, self.coded.decode(np.array(new, dtype=np.int64))))
-            self._alphas += autos
-            self._alpha_identity.update(zip(new, (a.exact_identity for a in autos)))
-        return rows
-
     def _action_stack(self, inverse: bool) -> AutomorphismStack:
         """The stack of every action (or its inverse) added so far, by row."""
         stack = self._alpha_stacks[inverse]
@@ -164,19 +157,19 @@ class TwistedSystem:
     def act_rows(self, codes: np.ndarray, which: np.ndarray, blocks: list, inverse: bool = False) -> list:
         """action(g), or its inverse automorphism, for g coded codes[which[i]], applied to row i of blocks.
 
-        Bit for bit AlgAutomorphism.__call__, except that when the action of
-        every code given is exactly the identity the blocks are returned as
-        they are.  That differs from applying it (1 x 1^*) in the sign of a
-        zero, and in a block with an inf or NaN entry: applying spreads NaN
-        over the block, returning keeps its finite entries.  Its norm is NaN
-        either way.
+        Bit for bit AlgAutomorphism.__call__, except on a system whose action
+        rule is trivial_action's: there the blocks are returned as they are,
+        whatever the batch.  That differs from applying 1 x 1^* only in the
+        sign of a zero and beside an inf or NaN entry, which applying spreads
+        as NaN over the block.
         """
-        keys = codes.tolist()
-        if not all(map(self._alpha_identity.__contains__, keys)):
-            self._action_rows(codes)
-        if all(map(self._alpha_identity.__getitem__, keys)):
+        if self._skips_action:
             return blocks
-        rows = self._action_rows(codes)
+        known = len(self._alpha_rows.items)
+        rows = self._alpha_rows.many(codes)
+        new = self._alpha_rows.items[known:]
+        if new:
+            self._alphas += map(self.action, self.coded.decode(np.array(new, dtype=np.int64)))
         return self._action_stack(inverse).apply(rows[which], blocks)
 
 
@@ -185,7 +178,9 @@ class TwistedSystem:
 
 def trivial_action(algebra: BlockAlgebra) -> Callable:
     ident = AlgAutomorphism.identity(algebra)
-    return lambda g: ident
+    rule = lambda g: ident
+    rule.trivial = True  # TwistedSystem.act_rows skips the actions of a system with this rule
+    return rule
 
 
 def generator_action(group: Group, algebra: BlockAlgebra, images: Sequence[AlgAutomorphism]) -> Callable:
@@ -533,11 +528,10 @@ def validate_system(
             at = first_entries(pairs.many(coded.pair_keys(left, right)), known)
             firsts.append(np.stack([left[at], right[at]]))
             gh, hk = coded.mul(g, h), coded.mul(h, k)
-            # cocycle rows at (g, h), (gh, k), (h, k), (g, hk); action rows at g
+            # cocycle rows at (g, h), (gh, k), (h, k), (g, hk); the action of g
             r_gh, r_ghk, r_hk, r_ghk2 = np.split(rows(np.concatenate([g, gh, h, g]), np.concatenate([h, k, k, hk])), 4)
-            r_g = system._action_rows(g)
             lhs = [np.matmul(x, y) for x, y in zip(sigma(r_gh), sigma(r_ghk))]
-            acted = system._action_stack(False).apply(r_g, sigma(r_hk))
+            acted = system.act_rows(g, np.arange(len(g)), sigma(r_hk))
             rhs = [np.matmul(x, y) for x, y in zip(acted, sigma(r_ghk2))]
             worst.update("cocycle", stacked_norms(minus(lhs, rhs)), lambda i: chunk[i])
         if not n_triples:
@@ -547,9 +541,7 @@ def validate_system(
         s, t = np.concatenate(firsts, axis=1)
         e = np.full(len(s), coded.encode([system.group.identity()])[0])
         pair_sigmas = rows(np.concatenate([s, s, e]), np.concatenate([t, e, s])).reshape(3, -1).T
-        pair_alphas = system._action_rows(np.concatenate([coded.mul(s, t), t, s])).reshape(3, -1).T
-        identity = system._action_rows(e[:1])[0]
-        stack = system._action_stack(False)
+        st = coded.mul(s, t)
 
         def witness(i):
             return tuple(coded.decode(np.array([s[i], t[i]])))
@@ -572,16 +564,16 @@ def validate_system(
             if not probes:
                 continue
             # pair-major, probe-minor rows: row i checks pair i // n_probes
-            a_st, a_t, a_s = np.repeat(pair_alphas[lo:lo + step], n_probes, axis=0).T
+            pair = np.repeat(np.arange(len(sig_st)), n_probes)
             xs = [b[np.tile(np.arange(n_probes), len(sig_st))] for b in probe_table]
-            lhs = stack.apply(a_s, stack.apply(a_t, xs))
+            lhs = system.act_rows(s[lo:lo + step], pair, system.act_rows(t[lo:lo + step], pair, xs))
             # (sig a) sig^*, as sig * action(st)(x) * sig.star()
             rhs = [np.matmul(np.matmul(y, x), adjoints(y))
-                   for y, x in zip(sigma(np.repeat(sig_st, n_probes)), stack.apply(a_st, xs))]
+                   for y, x in zip(sigma(sig_st[pair]), system.act_rows(st[lo:lo + step], pair, xs))]
             worst.update("action", stacked_norms(minus(lhs, rhs)), lambda i: witness(lo + i // n_probes))
 
         if probes:
-            acted = stack.apply(np.full(n_probes, identity), probe_table)
+            acted = system.act_rows(e[:1], np.zeros(n_probes, dtype=np.int64), probe_table)
             worst.update("action", stacked_norms(minus(acted, probe_table)), lambda i: (system.group.identity(),) * 2)
 
     return SystemReport(

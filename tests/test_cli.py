@@ -226,6 +226,22 @@ def test_rejected_input_exits_one_with_a_config_error(tmp_path, capsys, experime
     assert err.startswith("config error:") and message in err
 
 
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("experiment, key", [
+    ({"tag": "validate"}, "n_samples"),
+    ({"tag": "arithmetic-suite"}, "n_triples"),
+    ({"tag": "commutative-inequality"}, "n_samples"),
+    ({"tag": "psl-preset"}, "n_samples"),
+    ({"tag": "ideals", "e_invariance": {"blocks": [0]}}, "sample_budget"),
+], ids=lambda e: e["tag"] if isinstance(e, dict) else e)
+def test_sample_count_below_one_exits_one_naming_the_key(tmp_path, capsys, experiment, key, count):
+    # a run that checks nothing must not report passed: true, nor fail on an inf it cannot write
+    assert run_cli(tmp_path, base_config(tmp_path, dict(experiment, **{key: count}))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_fejer_experiment_writes_report_and_csv(tmp_path):
     config = base_config(
         tmp_path,
@@ -297,7 +313,7 @@ def test_determinism_byte_identical_reports(tmp_path):
 
 # 70 samples fill one chunk of 64 and part of the next
 @pytest.mark.parametrize("experiment", [
-    *({"tag": "arithmetic-suite", "n_triples": n} for n in (0, 1, 7, 70)),
+    *({"tag": "arithmetic-suite", "n_triples": n} for n in (1, 7, 70)),
     *({"tag": "commutative-inequality", "n_samples": n, "record_twisted_experiment": True} for n in (1, 7, 70)),
 ], ids=lambda e: f"{e['tag']}-{e.get('n_triples', e.get('n_samples'))}")
 def test_sampling_reports_do_not_depend_on_the_chunk(tmp_path, monkeypatch, experiment):

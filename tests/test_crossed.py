@@ -315,9 +315,9 @@ def test_coefficient_norms_propagate_nan_like_the_packed_norms():
 
 
 def test_star_over_an_identity_action_keeps_finite_entries_beside_an_inf():
-    # the one departure from the AlgElement arithmetic: the action of every point is
-    # exactly the identity, so star() skips it, where applying it, 1 x 1^*, spreads
-    # the NaN of inf * 0 over the whole block
+    # the one departure from the AlgElement arithmetic: a system built with
+    # trivial_action skips its actions, alone or in any batch, where applying one,
+    # 1 x 1^*, spreads the NaN of inf * 0 over the whole block
     A = BlockAlgebra([2])
     sys_ = trivial_system(A, Zd(1))
     a = A.element([[[math.inf, 1.0], [2.0, 3.0]]])

@@ -258,7 +258,7 @@ def test_packed_arithmetic_is_the_pair_loop(family, dims, sizes, seed):
     n1, n2, n3 = (loop_scale(-1.0, r) for r in (r1, r2, r3))  # imaginary parts -0.0, real parts of both signs
     e1, e3, m1, m2, m3 = (CcElement(SWAP, c) for c in (r1, r3, n1, n2, n3))
     swap_cases = [
-        (e1 * m2, loop_mul(SWAP, r1, n2)),  # left points even: actions skipped
+        (e1 * m2, loop_mul(SWAP, r1, n2)),  # left points even: identity actions, applied
         (e3 * m1, loop_mul(SWAP, r3, n1)),  # left points of both parities: applied
         (m1.star(), loop_star(SWAP, n1)),
         (m3.star(), loop_star(SWAP, n3)),
@@ -273,6 +273,26 @@ def test_packed_arithmetic_is_the_pair_loop(family, dims, sizes, seed):
     cases += batch_cases(system, named, couples, other=make_system(family, dims))
     for sys_, pairs in ((system, cases), (SWAP, swap_cases)):
         assert_cases(sys_, pairs)
+
+
+def test_an_element_has_the_same_bits_alone_and_in_a_batch():
+    # whether the actions are applied is decided per system, never per batch: on the
+    # rotation system the identity action at e is applied alone as beside (1,), so an
+    # inf entry spreads its NaN over the block both ways, as in the AlgElement loop
+    system = rotation_system()
+    A = system.algebra
+    c = {(0,): A.element([[[np.inf, 1.0], [2.0, 3.0]], [[1.0]]])}
+    d = {(1,): A.element([[[0.5, -1.0], [2.0, 0.25]], [[3.0]]])}
+    f, g = CcElement(system, c), CcElement(system, d)
+    with np.errstate(invalid="ignore"):
+        star, mul, regular = loop_star(system, c), loop_mul(system, c, c), loop_regular_apply(system, c, c)
+        cases = [
+            (stars([f])[0], star), (stars([f, g])[0], star),
+            (products([f], [f])[0], mul), (products([f, g], [f, g])[0], mul),
+            (regular_applies([f], [f])[0], regular), (regular_applies([f, g], [f, g])[0], regular),
+        ]
+    for packed, loop in cases:
+        assert packed_hexes(packed) == loop_hexes(loop)
 
 
 @pytest.mark.parametrize("d, far", [(1, 2**40), (2, 2**28), (3, 300000), (5, 3**45)])
