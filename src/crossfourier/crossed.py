@@ -103,41 +103,36 @@ _DEFAULT_DENSE_BYTES = 1 << 30
 class CcElement:
     """Finitely supported function G -> A over a twisted system.
 
-    Stored packed: the support points in insertion order, their codes and
-    one read-only (n, d_j, d_j) array per algebra block j whose row i is the
-    coefficient at points[i]; all arithmetic runs on these arrays.  An
-    element built from a mapping keeps the given AlgElements and their norms,
-    stacks them and encodes its points on first use; one built by arithmetic
-    (or random_cc) comes with its stack, often views of a batch's arrays, and
-    makes its row AlgElements (views of the stack), its {g: row} index and
-    its row norms on first use.  A value of norm < 1e-14 is never stored, so
-    the support is canonical; one whose norm is NaN is kept, so overflow
-    propagates instead of vanishing.  Instances are immutable; arithmetic
-    returns new elements.
+    Stored packed, each coefficient once: the support points in insertion
+    order, their codes and one read-only (n, d_j, d_j) array per algebra
+    block j whose row i is the coefficient at points[i]; all arithmetic runs
+    on these arrays.  An element built from a mapping stacks its values at
+    once and prunes them as arithmetic prunes its results (_pruned); one
+    built by arithmetic (or random_cc) often holds views of a batch's
+    arrays.  The codes, the {g: row} index, the row norms and the row
+    AlgElements (views of the arrays) are made on first use.  A value of
+    norm < 1e-14 is never stored, so the support is canonical; one whose
+    norm is NaN is kept, so overflow propagates instead of vanishing.
+    Instances are immutable; arithmetic returns new elements.
     """
 
     def __init__(self, system: TwistedSystem, coeffs: Mapping):
-        points, values, norms = [], [], []
-        for g, a in coeffs.items():
-            if a.algebra != system.algebra:
-                raise ValueError("coefficient algebra does not match the system")
-            norm = a.norm()
-            if not norm < SUPPORT_TOL:
-                points.append(system.group.check(g))
-                values.append(a)
-                norms.append(norm)
-        self._store(system, points, norms, coefficients=values)
+        values = list(coeffs.values())
+        if any(a.algebra != system.algebra for a in values):
+            raise ValueError("coefficient algebra does not match the system")
+        blocks = stack_blocks(values) if values else _no_blocks(system)
+        points, blocks, _, _ = _pruned(list(coeffs), blocks, None, [len(values)])
+        self._store(system, list(map(system.group.check, points)), blocks)
 
-    def _store(self, system, points: list, norms: list | None = None, blocks: list | None = None,
-               coefficients: list | None = None, codes: np.ndarray | None = None):
-        """Set the state; at least one of blocks (read-only) and coefficients is given when points are."""
+    def _store(self, system, points: list, blocks: list, codes: np.ndarray | None = None):
+        """Set the state: blocks are read-only, one row per point."""
         self.system = system
         self._points = points
+        self._blocks = blocks               # one read-only (n, d_j, d_j) array per block
         self._code_array = codes            # or None until _codes encodes the points
         self._row_index = None              # {g: row}, on first use
-        self._norm_list = norms             # AlgElement.norm of each row, or None until first read
-        self._stack = blocks                # or None until _blocks stacks the coefficients
-        self._coefficients = coefficients   # row AlgElements, or None until first use
+        self._norm_list = None              # AlgElement.norm of each row, on first read
+        self._coefficients = None           # row AlgElements, on first use
         self._order = None                  # rows in support order, on first use
 
     # -- basic structure ------------------------------------------------------
@@ -154,18 +149,6 @@ class CcElement:
         if self._norm_list is None:
             self._norm_list = stacked_norms(self._blocks).tolist() if self._points else []
         return self._norm_list
-
-    @property
-    def _blocks(self) -> list:
-        """One read-only (n, d_j, d_j) array per block, row i the coefficient at points[i]."""
-        if self._stack is None:
-            if self._coefficients:
-                self._stack = stack_blocks(self._coefficients)
-            else:
-                self._stack = _no_blocks(self.system)
-            for x in self._stack:
-                x.flags.writeable = False
-        return self._stack
 
     def _codes(self) -> np.ndarray:
         """The code of each point in the system's coded group."""
@@ -315,13 +298,11 @@ def _dropped(blocks: list) -> np.ndarray | None:
     return low if np.count_nonzero(low) else None
 
 
-def _packed_many(system: TwistedSystem, points: list, blocks: list, codes: np.ndarray | None,
-                 counts: list) -> list:
-    """_packed on consecutive runs of rows: the c-th element takes the next counts[c] rows.
+def _pruned(points: list, blocks: list, codes: np.ndarray | None, counts: list) -> tuple:
+    """(points, blocks, codes, counts) without the rows of norm < 1e-14, the blocks made read-only.
 
-    Rows are pruned in one pass over all of them; the elements' blocks are
-    read-only views of the shared arrays, and their norms are computed on
-    first read.
+    counts[c] rows in turn belong to the c-th element; its count drops by
+    its dropped rows.
     """
     drop = _dropped(blocks) if points else None
     if drop is not None:
@@ -332,15 +313,26 @@ def _packed_many(system: TwistedSystem, points: list, blocks: list, codes: np.nd
         codes = None if codes is None else codes[keep]
     for b in blocks:
         b.flags.writeable = False
+    return points, blocks, codes, counts
+
+
+def _packed_many(system: TwistedSystem, points: list, blocks: list, codes: np.ndarray | None,
+                 counts: list) -> list:
+    """_packed on consecutive runs of rows: the c-th element takes the next counts[c] rows.
+
+    Rows are pruned in one pass over all of them; the elements' blocks are
+    read-only views of the shared arrays, and their norms are computed on
+    first read.
+    """
+    points, blocks, codes, counts = _pruned(points, blocks, codes, counts)
     if len(counts) == 1:
         f = CcElement.__new__(CcElement)
-        f._store(system, points, blocks=blocks, codes=codes)
+        f._store(system, points, blocks, codes)
         return [f]
     out, lo = [], 0
     for hi in itertools.accumulate(counts):
         f = CcElement.__new__(CcElement)
-        f._store(system, points[lo:hi], blocks=[b[lo:hi] for b in blocks],
-                 codes=None if codes is None else codes[lo:hi])
+        f._store(system, points[lo:hi], [b[lo:hi] for b in blocks], None if codes is None else codes[lo:hi])
         out.append(f)
         lo = hi
     return out
@@ -406,7 +398,7 @@ def _numbered(couple: np.ndarray | None, codes: np.ndarray, n: int) -> tuple:
         at = keys.many(couple * (int(rank.max()) + 1) + rank)
     first = np.empty(len(at), dtype=bool)
     first[0], first[1:] = True, at[1:] > np.maximum.accumulate(at)[:-1]
-    counts = [len(keys.items)] if couple is None else np.bincount(couple[first], minlength=n).tolist()
+    counts = [len(keys)] if couple is None else np.bincount(couple[first], minlength=n).tolist()
     return at, first, counts
 
 

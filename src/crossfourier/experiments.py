@@ -236,6 +236,7 @@ def run_approx_net(system, params, rng):
 
 
 def run_decay_probe(system, params, rng):
+    budget = _count(params, "sample_budget", 30)
     wspec = params.get("weight", {"tag": "constant"})
     length = build_length(wspec.get("length", "default"), system.group) if wspec.get("tag") != "constant" else None
     w = make_weight(wspec["tag"], wspec.get("param", 0.0), length)
@@ -243,7 +244,7 @@ def run_decay_probe(system, params, rng):
         probe = decay_constant_probe(
             system, w,
             R=float(params.get("radius", 2)),
-            sample_budget=int(params.get("sample_budget", 30)),
+            sample_budget=budget,
             rng=rng,
         )
     except ValueError as exc:  # a weight that overflows on the sampled supports
@@ -260,8 +261,9 @@ def run_decay_probe(system, params, rng):
 
 
 def run_content_probe(system, params, rng):
+    budget = _count(params, "sample_budget", 40)
     subset = [system.group.normal_form(w) for w in params["subset"]]
-    est = content_probe(system, subset, int(params.get("sample_budget", 40)), rng)
+    est = content_probe(system, subset, budget, rng)
     results = est.as_dict()
     passed = est.lower <= est.upper + 1e-9
     if est.upper_scalar is not None:

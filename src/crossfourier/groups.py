@@ -539,6 +539,9 @@ class Numbering:
         self.number: dict = {}
         self.items: list = []
 
+    def __len__(self):
+        return len(self.items)
+
     def many(self, items) -> np.ndarray:
         if isinstance(items, np.ndarray):
             if len(items) > 256:
@@ -574,10 +577,10 @@ def first_entries(numbers: np.ndarray, known: int) -> np.ndarray:
     return at[np.unique(numbers[at], return_index=True)[1]]
 
 
-# Code pairs whose products a CodedGroup keeps (and whose cocycle values a
-# system keeps, for a rule without keys): about 2 MB of tables.  A call
-# with more pairs than the room left looks them all up one by one, so a
-# long chain of large products holds no table per pair.
+# Code pairs whose products a CodedGroup keeps: about 2 MB of tables.  A
+# call with more pairs than the room left looks them all up one by one, so
+# a long chain of large products holds no table per pair.  (A system keeps
+# its cocycle values unbounded, one row per key: TwistedSystem.cocycle_rows.)
 PAIR_MEMO = 1 << 14
 
 
@@ -630,11 +633,11 @@ class CodedGroup:
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self._table is None:
-            known = len(self._pairs.items)
+            known = len(self._pairs)
             if known + len(a) > PAIR_MEMO:
                 return self._tuple_mul(a, b)
             pairs = self._pairs.many(self.pair_keys(a, b))
-            if len(self._pairs.items) > known:
+            if len(self._pairs) > known:
                 at = first_entries(pairs, known)
                 self._products = np.concatenate([self._products, self._tuple_mul(a[at], b[at])])
             return self._products[pairs]

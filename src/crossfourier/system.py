@@ -8,17 +8,18 @@ A system packages an action rule g -> automorphism and a unitary cocycle rule
     cocycle(g, e) = cocycle(e, g) = 1.
 
 Rules are closed-form and pure; on infinite groups they are never tables.
-The shipped rules build each value they need once per system: one theta
-value per distinct B(g, h), one section lift per element, no extra compose
-with the identity along a normal form.
+The section rule lifts each element once, and the generator action makes
+no extra compose with the identity along a normal form.
 
 Each system works on the coded view of its group (system.coded, kept on
 the group) and keeps, as long as it lives, the tables the batched
-arithmetic gathers from: cocycle values stacked once per key (B(g, h) for
-theta rules, 0 for the trivial rule, the code pair otherwise, for up to
-groups.PAIR_MEMO code pairs) and one AutomorphismStack of actions per
-direction, one row per code, each value looked up through cocycle() or
-action() once.  act_rows is the one place that applies stacked actions.
+arithmetic gathers from.  Each cocycle value is kept once, as the row of
+its key in one stacked table: the key is B(g, h) for theta rules, 0 for
+the trivial rule and the code pair otherwise, and its value is evaluated
+through cocycle() at the first pair with that key; cocycle() itself keeps
+nothing.  Actions are kept by group element (action()) and stacked in one
+AutomorphismStack per direction, one row per code.
+act_rows is the one place that applies stacked actions.
 Whether it applies them is decided once per system: a system whose action
 rule is trivial_action's skips them, every other system applies each one,
 the identity included.
@@ -41,14 +42,13 @@ import numpy as np
 from .algebra import (
     ALG_TOL, AlgAutomorphism, AlgElement, AutomorphismStack, BlockAlgebra, adjoints, stack_blocks, stacked_norms,
 )
-from . import groups
 from .groups import (
     Group, Cyclic, FreeProductZ2Z3, Numbering, Zd, ball, coded_group, default_length, first_entries,
 )
 
 
 class TwistedSystem:
-    """The quadruple (algebra, group, action, cocycle) with memoized rules and coded tables."""
+    """The quadruple (algebra, group, action, cocycle) with its action memo and coded tables."""
 
     def __init__(
         self,
@@ -64,13 +64,9 @@ class TwistedSystem:
         self._cocycle_rule = cocycle_rule
         self.tag = tag
         self._action_cache: dict = {}
-        self._cocycle_cache: dict = {}
-        self._compression_plans: dict = {}  # (float R, length tag) -> crossed.CompressionPlan
-        self._sigma_keys = Numbering()  # cocycle key of a rule with keys -> its number
-        self._sigma_rows = np.empty(0, dtype=np.int64)  # key number -> row of the stacked values
-        self._sigma_values = Numbering()  # id of each distinct value -> its row
-        self._sigma_kept: list = []  # the distinct values, kept so that their ids stay theirs
+        self._cocycle_cache = Numbering()  # cocycle key -> its row in _sigma_table
         self._sigma_table = [np.empty((0, d, d), dtype=complex) for d in algebra.dims]
+        self._compression_plans: dict = {}  # (float R, length tag) -> crossed.CompressionPlan
         self._skips_action = getattr(action_rule, "trivial", False)
         self._alpha_rows = Numbering()  # code -> row of _alphas and of the stacks
         self._alphas: list = []
@@ -92,12 +88,8 @@ class TwistedSystem:
         return auto
 
     def cocycle(self, g, h) -> AlgElement:
-        key = (g, h)
-        val = self._cocycle_cache.get(key)
-        if val is None:
-            val = self._cocycle_rule(g, h)
-            self._cocycle_cache[key] = val
-        return val
+        """The rule's value; the batched arithmetic reads the stacked table (cocycle_rows) instead."""
+        return self._cocycle_rule(g, h)
 
     def act(self, g, a: AlgElement) -> AlgElement:
         return self.action(g)(a)
@@ -111,32 +103,19 @@ class TwistedSystem:
     def cocycle_rows(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         """The row of cocycle(g[i], h[i]) in the stacked values (cocycle_blocks), for code arrays g, h.
 
-        Values are keyed by the rule's keys(coded, g, h) where it has them
-        (theta and trivial rules), by the code pair otherwise, and looked up
-        through cocycle() once per new key, at its first pair.  Code pairs
-        are keyed up to groups.PAIR_MEMO of them; a call with more pairs than
-        the room left looks them up through cocycle() one by one, whose
-        cache keeps them.
-        Each distinct value object is stacked once.
+        A value is keyed by the rule's keys(coded, g, h) where it has them
+        (theta and trivial rules), by the code pair otherwise; a key's
+        number is its row.  Each new key's value is evaluated through
+        cocycle() at its first pair and stacked, so every value is kept
+        once, in the table alone.
         """
         keys_of = getattr(self._cocycle_rule, "keys", None)
-        known = len(self._sigma_keys.items)
-        if keys_of is None and known + len(g) > groups.PAIR_MEMO:
-            return self._value_rows(list(map(self.cocycle, self.coded.decode(g), self.coded.decode(h))))
-        numbers = self._sigma_keys.many(keys_of(self.coded, g, h) if keys_of else self.coded.pair_keys(g, h))
-        if len(self._sigma_keys.items) > known:
-            at = first_entries(numbers, known)
+        known = len(self._cocycle_cache)
+        rows = self._cocycle_cache.many(keys_of(self.coded, g, h) if keys_of else self.coded.pair_keys(g, h))
+        if len(self._cocycle_cache) > known:
+            at = first_entries(rows, known)
             values = list(map(self.cocycle, self.coded.decode(g[at]), self.coded.decode(h[at])))
-            self._sigma_rows = np.concatenate([self._sigma_rows, self._value_rows(values)])
-        return self._sigma_rows[numbers]
-
-    def _value_rows(self, values: list) -> np.ndarray:
-        stacked = len(self._sigma_kept)
-        rows = self._sigma_values.many(list(map(id, values)))
-        fresh = [values[i] for i in first_entries(rows, stacked)]
-        if fresh:
-            self._sigma_kept += fresh
-            self._sigma_table = [np.concatenate(p) for p in zip(self._sigma_table, stack_blocks(fresh))]
+            self._sigma_table = [np.concatenate(p) for p in zip(self._sigma_table, stack_blocks(values))]
         return rows
 
     def cocycle_blocks(self, rows: np.ndarray) -> list:
@@ -165,7 +144,7 @@ class TwistedSystem:
         """
         if self._skips_action:
             return blocks
-        known = len(self._alpha_rows.items)
+        known = len(self._alpha_rows)
         rows = self._alpha_rows.many(codes)
         new = self._alpha_rows.items[known:]
         if new:
@@ -235,7 +214,7 @@ def theta_cocycle(group: Group, algebra: BlockAlgebra, theta) -> Callable:
       Z^d, d >= 2:  B(m, n) = sum_{i<j} m_j n_i   (for d = 2 this is m_2 n_1)
       Z^1:          B(m, n) = m n
       Z_n:          B(j, k) = j k, which needs n * theta to be an integer.
-    rule.keys(coded, g, h) is B on code arrays, so a system stacks each value once.
+    rule.keys(coded, g, h) is B on code arrays, so a system keeps one value per distinct B.
     """
     th = _theta_value(theta)
 
@@ -256,14 +235,9 @@ def theta_cocycle(group: Group, algebra: BlockAlgebra, theta) -> Callable:
         raise ValueError(f"theta cocycles are shipped for Z^d and Z_n, not {group.name}")
 
     one = algebra.unit()
-    values: dict = {}  # B(g, h) -> the cocycle value, built once per distinct B
 
     def rule(g, h):
-        b = bform(g, h)
-        value = values.get(b)
-        if value is None:
-            value = values[b] = cmath.exp(2j * cmath.pi * th * b) * one
-        return value
+        return cmath.exp(2j * cmath.pi * th * bform(g, h)) * one
 
     def keys(coded, g, h):
         x, y = coded.coordinates(g), coded.coordinates(h)
@@ -524,7 +498,7 @@ def validate_system(
             g, h, k = coded.encode(list(itertools.chain.from_iterable(chunk))).reshape(-1, 3).T
             # (g, h) then (h, k) of each triple
             left, right = np.stack([g, h], axis=1).ravel(), np.stack([h, k], axis=1).ravel()
-            known = len(pairs.items)
+            known = len(pairs)
             at = first_entries(pairs.many(coded.pair_keys(left, right)), known)
             firsts.append(np.stack([left[at], right[at]]))
             gh, hk = coded.mul(g, h), coded.mul(h, k)

@@ -41,13 +41,19 @@ def make_system(family: str, dims: tuple) -> TwistedSystem:
     images = [swap if ok else AlgAutomorphism.identity(A) for ok in may_swap]
     base_action = generator_action(group, A, images)
     base_cocycle = theta_cocycle(group, A, theta) if theta else trivial_cocycle(A)
+    unitaries: dict = {}  # g -> w_g, drawn once: the loop oracles evaluate the cocycle per pair
+
+    def unitary(g):
+        if g not in unitaries:
+            unitaries[g] = _unitary(A, group, g)
+        return unitaries[g]
 
     def action(g):
-        return AlgAutomorphism.conjugation(A, _unitary(A, group, g).blocks).compose(base_action(g))
+        return AlgAutomorphism.conjugation(A, unitary(g).blocks).compose(base_action(g))
 
     def cocycle(g, h):
-        w = _unitary(A, group, g) * base_action(g)(_unitary(A, group, h)) * base_cocycle(g, h)
-        return w * _unitary(A, group, group.mul(g, h)).star()
+        w = unitary(g) * base_action(g)(unitary(h)) * base_cocycle(g, h)
+        return w * unitary(group.mul(g, h)).star()
 
     return TwistedSystem(A, group, action, cocycle, tag=f"perturbed-{family}")
 

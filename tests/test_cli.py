@@ -233,6 +233,8 @@ def test_rejected_input_exits_one_with_a_config_error(tmp_path, capsys, experime
     ({"tag": "commutative-inequality"}, "n_samples"),
     ({"tag": "psl-preset"}, "n_samples"),
     ({"tag": "ideals", "e_invariance": {"blocks": [0]}}, "sample_budget"),
+    ({"tag": "decay-probe"}, "sample_budget"),
+    ({"tag": "content-probe", "subset": ["0", "1"]}, "sample_budget"),
 ], ids=lambda e: e["tag"] if isinstance(e, dict) else e)
 def test_sample_count_below_one_exits_one_naming_the_key(tmp_path, capsys, experiment, key, count):
     # a run that checks nothing must not report passed: true, nor fail on an inf it cannot write

@@ -247,18 +247,34 @@ def hexes(a) -> list:
 
 
 def test_theta_rule_is_the_closed_form_and_builds_each_value_once():
+    # the rule is the closed form bit for bit; the system evaluates it once per
+    # distinct B(g, h) and keeps one table row per B
     A = BlockAlgebra([2, 1])
     group = Zd(2)
     rule = theta_cocycle(group, A, "1/5")
     points = ball(3, default_length(group))
-    seen = {}
+    want = {}
     for g in points:
         for h in points:
             b = g[1] * h[0]
-            want = cmath.exp(2j * cmath.pi * 0.2 * b) * A.unit()
-            value = rule(g, h)
-            assert hexes(value) == hexes(want)
-            assert seen.setdefault(b, value) is value
+            want.setdefault(b, cmath.exp(2j * cmath.pi * 0.2 * b) * A.unit())
+            assert hexes(rule(g, h)) == hexes(want[b])
+    system = theta_system(group, "1/5", A)
+    calls = []
+    cocycle = system.cocycle
+
+    def counting(g, h):
+        calls.append(g[1] * h[0])
+        return cocycle(g, h)
+
+    system.cocycle = counting
+    codes = system.coded.encode(points)
+    g, h = np.repeat(codes, len(codes)), np.tile(codes, len(codes))
+    rows = system.cocycle_rows(g, h)
+    assert sorted(calls) == sorted(want) and len(system._cocycle_cache) == len(want)
+    table = system.cocycle_blocks(rows)
+    for i, (x, y) in enumerate(zip(system.coded.decode(g), system.coded.decode(h))):
+        assert hexes(A.element([t[i] for t in table])) == hexes(want[x[1] * y[0]])
 
 
 def test_section_rule_is_the_closed_form_and_lifts_each_element_once():

@@ -284,6 +284,15 @@ def test_pruning_takes_the_norm_not_the_largest_entry():
     small = 1e-14 * f
     assert small.support() == [g for g, a in f.items() if not (1e-14 * a).norm() < SUPPORT_TOL] == [(0,), (1,), (4,)]
     assert small.norm_l1() == sum((1e-14 * f.coeff(g)).norm() for g in small.support())
+    # the mapping constructor prunes the same way, to the same bits
+    mapped = CcElement(sys_, {g: 1e-14 * a for g, a in f.items()})
+
+    def bits(h):
+        return [(g, [float(v).hex() for x in a.blocks for z in x.ravel() for v in (z.real, z.imag)])
+                for g, a in h.items()]
+
+    assert mapped.support() == small.support() and bits(mapped) == bits(small)
+    assert mapped.norm_l1() == small.norm_l1()
 
 
 def test_coefficient_norms_propagate_nan_like_the_packed_norms():

@@ -33,7 +33,6 @@ from crossfourier.crossed import (
 )
 from crossfourier.decay import regular_applies, regular_apply
 from crossfourier.groups import FreeF2, Zd, ball, default_length
-from crossfourier import groups
 from crossfourier.system import (
     TwistedSystem, generator_action, sl2z_system, theta_system, trivial_cocycle, trivial_system, validate_system,
 )
@@ -318,9 +317,9 @@ def test_points_past_the_linear_codes_are_the_pair_loop(d, far):
         assert packed_hexes(packed) == loop_hexes(loop)
 
 
-def test_cocycle_pairs_past_the_memo_bound_are_the_pair_loop(monkeypatch):
-    # the section cocycle has no keys: code pairs are keyed up to the bound, then looked up one by one
-    monkeypatch.setattr(groups, "PAIR_MEMO", 40)
+def test_cocycle_pairs_past_the_memo_bound_are_the_pair_loop():
+    # the section cocycle has no keys: its values are kept by code pair, every
+    # pair, so repeating the products evaluates the rule no more times
     system = sl2z_system()
     rng = np.random.default_rng(5)
     pool = ball(3, default_length(system.group))
@@ -329,11 +328,25 @@ def test_cocycle_pairs_past_the_memo_bound_are_the_pair_loop(monkeypatch):
     f1, f2 = CcElement(system, c1), CcElement(system, c2)
     small = {g: c1[g] for g in list(c1)[:4]}
     c12 = loop_mul(system, c1, c2)
-    cases = [(CcElement(system, small) * CcElement(system, small), loop_mul(system, small, small)),
-             (f1 * f2, c12), (f1.star(), loop_star(system, c1)), ((f1 * f2) * f1, loop_mul(system, c12, c1))]
-    for packed, loop in cases:
-        assert packed_hexes(packed) == loop_hexes(loop)
-    assert len(system._sigma_keys.items) <= 16 + 7  # the pairs of the small product and the star only
+    loops = [loop_mul(system, small, small), c12, loop_star(system, c1), loop_mul(system, c12, c1)]
+    calls = []
+    cocycle = system.cocycle
+
+    def counting(g, h):
+        calls.append((g, h))
+        return cocycle(g, h)
+
+    system.cocycle = counting
+
+    def packed():
+        return [CcElement(system, small) * CcElement(system, small), f1 * f2, f1.star(), (f1 * f2) * f1]
+
+    first = packed()
+    evaluated = len(calls)
+    for elements in (first, packed()):
+        for element, loop in zip(elements, loops):
+            assert packed_hexes(element) == loop_hexes(loop)
+    assert evaluated and len(calls) == evaluated == len(system._cocycle_cache)
 
 
 # -- the compression on the finite families ------------------------------------------
