@@ -282,9 +282,11 @@ class AlgAutomorphism:
     """
 
     def __init__(self, algebra: BlockAlgebra, perm: Sequence[int], unitaries: Sequence[np.ndarray]):
-        perm = tuple(int(p) for p in perm)
+        perm, unitaries = tuple(int(p) for p in perm), list(unitaries)
         if sorted(perm) != list(range(len(algebra.dims))):
             raise ValueError("perm is not a permutation of the blocks")
+        if len(unitaries) != len(algebra.dims):
+            raise ValueError(f"expected {len(algebra.dims)} conjugators, one per block, got {len(unitaries)}")
         for k, p in enumerate(perm):
             if algebra.dims[k] != algebra.dims[p]:
                 raise ValueError("permutation relates blocks of different dimension")
@@ -359,41 +361,33 @@ def stack_blocks(elements: Sequence[AlgElement]) -> list:
     return [np.array(col) for col in zip(*(a.blocks for a in elements))]
 
 
-class AutomorphismStack:
-    """Automorphisms stacked for batched application to stacked elements.
+def stack_automorphisms(autos: Sequence[AlgAutomorphism]) -> list:
+    """Nonempty automorphisms as their perms, one (n, blocks) array, then one
+    (n, d_j, d_j) array of conjugators per block j: automorphism i in row i."""
+    return [np.array([a.perm for a in autos]), *(np.array(col) for col in zip(*(a.unitaries for a in autos)))]
 
-    `apply(which, blocks)` puts automorphism which[i] applied to row i of
-    `blocks` in row i: the block permutation of AlgAutomorphism.__call__
-    followed by the same products (U a) U^*, one batched matmul per block,
-    so every row is bit for bit the automorphism applied on its own.
+
+def apply_automorphisms(stack: list, which: np.ndarray, blocks: Sequence[np.ndarray], permutes: bool) -> list:
+    """Row which[i] of a stack (stack_automorphisms) applied to row i of blocks, in row i.
+
+    The block permutation of AlgAutomorphism.__call__ followed by the same
+    products (U a) U^*, one batched matmul per block, so every row is bit
+    for bit the automorphism applied on its own.  permutes=False skips the
+    permutation, which is exact when no row of the stack permutes blocks.
     """
-
-    def __init__(self, autos: Sequence[AlgAutomorphism]):
-        self.perms = np.array([a.perm for a in autos])
-        self.unitaries = [np.stack(col) for col in zip(*(a.unitaries for a in autos))]
-        self._permutes = bool((self.perms != np.arange(self.perms.shape[-1])).any())
-
-    def extend(self, autos: Sequence[AlgAutomorphism]):
-        """Append more automorphisms after the present rows."""
-        more = AutomorphismStack(autos)
-        self.perms = np.concatenate([self.perms, more.perms])
-        self.unitaries = [np.concatenate(p) for p in zip(self.unitaries, more.unitaries)]
-        self._permutes = self._permutes or more._permutes
-
-    def apply(self, which: np.ndarray, blocks: Sequence[np.ndarray]) -> list:
-        perms = self.perms[which] if self._permutes else None
-        out = []
-        for k, table in enumerate(self.unitaries):
-            x = blocks[k]  # every row keeps its own block k unless some automorphism permutes
-            if perms is not None:
-                x = np.empty_like(blocks[k])
-                for j, b in enumerate(blocks):
-                    if b.shape[1:] == x.shape[1:]:
-                        chosen = perms[:, k] == j
-                        x[chosen] = b[chosen]
-            u = table[which]
-            out.append(np.matmul(np.matmul(u, x), u.conj().transpose(0, 2, 1)))
-        return out
+    perms, unitaries = stack[0][which] if permutes else None, stack[1:]
+    out = []
+    for k, table in enumerate(unitaries):
+        x = blocks[k]  # every row keeps its own block k unless some automorphism permutes
+        if perms is not None:
+            x = np.empty_like(blocks[k])
+            for j, b in enumerate(blocks):
+                if b.shape[1:] == x.shape[1:]:
+                    chosen = perms[:, k] == j
+                    x[chosen] = b[chosen]
+        u = table[which]
+        out.append(np.matmul(np.matmul(u, x), u.conj().transpose(0, 2, 1)))
+    return out
 
 
 class PointMap:

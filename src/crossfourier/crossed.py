@@ -39,7 +39,7 @@ The compression is assembled in one pass from a CompressionPlan, kept by
 the system per (radius, length tag): the ball, which translates itself by
 a support point g into the row of every g h (Ball.translate), the codes of
 its points, and per support point g the rows, columns and cocycle rows of
-its entries; the inverse actions come from the system's stack
+its entries; the inverse actions come from the system's action table
 (TwistedSystem.act_rows).  Every element compressed at one radius
 reuses what the ones before it built.  The result is a CSR matrix
 (CompressedRep.sparse; .matrix is the dense array, built on demand).

@@ -571,10 +571,39 @@ class Numbering:
         return numbers
 
 
-def first_entries(numbers: np.ndarray, known: int) -> np.ndarray:
-    """The position of the first entry of each number from `known` on, in number order."""
-    at = np.flatnonzero(numbers >= known)
-    return at[np.unique(numbers[at], return_index=True)[1]]
+class KeyedTable(Numbering):
+    """A Numbering that owns stacked value arrays: the key numbered k has row k of each.
+
+    rows(keys, values) numbers the keys as many() does and, when some are
+    new, calls values(at) once, with at the positions of the first entry of
+    each new key in number order; values returns one array per column, a
+    row per new key.  The columns grow to twice the rows known before, so a
+    table filled a key at a time copies each row a bounded number of times,
+    and hold the same bits whatever the chunks it was filled in.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.columns: list = []  # the value arrays, row k for key k: views of the first len(self) rows of _arrays
+        self._arrays, self._room = [], 0
+
+    def rows(self, keys, values: Callable[[np.ndarray], list]) -> np.ndarray:
+        known = len(self.items)
+        numbers = self.many(keys)
+        if len(self.items) > known:
+            at = np.flatnonzero(numbers >= known)
+            fresh = values(at[np.unique(numbers[at], return_index=True)[1]])
+            n = len(self.items)
+            if n > self._room:
+                self._room = max(2 * known, n)
+                grown = [np.empty((self._room,) + v.shape[1:], dtype=v.dtype) for v in fresh]
+                for g, c in zip(grown, self.columns):
+                    g[:known] = c
+                self._arrays = grown
+            for c, v in zip(self._arrays, fresh):
+                c[known:n] = v
+            self.columns = [c[:n] for c in self._arrays]
+        return numbers
 
 
 # Code pairs whose products a CodedGroup keeps: about 2 MB of tables.  A
@@ -602,8 +631,7 @@ class CodedGroup:
 
     def __init__(self, group: Group):
         self.group = weakref.proxy(group)  # the group keeps its coded view; no cycle back
-        self._numbering, self._pairs = Numbering(), Numbering()
-        self._products = np.empty(0, dtype=np.int64)  # by pair number
+        self._numbering, self._products = Numbering(), KeyedTable()  # code pair -> its product's code
         self._table = self._residues = None
         if group.is_finite and len(elements := group.elements()) <= 1024:
             self.encode(elements)
@@ -633,14 +661,10 @@ class CodedGroup:
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self._table is None:
-            known = len(self._pairs)
-            if known + len(a) > PAIR_MEMO:
+            if len(self._products) + len(a) > PAIR_MEMO:
                 return self._tuple_mul(a, b)
-            pairs = self._pairs.many(self.pair_keys(a, b))
-            if len(self._pairs) > known:
-                at = first_entries(pairs, known)
-                self._products = np.concatenate([self._products, self._tuple_mul(a[at], b[at])])
-            return self._products[pairs]
+            pairs = self._products.rows(self.pair_keys(a, b), lambda at: [self._tuple_mul(a[at], b[at])])
+            return self._products.columns[0][pairs]
         out = self._table[a, b]
         new = np.flatnonzero(out < 0)
         if len(new):
@@ -1018,13 +1042,14 @@ def shell_series(term: Callable[[int], float], start: int, tol: float) -> tuple[
     the remainder past m is at most t q / (1 - q) with t = term(m) and
     q = term(m + 1) / t.  The series stops at the first m at least 8 past
     start where q < 1 and that bound is below tol, or at the first zero term
-    more than 8 past start (remainder 0).
+    more than 8 past start (remainder 0).  Each term is formed once: the
+    term(m + 1) of a ratio test is carried over as the next term.
     """
     terms = [term(start)]
-    m = start
+    m, ahead = start, None  # the last ratio test's term(m + 1): every step after the first test makes one or stops
     while True:
         m += 1
-        t = term(m)
+        t = term(m) if ahead is None else ahead
         terms.append(t)
         if t == 0.0:
             if m > start + 8:
@@ -1032,7 +1057,8 @@ def shell_series(term: Callable[[int], float], start: int, tol: float) -> tuple[
             continue
         if m < start + 8:
             continue
-        q = term(m + 1) / t
+        ahead = term(m + 1)
+        q = ahead / t
         if q < 1.0 and t * q / (1.0 - q) < tol:
             return terms, t * q / (1.0 - q)
         if m > start + 2_000_000:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import ALG_TOL, AlgElement
 from .crossed import CcElement, cc_unit, default_radii, opnorm_bounds, random_cc_in
-from .groups import Numbering, ball, coded_group, default_length
+from .groups import KeyedTable, ball, coded_group, default_length
 from .modules import EquivariantRep, ModuleVector
 from .system import TwistedSystem
 
@@ -116,19 +116,14 @@ def gram_matrix(phi: Callable, S: list, group) -> np.ndarray:
     coded = coded_group(group)
     codes = coded.encode(S)
     inverses = coded.inv(codes)
-    keys, values = Numbering(), np.empty(0, dtype=complex)
+    values = KeyedTable()  # code of g_i^{-1} g_j -> phi there
     gram = np.empty((n, n), dtype=complex)
     step = max(1, _GRAM_CHUNK // n)
     for lo in range(0, n, step):
         rows = inverses[lo:lo + step]
-        known = len(keys.items)
-        at = keys.many(coded.mul(np.repeat(rows, n), np.tile(codes, len(rows))))
-        if len(keys.items) > known:
-            if len(keys.items) > len(values):  # grow by doubling
-                values = np.concatenate([values, np.empty(max(len(values), len(keys.items)), dtype=complex)])
-            fresh = coded.decode(np.array(keys.items[known:], dtype=np.int64))
-            values[known:len(keys.items)] = [complex(phi(k)) for k in fresh]
-        gram[lo:lo + step] = values[at].reshape(len(rows), n)
+        entries = coded.mul(np.repeat(rows, n), np.tile(codes, len(rows)))
+        numbers = values.rows(entries, lambda at: [np.array([complex(phi(k)) for k in coded.decode(entries[at])])])
+        gram[lo:lo + step] = values.columns[0][numbers].reshape(len(rows), n)
     return gram
 
 

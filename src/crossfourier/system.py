@@ -13,12 +13,13 @@ no extra compose with the identity along a normal form.
 
 Each system works on the coded view of its group (system.coded, kept on
 the group) and keeps, as long as it lives, the tables the batched
-arithmetic gathers from.  Each cocycle value is kept once, as the row of
-its key in one stacked table: the key is B(g, h) for theta rules, 0 for
-the trivial rule and the code pair otherwise, and its value is evaluated
-through cocycle() at the first pair with that key; cocycle() itself keeps
-nothing.  Actions are kept by group element (action()) and stacked in one
-AutomorphismStack per direction, one row per code.
+arithmetic gathers from, each a groups.KeyedTable.  Each cocycle value is
+kept once, as the row of its key in one table: the key is B(g, h) for
+theta rules, 0 for the trivial rule and the code pair otherwise, and its
+value is evaluated through cocycle() at the first pair with that key.  Each
+action is kept once, as the row of its code in the other table, stacked
+with its inverse when act_rows first meets the code.  cocycle() and
+action() return the rules' values and keep nothing.
 act_rows is the one place that applies stacked actions.
 Whether it applies them is decided once per system: a system whose action
 rule is trivial_action's skips them, every other system applies each one,
@@ -40,15 +41,14 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .algebra import (
-    ALG_TOL, AlgAutomorphism, AlgElement, AutomorphismStack, BlockAlgebra, adjoints, stack_blocks, stacked_norms,
+    ALG_TOL, AlgAutomorphism, AlgElement, BlockAlgebra, adjoints, apply_automorphisms, stack_automorphisms,
+    stack_blocks, stacked_norms,
 )
-from .groups import (
-    Group, Cyclic, FreeProductZ2Z3, Numbering, Zd, ball, coded_group, default_length, first_entries,
-)
+from .groups import Group, Cyclic, FreeProductZ2Z3, KeyedTable, Zd, ball, coded_group, default_length
 
 
 class TwistedSystem:
-    """The quadruple (algebra, group, action, cocycle) with its action memo and coded tables."""
+    """The quadruple (algebra, group, action, cocycle) with its coded tables."""
 
     def __init__(
         self,
@@ -63,14 +63,11 @@ class TwistedSystem:
         self._action_rule = action_rule
         self._cocycle_rule = cocycle_rule
         self.tag = tag
-        self._action_cache: dict = {}
-        self._cocycle_cache = Numbering()  # cocycle key -> its row in _sigma_table
-        self._sigma_table = [np.empty((0, d, d), dtype=complex) for d in algebra.dims]
+        self._action_cache = KeyedTable()  # code -> its action, then its inverse (stack_automorphisms)
+        self._cocycle_cache = KeyedTable()  # cocycle key -> its value's blocks
         self._compression_plans: dict = {}  # (float R, length tag) -> crossed.CompressionPlan
         self._skips_action = getattr(action_rule, "trivial", False)
-        self._alpha_rows = Numbering()  # code -> row of _alphas and of the stacks
-        self._alphas: list = []
-        self._alpha_stacks: list = [None, None]  # action, inverse
+        self._permutes = False  # whether some stacked action permutes blocks
 
     def __repr__(self):
         return f"TwistedSystem({self.algebra!r}, {self.group.name}, tag={self.tag})"
@@ -81,11 +78,8 @@ class TwistedSystem:
         return coded_group(self.group)
 
     def action(self, g) -> AlgAutomorphism:
-        auto = self._action_cache.get(g)
-        if auto is None:
-            auto = self._action_rule(g)
-            self._action_cache[g] = auto
-        return auto
+        """The rule's value; the batched arithmetic applies the stacked table (act_rows) instead."""
+        return self._action_rule(g)
 
     def cocycle(self, g, h) -> AlgElement:
         """The rule's value; the batched arithmetic reads the stacked table (cocycle_rows) instead."""
@@ -110,28 +104,20 @@ class TwistedSystem:
         once, in the table alone.
         """
         keys_of = getattr(self._cocycle_rule, "keys", None)
-        known = len(self._cocycle_cache)
-        rows = self._cocycle_cache.many(keys_of(self.coded, g, h) if keys_of else self.coded.pair_keys(g, h))
-        if len(self._cocycle_cache) > known:
-            at = first_entries(rows, known)
-            values = list(map(self.cocycle, self.coded.decode(g[at]), self.coded.decode(h[at])))
-            self._sigma_table = [np.concatenate(p) for p in zip(self._sigma_table, stack_blocks(values))]
-        return rows
+        return self._cocycle_cache.rows(
+            keys_of(self.coded, g, h) if keys_of else self.coded.pair_keys(g, h),
+            lambda at: stack_blocks(list(map(self.cocycle, self.coded.decode(g[at]), self.coded.decode(h[at])))),
+        )
 
     def cocycle_blocks(self, rows: np.ndarray) -> list:
-        return [t[rows] for t in self._sigma_table]
+        return [t[rows] for t in self._cocycle_cache.columns]
 
-    def _action_stack(self, inverse: bool) -> AutomorphismStack:
-        """The stack of every action (or its inverse) added so far, by row."""
-        stack = self._alpha_stacks[inverse]
-        more = self._alphas[0 if stack is None else len(stack.perms):]
-        if more:
-            more = [a.inverse() for a in more] if inverse else more
-            if stack is None:
-                stack = self._alpha_stacks[inverse] = AutomorphismStack(more)
-            else:
-                stack.extend(more)
-        return stack
+    def _stack_actions(self, codes: np.ndarray) -> list:
+        """The stacked actions of new codes, then their inverses (stack_automorphisms)."""
+        autos = list(map(self._action_rule, self.coded.decode(codes)))
+        stack = stack_automorphisms(autos)
+        self._permutes = self._permutes or bool((stack[0] != np.arange(stack[0].shape[1])).any())
+        return stack + stack_automorphisms([a.inverse() for a in autos])
 
     def act_rows(self, codes: np.ndarray, which: np.ndarray, blocks: list, inverse: bool = False) -> list:
         """action(g), or its inverse automorphism, for g coded codes[which[i]], applied to row i of blocks.
@@ -144,12 +130,9 @@ class TwistedSystem:
         """
         if self._skips_action:
             return blocks
-        known = len(self._alpha_rows)
-        rows = self._alpha_rows.many(codes)
-        new = self._alpha_rows.items[known:]
-        if new:
-            self._alphas += map(self.action, self.coded.decode(np.array(new, dtype=np.int64)))
-        return self._action_stack(inverse).apply(rows[which], blocks)
+        rows = self._action_cache.rows(codes, lambda at: self._stack_actions(codes[at]))
+        stack, half = self._action_cache.columns, 1 + len(self.algebra.dims)
+        return apply_automorphisms(stack[half:] if inverse else stack[:half], rows[which], blocks, self._permutes)
 
 
 # -- action rules --------------------------------------------------------------
@@ -482,7 +465,7 @@ def validate_system(
         probes = system.algebra.basis() + [system.algebra.random_element(rng) for _ in range(3)]
 
     coded = system.coded
-    pairs, firsts = Numbering(), []  # the distinct pairs (g, h), (h, k) in first-seen order, as codes
+    pairs = KeyedTable()  # the distinct pairs (g, h), (h, k) in first-seen order, as codes
     unit = system.algebra.unit().blocks
     worst = _Worst()
     sigma, rows = system.cocycle_blocks, system.cocycle_rows
@@ -498,9 +481,7 @@ def validate_system(
             g, h, k = coded.encode(list(itertools.chain.from_iterable(chunk))).reshape(-1, 3).T
             # (g, h) then (h, k) of each triple
             left, right = np.stack([g, h], axis=1).ravel(), np.stack([h, k], axis=1).ravel()
-            known = len(pairs)
-            at = first_entries(pairs.many(coded.pair_keys(left, right)), known)
-            firsts.append(np.stack([left[at], right[at]]))
+            pairs.rows(coded.pair_keys(left, right), lambda at: [left[at], right[at]])
             gh, hk = coded.mul(g, h), coded.mul(h, k)
             # cocycle rows at (g, h), (gh, k), (h, k), (g, hk); the action of g
             r_gh, r_ghk, r_hk, r_ghk2 = np.split(rows(np.concatenate([g, gh, h, g]), np.concatenate([h, k, k, hk])), 4)
@@ -512,7 +493,7 @@ def validate_system(
             raise ValueError("sample of triples must be nonempty")
 
         # per distinct pair (s, t): cocycle (s, t), (s, e), (e, s); action of st, t, s
-        s, t = np.concatenate(firsts, axis=1)
+        s, t = pairs.columns
         e = np.full(len(s), coded.encode([system.group.identity()])[0])
         pair_sigmas = rows(np.concatenate([s, s, e]), np.concatenate([t, e, s])).reshape(3, -1).T
         st = coded.mul(s, t)

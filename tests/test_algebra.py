@@ -101,6 +101,13 @@ def test_automorphism_rejects_bad_data():
         AlgAutomorphism(A, [1, 0], [np.eye(2), np.eye(1)])
     with pytest.raises(ValueError, match="unitary"):
         AlgAutomorphism(A, [0, 1], [2 * np.eye(2), np.eye(1)])
+    # one conjugator per block, checked when built, not when first applied
+    B = BlockAlgebra([1, 1])
+    for unitaries in ([np.eye(1)], [np.eye(1)] * 3):
+        with pytest.raises(ValueError, match="one per block"):
+            AlgAutomorphism(B, [0, 1], unitaries)
+        with pytest.raises(ValueError, match="one per block"):
+            AlgAutomorphism.conjugation(B, unitaries)
 
 
 def _near_unitaries():

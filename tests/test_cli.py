@@ -395,6 +395,39 @@ def test_experiment_reports_match_the_benchmark_reference():
         assert json.loads(proc.stdout) == {name: [0, digest] for name, digest in reference.items()}, hash_seed
 
 
+def test_the_benchmark_tracer_instruments_a_traced_run(tmp_path):
+    # perfbench/tracer.py wraps names of the package and reads the system's
+    # tables by attribute name, so a rename breaks it; one small traced run
+    # in a fresh process, on a system that applies its actions, shows it
+    root = Path(__file__).resolve().parents[1]
+    config = base_config(
+        tmp_path, {"tag": "norms", "element": {"points": [{"g": "0"}, {"g": "1"}]}},
+        system={
+            "algebra": [1, 1],
+            "group": {"family": "finite-cyclic", "n": 2},
+            "action": {"kind": "permutation-of-points", "generator_permutations": [[1, 0]]},
+        },
+    )
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(root / 'perfbench')!r})\n"
+        "from tracer import Tracer, instrument, layer_metrics\n"
+        "from crossfourier import cli, crossed\n"
+        "tracer = Tracer()\n"
+        "instrument(tracer, crossed._DENSE_SVD_LIMIT)\n"
+        "exit_code, _ = tracer.run_task(0, lambda: cli.run_config(json.loads(sys.argv[1])))\n"
+        "print(json.dumps([exit_code, layer_metrics(tracer, 1)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(config)], capture_output=True, text=True,
+                          env=subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, layers = json.loads(proc.stdout)
+    assert exit_code == 0
+    assert layers["cli.run_config.calls"] == 1 and layers["crossed.compress.calls"] >= 1
+    # the actions of both group elements and the trivial cocycle's one key
+    assert layers["system.cache_entries"] == 3
+
+
 def load_workloads():
     """perfbench/workloads.py as a module (perfbench is not a package)."""
     import importlib.util

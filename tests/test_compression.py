@@ -21,7 +21,9 @@ import pytest
 import scipy.sparse
 
 from families import DIMS, FAMILIES, make_system
-from crossfourier.algebra import AlgAutomorphism, AutomorphismStack, BlockAlgebra, stack_blocks
+from crossfourier.algebra import (
+    AlgAutomorphism, BlockAlgebra, apply_automorphisms, stack_automorphisms, stack_blocks,
+)
 from crossfourier.crossed import CcElement, compression_matrix, random_cc
 from crossfourier.groups import (
     Cyclic, FreeF2, Zd, ball, default_length, one_norm, squared_two_norm, two_norm, word_length,
@@ -54,12 +56,12 @@ def loop_compression(f, R, length):
         return scipy.sparse.csr_matrix(shape, dtype=complex)
     rows, cols = np.array(rows), np.array(cols)
     distinct, row_of = np.unique(rows, return_inverse=True)
-    inverses = AutomorphismStack([system.action(idx[r]).inverse() for r in distinct])
+    inverses = stack_automorphisms([system.action(idx[r]).inverse() for r in distinct])
     terms = np.array(f._sorted_rows())[terms]
     products = [np.matmul(c[terms], s) for c, s in zip(f._blocks, stack_blocks(sigmas))]
     coo_rows, coo_cols, coo_data = [], [], []
     offset = 0
-    for d, y in zip(dims, inverses.apply(row_of, products)):
+    for d, y in zip(dims, apply_automorphisms(inverses, row_of, products, permutes=True)):
         i, j = np.indices((d, d))
         coo_rows.append((rows[:, None, None] * D + offset + i).ravel())
         coo_cols.append((cols[:, None, None] * D + offset + j).ravel())
@@ -297,3 +299,29 @@ def test_section_rule_is_the_closed_form_and_lifts_each_element_once():
             want = A.scalar([cmath.exp(2j * cmath.pi * j * k / 2) for j in range(2)])
             assert hexes(system.cocycle(g, h)) == hexes(want)
     assert len(lifted) == len(set(lifted))
+
+
+def test_a_block_swapping_system_keeps_each_action_once():
+    base = make_system("free-F2", (1, 1))
+    calls, autos = [], {}
+
+    def rule(g):
+        calls.append(g)
+        autos.setdefault(g, base.action(g))
+        return autos[g]
+
+    system = TwistedSystem(base.algebra, base.group, rule, base.cocycle)
+    points = ball(2, default_length(system.group))
+    rng = np.random.default_rng(4)
+    f, h = random_cc(system, points[:7], rng), random_cc(system, points[5:12], rng)
+    runs = []
+    for _ in range(2):
+        product = f * h
+        blocks = product._blocks + product.star()._blocks
+        runs.append([b.tobytes() for b in blocks] + [csr_bytes(compression_matrix(product, 2).sparse)])
+        # the rule is called once per distinct code, by the fill that first meets it
+        assert len(calls) == len(set(calls)) == len(system._action_cache)
+    assert system._permutes  # some stacked action swaps the blocks
+    assert runs[0] == runs[1]
+    g = points[3]
+    assert system.action(g) is autos[g] and calls[-1] == g

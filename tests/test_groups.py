@@ -6,6 +6,7 @@ import pytest
 
 from crossfourier import groups
 from crossfourier.groups import (
+    KeyedTable,
     coded_group,
     Cyclic,
     Dihedral,
@@ -264,6 +265,20 @@ def test_shell_series_bounds_a_geometric_tail():
     assert (len(terms), remainder) == (10, 0.0)
 
 
+# a geometric tail, a slow polynomial one, and a zero term at start + 8 that the series passes
+@pytest.mark.parametrize("term", [lambda m: 0.5 ** m, lambda m: 1.0 / (m + 1) ** 4,
+                                  lambda m: 0.0 if m == 8 else 0.9 ** m])
+def test_shell_series_forms_each_term_once(term):
+    seen = []
+
+    def counted(m):
+        seen.append(m)
+        return term(m)
+
+    terms, _ = shell_series(counted, 0, 1e-9)
+    assert len(seen) == len(set(seen)) and terms == list(map(term, range(len(terms))))
+
+
 # -- coded elements ---------------------------------------------------------------
 
 
@@ -319,4 +334,38 @@ def test_the_pair_memo_stops_at_its_bound(monkeypatch):
     assert coded.decode(coded.mul(codes[:5], codes[:5])) == [group.mul(g, g) for g in points[:5]]
     a, b = np.repeat(codes, len(codes)), np.tile(codes, len(codes))  # 289 pairs: past the bound
     assert coded.decode(coded.mul(a, b)) == [group.mul(g, h) for g in points for h in points]
-    assert len(coded._pairs.items) == 5
+    assert len(coded._products) == 5
+
+
+# -- keyed tables -------------------------------------------------------------------
+
+
+def _fill(table, keys, seen):
+    """Rows of keys, each new key valued by (its key, a 2 x 2 block of it), recording what values() sees."""
+    def values(at):
+        seen.append(at)
+        return [keys[at], keys[at, None, None] * np.array([[1.0, 2j], [-2j, 0.5]])]
+
+    return table.rows(keys, values)
+
+
+@pytest.mark.parametrize("keys", [np.array([5, 3, 5, 9, 3, 1, 9, 7, 5, 2, 2, 8]), np.arange(300) % 257 * 7])
+def test_a_keyed_table_holds_the_same_bits_whatever_chunks_fill_it(keys):
+    whole = KeyedTable()
+    want = _fill(whole, keys, [])
+    for chunks in ([1] * len(keys), [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 300]):
+        table, seen, numbers, lo = KeyedTable(), [], [], 0
+        for size in chunks:
+            part, calls = keys[lo:lo + size].tolist(), len(seen)
+            if part:
+                numbers.append(_fill(table, keys[lo:lo + size], seen))
+                # values is called once per fill with new keys, at the first entry of each, in number order
+                new = list(dict.fromkeys(k for k in part if k not in keys[:lo].tolist()))
+                assert len(seen) == calls + bool(new)
+                assert not new or seen[-1].tolist() == [part.index(k) for k in new]
+                assert len(table._arrays[0]) < 2 * len(table)
+            lo += size
+        assert np.array_equal(np.concatenate(numbers), want) and table.items == whole.items
+        for c, w in zip(table.columns, whole.columns):
+            assert c.dtype == w.dtype and c.tobytes() == w.tobytes()
+    assert whole.columns[0].tolist() == whole.items
