@@ -262,16 +262,31 @@ def classify(a: AlgElement) -> Classification:
     return Classification(selfadjoint, unitary, positive, projection, central)
 
 
-def _is_unitary(u: np.ndarray) -> bool:
-    """Whether ||U U^* - 1||_2 <= ALG_TOL.
+def unitary_rows(u: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack (n, d, d) are unitary to ALG_TOL: ||U U^* - 1||_2 <= ALG_TOL.
 
     ||X||_2 <= ||X||_F, so a Frobenius norm of at most half the tolerance
     accepts without the SVD of the spectral norm.  The half is a margin far
     wider than the rounding of either norm, so the Frobenius test accepts
-    only what the spectral test accepts.
+    only what the spectral test accepts.  A defect with a NaN or infinite
+    entry is rejected before the SVD, which would not converge on it.
     """
-    defect = u @ u.conj().T - np.eye(len(u))
-    return np.linalg.norm(defect) <= 0.5 * ALG_TOL or not np.linalg.norm(defect, 2) > ALG_TOL
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect is rejected below
+        defect = np.matmul(u, adjoints(u))
+        defect -= np.eye(u.shape[-1])
+        # the Frobenius norm: real and imaginary parts, squared and summed
+        ok = np.sqrt(np.square(defect.view(np.float64)).sum(axis=(1, 2))) <= 0.5 * ALG_TOL
+    if not ok.all():
+        rest = ~ok & np.isfinite(defect).all(axis=(1, 2))
+        if rest.any():
+            ok[rest] = np.linalg.svd(defect[rest], compute_uv=False).max(axis=-1) <= ALG_TOL
+    return ok
+
+
+def check_unitary(stack: Sequence[np.ndarray]):
+    """ValueError unless every matrix of every (n, d_j, d_j) conjugator stack is unitary (unitary_rows)."""
+    if not all(unitary_rows(u).all() for u in stack):
+        raise ValueError("conjugator is not unitary to 1e-10")
 
 
 class AlgAutomorphism:
@@ -296,13 +311,20 @@ class AlgAutomorphism:
             d = algebra.dims[k]
             if u.shape != (d, d):
                 raise ValueError("conjugator shape mismatch")
-            if not _is_unitary(u):
-                raise ValueError("conjugator is not unitary to 1e-10")
+            check_unitary([u[None]])
             mats.append(_freeze(u))
         self.algebra = algebra
         self.perm = perm
         self.unitaries = tuple(mats)
         self._inverse = None
+
+    @staticmethod
+    def from_stack(algebra: BlockAlgebra, stack: list, i: int) -> "AlgAutomorphism":
+        """Row i of a stack (stack_automorphisms) whose conjugators have passed check_unitary."""
+        auto = AlgAutomorphism.__new__(AlgAutomorphism)
+        auto.algebra, auto.perm = algebra, tuple(stack[0][i].tolist())
+        auto.unitaries, auto._inverse = tuple(_freeze(u[i]) for u in stack[1:]), None
+        return auto
 
     @staticmethod
     def identity(algebra: BlockAlgebra) -> "AlgAutomorphism":
@@ -367,6 +389,48 @@ def stack_automorphisms(autos: Sequence[AlgAutomorphism]) -> list:
     return [np.array([a.perm for a in autos]), *(np.array(col) for col in zip(*(a.unitaries for a in autos)))]
 
 
+def _permuted(blocks: Sequence[np.ndarray], perms: np.ndarray | None, k: int) -> np.ndarray:
+    """Row i of blocks[perms[i, k]], the stacks of one shape as block k's; blocks[k] when perms is None."""
+    if perms is None:
+        return blocks[k]
+    source = perms[:, k]
+    if len(source) and (source == source[0]).all():  # one source block for every row
+        return blocks[source[0]]
+    x = np.empty_like(blocks[k])
+    for j, b in enumerate(blocks):
+        if b.shape[1:] == x.shape[1:]:
+            chosen = source == j
+            x[chosen] = b[chosen]
+    return x
+
+
+def compose_automorphisms(first: list, second: list) -> list:
+    """Row i of first after row i of second (AlgAutomorphism.compose), not checked unitary.
+
+    Both are stacks (stack_automorphisms) with the same number of rows; the
+    products are compose's, one batched matmul per block, so every row is
+    bit for bit the composition of the two rows on their own.
+    """
+    perms = first[0]
+    out = [np.take_along_axis(second[0], perms, axis=1)]
+    return out + [np.matmul(u, _permuted(second[1:], perms, k)) for k, u in enumerate(first[1:])]
+
+
+def inverse_automorphisms(stack: list) -> list:
+    """Row i: the inverse of row i of a stack (AlgAutomorphism.inverse), checked unitary.
+
+    The inverse of (perm, U) sends block perm[k] back to k with the
+    conjugator U_k^*; the conjugators are stored C-contiguous, as stacking
+    the inverses of the automorphisms one by one stores them.
+    """
+    perms = stack[0]
+    inverse = np.empty_like(perms)
+    np.put_along_axis(inverse, perms, np.arange(perms.shape[1]), axis=1)
+    stars = [adjoints(u) for u in stack[1:]]
+    check_unitary(stars)
+    return [inverse] + [np.ascontiguousarray(_permuted(stars, inverse, p)) for p in range(len(stars))]
+
+
 def apply_automorphisms(stack: list, which: np.ndarray, blocks: Sequence[np.ndarray], permutes: bool) -> list:
     """Row which[i] of a stack (stack_automorphisms) applied to row i of blocks, in row i.
 
@@ -375,18 +439,11 @@ def apply_automorphisms(stack: list, which: np.ndarray, blocks: Sequence[np.ndar
     for bit the automorphism applied on its own.  permutes=False skips the
     permutation, which is exact when no row of the stack permutes blocks.
     """
-    perms, unitaries = stack[0][which] if permutes else None, stack[1:]
+    perms = stack[0][which] if permutes else None
     out = []
-    for k, table in enumerate(unitaries):
-        x = blocks[k]  # every row keeps its own block k unless some automorphism permutes
-        if perms is not None:
-            x = np.empty_like(blocks[k])
-            for j, b in enumerate(blocks):
-                if b.shape[1:] == x.shape[1:]:
-                    chosen = perms[:, k] == j
-                    x[chosen] = b[chosen]
+    for k, table in enumerate(stack[1:]):
         u = table[which]
-        out.append(np.matmul(np.matmul(u, x), u.conj().transpose(0, 2, 1)))
+        out.append(np.matmul(np.matmul(u, _permuted(blocks, perms, k)), u.conj().transpose(0, 2, 1)))
     return out
 
 

@@ -69,6 +69,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .algebra import AlgElement, adjoints, stack_blocks, stacked_norms, sum_from_zero
 from .groups import LengthFunction, Numbering, ball, ball_size, default_length, word_length
@@ -460,7 +461,7 @@ def pair_sum(firsts: list, seconds: list, terms: Callable[[Pairs], list], suppor
     codes = gh[first]
     a = [x[left if rows1 is None else rows1[left]] for x in blocks1]
     b = [x[right if rows2 is None else rows2[right]] for x in blocks2]
-    sigma = system.cocycle_blocks(system.cocycle_rows(g, h))
+    sigma = system.cocycle_blocks(system.cocycle_rows(g, h, gh))
     sums = _summed(terms(Pairs(system, a, b, sigma, codes1, left, codes, at)), at, first)
     return _packed_many(system, coded.decode(codes), sums, codes, counts)
 
@@ -488,7 +489,7 @@ def stars(elements: list) -> list:
         return _packed_many(system, [], _no_blocks(system), None, counts)
     codes, blocks, _ = _gathered(elements, system.coded)
     inverses = system.coded.inv(codes)
-    sigma = system.cocycle_blocks(system.cocycle_rows(codes, inverses))
+    sigma = system.cocycle_blocks(system.cocycle_rows(codes, inverses, system.coded.identities(len(codes))))
     x = [np.matmul(adjoints(s), adjoints(a)) for s, a in zip(sigma, blocks)]
     acted = system.act_rows(inverses, np.arange(len(inverses)), x)
     return _packed_many(system, system.coded.decode(inverses), acted, inverses, counts)
@@ -583,17 +584,32 @@ def _lanczos_top(operand: scipy.sparse.csr_matrix, adjoint: scipy.sparse.csr_mat
     |beta_j s_j| <= _LANCZOS_TOL * theta (or beta_j = 0).  Pass 2 replays the
     recurrence from the stored coefficients, the same operations in the same
     order, so every q_j is pass 1's bit for bit, and sums v = sum_j s_j q_j.
-    No restart, no reorthogonalization, no stored basis: memory is O(n).
-    None when the step cap is reached first.
+    No restart, no reorthogonalization, no stored basis: memory is O(n), the
+    Lanczos vectors rotating through three buffers.  None when the step cap
+    is reached first.
+
+    gram(q, w) sets w = M^H (M q) bit for bit as adjoint @ (operand @ q)
+    does: that zeroes a fresh vector and adds A x into it with scipy's
+    compiled csr_matvec, which is called here directly, into zeroed kept
+    buffers, without the per-call dispatch.  csr_matvec is private scipy
+    API; tests/test_crossed.py checks this loop against the public products.
     """
     n = operand.shape[0]
+    middle = np.empty(n, dtype=operand.dtype)
+
+    def gram(q, w):
+        middle.fill(0)
+        _csr_matvec(n, n, operand.indptr, operand.indices, operand.data, q, middle)
+        w.fill(0)
+        _csr_matvec(n, n, adjoint.indptr, adjoint.indices, adjoint.data, middle, w)
+
     start = np.full(n, 1 / np.sqrt(n), dtype=operand.dtype)
     axpy = scipy.linalg.get_blas_funcs("axpy", (start,))  # y += a x in place
     alphas, betas = [], []
-    q_prev, q, beta = np.zeros_like(start), start, 0.0
+    q_prev, q, w, beta = np.zeros_like(start), start.copy(), np.empty_like(start), 0.0
     check = 10
     for j in range(1, _LANCZOS_STEPS + 1):
-        w = adjoint @ (operand @ q)
+        gram(q, w)
         alpha = np.vdot(q, w).real
         axpy(q, w, a=-alpha)
         axpy(q_prev, w, a=-beta)
@@ -608,18 +624,18 @@ def _lanczos_top(operand: scipy.sparse.csr_matrix, adjoint: scipy.sparse.csr_mat
             if beta == 0.0:
                 return None
         w *= 1 / beta
-        q_prev, q = q, w
+        q_prev, q, w = q, w, q_prev
     else:
         return None
     v = s[0] * start
-    q_prev, q, beta = np.zeros_like(start), start, 0.0
+    q_prev, q, w, beta = np.zeros_like(start), start.copy(), np.empty_like(start), 0.0
     for i in range(1, j):
-        w = adjoint @ (operand @ q)
+        gram(q, w)
         axpy(q, w, a=-alphas[i - 1])
         axpy(q_prev, w, a=-beta)
         beta = betas[i - 1]
         w *= 1 / beta
-        q_prev, q = q, w
+        q_prev, q, w = q, w, q_prev
         axpy(q, v, a=s[i])
     return v
 
@@ -704,7 +720,8 @@ class CompressionPlan:
     support point g it keeps, built on g's first use, the rows of the
     entries g contributes (the positions of g h, Ball.translate), their
     columns h and the rows of cocycle(g, h) in the system's cocycle table
-    (TwistedSystem.cocycle_rows).  compression_matrix keeps one plan per (float R, length
+    (TwistedSystem.cocycle_rows, given the products g h as the codes at
+    those rows).  compression_matrix keeps one plan per (float R, length
     tag) on the system, so a plan lives exactly as long as its system.  The
     plan holds no reference back to the system: without that cycle, a
     dropped system and its plans are freed at once by reference counting,
@@ -726,8 +743,9 @@ class CompressionPlan:
                 self._codes = system.coded.encode(self.ball)
             targets = self.ball.translate(g)
             cols = np.flatnonzero(targets >= 0)
-            sigma = system.cocycle_rows(np.full(len(cols), code, dtype=np.int64), self._codes[cols])
-            piece = self._pieces[code] = (targets[cols], cols, sigma)
+            rows = targets[cols]
+            sigma = system.cocycle_rows(np.full(len(cols), code, dtype=np.int64), self._codes[cols], self._codes[rows])
+            piece = self._pieces[code] = (rows, cols, sigma)
         return piece
 
     def compress(self, f: CcElement) -> scipy.sparse.csr_matrix:

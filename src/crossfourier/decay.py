@@ -40,7 +40,7 @@ from .groups import (
     one_norm,
     one_norm_shell_floor,
     shell_series,
-    shell_size,
+    shell_sizes,
 )
 from .system import TwistedSystem
 
@@ -180,6 +180,7 @@ def _zd_inv_l2_bracket(w: Weight) -> tuple[float, float]:
     while M > 1 and ball_size(M, L1) > _BRACKET_POINTS:
         M //= 2
     partial, done = 0, 0
+    shells = shell_sizes(L1)
     while True:
         points = ball(M, L1)
         partial, done = sum(map(w.inv_sq, points[done:]), partial), len(points)
@@ -189,7 +190,7 @@ def _zd_inv_l2_bracket(w: Weight) -> tuple[float, float]:
             tail = const * (M + 1.0) ** (d - expo) / (expo - d)
         else:
             terms, remainder = shell_series(
-                lambda m: shell_size(m, L1) * _inv_sq(w.tag, w.param, one_norm_shell_floor(m, w.length)),
+                lambda m: shells(m) * _inv_sq(w.tag, w.param, one_norm_shell_floor(m, w.length)),
                 M + 1,
                 1e-16 * max(partial, 1.0),
             )

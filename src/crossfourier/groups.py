@@ -577,9 +577,10 @@ class KeyedTable(Numbering):
     rows(keys, values) numbers the keys as many() does and, when some are
     new, calls values(at) once, with at the positions of the first entry of
     each new key in number order; values returns one array per column, a
-    row per new key.  The columns grow to twice the rows known before, so a
-    table filled a key at a time copies each row a bounded number of times,
-    and hold the same bits whatever the chunks it was filled in.
+    row per new key; if values raises, the new keys are forgotten.  The
+    columns grow to twice the rows known before, so a table filled a key at
+    a time copies each row a bounded number of times, and hold the same
+    bits whatever the chunks it was filled in.
     """
 
     def __init__(self):
@@ -592,7 +593,13 @@ class KeyedTable(Numbering):
         numbers = self.many(keys)
         if len(self.items) > known:
             at = np.flatnonzero(numbers >= known)
-            fresh = values(at[np.unique(numbers[at], return_index=True)[1]])
+            try:
+                fresh = values(at[np.unique(numbers[at], return_index=True)[1]])
+            except BaseException:  # the new keys get no rows: forget them, so the table stays whole
+                for key in self.items[known:]:
+                    del self.number[key]
+                del self.items[known:]
+                raise
             n = len(self.items)
             if n > self._room:
                 self._room = max(2 * known, n)
@@ -632,6 +639,7 @@ class CodedGroup:
     def __init__(self, group: Group):
         self.group = weakref.proxy(group)  # the group keeps its coded view; no cycle back
         self._numbering, self._products = Numbering(), KeyedTable()  # code pair -> its product's code
+        self._identities = np.zeros(0, dtype=np.int64)
         self._table = self._residues = None
         if group.is_finite and len(elements := group.elements()) <= 1024:
             self.encode(elements)
@@ -642,6 +650,13 @@ class CodedGroup:
 
     def encode(self, points: list) -> np.ndarray:
         return self._numbering.many(points)
+
+    def identities(self, n: int) -> np.ndarray:
+        """n copies of the code of the group's identity, read-only."""
+        if len(self._identities) < n:
+            self._identities = np.repeat(self.encode([self.group.identity()]), 2 * n)
+            self._identities.flags.writeable = False
+        return self._identities[:n]
 
     def decode(self, codes: np.ndarray) -> list:
         items = self._numbering.items
@@ -1000,6 +1015,20 @@ def ball_size(R: float, length: LengthFunction) -> int:
 def shell_size(m: int, length: LengthFunction) -> int:
     """Number of g with m - 1 < L(g) <= m (shell 0 is L = 0): ball_size(m) - ball_size(m - 1)."""
     return ball_size(m, length) - (ball_size(m - 1, length) if m else 0)
+
+
+def shell_sizes(length: LengthFunction) -> Callable[[int], int]:
+    """shell_size(m, length) for a caller that asks m, m + 1, m + 2, ... in turn
+    (shell_series): each ball size is counted once and carried to the next shell."""
+    last = [-1, 0]  # m and ball_size(m) of the last shell asked
+
+    def size(m):
+        outer = ball_size(m, length)
+        inner = last[1] if last[0] == m - 1 else ball_size(m - 1, length) if m else 0
+        last[:] = m, outer
+        return outer - inner
+
+    return size
 
 
 def one_norm_shell_floor(m: int, length: LengthFunction) -> float:

@@ -31,7 +31,7 @@ from .groups import (
     one_norm,
     one_norm_shell_floor,
     shell_series,
-    shell_size,
+    shell_sizes,
 )
 from .modules import EquivariantRep, ModuleVector
 from .multipliers import Multiplier, apply_multiplier, scalar_multiplier
@@ -92,10 +92,10 @@ def truncation_radius(length: LengthFunction, r: float, eps: float) -> tuple[int
     group = length.group
     if not isinstance(group, Zd):
         raise ValueError("truncation radii are computed for Z^d lengths")
-    L1 = one_norm(group)
+    shells = shell_sizes(one_norm(group))
     # shell m sums r^{L(g)} over |g|_1 = m, at most shell_size * r^{least L on the shell}
     terms, remainder = shell_series(
-        lambda m: shell_size(m, L1) * r ** one_norm_shell_floor(m, length), 0, eps * 1e-9
+        lambda m: shells(m) * r ** one_norm_shell_floor(m, length), 0, eps * 1e-9
     )
     suffix = remainder
     tail_at = {}

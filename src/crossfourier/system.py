@@ -8,18 +8,21 @@ A system packages an action rule g -> automorphism and a unitary cocycle rule
     cocycle(g, e) = cocycle(e, g) = 1.
 
 Rules are closed-form and pure; on infinite groups they are never tables.
-The section rule lifts each element once, and the generator action makes
-no extra compose with the identity along a normal form.
 
 Each system works on the coded view of its group (system.coded, kept on
 the group) and keeps, as long as it lives, the tables the batched
 arithmetic gathers from, each a groups.KeyedTable.  Each cocycle value is
 kept once, as the row of its key in one table: the key is B(g, h) for
-theta rules, 0 for the trivial rule and the code pair otherwise, and its
-value is evaluated through cocycle() at the first pair with that key.  Each
-action is kept once, as the row of its code in the other table, stacked
-with its inverse when act_rows first meets the code.  cocycle() and
-action() return the rules' values and keep nothing.
+theta rules, 0 for the trivial rule, the center index for the SL(2,Z)
+section rule (read from syllable counts, so the table has two rows) and
+the code pair otherwise, and its value is evaluated through cocycle() at
+the first pair with that key.  Each action is kept once, as the row of its
+code in the other table, stacked with its inverse when act_rows first
+meets the code; generator_action stacks a batch of new codes in array
+passes from its stacked generator powers, and the inverses are the
+conjugate transposes with the permutations inverted, every conjugator
+checked unitary.  cocycle() and action() return the rules' values and keep
+nothing.
 act_rows is the one place that applies stacked actions.
 Whether it applies them is decided once per system: a system whose action
 rule is trivial_action's skips them, every other system applies each one,
@@ -41,8 +44,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .algebra import (
-    ALG_TOL, AlgAutomorphism, AlgElement, BlockAlgebra, adjoints, apply_automorphisms, stack_automorphisms,
-    stack_blocks, stacked_norms,
+    ALG_TOL, AlgAutomorphism, AlgElement, BlockAlgebra, adjoints, apply_automorphisms, compose_automorphisms,
+    check_unitary, inverse_automorphisms, stack_automorphisms, stack_blocks, stacked_norms, unitary_rows,
 )
 from .groups import Group, Cyclic, FreeProductZ2Z3, KeyedTable, Zd, ball, coded_group, default_length
 
@@ -94,18 +97,21 @@ class TwistedSystem:
 
     # -- the coded tables ---------------------------------------------------------
 
-    def cocycle_rows(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    def cocycle_rows(self, g: np.ndarray, h: np.ndarray, gh: np.ndarray | None = None) -> np.ndarray:
         """The row of cocycle(g[i], h[i]) in the stacked values (cocycle_blocks), for code arrays g, h.
 
-        A value is keyed by the rule's keys(coded, g, h) where it has them
-        (theta and trivial rules), by the code pair otherwise; a key's
+        gh, the codes of the products, may be passed where the caller has
+        formed them.  A value is keyed by the rule's keys(coded, g, h, gh)
+        where it has them (theta, trivial and the SL(2,Z) section rules; the
+        section's keys are the center index, read from gh, or from
+        coded.mul(g, h) when gh is None), by the code pair otherwise; a key's
         number is its row.  Each new key's value is evaluated through
         cocycle() at its first pair and stacked, so every value is kept
         once, in the table alone.
         """
         keys_of = getattr(self._cocycle_rule, "keys", None)
         return self._cocycle_cache.rows(
-            keys_of(self.coded, g, h) if keys_of else self.coded.pair_keys(g, h),
+            keys_of(self.coded, g, h, gh) if keys_of else self.coded.pair_keys(g, h),
             lambda at: stack_blocks(list(map(self.cocycle, self.coded.decode(g[at]), self.coded.decode(h[at])))),
         )
 
@@ -113,11 +119,16 @@ class TwistedSystem:
         return [t[rows] for t in self._cocycle_cache.columns]
 
     def _stack_actions(self, codes: np.ndarray) -> list:
-        """The stacked actions of new codes, then their inverses (stack_automorphisms)."""
-        autos = list(map(self._action_rule, self.coded.decode(codes)))
-        stack = stack_automorphisms(autos)
+        """The stacked actions of new codes, then their inverses (stack_automorphisms).
+
+        A rule with a stack method (generator_action's) stacks the batch at
+        once; any other rule is called per point.
+        """
+        points = self.coded.decode(codes)
+        stack_of = getattr(self._action_rule, "stack", None)
+        stack = stack_of(points) if stack_of else stack_automorphisms(list(map(self._action_rule, points)))
         self._permutes = self._permutes or bool((stack[0] != np.arange(stack[0].shape[1])).any())
-        return stack + stack_automorphisms([a.inverse() for a in autos])
+        return stack + inverse_automorphisms(stack)
 
     def act_rows(self, codes: np.ndarray, which: np.ndarray, blocks: list, inverse: bool = False) -> list:
         """action(g), or its inverse automorphism, for g coded codes[which[i]], applied to row i of blocks.
@@ -148,27 +159,71 @@ def trivial_action(algebra: BlockAlgebra) -> Callable:
 def generator_action(group: Group, algebra: BlockAlgebra, images: Sequence[AlgAutomorphism]) -> Callable:
     """Action from generator images, evaluated along the normal form.
 
+    rule.stack(points) is the stacked actions of a batch of points
+    (stack_automorphisms), and rule(g) the batch of one.  Each generator's
+    powers are kept stacked, for either sign, grown one compose at a time
+    in the order AlgAutomorphism.power uses, so the bits are the same; the
+    factors of group.decompose are composed left to right, one batched
+    compose per factor position.  Every power and every partial product is
+    checked unitary, as building each as an AlgAutomorphism checks it.
+
     The caller is responsible for the images satisfying the group's relations
     (with the chosen cocycle); validate_system checks this on samples.
     """
     if len(images) != len(group.generators()):
         raise ValueError("one automorphism per generator required")
-    ident = AlgAutomorphism.identity(algebra)
-    # powers[i][s][|k|] is images[i]^k for k of sign s, grown one compose at a
-    # time in the order AlgAutomorphism.power uses, so the bits are the same
-    powers = [([ident], [ident]) for _ in images]
+    ident = stack_automorphisms([AlgAutomorphism.identity(algebra)])
+    # powers[(i, s)] stacks images[i]^k for k of sign s, row |k|
+    powers = {}
 
-    def power(i, k):
-        table = powers[i][k < 0]
-        base = images[i] if k >= 0 else images[i].inverse()
-        while len(table) <= abs(k):
-            table.append(base.compose(table[-1]))
-        return table[abs(k)]
+    def power_rows(i: int, negative: bool, exponents: np.ndarray) -> list:
+        table = powers.get((i, negative), ident)
+        base = images[i].inverse() if negative else images[i]
+        top = int(exponents.max()) + 1
+        if top > len(table[0]):
+            fresh, prev, perm = [[] for _ in table], [t[-1] for t in table], np.array(base.perm)
+            for _ in range(top - len(table[0])):
+                prev = [prev[0][perm]] + [np.matmul(u, prev[1 + p]) for p, u in zip(base.perm, base.unitaries)]
+                for column, row in zip(fresh, prev):
+                    column.append(row)
+            fresh = [np.array(column) for column in fresh]
+            good = np.logical_and.reduce([unitary_rows(u) for u in fresh[1:]])
+            kept = len(good) if good.all() else int(np.argmin(good))
+            table = powers[(i, negative)] = [np.concatenate([t, f[:kept]]) for t, f in zip(table, fresh)]
+            if kept < len(good):
+                raise ValueError("conjugator is not unitary to 1e-10")
+        return [t[exponents] for t in table]
+
+    def stack(points: list) -> list:
+        factors = list(map(group.decompose, points))
+        depth = np.fromiter(map(len, factors), dtype=np.int64, count=len(factors))
+        out = [np.repeat(t, len(points), axis=0) for t in ident]
+        partial = []  # the conjugators of every partial product, checked at the end
+        for position in range(int(depth.max(initial=0))):
+            at = np.flatnonzero(depth > position)
+            i, k = np.array([factors[a][position] for a in at.tolist()], dtype=np.int64).reshape(-1, 2).T
+            tables = set(zip(i.tolist(), (k < 0).tolist()))
+            if len(tables) == 1:
+                step = power_rows(*tables.pop(), np.abs(k))
+            else:
+                step = [np.empty((len(at),) + t.shape[1:], dtype=t.dtype) for t in ident]
+                for gen, negative in tables:
+                    chosen = (i == gen) & ((k < 0) == negative)
+                    for s, t in zip(step, power_rows(gen, negative, np.abs(k[chosen]))):
+                        s[chosen] = t
+            if position:
+                step = compose_automorphisms([t[at] for t in out], step)
+                partial.append(step[1:])
+            for t, s in zip(out, step):
+                t[at] = s
+        if partial:
+            check_unitary([np.concatenate(u) for u in zip(*partial)])
+        return out
 
     def rule(g):
-        factors = [power(i, k) for i, k in group.decompose(g)]
-        return functools.reduce(AlgAutomorphism.compose, factors) if factors else ident
+        return AlgAutomorphism.from_stack(algebra, stack([g]), 0)
 
+    rule.stack = stack
     return rule
 
 
@@ -178,7 +233,7 @@ def generator_action(group: Group, algebra: BlockAlgebra, images: Sequence[AlgAu
 def trivial_cocycle(algebra: BlockAlgebra) -> Callable:
     one = algebra.unit()
     rule = lambda g, h: one
-    rule.keys = lambda coded, g, h: np.zeros(len(g), dtype=np.int64)  # one value under one key
+    rule.keys = lambda coded, g, h, gh: np.zeros(len(g), dtype=np.int64)  # one value under one key
     return rule
 
 
@@ -197,7 +252,7 @@ def theta_cocycle(group: Group, algebra: BlockAlgebra, theta) -> Callable:
       Z^d, d >= 2:  B(m, n) = sum_{i<j} m_j n_i   (for d = 2 this is m_2 n_1)
       Z^1:          B(m, n) = m n
       Z_n:          B(j, k) = j k, which needs n * theta to be an integer.
-    rule.keys(coded, g, h) is B on code arrays, so a system keeps one value per distinct B.
+    rule.keys(coded, g, h, gh) is B on code arrays, so a system keeps one value per distinct B.
     """
     th = _theta_value(theta)
 
@@ -222,7 +277,7 @@ def theta_cocycle(group: Group, algebra: BlockAlgebra, theta) -> Callable:
     def rule(g, h):
         return cmath.exp(2j * cmath.pi * th * bform(g, h)) * one
 
-    def keys(coded, g, h):
+    def keys(coded, g, h, gh):
         x, y = coded.coordinates(g), coded.coordinates(h)
         if x is None or y is None:  # B on the points themselves
             return list(map(bform, coded.decode(g), coded.decode(h)))
@@ -258,7 +313,11 @@ class CentralExtension:
 
     `lift` must be the normal-form section G -> K with lift(e) = e_K; `center`
     lists Z in cyclic order starting at the identity, so the character values
-    of z = center[k] are exp(2 pi i j k / |Z|).
+    of z = center[k] are exp(2 pi i j k / |Z|).  `center_keys`, if given,
+    is (coded, g, h, gh) -> the index k of s(g) s(h) s(gh)^{-1} = center[k]
+    for code arrays g, h and their products gh (None when the caller has
+    not formed them), computed without lifting; the system then keeps one
+    cocycle value per center element.
     """
 
     group: Group
@@ -266,6 +325,7 @@ class CentralExtension:
     kmul: Callable = field(repr=False)
     kinv: Callable = field(repr=False)
     center: tuple = ()
+    center_keys: Callable | None = field(default=None, repr=False)
 
     def center_index(self, z) -> int:
         try:
@@ -279,6 +339,9 @@ def section_cocycle_system(ext: CentralExtension) -> TwistedSystem:
 
     cocycle(g, h) is the canonical unitary of C*(Z) at z = s(g) s(h) s(gh)^{-1},
     realized through the characters of Z; the action is trivial since Z is central.
+    The rule lifts each element once.  Its keys are ext.center_keys where
+    given (each center element's value is then evaluated once, through the
+    rule), and the code pairs otherwise.
     """
     lifts: dict = {}  # g -> s(g), lifted once
 
@@ -299,6 +362,8 @@ def section_cocycle_system(ext: CentralExtension) -> TwistedSystem:
         z = ext.kmul(ext.kmul(lift(g), lift(h)), ext.kinv(lift(ext.group.mul(g, h))))
         return unitaries[ext.center_index(z)]
 
+    if ext.center_keys is not None:
+        rule.keys = ext.center_keys
     return TwistedSystem(algebra, ext.group, trivial_action(algebra), rule, tag="central-extension-section")
 
 
@@ -328,6 +393,16 @@ def sl2z_extension() -> CentralExtension:
     Each syllable of the alternating normal form is lifted to a fixed matrix
     (s -> S, t -> U, t^2 -> U^2) and the lifts are multiplied in order, so the
     section is deterministic and reproducible.
+
+    Its center keys need no matrices.  Where g and h meet, gh cancels
+    c = (|g| + |h| - |gh|) // 2 syllable pairs (|.| the syllable count),
+    alternately s against s (S^2 = -I) and t against t^2 (U^3 = I), and
+    may merge one t-syllable more (U U = U^2, U^2 U^2 = U^4 = U), which is
+    again a lift.  -I is central, so s(g) s(h) s(gh)^{-1} = (-I)^k with k
+    the number of s-pairs: ceil(c / 2) if g ends in s, floor(c / 2)
+    otherwise, that is (c + e) // 2 = (|g| + |h| - |gh| + 2 e) // 4 with
+    e = 1 if g ends in s (a merged syllable adds 1 to the numerator, which
+    the floor drops).
     """
     group = FreeProductZ2Z3()
     syllable_lift = {"s": _SL2_S, "t": _SL2_U, "T": _mat2_mul(_SL2_U, _SL2_U)}
@@ -338,7 +413,24 @@ def sl2z_extension() -> CentralExtension:
             out = _mat2_mul(out, syllable_lift[syl])
         return out
 
-    return CentralExtension(group, lift, _mat2_mul, _mat2_inv, center=(_SL2_I, _SL2_NEG_I))
+    # per code: its syllable count, and the count plus 2 e, grown as the
+    # coded view numbers new elements (its codes are 0, 1, ...)
+    counts, leads = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+
+    def center_keys(coded, g, h, gh):
+        nonlocal counts, leads
+        if gh is None:
+            gh = coded.mul(g, h)
+        try:
+            return (leads[g] + counts[h] - counts[gh]) // 4 % 2
+        except IndexError:  # a code numbered since the last call: grow, then look up again
+            fresh = coded.decode(np.arange(len(counts), 1 + max(g.max(), h.max(), gh.max())))
+            more = np.fromiter(map(len, fresh), dtype=np.int64, count=len(fresh))
+            ends_s = np.fromiter((x[-1:] == ("s",) for x in fresh), dtype=np.int64, count=len(fresh))
+            counts, leads = np.append(counts, more), np.append(leads, more + 2 * ends_s)
+        return center_keys(coded, g, h, gh)
+
+    return CentralExtension(group, lift, _mat2_mul, _mat2_inv, center=(_SL2_I, _SL2_NEG_I), center_keys=center_keys)
 
 
 def sl2z_system() -> TwistedSystem:
@@ -483,8 +575,10 @@ def validate_system(
             left, right = np.stack([g, h], axis=1).ravel(), np.stack([h, k], axis=1).ravel()
             pairs.rows(coded.pair_keys(left, right), lambda at: [left[at], right[at]])
             gh, hk = coded.mul(g, h), coded.mul(h, k)
+            ghk = coded.mul(gh, k)
             # cocycle rows at (g, h), (gh, k), (h, k), (g, hk); the action of g
-            r_gh, r_ghk, r_hk, r_ghk2 = np.split(rows(np.concatenate([g, gh, h, g]), np.concatenate([h, k, k, hk])), 4)
+            r_gh, r_ghk, r_hk, r_ghk2 = np.split(rows(np.concatenate([g, gh, h, g]), np.concatenate([h, k, k, hk]),
+                                                      np.concatenate([gh, ghk, hk, ghk])), 4)
             lhs = [np.matmul(x, y) for x, y in zip(sigma(r_gh), sigma(r_ghk))]
             acted = system.act_rows(g, np.arange(len(g)), sigma(r_hk))
             rhs = [np.matmul(x, y) for x, y in zip(acted, sigma(r_ghk2))]
@@ -494,9 +588,10 @@ def validate_system(
 
         # per distinct pair (s, t): cocycle (s, t), (s, e), (e, s); action of st, t, s
         s, t = pairs.columns
-        e = np.full(len(s), coded.encode([system.group.identity()])[0])
-        pair_sigmas = rows(np.concatenate([s, s, e]), np.concatenate([t, e, s])).reshape(3, -1).T
+        e = coded.identities(len(s))
         st = coded.mul(s, t)
+        pair_sigmas = rows(np.concatenate([s, s, e]), np.concatenate([t, e, s]), np.concatenate([st, s, s]))
+        pair_sigmas = pair_sigmas.reshape(3, -1).T
 
         def witness(i):
             return tuple(coded.decode(np.array([s[i], t[i]])))

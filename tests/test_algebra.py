@@ -10,6 +10,7 @@ from crossfourier.algebra import (
     classify,
     pure_states,
     state_norm,
+    unitary_rows,
 )
 
 ALGEBRAS = [BlockAlgebra([1]), BlockAlgebra([1, 1]), BlockAlgebra([2]), BlockAlgebra([2, 1]), BlockAlgebra([2, 3])]
@@ -146,6 +147,32 @@ def test_unitarity_prefilter_decides_as_the_spectral_norm_check():
         decisions[accepted] += 1
     # both decisions occur, and spectral accepts whose Frobenius norm is past the tolerance
     assert decisions[True] and decisions[False] and frobenius_above
+
+
+def test_batched_unitarity_check_decides_as_the_spectral_norm_check():
+    by_dim: dict = {}
+    for u in _near_unitaries():
+        by_dim.setdefault(len(u), []).append(u)
+    for us in by_dim.values():
+        want = [not np.linalg.norm(u @ u.conj().T - np.eye(len(u)), 2) > ALG_TOL for u in us]
+        assert True in want and False in want
+        assert unitary_rows(np.array(us, dtype=complex)).tolist() == want
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_conjugator_is_not_unitary(d, bad):
+    u = np.eye(d, dtype=complex)
+    u[0, 0] = bad
+    # rejected as not unitary, not by a LAPACK failure of the spectral norm
+    with pytest.raises(ValueError, match="not unitary to 1e-10"):
+        AlgAutomorphism.conjugation(BlockAlgebra([d]), [u])
+    big = np.eye(d, dtype=complex)
+    big[0, 0] = 1e200  # finite, but its defect overflows
+    with pytest.raises(ValueError, match="not unitary to 1e-10"):
+        AlgAutomorphism.conjugation(BlockAlgebra([d]), [big])
+    stack = np.array([np.eye(d), u, big, np.eye(d)], dtype=complex)
+    assert unitary_rows(stack).tolist() == [True, False, False, True]
 
 
 def test_automorphism_power():

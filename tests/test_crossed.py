@@ -573,6 +573,64 @@ def test_lanczos_runs_in_real_arithmetic_only_on_real_compressions(monkeypatch):
     assert dtypes == [np.float64, np.complex128]
 
 
+def _lanczos_by_products(operand, adjoint):
+    """The two-pass Lanczos of crossed._lanczos_top with each step applied as adjoint @ (operand @ q)."""
+    import crossfourier.crossed as crossed
+    import scipy.linalg
+
+    n = operand.shape[0]
+    start = np.full(n, 1 / np.sqrt(n), dtype=operand.dtype)
+    axpy = scipy.linalg.get_blas_funcs("axpy", (start,))
+    alphas, betas = [], []
+    q_prev, q, beta = np.zeros_like(start), start, 0.0
+    check = 10
+    for j in range(1, crossed._LANCZOS_STEPS + 1):
+        w = adjoint @ (operand @ q)
+        alpha = np.vdot(q, w).real
+        axpy(q, w, a=-alpha)
+        axpy(q_prev, w, a=-beta)
+        beta = math.sqrt(np.vdot(w, w).real)
+        alphas.append(alpha)
+        betas.append(beta)
+        if j == check or j == crossed._LANCZOS_STEPS or beta == 0.0:
+            check = j + max(10, j // 8)
+            theta, s = crossed._top_ritz(alphas, betas[:-1])
+            if s is not None and (beta == 0.0 or abs(beta * s[-1]) <= crossed._LANCZOS_TOL * theta):
+                break
+            if beta == 0.0:
+                return None
+        w *= 1 / beta
+        q_prev, q = q, w
+    else:
+        return None
+    v = s[0] * start
+    q_prev, q, beta = np.zeros_like(start), start, 0.0
+    for i in range(1, j):
+        w = adjoint @ (operand @ q)
+        axpy(q, w, a=-alphas[i - 1])
+        axpy(q_prev, w, a=-beta)
+        beta = betas[i - 1]
+        w *= 1 / beta
+        q_prev, q = q, w
+        axpy(q, v, a=s[i])
+    return v
+
+
+def test_lanczos_loop_is_the_sparse_product_loop_bit_for_bit():
+    # _lanczos_top calls scipy's private csr_matvec kernel into kept buffers;
+    # every Ritz vector must be the one the public products give
+    import crossfourier.crossed as crossed
+
+    real, cplx = _real_and_complex_compressions()
+    path = trivial_system(BlockAlgebra([1]), Zd(1))
+    unit = path.algebra.unit()
+    ring = compression_matrix(CcElement(path, {(1,): unit, (-1,): unit}), 200)
+    for matrix in (real.sparse.real, cplx.sparse, ring.sparse.real, ring.sparse):
+        adjoint = matrix.conj().T.tocsr()
+        got, want = crossed._lanczos_top(matrix, adjoint), _lanczos_by_products(matrix, adjoint)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_real_lanczos_agrees_with_complex_lanczos_on_a_real_compression():
     real, _ = _real_and_complex_compressions()
     n = real.sparse.shape[0]

@@ -318,8 +318,9 @@ def test_points_past_the_linear_codes_are_the_pair_loop(d, far):
 
 
 def test_cocycle_pairs_past_the_memo_bound_are_the_pair_loop():
-    # the section cocycle has no keys: its values are kept by code pair, every
-    # pair, so repeating the products evaluates the rule no more times
+    # the section cocycle is keyed by its sign: each value is evaluated once,
+    # at its key's first pair, so repeating the products evaluates the rule
+    # no more times
     system = sl2z_system()
     rng = np.random.default_rng(5)
     pool = ball(3, default_length(system.group))

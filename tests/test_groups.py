@@ -22,6 +22,7 @@ from crossfourier.groups import (
     one_norm,
     shell_series,
     shell_size,
+    shell_sizes,
     squared_two_norm,
     two_norm,
     word_length,
@@ -253,6 +254,10 @@ def test_ball_size_equals_enumerated_size(length):
         assert ball_size(R, length) == len(ball(R, length))
     for m in range(7):
         assert shell_size(m, length) == sum(1 for g in ball(m, length) if length(g) > m - 1)
+    # carried forward shell to shell, and from any shell asked first
+    for first in (0, 3):
+        shells = shell_sizes(length)
+        assert [shells(m) for m in range(first, 7)] == [shell_size(m, length) for m in range(first, 7)]
 
 
 def test_shell_series_bounds_a_geometric_tail():

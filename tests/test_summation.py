@@ -136,6 +136,29 @@ def test_truncation_radius_certified_for_other_norms():
         assert actual_inside < 1e-8
 
 
+def _truncation_radius_by_shells(length, r, eps):
+    """truncation_radius with each shell counted as shell_size, two ball sizes per shell."""
+    from crossfourier.groups import one_norm_shell_floor, shell_series, shell_size
+
+    L1 = one_norm(length.group)
+    terms, remainder = shell_series(
+        lambda m: shell_size(m, L1) * r ** one_norm_shell_floor(m, length), 0, eps * 1e-9)
+    tails = np.cumsum([remainder] + terms[::-1])[::-1].tolist()  # tails[m] bounds shells >= m
+    m0 = next(m for m in range(len(terms) + 1) if (tails[m] if m < len(terms) else remainder) < eps)
+    R = (m0 - 1) ** 2 if length.tag == "squared-two-norm" else m0 - 1
+    return R, (tails[m0] if m0 < len(terms) else remainder)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_truncation_radius_carries_ball_sizes_forward_to_the_same_bits(d):
+    Z = Zd(d)
+    for length in (one_norm(Z), two_norm(Z), squared_two_norm(Z)):
+        for r in (0.3, 0.5, 0.9, 0.99):
+            for eps in (1e-4, 1e-8):
+                got, want = truncation_radius(length, r, eps), _truncation_radius_by_shells(length, r, eps)
+                assert got[0] == want[0] and got[1].hex() == want[1].hex()
+
+
 def test_abel_poisson_kernel_values():
     sys_ = theta_system(Zd(2), "1/5")
     net = abel_poisson_net(sys_, one_norm(Zd(2)), [0.5])

@@ -408,3 +408,146 @@ def test_non_finite_defect_in_a_matrix_block_fails():
     assert math.isinf(report.unitarity_violation)
     assert report.witness["unitarity"] == (1, 1)
     json.loads(canonical_json(report.as_dict()))
+
+
+# -- the keyed section cocycle and the stacked generator actions ----------------------
+
+
+def test_junction_sign_key_is_the_matrix_rule_on_ball9():
+    ext = sl2z_extension()
+    group = ext.group
+    system = section_cocycle_system(ext)
+    points = ball(9, block_length(group))
+    codes = system.coded.encode(points)
+    g, h = np.repeat(codes, len(codes)), np.tile(codes, len(codes))
+    gh = system.coded.mul(g, h)
+    want = [ext.center_index(ext.kmul(ext.kmul(ext.lift(x), ext.lift(y)), ext.kinv(ext.lift(group.mul(x, y)))))
+            for x in points for y in points]
+    assert len(want) == 23716 and set(want) == {0, 1}
+    assert ext.center_keys(system.coded, g, h, gh).tolist() == want
+    assert ext.center_keys(system.coded, g, h, None).tolist() == want  # the keys form the products
+    # one value per sign, each the rule's value, bit for bit
+    table = system.cocycle_blocks(system.cocycle_rows(g, h, gh))
+    assert len(system._cocycle_cache) == 2
+    for i, (x, y) in enumerate(zip(system.coded.decode(g), system.coded.decode(h))):
+        assert all(t[i].tobytes() == b.tobytes() for t, b in zip(table, system.cocycle(x, y).blocks))
+
+
+def _images_rotation():
+    A = BlockAlgebra([2, 1])
+    return Zd(1), A, [AlgAutomorphism.conjugation(A, [_rotation(np.pi / 7), np.eye(1)])], 40
+
+
+def _images_f2_swap():
+    A = BlockAlgebra([2, 2, 1])
+    a = AlgAutomorphism(A, [1, 0, 2], [_rotation(0.3), _rotation(-1.1), np.eye(1)])
+    b = AlgAutomorphism.conjugation(A, [_rotation(0.7), np.array([[0, 1j], [1j, 0]]), np.exp(0.2j) * np.eye(1)])
+    return FreeF2(), A, [a, b], 3
+
+
+def _images_block_swap():
+    A = BlockAlgebra([1, 1])
+    return Zd(1), A, [AlgAutomorphism.block_permutation(A, [1, 0])], 9
+
+
+def _images_dihedral():
+    A = BlockAlgebra([1, 1, 3])
+    w = np.diag(np.exp(2j * np.pi * np.array([1, 2, 4]) / 5))
+    r = AlgAutomorphism.conjugation(A, [np.eye(1), np.eye(1), w])
+    s = AlgAutomorphism(A, [1, 0, 2], [np.eye(1), np.eye(1), np.eye(3)])
+    return Dihedral(5), A, [r, s], 10
+
+
+def _power_chain(group, algebra, images, g):
+    """The action of g along its normal form, one AlgAutomorphism at a time."""
+    factors = [images[i].power(k) for i, k in group.decompose(g)]
+    out = factors[0] if factors else AlgAutomorphism.identity(algebra)
+    for f in factors[1:]:
+        out = out.compose(f)
+    return out
+
+
+def _same_bits(auto, perm, unitaries):
+    return tuple(auto.perm) == tuple(perm) and all(
+        u.tobytes() == v.tobytes() for u, v in zip(auto.unitaries, unitaries))
+
+
+@pytest.mark.parametrize("images", [_images_rotation, _images_f2_swap, _images_block_swap, _images_dihedral])
+def test_stacked_generator_actions_are_the_automorphisms_bit_for_bit(images):
+    group, A, gens, radius = images()
+    system = TwistedSystem(A, group, generator_action(group, A, gens), lambda g, h: A.unit(), tag="stacked")
+    points = ball(radius, default_length(group))
+    codes = system.coded.encode(points)
+    none = [np.zeros((0, d, d), dtype=complex) for d in A.dims]
+    # filled in two batches, the second growing the power tables further
+    for batch in (codes[::3], codes):
+        system.act_rows(batch, np.zeros(0, dtype=np.int64), none)
+    rows, half = system._action_cache.many(codes), 1 + len(A.dims)
+    columns = system._action_cache.columns
+    for g, row in zip(points, rows.tolist()):
+        want = _power_chain(group, A, gens, g)
+        stacked = [c[row] for c in columns]
+        assert _same_bits(want, stacked[0], stacked[1:half])
+        assert _same_bits(want.inverse(), stacked[half], stacked[half + 1:])
+        got = system.action(g)
+        assert _same_bits(got, want.perm, want.unitaries)
+        assert _same_bits(got.inverse(), want.inverse().perm, want.inverse().unitaries)
+
+
+def _first_failing_power(image, sign):
+    for k in range(1, 10_000):
+        try:
+            image.power(sign * k)
+        except ValueError as exc:
+            assert "unitary" in str(exc)
+            return k
+    raise AssertionError("the powers never drift past the tolerance")
+
+
+def test_drifting_generator_powers_raise_at_the_same_power():
+    A = BlockAlgebra([2, 1])
+    image = AlgAutomorphism.conjugation(A, [(1 + 1e-12) * _rotation(0.3), np.eye(1)])
+    Z = Zd(1)
+    system = TwistedSystem(A, Z, generator_action(Z, A, [image]), lambda g, h: A.unit(), tag="drift")
+    none = [np.zeros((0, d, d), dtype=complex) for d in A.dims]
+    for sign in (1, -1):
+        bad = _first_failing_power(image, sign)
+        assert 10 < bad < 1000
+        # a batch of one
+        system.action((sign * (bad - 1),))
+        with pytest.raises(ValueError, match="not unitary"):
+            system.action((sign * bad,))
+        # stacked: a batch reaching the failing power raises and leaves the
+        # table as it was, and one below it still fills and applies
+        known = len(system._action_cache)
+        with pytest.raises(ValueError, match="not unitary"):
+            system.act_rows(system.coded.encode([(sign * k,) for k in range(bad + 3)]), np.zeros(0, dtype=np.int64),
+                            none)
+        assert len(system._action_cache) == known
+        codes = system.coded.encode([(sign * k,) for k in range(bad)])
+        x = A.random_element(np.random.default_rng(bad))
+        acted = system.act_rows(codes, np.arange(bad), [np.repeat(b[None], bad, axis=0) for b in x.blocks])
+        for k in (0, bad - 1):
+            want = image.power(sign * k)(x)
+            assert all(a[k].tobytes() == b.tobytes() for a, b in zip(acted, want.blocks))
+        with pytest.raises(ValueError, match="not unitary"):
+            system.action((sign * (bad + 7),))
+
+
+def test_a_section_without_center_keys_keeps_the_code_pairs_and_the_same_bits():
+    from dataclasses import replace
+
+    from crossfourier.crossed import random_cc
+
+    keyed = sl2z_system()
+    plain = section_cocycle_system(replace(sl2z_extension(), center_keys=None))
+    pool = ball(3, block_length(keyed.group))
+    draws = [np.random.default_rng(7), np.random.default_rng(7)]
+    out = []
+    for system, rng in zip((keyed, plain), draws):
+        f1, f2 = (random_cc(system, pool, rng) for _ in range(2))
+        out.append([f1 * f2, f1.star(), (f1 * f2) * f1])
+    for x, y in zip(*out):
+        assert x.support() == y.support()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(x._blocks, y._blocks))
+    assert len(keyed._cocycle_cache) == 2 < len(plain._cocycle_cache)
