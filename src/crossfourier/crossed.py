@@ -69,7 +69,11 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+
+try:  # private scipy API (see _lanczos_top); without it, the public sparse products
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:
+    _csr_matvec = None
 
 from .algebra import AlgElement, adjoints, stack_blocks, stacked_norms, sum_from_zero
 from .groups import LengthFunction, Numbering, ball, ball_size, default_length, word_length
@@ -588,20 +592,28 @@ def _lanczos_top(operand: scipy.sparse.csr_matrix, adjoint: scipy.sparse.csr_mat
     Lanczos vectors rotating through three buffers.  None when the step cap
     is reached first.
 
-    gram(q, w) sets w = M^H (M q) bit for bit as adjoint @ (operand @ q)
-    does: that zeroes a fresh vector and adds A x into it with scipy's
-    compiled csr_matvec, which is called here directly, into zeroed kept
-    buffers, without the per-call dispatch.  csr_matvec is private scipy
-    API; tests/test_crossed.py checks this loop against the public products.
+    operand is an m x n CSR matrix and adjoint its n x m CSR adjoint, so
+    the vectors have length n.  gram(q, w) sets w = M^H (M q) bit for bit
+    as adjoint @ (operand @ q) does: that zeroes a fresh vector and adds
+    A x into it with scipy's compiled csr_matvec, which is called here
+    directly, into zeroed kept buffers, without the per-call dispatch.
+    csr_matvec is private scipy API and checks no shapes or formats, hence
+    the check of the arguments; where scipy lacks it, the public products run instead.
+    tests/test_crossed.py checks this loop against the public products.
     """
-    n = operand.shape[0]
-    middle = np.empty(n, dtype=operand.dtype)
+    m, n = operand.shape
+    if operand.format != "csr" or adjoint.format != "csr" or adjoint.shape != (n, m):
+        raise ValueError("Lanczos needs a CSR matrix and its CSR adjoint")
+    middle = np.empty(m, dtype=operand.dtype)
 
     def gram(q, w):
+        if _csr_matvec is None:
+            w[:] = adjoint @ (operand @ q)
+            return
         middle.fill(0)
-        _csr_matvec(n, n, operand.indptr, operand.indices, operand.data, q, middle)
+        _csr_matvec(m, n, operand.indptr, operand.indices, operand.data, q, middle)
         w.fill(0)
-        _csr_matvec(n, n, adjoint.indptr, adjoint.indices, adjoint.data, middle, w)
+        _csr_matvec(n, m, adjoint.indptr, adjoint.indices, adjoint.data, middle, w)
 
     start = np.full(n, 1 / np.sqrt(n), dtype=operand.dtype)
     axpy = scipy.linalg.get_blas_funcs("axpy", (start,))  # y += a x in place
@@ -659,6 +671,7 @@ def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool):
     """
     n = matrix.shape[0]
     if n > _DENSE_SVD_LIMIT:
+        matrix = matrix.tocsr()  # the Lanczos products read CSR arrays
         operand = matrix if np.any(matrix.data.imag) else matrix.real
         adjoint = operand.conj().T.tocsr()
         v = _lanczos_top(operand, adjoint)
@@ -669,7 +682,7 @@ def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool):
                 v = v.astype(complex) / np.linalg.norm(v)
                 value = float(np.linalg.norm(matrix @ v) / np.linalg.norm(v))
                 return value, (v if vectors else None)
-        if 16 * n * n > _DEFAULT_DENSE_BYTES:
+        if 16 * n * matrix.shape[1] > _DEFAULT_DENSE_BYTES:
             raise ValueError(
                 f"Lanczos did not converge on the {n} x {matrix.shape[1]} compression, "
                 "which is too large for the dense SVD"

@@ -21,8 +21,9 @@ code in the other table, stacked with its inverse when act_rows first
 meets the code; generator_action stacks a batch of new codes in array
 passes from its stacked generator powers, and the inverses are the
 conjugate transposes with the permutations inverted, every conjugator
-checked unitary.  cocycle() and action() return the rules' values and keep
-nothing.
+checked unitary.  cocycle() returns the rule's value and keeps nothing;
+so does action(), except on a rule that stacks (generator_action's), whose
+action it reads from the table, filling g's row as act_rows would.
 act_rows is the one place that applies stacked actions.
 Whether it applies them is decided once per system: a system whose action
 rule is trivial_action's skips them, every other system applies each one,
@@ -81,8 +82,13 @@ class TwistedSystem:
         return coded_group(self.group)
 
     def action(self, g) -> AlgAutomorphism:
-        """The rule's value; the batched arithmetic applies the stacked table (act_rows) instead."""
-        return self._action_rule(g)
+        """The rule's value; the batched arithmetic applies the stacked table (act_rows) instead.
+
+        A rule that stacks its values (generator_action's) is read from the
+        stacked table, g's row filled as act_rows fills it, so a repeated
+        action is a lookup; the row is the rule's value bit for bit.
+        """
+        return self._automorphism(g, inverse=False)
 
     def cocycle(self, g, h) -> AlgElement:
         """The rule's value; the batched arithmetic reads the stacked table (cocycle_rows) instead."""
@@ -93,21 +99,29 @@ class TwistedSystem:
 
     def act_inv(self, g, a: AlgElement) -> AlgElement:
         """Apply action(g)^{-1} (the inverse automorphism, not action(g^{-1}))."""
-        return self.action(g).inverse()(a)
+        return self._automorphism(g, inverse=True)(a)
+
+    def _automorphism(self, g, inverse: bool) -> AlgAutomorphism:
+        """action(g), or its inverse automorphism: a stacking rule's from its table row, any other's from the rule."""
+        if not hasattr(self._action_rule, "stack"):
+            auto = self._action_rule(g)
+            return auto.inverse() if inverse else auto
+        row = self._action_rows(self.coded.encode([g]))[0]
+        stack, half = self._action_cache.columns, 1 + len(self.algebra.dims)
+        return AlgAutomorphism.from_stack(self.algebra, stack[half:] if inverse else stack[:half], row)
 
     # -- the coded tables ---------------------------------------------------------
 
-    def cocycle_rows(self, g: np.ndarray, h: np.ndarray, gh: np.ndarray | None = None) -> np.ndarray:
+    def cocycle_rows(self, g: np.ndarray, h: np.ndarray, gh: np.ndarray) -> np.ndarray:
         """The row of cocycle(g[i], h[i]) in the stacked values (cocycle_blocks), for code arrays g, h.
 
-        gh, the codes of the products, may be passed where the caller has
-        formed them.  A value is keyed by the rule's keys(coded, g, h, gh)
+        gh holds the codes of the products g[i] h[i], which every caller has
+        formed already.  A value is keyed by the rule's keys(coded, g, h, gh)
         where it has them (theta, trivial and the SL(2,Z) section rules; the
-        section's keys are the center index, read from gh, or from
-        coded.mul(g, h) when gh is None), by the code pair otherwise; a key's
-        number is its row.  Each new key's value is evaluated through
-        cocycle() at its first pair and stacked, so every value is kept
-        once, in the table alone.
+        section's keys are the center index, read from gh), by the code pair
+        otherwise; a key's number is its row.  Each new key's value is
+        evaluated through cocycle() at its first pair and stacked, so every
+        value is kept once, in the table alone.
         """
         keys_of = getattr(self._cocycle_rule, "keys", None)
         return self._cocycle_cache.rows(
@@ -130,6 +144,10 @@ class TwistedSystem:
         self._permutes = self._permutes or bool((stack[0] != np.arange(stack[0].shape[1])).any())
         return stack + inverse_automorphisms(stack)
 
+    def _action_rows(self, codes: np.ndarray) -> np.ndarray:
+        """The rows of the codes' actions in the stacked table, stacking those of new codes."""
+        return self._action_cache.rows(codes, lambda at: self._stack_actions(codes[at]))
+
     def act_rows(self, codes: np.ndarray, which: np.ndarray, blocks: list, inverse: bool = False) -> list:
         """action(g), or its inverse automorphism, for g coded codes[which[i]], applied to row i of blocks.
 
@@ -141,7 +159,7 @@ class TwistedSystem:
         """
         if self._skips_action:
             return blocks
-        rows = self._action_cache.rows(codes, lambda at: self._stack_actions(codes[at]))
+        rows = self._action_rows(codes)
         stack, half = self._action_cache.columns, 1 + len(self.algebra.dims)
         return apply_automorphisms(stack[half:] if inverse else stack[:half], rows[which], blocks, self._permutes)
 
@@ -315,8 +333,7 @@ class CentralExtension:
     lists Z in cyclic order starting at the identity, so the character values
     of z = center[k] are exp(2 pi i j k / |Z|).  `center_keys`, if given,
     is (coded, g, h, gh) -> the index k of s(g) s(h) s(gh)^{-1} = center[k]
-    for code arrays g, h and their products gh (None when the caller has
-    not formed them), computed without lifting; the system then keeps one
+    for code arrays g, h and their products gh, computed without lifting; the system then keeps one
     cocycle value per center element.
     """
 
@@ -419,10 +436,8 @@ def sl2z_extension() -> CentralExtension:
 
     def center_keys(coded, g, h, gh):
         nonlocal counts, leads
-        if gh is None:
-            gh = coded.mul(g, h)
         try:
-            return (leads[g] + counts[h] - counts[gh]) // 4 % 2
+            return (leads[g] + counts[h] - counts[gh]) >> 2 & 1  # // 4 % 2 of a sum that is never negative
         except IndexError:  # a code numbered since the last call: grow, then look up again
             fresh = coded.decode(np.arange(len(counts), 1 + max(g.max(), h.max(), gh.max())))
             more = np.fromiter(map(len, fresh), dtype=np.int64, count=len(fresh))

@@ -272,7 +272,7 @@ def test_theta_rule_is_the_closed_form_and_builds_each_value_once():
     system.cocycle = counting
     codes = system.coded.encode(points)
     g, h = np.repeat(codes, len(codes)), np.tile(codes, len(codes))
-    rows = system.cocycle_rows(g, h)
+    rows = system.cocycle_rows(g, h, system.coded.mul(g, h))
     assert sorted(calls) == sorted(want) and len(system._cocycle_cache) == len(want)
     table = system.cocycle_blocks(rows)
     for i, (x, y) in enumerate(zip(system.coded.decode(g), system.coded.decode(h))):

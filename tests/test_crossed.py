@@ -578,7 +578,7 @@ def _lanczos_by_products(operand, adjoint):
     import crossfourier.crossed as crossed
     import scipy.linalg
 
-    n = operand.shape[0]
+    n = operand.shape[1]
     start = np.full(n, 1 / np.sqrt(n), dtype=operand.dtype)
     axpy = scipy.linalg.get_blas_funcs("axpy", (start,))
     alphas, betas = [], []
@@ -616,19 +616,39 @@ def _lanczos_by_products(operand, adjoint):
     return v
 
 
-def test_lanczos_loop_is_the_sparse_product_loop_bit_for_bit():
-    # _lanczos_top calls scipy's private csr_matvec kernel into kept buffers;
-    # every Ritz vector must be the one the public products give
+def test_lanczos_loop_is_the_sparse_product_loop_bit_for_bit(monkeypatch):
+    # _lanczos_top calls scipy's private csr_matvec kernel into kept buffers,
+    # or the public products where scipy lacks it; every Ritz vector must be
+    # the one the public products give
     import crossfourier.crossed as crossed
 
     real, cplx = _real_and_complex_compressions()
     path = trivial_system(BlockAlgebra([1]), Zd(1))
     unit = path.algebra.unit()
     ring = compression_matrix(CcElement(path, {(1,): unit, (-1,): unit}), 200)
-    for matrix in (real.sparse.real, cplx.sparse, ring.sparse.real, ring.sparse):
-        adjoint = matrix.conj().T.tocsr()
-        got, want = crossed._lanczos_top(matrix, adjoint), _lanczos_by_products(matrix, adjoint)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    wide = scipy.sparse.random(40, 90, density=0.2, format="csr", random_state=3)
+    matrices = (real.sparse.real, cplx.sparse, ring.sparse.real, ring.sparse, wide, wide.T.tocsr())
+    for kernel in (crossed._csr_matvec, None):
+        monkeypatch.setattr(crossed, "_csr_matvec", kernel)
+        for matrix in matrices:
+            adjoint = matrix.conj().T.tocsr()
+            got, want = crossed._lanczos_top(matrix, adjoint), _lanczos_by_products(matrix, adjoint)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="CSR"):  # the kernel reads CSR arrays and checks no shapes
+        crossed._lanczos_top(wide.tocsc(), wide.conj().T.tocsr())
+    with pytest.raises(ValueError, match="CSR"):
+        crossed._lanczos_top(wide, wide.tocsr())
+
+
+def test_largest_singular_value_above_the_dense_cutoff_on_any_shape_and_format():
+    import crossfourier.crossed as crossed
+
+    rng = np.random.default_rng(8)
+    for m, n in ((crossed._DENSE_SVD_LIMIT + 60, 90), (crossed._DENSE_SVD_LIMIT + 60, 700)):
+        matrix = scipy.sparse.random(m, n, density=0.05, format="csr", random_state=rng)
+        want = np.linalg.svd(matrix.toarray(), compute_uv=False)[0]
+        for stored in (matrix, matrix.tocsc(), matrix.tocoo()):
+            assert crossed.largest_singular_value(stored) == pytest.approx(want, rel=1e-9)
 
 
 def test_real_lanczos_agrees_with_complex_lanczos_on_a_real_compression():

@@ -425,7 +425,6 @@ def test_junction_sign_key_is_the_matrix_rule_on_ball9():
             for x in points for y in points]
     assert len(want) == 23716 and set(want) == {0, 1}
     assert ext.center_keys(system.coded, g, h, gh).tolist() == want
-    assert ext.center_keys(system.coded, g, h, None).tolist() == want  # the keys form the products
     # one value per sign, each the rule's value, bit for bit
     table = system.cocycle_blocks(system.cocycle_rows(g, h, gh))
     assert len(system._cocycle_cache) == 2
@@ -475,7 +474,14 @@ def _same_bits(auto, perm, unitaries):
 @pytest.mark.parametrize("images", [_images_rotation, _images_f2_swap, _images_block_swap, _images_dihedral])
 def test_stacked_generator_actions_are_the_automorphisms_bit_for_bit(images):
     group, A, gens, radius = images()
-    system = TwistedSystem(A, group, generator_action(group, A, gens), lambda g, h: A.unit(), tag="stacked")
+    base, calls = generator_action(group, A, gens), []
+
+    def rule(g):
+        calls.append(g)
+        return base(g)
+
+    rule.stack = lambda points: calls.append(len(points)) or base.stack(points)
+    system = TwistedSystem(A, group, rule, lambda g, h: A.unit(), tag="stacked")
     points = ball(radius, default_length(group))
     codes = system.coded.encode(points)
     none = [np.zeros((0, d, d), dtype=complex) for d in A.dims]
@@ -492,6 +498,10 @@ def test_stacked_generator_actions_are_the_automorphisms_bit_for_bit(images):
         got = system.action(g)
         assert _same_bits(got, want.perm, want.unitaries)
         assert _same_bits(got.inverse(), want.inverse().perm, want.inverse().unitaries)
+        x = A.random_element(np.random.default_rng(row))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(system.act_inv(g, x).blocks, want.inverse()(x).blocks))
+    # action() and act_inv() read the rows the two fills stacked, calling neither rule.stack nor the rule
+    assert calls == [len(codes[::3]), len(codes) - len(codes[::3])]
 
 
 def _first_failing_power(image, sign):
