@@ -7,25 +7,25 @@ u_g a = action(g)(a) u_g and u_g u_h = cocycle(g, h) u_{gh}:
     (f1 * f2)(k) = sum_g f1(g) . action(g)(f2(g^{-1}k)) . cocycle(g, g^{-1}k)
     f*(h)        = action(h)( cocycle(h^{-1}, h)* . f(h^{-1})* )
 
-An element is stored packed: its support points in insertion order, their
-codes in the system's coded group and one read-only (n, d_j, d_j) complex
-array per algebra block j, row i the coefficient at the i-th point; its
-{g: row} index and row norms are built on first use.  The product is one
-batched pair kernel on codes (pair_sum): the pairs (g, h), g-major, are
-multiplied as one code array, their products numbered in first-seen order,
-the coefficients, cocycles and actions gathered from the system's tables,
-each term formed by batched matmuls and added to its product in pair order;
-only the distinct products are decoded into group elements.
+An element is its codes and its blocks: the int64 code of each support
+point in the system's coded group, in insertion order, and one read-only
+(n, d_j, d_j) complex array per algebra block j, row i the coefficient at
+the i-th code; a point is decoded only at the edges (coeff, support,
+weights, reports).  The product is one batched pair kernel on codes
+(pair_sum): the pairs (g, h), g-major, are multiplied as one code array,
+their products numbered in first-seen order, the coefficients, cocycles
+and actions gathered from the system's tables, each term formed by batched
+matmuls and added to its product in pair order.
 
 The kernel takes a batch of independent couples (f1, f2), as a list of
 first and a list of second factors, and runs it in one pass, the products
 numbered by (couple, code) so that each couple keeps its own pairs, order
-and points (products, decay.regular_applies); stars, sums and differences
-batch the same way.  f1 * f2, f.star(), f + g and f - g are
-batches of one, and a sampling experiment forms each stage of a chunk of
-samples in one call.  Every result is the same alone as in any batch, and
-bit for bit the per-coefficient AlgElement arithmetic in the same order,
-with the actions applied as TwistedSystem.act_rows applies them.
+and codes (products, decay.regular_applies); stars, sums and differences
+batch the same way.  f1 * f2, f.star(), f + g and f - g are batches of
+one, and a sampling experiment forms each stage of a chunk of samples in
+one call.  Every result is the same alone as in any batch, and bit for bit
+the per-coefficient AlgElement arithmetic in the same order, with the
+actions applied as TwistedSystem.act_rows applies them.
 
 Operator norms are bounded from below by compressing the regular
 representation to a ball and from above by the l1 norm.  The compression
@@ -108,39 +108,49 @@ _DEFAULT_DENSE_BYTES = 1 << 30
 class CcElement:
     """Finitely supported function G -> A over a twisted system.
 
-    Stored packed, each coefficient once: the support points in insertion
-    order, their codes and one read-only (n, d_j, d_j) array per algebra
-    block j whose row i is the coefficient at points[i]; all arithmetic runs
-    on these arrays.  An element built from a mapping stacks its values at
-    once and prunes them as arithmetic prunes its results (_pruned); one
-    built by arithmetic (or random_cc) often holds views of a batch's
-    arrays.  The codes, the {g: row} index, the row norms and the row
-    AlgElements (views of the arrays) are made on first use.  A value of
-    norm < 1e-14 is never stored, so the support is canonical; one whose
-    norm is NaN is kept, so overflow propagates instead of vanishing.
-    Instances are immutable; arithmetic returns new elements.
+    Stored as its codes and its blocks, each coefficient once: the int64
+    code of each support point in system.coded, in insertion order, and one
+    (n, d_j, d_j) array per algebra block j whose row i is the coefficient
+    at the i-th code, all read-only; arithmetic runs on these arrays and
+    decodes no point.  An element built from a mapping checks every key,
+    stacks its values at once and prunes them as arithmetic prunes its
+    results (_pruned); one built by arithmetic (or random_cc) often holds
+    views of a batch's arrays.  The points (seeded by a mapping and by
+    random_cc), the {g: row} index, the row norms and the row AlgElements
+    (views of the arrays) are made on first use.  A value of norm < 1e-14
+    is never stored, so the support is canonical; one whose norm is NaN is
+    kept, so overflow propagates instead of vanishing.  Instances are
+    immutable; arithmetic returns new elements.
     """
 
     def __init__(self, system: TwistedSystem, coeffs: Mapping):
         values = list(coeffs.values())
         if any(a.algebra != system.algebra for a in values):
             raise ValueError("coefficient algebra does not match the system")
-        blocks = stack_blocks(values) if values else _no_blocks(system)
-        points, blocks, _, _ = _pruned(list(coeffs), blocks, None, [len(values)])
-        self._store(system, list(map(system.group.check, points)), blocks)
+        points = list(map(system.group.check, coeffs))
+        codes, blocks = (system.coded.encode(points), stack_blocks(values)) if values else _no_rows(system)
+        codes, blocks, _, points = _pruned(codes, blocks, [len(points)], points)
+        self._store(system, codes, blocks, points)
 
-    def _store(self, system, points: list, blocks: list, codes: np.ndarray | None = None):
-        """Set the state: blocks are read-only, one row per point."""
+    def _store(self, system, codes: np.ndarray, blocks: list, points: list | None = None):
+        """Set the state: read-only codes and blocks, one row per code, and the decoded codes if known."""
         self.system = system
-        self._points = points
+        self._codes = codes                 # the int64 code of each support point in system.coded
         self._blocks = blocks               # one read-only (n, d_j, d_j) array per block
-        self._code_array = codes            # or None until _codes encodes the points
+        self._point_list = points           # the decoded codes, on first use unless given
         self._row_index = None              # {g: row}, on first use
         self._norm_list = None              # AlgElement.norm of each row, on first read
         self._coefficients = None           # row AlgElements, on first use
         self._order = None                  # rows in support order, on first use
 
     # -- basic structure ------------------------------------------------------
+
+    @property
+    def _points(self) -> list:
+        """The support points in insertion order, decoded from the codes on first use."""
+        if self._point_list is None:
+            self._point_list = self.system.coded.decode(self._codes)
+        return self._point_list
 
     @property
     def _rows(self) -> dict:
@@ -152,14 +162,8 @@ class CcElement:
     def _norms(self) -> list:
         """AlgElement.norm of each row (stacked_norms, bit for bit)."""
         if self._norm_list is None:
-            self._norm_list = stacked_norms(self._blocks).tolist() if self._points else []
+            self._norm_list = stacked_norms(self._blocks).tolist() if len(self) else []
         return self._norm_list
-
-    def _codes(self) -> np.ndarray:
-        """The code of each point in the system's coded group."""
-        if self._code_array is None:
-            self._code_array = self.system.coded.encode(self._points)
-        return self._code_array
 
     def _sorted_rows(self) -> list:
         if self._order is None:
@@ -194,7 +198,7 @@ class CcElement:
         return self.coeff(self.system.group.identity())
 
     def __len__(self):
-        return len(self._points)
+        return len(self._codes)
 
     def __repr__(self):
         terms = ", ".join(f"{self.system.group.word(g)}" for g in self.support())
@@ -209,7 +213,7 @@ class CcElement:
         return differences([self], [other])[0]
 
     def __rmul__(self, scalar) -> "CcElement":
-        return _packed(self.system, self._points, [scalar * x for x in self._blocks], self._code_array)
+        return _packed_many(self.system, self._codes, [scalar * x for x in self._blocks], [len(self)])[0]
 
     # -- twisted product and involution ------------------------------------------
 
@@ -234,7 +238,7 @@ class CcElement:
     def gram(self) -> AlgElement:
         """sum_g action(g)^{-1}(f(g)* f(g)), the module inner product <f, f>."""
         x = [np.matmul(adjoints(a), a) for a in self._blocks]
-        acted = self.system.act_rows(self._codes(), np.arange(len(self)), x, inverse=True)
+        acted = self.system.act_rows(self._codes, np.arange(len(self)), x, inverse=True)
         return self.system.algebra.element([sum_from_zero(y) for y in acted])
 
     def module_norm(self) -> float:
@@ -268,17 +272,12 @@ class CcElement:
 
     def weighted_module_norm(self, weight) -> float:
         w = np.array(self._weights(weight))
-        return _packed(self.system, self._points, [w[:, None, None] * x for x in self._blocks]).module_norm()
+        (f,) = _packed_many(self.system, self._codes, [w[:, None, None] * x for x in self._blocks], [len(self)])
+        return f.module_norm()
 
 
-def _no_blocks(system: TwistedSystem) -> list:
-    return [np.empty((0, d, d), dtype=complex) for d in system.algebra.dims]
-
-
-def _packed(system: TwistedSystem, points: list, blocks: list, codes: np.ndarray | None = None) -> CcElement:
-    """The element with row i of `blocks` at points[i] (distinct, canonical, coded codes[i] if given),
-    rows of norm < 1e-14 dropped."""
-    return _packed_many(system, points, blocks, codes, [len(points)])[0]
+def _no_rows(system: TwistedSystem) -> tuple:
+    return np.zeros(0, dtype=np.int64), [np.empty((0, d, d), dtype=complex) for d in system.algebra.dims]
 
 
 def _dropped(blocks: list) -> np.ndarray | None:
@@ -303,44 +302,54 @@ def _dropped(blocks: list) -> np.ndarray | None:
     return low if np.count_nonzero(low) else None
 
 
-def _pruned(points: list, blocks: list, codes: np.ndarray | None, counts: list) -> tuple:
-    """(points, blocks, codes, counts) without the rows of norm < 1e-14, the blocks made read-only.
+def _pruned(codes: np.ndarray, blocks: list, counts: list, points: list | None = None) -> tuple:
+    """(codes, blocks, counts, points) without the rows of norm < 1e-14, the codes and blocks made read-only.
 
     counts[c] rows in turn belong to the c-th element; its count drops by
-    its dropped rows.
+    its dropped rows.  points, if given, are the decoded codes, pruned with them.
     """
-    drop = _dropped(blocks) if points else None
+    drop = _dropped(blocks) if len(codes) else None
     if drop is not None:
         keep = ~drop
         counts = np.bincount(np.repeat(np.arange(len(counts)), counts)[keep], minlength=len(counts)).tolist()
-        points = list(itertools.compress(points, keep.tolist()))
-        blocks = [b[keep] for b in blocks]
-        codes = None if codes is None else codes[keep]
-    for b in blocks:
-        b.flags.writeable = False
-    return points, blocks, codes, counts
+        codes, blocks = codes[keep], [b[keep] for b in blocks]
+        if points is not None:
+            points = list(itertools.compress(points, keep.tolist()))
+    for x in (codes, *blocks):
+        x.flags.writeable = False
+    return codes, blocks, counts, points
 
 
-def _packed_many(system: TwistedSystem, points: list, blocks: list, codes: np.ndarray | None,
-                 counts: list) -> list:
-    """_packed on consecutive runs of rows: the c-th element takes the next counts[c] rows.
+def _packed_many(system: TwistedSystem, codes: np.ndarray, blocks: list, counts: list,
+                 points: list | None = None) -> list:
+    """The elements with row i of `blocks` at codes[i] in system.coded, rows of norm < 1e-14
+    dropped: the c-th element takes the next counts[c] rows, its codes distinct.
 
-    Rows are pruned in one pass over all of them; the elements' blocks are
-    read-only views of the shared arrays, and their norms are computed on
-    first read.
+    Rows are pruned in one pass over all of them; the elements' codes and
+    blocks are read-only views of the shared arrays.  points, the decoded
+    codes of a single element, seed its cache.
     """
-    points, blocks, codes, counts = _pruned(points, blocks, codes, counts)
+    codes, blocks, counts, points = _pruned(codes, blocks, counts, points)
     if len(counts) == 1:
         f = CcElement.__new__(CcElement)
-        f._store(system, points, blocks, codes)
+        f._store(system, codes, blocks, points)
         return [f]
     out, lo = [], 0
     for hi in itertools.accumulate(counts):
         f = CcElement.__new__(CcElement)
-        f._store(system, points[lo:hi], [b[lo:hi] for b in blocks], None if codes is None else codes[lo:hi])
+        f._store(system, codes[lo:hi], [b[lo:hi] for b in blocks])
         out.append(f)
         lo = hi
     return out
+
+
+def regrouped(f: CcElement, at, counts: list, system: TwistedSystem | None = None, blocks=None) -> list:
+    """Elements of f's coefficients at the support points f.support()[i], i in `at`, in that order: the
+    c-th takes the next counts[c], rows of norm < 1e-14 dropped.  They keep f's codes, so `system` (f's
+    by default) must be over f's group object, and keep the algebra blocks numbered `blocks` (all)."""
+    rows = np.array(f._sorted_rows(), dtype=np.int64)[at]
+    kept = f._blocks if blocks is None else [f._blocks[j] for j in blocks]
+    return _packed_many(f.system if system is None else system, f._codes[rows], [b[rows] for b in kept], counts)
 
 
 def _system_of(elements) -> TwistedSystem:
@@ -351,24 +360,23 @@ def _system_of(elements) -> TwistedSystem:
 
 
 def _gathered(elements, coded, support_order: bool = False) -> tuple:
-    """(codes, blocks, rows) of a list of elements, concatenated in turn.
+    """(codes, blocks) of a list of elements, concatenated in turn, each in insertion or, when asked, support order.
 
-    codes: every element's points coded in `coded`, each element's in
-    insertion order, or in support order when asked; blocks: their
+    codes: every element's codes in `coded` (an element over another
+    system's coded view has its points coded in this one); blocks: their
     coefficient arrays, concatenated (a fresh copy unless there is one
-    element, whose read-only arrays they are); rows: the row of each code in
-    blocks, or None in insertion order, where it is the position.
+    element in insertion order, whose read-only arrays they are).
     """
-    codes = [f._codes() if f.system.coded is coded else coded.encode(f._points) for f in elements]
+    codes = [f._codes if f.system.coded is coded else coded.encode(f._points) for f in elements]
     if len(elements) == 1:
         codes, blocks = codes[0], elements[0]._blocks
     else:
         codes, blocks = np.concatenate(codes), [np.concatenate(col) for col in zip(*(f._blocks for f in elements))]
     if not support_order:
-        return codes, blocks, None
+        return codes, blocks
     starts = itertools.accumulate((len(f) for f in elements), initial=0)
     rows = np.concatenate([np.array(f._sorted_rows(), dtype=np.int64) + k for f, k in zip(elements, starts)])
-    return codes[rows], blocks, rows
+    return codes[rows], [b[rows] for b in blocks]
 
 
 def _pair_indices(n1: list, n2: list) -> tuple:
@@ -441,7 +449,7 @@ def pair_sum(firsts: list, seconds: list, terms: Callable[[Pairs], list], suppor
     own order: its pairs run over supp f1 x supp f2, g-major, each support in
     insertion order, or in support order when asked; its terms at a point are
     added in pair order starting from the first, as out[k] = out[k] + term
-    adds them; its points are its products in first-seen order.  So every
+    adds them; its codes are its products' in first-seen order.  So every
     element is the one a batch of one gives, bit for bit.  Products are
     numbered by (couple, code), so couples never share a point.  Every f1
     lives over one system; an f2 may live over another system on an equal
@@ -455,19 +463,18 @@ def pair_sum(firsts: list, seconds: list, terms: Callable[[Pairs], list], suppor
     coded = system.coded
     n1, n2 = [len(f) for f in firsts], [len(f) for f in seconds]
     if not any(map(int.__mul__, n1, n2)):
-        return _packed_many(system, [], _no_blocks(system), None, [0] * len(firsts))
-    codes1, blocks1, rows1 = _gathered(firsts, coded, support_order)
-    codes2, blocks2, rows2 = _gathered(seconds, coded, support_order)
+        return _packed_many(system, *_no_rows(system), [0] * len(firsts))
+    codes1, blocks1 = _gathered(firsts, coded, support_order)
+    codes2, blocks2 = _gathered(seconds, coded, support_order)
     couple, left, right = _pair_indices(n1, n2)
     g, h = codes1[left], codes2[right]
     gh = coded.mul(g, h)
     at, first, counts = _numbered(couple, gh, len(firsts))
     codes = gh[first]
-    a = [x[left if rows1 is None else rows1[left]] for x in blocks1]
-    b = [x[right if rows2 is None else rows2[right]] for x in blocks2]
+    a, b = [x[left] for x in blocks1], [x[right] for x in blocks2]
     sigma = system.cocycle_blocks(system.cocycle_rows(g, h, gh))
     sums = _summed(terms(Pairs(system, a, b, sigma, codes1, left, codes, at)), at, first)
-    return _packed_many(system, coded.decode(codes), sums, codes, counts)
+    return _packed_many(system, codes, sums, counts)
 
 
 def _product_terms(pairs: Pairs) -> list:
@@ -490,13 +497,13 @@ def stars(elements: list) -> list:
     system = _system_of(elements)
     counts = [len(f) for f in elements]
     if not sum(counts):
-        return _packed_many(system, [], _no_blocks(system), None, counts)
-    codes, blocks, _ = _gathered(elements, system.coded)
+        return _packed_many(system, *_no_rows(system), counts)
+    codes, blocks = _gathered(elements, system.coded)
     inverses = system.coded.inv(codes)
     sigma = system.cocycle_blocks(system.cocycle_rows(codes, inverses, system.coded.identities(len(codes))))
     x = [np.matmul(adjoints(s), adjoints(a)) for s, a in zip(sigma, blocks)]
     acted = system.act_rows(inverses, np.arange(len(inverses)), x)
-    return _packed_many(system, system.coded.decode(inverses), acted, inverses, counts)
+    return _packed_many(system, inverses, acted, counts)
 
 
 def sums(firsts: list, seconds: list) -> list:
@@ -522,14 +529,13 @@ def _combined(firsts: list, seconds: list, scale) -> list:
     system = _system_of(seq)
     sizes = [len(f) for f in seq]
     if not sum(sizes):
-        return _packed_many(system, [], _no_blocks(system), None, [0] * len(firsts))
-    codes = np.concatenate([f._codes() for f in seq])
+        return _packed_many(system, *_no_rows(system), [0] * len(firsts))
+    codes = np.concatenate([f._codes for f in seq])
     scaled = (f._blocks if scale is None or k % 2 == 0 else [scale * x for x in f._blocks] for k, f in enumerate(seq))
     blocks = [np.concatenate(col) for col in zip(*scaled)]
     couple = None if len(firsts) == 1 else np.repeat(np.arange(len(firsts)), np.add(sizes[::2], sizes[1::2]))
     at, first, counts = _numbered(couple, codes, len(firsts))
-    points = list(itertools.compress(itertools.chain.from_iterable(f._points for f in seq), first.tolist()))
-    return _packed_many(system, points, _summed(blocks, at, first), codes[first], counts)
+    return _packed_many(system, codes[first], _summed(blocks, at, first), counts)
 
 
 def delta(system: TwistedSystem, g=None, a: AlgElement | None = None) -> CcElement:
@@ -549,7 +555,8 @@ def random_cc(system: TwistedSystem, support: Iterable, rng) -> CcElement:
     """A random_element draw at each support point in turn, stacked as drawn.
 
     A repeated point keeps its last draw at its first position, as the
-    {g: draw} mapping of the same draws does.
+    {g: draw} mapping of the same draws does.  The checked points seed the
+    element's points.
     """
     support = list(support)
     blocks = system.algebra.random_stack(rng, len(support))
@@ -557,7 +564,8 @@ def random_cc(system: TwistedSystem, support: Iterable, rng) -> CcElement:
     if len(last) < len(support):
         rows = np.fromiter(last.values(), dtype=np.int64, count=len(last))
         blocks = [x[rows] for x in blocks]
-    return _packed(system, [system.group.check(g) for g in last], blocks)
+    points = [system.group.check(g) for g in last]
+    return _packed_many(system, system.coded.encode(points), blocks, [len(points)], points)[0]
 
 
 def random_cc_in(system: TwistedSystem, pool: list, max_size: int, rng) -> CcElement:
@@ -729,40 +737,28 @@ class CompressedRep:
 class CompressionPlan:
     """What compressing to ball(R) of one system under one length shares between elements.
 
-    The plan owns the ball and encodes its points on first use.  For each
-    support point g it keeps, built on g's first use, the rows of the
-    entries g contributes (the positions of g h, Ball.translate), their
-    columns h and the rows of cocycle(g, h) in the system's cocycle table
-    (TwistedSystem.cocycle_rows, given the products g h as the codes at
-    those rows).  compression_matrix keeps one plan per (float R, length
-    tag) on the system, so a plan lives exactly as long as its system.  The
-    plan holds no reference back to the system: without that cycle, a
-    dropped system and its plans are freed at once by reference counting,
-    not at the next full collection.
+    The plan owns the ball and its points' codes.  For each support point g
+    it keeps, built when it first meets g's code (the one time g is decoded),
+    the rows of the entries g contributes (the positions of g h,
+    Ball.translate), their columns h and the rows of cocycle(g, h) in the
+    system's cocycle table (TwistedSystem.cocycle_rows, given the products
+    g h as the codes at those rows).  compression_matrix keeps one plan per
+    (float R, length tag) on the system, so a plan lives exactly as long as
+    its system.  The plan holds no reference back to the system: without
+    that cycle, a dropped system and its plans are freed at once by
+    reference counting, not at the next full collection.
     """
 
-    def __init__(self, R: float, length: LengthFunction):
+    def __init__(self, system: TwistedSystem, R: float, length: LengthFunction):
         self.ball = ball(R, length)
         if not self.ball:
             raise ValueError("empty ball")
         self.index = tuple(self.ball)
-        self._codes = None
+        self._codes = system.coded.encode(self.ball)
         self._pieces: dict = {}  # code of g -> (rows, columns, cocycle rows)
 
-    def _piece(self, system: TwistedSystem, code: int, g) -> tuple:
-        piece = self._pieces.get(code)
-        if piece is None:
-            if self._codes is None:
-                self._codes = system.coded.encode(self.ball)
-            targets = self.ball.translate(g)
-            cols = np.flatnonzero(targets >= 0)
-            rows = targets[cols]
-            sigma = system.cocycle_rows(np.full(len(cols), code, dtype=np.int64), self._codes[cols], self._codes[rows])
-            piece = self._pieces[code] = (rows, cols, sigma)
-        return piece
-
     def compress(self, f: CcElement) -> scipy.sparse.csr_matrix:
-        """The CSR matrix of P_R Lambda(f) P_R, entries taken from the pieces of supp f in support order.
+        """The CSR matrix of P_R Lambda(f) P_R, entries taken from the pieces of f's codes in row order.
 
         f lives over the system that keeps this plan.  (h', h) fixes
         g = h'h^{-1}, so no block gets two contributions, and the CSR
@@ -772,16 +768,23 @@ class CompressionPlan:
         system = f.system
         D = system.algebra.rep_dim
         shape = (len(self.ball) * D, len(self.ball) * D)
-        order, codes = f._sorted_rows(), f._codes().tolist()
-        pieces = [self._piece(system, codes[i], f._points[i]) for i in order]
+        codes = f._codes.tolist()
+        new = [code for code in codes if code not in self._pieces]
+        if new:  # the points of new pieces, decoded in one call
+            for code, g in zip(new, system.coded.decode(np.array(new, dtype=np.int64))):
+                targets = self.ball.translate(g)
+                cols = np.flatnonzero(targets >= 0)
+                rows = targets[cols]
+                self._pieces[code] = (rows, cols, system.cocycle_rows(np.full(len(cols), code, dtype=np.int64),
+                                                                      self._codes[cols], self._codes[rows]))
+        pieces = [self._pieces[code] for code in codes]
         counts = [len(rows) for rows, _, _ in pieces]
         if not sum(counts):
             return scipy.sparse.csr_matrix(shape, dtype=complex)
-        rows = np.concatenate([p[0] for p in pieces])
-        cols = np.concatenate([p[1] for p in pieces])
-        sigmas = system.cocycle_blocks(np.concatenate([p[2] for p in pieces]))
+        rows, cols, sigma_rows = (np.concatenate(x) for x in zip(*pieces))
+        sigmas = system.cocycle_blocks(sigma_rows)
         # a . cocycle per source block, one matmul over all contributions
-        terms = np.repeat(order, counts)
+        terms = np.repeat(np.arange(len(f)), counts)
         products = [np.matmul(c[terms], s) for c, s in zip(f._blocks, sigmas)]
         coo_rows, coo_cols, coo_data = [], [], []
         offset = 0
@@ -813,7 +816,7 @@ def compression_matrix(f: CcElement, R: float, length: LengthFunction | None = N
     key = (float(R), length.tag)
     plan = system._compression_plans.get(key)
     if plan is None:
-        plan = system._compression_plans[key] = CompressionPlan(R, length)
+        plan = system._compression_plans[key] = CompressionPlan(system, R, length)
     return CompressedRep(system, R, length, plan.index, plan.compress(f))
 
 

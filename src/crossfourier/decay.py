@@ -25,7 +25,7 @@ import numpy as np
 
 from .algebra import state_norm, state_root
 from .crossed import (
-    CcElement, Pairs, compression_matrix, default_radii, delta, opnorm_bounds, pair_sum, random_cc,
+    CcElement, Pairs, compression_matrix, default_radii, delta, opnorm_bounds, pair_sum, random_cc, regrouped,
     random_cc_in,
 )
 from .groups import (
@@ -346,16 +346,10 @@ def tail_profile(f: CcElement, norm_tag: str = "l1") -> list:
     norm = _SHELL_NORMS[norm_tag]
     if len(f) == 0:
         return [(0, 0.0)]
-    max_m = int(math.ceil(max(length(g) for g in f.support())))
-    out = []
-    for m in range(max_m + 1):
-        shell = {
-            g: f.coeff(g)
-            for g in f.support()
-            if (length(g) == 0 if m == 0 else m - 1 < length(g) <= m)
-        }
-        out.append((m, norm(CcElement(f.system, shell))))
-    return out
+    # shell m, in support order, holds the g with ceil L(g) = m (m - 1 < L(g) <= m); all are taken in one pass
+    shell_of = [math.ceil(length(g)) for g in f.support()]
+    shells = regrouped(f, np.argsort(shell_of, kind="stable"), np.bincount(shell_of).tolist())
+    return [(m, norm(shell)) for m, shell in enumerate(shells)]
 
 
 # -- commutative-case inequality ----------------------------------------------------------

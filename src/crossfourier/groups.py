@@ -627,8 +627,8 @@ class CodedGroup:
     inv(a)[i] the inverse of a[i].  This base, used by finite groups, the
     free families and Z^d for d > 5, numbers elements as they first appear
     and forms products and inverses through group.mul and group.inv, one
-    call per entry (the tuple path); the products of up to PAIR_MEMO
-    distinct code pairs are kept, from the calls that fit in the room left.
+    call per entry (the tuple path), keeping every inverse and the products
+    of up to PAIR_MEMO distinct code pairs, from calls that fit the room left.
     A finite group of order up to 1024 numbers its elements in the order of
     group.elements() instead, and keeps their inverses and a dense
     multiplication table (8 MB at order 1024) filled as pairs appear.
@@ -638,7 +638,8 @@ class CodedGroup:
 
     def __init__(self, group: Group):
         self.group = weakref.proxy(group)  # the group keeps its coded view; no cycle back
-        self._numbering, self._products = Numbering(), KeyedTable()  # code pair -> its product's code
+        # code pair -> its product's code, and code -> its inverse's
+        self._numbering, self._products, self._inverted = Numbering(), KeyedTable(), KeyedTable()
         self._identities = np.zeros(0, dtype=np.int64)
         self._table = self._residues = None
         if group.is_finite and len(elements := group.elements()) <= 1024:
@@ -688,7 +689,8 @@ class CodedGroup:
 
     def inv(self, a: np.ndarray) -> np.ndarray:
         if self._table is None:
-            return self.encode(list(map(self.group.inv, self.decode(a))))
+            rows = self._inverted.rows(a, lambda at: [self.encode(list(map(self.group.inv, self.decode(a[at]))))])
+            return self._inverted.columns[0][rows]
         return self._inverses[a]
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import AlgAutomorphism, AlgElement, BlockAlgebra, block_norm
-from .crossed import CcElement, cc_unit, random_cc
+from .crossed import CcElement, cc_unit, random_cc, regrouped
 from .groups import ball, default_length
 from .system import TwistedSystem
 
@@ -128,8 +128,8 @@ class QuotientSystem:
         return self.system.algebra.element([a.blocks[j] for j in self.kept_blocks])
 
     def q_cc(self, f: CcElement) -> CcElement:
-        """The induced map on finitely supported elements, coefficientwise."""
-        return CcElement(self.system, {g: self.q(a) for g, a in f.items()})
+        """The induced map on finitely supported elements, coefficientwise, in support order."""
+        return regrouped(f, slice(None), [len(f)], self.system, self.kept_blocks)[0]
 
 
 def quotient_system(system: TwistedSystem, J: InvariantIdeal) -> QuotientSystem:

@@ -41,18 +41,27 @@ def make_system(family: str, dims: tuple) -> TwistedSystem:
     images = [swap if ok else AlgAutomorphism.identity(A) for ok in may_swap]
     base_action = generator_action(group, A, images)
     base_cocycle = theta_cocycle(group, A, theta) if theta else trivial_cocycle(A)
-    unitaries: dict = {}  # g -> w_g, drawn once: the loop oracles evaluate the cocycle per pair
+    # g -> w_g, base_action(g) and action(g), each formed once: the loop oracles
+    # evaluate the action and the cocycle per pair, and the rules are pure
+    unitaries, base_actions, actions = {}, {}, {}
 
     def unitary(g):
         if g not in unitaries:
             unitaries[g] = _unitary(A, group, g)
         return unitaries[g]
 
+    def base(g):
+        if g not in base_actions:
+            base_actions[g] = base_action(g)
+        return base_actions[g]
+
     def action(g):
-        return AlgAutomorphism.conjugation(A, unitary(g).blocks).compose(base_action(g))
+        if g not in actions:
+            actions[g] = AlgAutomorphism.conjugation(A, unitary(g).blocks).compose(base(g))
+        return actions[g]
 
     def cocycle(g, h):
-        w = unitary(g) * base_action(g)(unitary(h)) * base_cocycle(g, h)
+        w = unitary(g) * base(g)(unitary(h)) * base_cocycle(g, h)
         return w * unitary(group.mul(g, h)).star()
 
     return TwistedSystem(A, group, action, cocycle, tag=f"perturbed-{family}")

@@ -13,13 +13,17 @@ from crossfourier.crossed import (
     cc_unit,
     compression_matrix,
     delta,
+    differences,
     exact_norm_finite,
     opnorm_bounds,
+    products,
     random_cc,
+    stars,
+    sums,
 )
 from crossfourier.groups import Cyclic, Dihedral, DirectProduct, FreeF2, Zd, ball, default_length
 from crossfourier.system import TwistedSystem, generator_action, theta_system, trivial_system, sl2z_system
-from families import rotation_system
+from families import make_system, rotation_system
 
 
 def projective_z2_system():
@@ -242,6 +246,72 @@ def test_random_cc_is_the_mapping_of_its_draws():
     for g, blocks in draws.items():
         assert [m.tobytes() for m in f.coeff(g).blocks] == [m.tobytes() for m in blocks]
     assert used.random() == rng.random()  # and no more draws
+
+
+def test_a_mapping_checks_every_key_before_pruning():
+    # a key that is no group element is rejected even when its value is zero
+    sys_ = theta_system(Zd(2), "1/5")
+    A = sys_.algebra
+    for coeffs in ({(1, 2, 3): A.unit()}, {(1, 2, 3): A.zero(), (0, 0): A.unit()}, {(0, 0): A.unit(), (1,): A.zero()}):
+        with pytest.raises(ValueError, match="integer 2-tuple"):
+            CcElement(sys_, coeffs)
+
+
+def _decode_counter(monkeypatch, coded) -> list:
+    """The number of codes of each coded.decode call from now on."""
+    calls, decode = [], coded.decode
+
+    def counting(codes):
+        calls.append(len(codes))
+        return decode(codes)
+
+    monkeypatch.setattr(coded, "decode", counting)
+    return calls
+
+
+@pytest.mark.parametrize("make", [lambda: theta_system(Zd(2), "1/5"), lambda: make_system("free-F2", (1, 1))],
+                         ids=["Z2-theta", "F2"])
+def test_arithmetic_and_compression_decode_no_point_but_new_pieces(make, monkeypatch):
+    # an element is its codes and blocks: once the system's tables know the
+    # pairs, products, stars, sums, differences and scalar multiples decode
+    # nothing; support() decodes once, and compressing decodes the point of
+    # each new plan piece only
+    system = make()
+    group = system.group
+    rng = np.random.default_rng(3)
+    pool = ball(2, default_length(group))
+    f1, f2, f3 = (random_cc(system, [pool[i] for i in rng.choice(len(pool), 4, replace=False)], rng)
+                  for _ in range(3))
+
+    def arithmetic():
+        p = f1 * f2
+        q, s, d = p.star(), p + f3, p - f3
+        out = [p, q, s, d, 1.5 * p, p * q, (s * d).star()]
+        out += products([p, q], [d, s]) + stars([p, s]) + sums([p, q], [s, d]) + differences([p, q], [s, d])
+        return out
+
+    warm = arithmetic()  # fills the coded products, cocycle and action tables
+    want = sorted({group.mul(g, h) for g in f1.support() for h in f2.support()}, key=group.sort_key)
+    calls = _decode_counter(monkeypatch, system.coded)
+    results = arithmetic()
+    assert calls == []
+    assert [f._codes.tobytes() for f in results] == [f._codes.tobytes() for f in warm]
+    p = results[0]
+    assert p.support() == want and calls == [len(p)]
+    assert p.support() == want and calls == [len(p)]
+
+    compression_matrix(p, 1)  # warms the cocycle and action tables of ball(1)
+    system._compression_plans.clear()
+    q = results[4]  # 1.5 * p: the same codes, no points yet
+    del calls[:]
+    sparse = compression_matrix(q, 1).sparse
+    assert calls == [len(q)]  # one point per new piece, in one call
+    compression_matrix(q, 1)
+    assert calls == [len(q)]
+    twin = CcElement(system, dict(q.items()))  # rows in support order, points from the mapping
+    twin_sparse = compression_matrix(twin, 1).sparse
+    assert [x.tobytes() for x in (sparse.indptr, sparse.indices, sparse.data)] == [
+        x.tobytes() for x in (twin_sparse.indptr, twin_sparse.indices, twin_sparse.data)]
 
 
 def test_fourier_uniqueness_at_cc_level():

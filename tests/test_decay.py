@@ -15,6 +15,7 @@ from crossfourier.groups import (
     ball,
     ball_size,
     block_length,
+    default_length,
     one_norm,
     one_norm_shell_floor,
     shell_series,
@@ -383,6 +384,23 @@ def test_tail_profile_of_product_vanishes_beyond_support():
     prof = tail_profile(f1 * f2)
     max_radius = max(m for m, v in prof if v > 0)
     assert max_radius <= 3  # supports add
+
+
+@pytest.mark.parametrize("group", [Zd(2), FreeF2()], ids=["Z2", "F2"])
+def test_tail_profile_is_the_per_shell_mapping_bit_for_bit(group):
+    # the shells come from f's codes and rows in support order, one pass for
+    # all of them; each norm is the one of the {g: f(g)} shell mapping
+    sys_ = trivial_system(BlockAlgebra([1, 2]), group)
+    rng = np.random.default_rng(8)
+    pool = ball(3, default_length(group))
+    f = random_cc(sys_, [pool[i] for i in rng.choice(len(pool), 9, replace=False)], rng)
+    f = f * f.star()  # an arithmetic result, rows in product order
+    L = default_length(group)
+    for tag, norm in (("l1", CcElement.norm_l1), ("linf", CcElement.norm_linf), ("module", CcElement.module_norm)):
+        top = math.ceil(max(map(L, f.support())))
+        want = [(m, norm(CcElement(sys_, {g: a for g, a in f.items() if math.ceil(L(g)) == m})))
+                for m in range(top + 1)]
+        assert [(m, float(v).hex()) for m, v in tail_profile(f, tag)] == [(m, float(v).hex()) for m, v in want]
 
 
 # -- commutative inequality ------------------------------------------------------------

@@ -123,6 +123,20 @@ def test_quotient_commutes_with_fourier_coefficients():
         assert (q.q(f.coeff(g)) - q.q_cc(f).coeff(g)).norm() < 1e-14
 
 
+def test_quotient_map_is_the_coefficientwise_mapping_bit_for_bit():
+    # q_cc takes f's codes and kept blocks, rows in support order, pruned as
+    # the {g: q(f(g))} mapping of the parent layout pruned them
+    A = BlockAlgebra([1, 2])
+    sys_ = theta_system(Zd(2), "1/5", algebra=A)
+    q = quotient_system(sys_, InvariantIdeal(A, frozenset([1])))
+    rng = np.random.default_rng(6)
+    f = random_cc(sys_, [(1, 0), (0, 0), (0, 2)], rng) * random_cc(sys_, [(0, 1), (-1, 1)], rng)
+    f = f + CcElement(sys_, {(5, 5): A.element([np.zeros((1, 1)), np.eye(2)])})  # 0 in the kept block
+    got, want = q.q_cc(f), CcElement(q.system, {g: q.q(a) for g, a in f.items()})
+    assert got._points == want._points and (5, 5) not in got._points
+    assert [b.tobytes() for b in got._blocks] == [b.tobytes() for b in want._blocks]
+
+
 def test_quotient_compatible_with_scalar_multipliers():
     A = BlockAlgebra([1, 1])
     sys_ = theta_system(Zd(1), 0.3, algebra=A)
