@@ -369,14 +369,6 @@ class AlgAutomorphism:
             out = base.compose(out)
         return out
 
-    def is_identity(self) -> bool:
-        """Acts as the identity to ALG_TOL, which for a block algebra is: fixes every block, scalar unitaries."""
-        return all(
-            p == k and np.linalg.norm(u - u[0, 0] * np.eye(u.shape[0]), 2) <= ALG_TOL
-            and abs(abs(u[0, 0]) - 1) <= ALG_TOL
-            for k, (p, u) in enumerate(zip(self.perm, self.unitaries))
-        )
-
 
 def stack_blocks(elements: Sequence[AlgElement]) -> list:
     """Nonempty elements as one (n, d_j, d_j) array per block j, element i in row i."""

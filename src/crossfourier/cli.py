@@ -6,9 +6,10 @@
 
 One experiment per invocation; compose runs with shell scripts so each
 report's provenance stays atomic.  Exit codes: 0 pass, 1 config error (any
-input the library rejects with a ValueError, a resource budget included),
-2 invariant violation.  Set CROSSFOURIER_THREADS to cap BLAS thread pools
-(read when the crossfourier package is imported).
+input the library rejects with a ValueError: a missing required key, or a
+size past the one resource budget of crossed.check_budget, which is checked
+before anything is built), 2 invariant violation.  Set CROSSFOURIER_THREADS
+to cap BLAS thread pools (read when the crossfourier package is imported).
 """
 
 from __future__ import annotations
@@ -133,21 +134,11 @@ def run_config(config: dict, seed_override: int | None = None) -> tuple[int, dic
     rng = np.random.default_rng(seed)
 
     # every run checks the system axioms first; violations outrank the experiment
-    if tag != "validate":
-        vreport = validate_system(system, n_samples=60, rng=np.random.default_rng(seed))
-        if not vreport.passed:
-            report = {
-                "config": config,
-                "seed": seed,
-                "experiment": tag,
-                "passed": False,
-                "results": {"system_validation": vreport.as_dict()},
-                "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            }
-            write_report(report, config.get("output", {}).get("json"))
-            return 2, report
-
-    results, csv_rows, passed = EXPERIMENTS[tag](system, exp, rng)
+    vreport = None if tag == "validate" else validate_system(system, n_samples=60, rng=np.random.default_rng(seed))
+    if vreport is not None and not vreport.passed:
+        results, csv_rows, passed = {"system_validation": vreport.as_dict()}, None, False
+    else:
+        results, csv_rows, passed = EXPERIMENTS[tag](system, exp, rng)
     report = {
         "config": config,
         "seed": seed,

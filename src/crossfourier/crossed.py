@@ -55,7 +55,8 @@ with its own witness, below the top singular value by at most the
 Kato-Temple term ||r||^2 / (rho - sigma_2^2), which is of order eps over the
 relative gap.  So a full-radius value on a finite group above 300 dimensions
 is the exact norm up to that term.  Past the step cap, or when the residual
-check fails, the dense SVD runs if the matrix fits in 1 GiB.
+check fails, the dense SVD runs if the matrix passes the one resource
+budget (check_budget, 1 GiB).
 """
 
 from __future__ import annotations
@@ -100,9 +101,17 @@ _LANCZOS_TOL = 1e-8
 # applications counting the second pass, and the dense fallback runs.
 _LANCZOS_STEPS = 20_000
 
-# Default radius schedules stop before a dense compression passes 1 GiB
-# (dimension 8192).  Explicit radii are not capped.
-_DEFAULT_DENSE_BYTES = 1 << 30
+# The one resource budget.  Before the library builds what a config sizes
+# (a ball, a compression, a Gram matrix, a pair table, a sample list), the
+# bytes of the largest such structure are counted in closed form (ball_size,
+# support sizes, Folner set sizes, sample counts) and passed to check_budget.
+_BUDGET_BYTES = 1 << 30
+
+
+def check_budget(nbytes: int, what: str):
+    """ValueError if nbytes passes _BUDGET_BYTES; what names the structure, led by the config key that sizes it."""
+    if nbytes > _BUDGET_BYTES:
+        raise ValueError(f"{what} would take {nbytes} bytes, past the budget of {_BUDGET_BYTES}")
 
 
 class CcElement:
@@ -674,8 +683,8 @@ def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool):
     recomputed from the matrix and the v that is returned (complex either
     way): a lower bound witnessed by v, within the Kato-Temple term of the
     top singular value.  When the step cap is reached or the residual check
-    fails, the dense SVD runs instead if the dense matrix fits in
-    _DEFAULT_DENSE_BYTES; otherwise ValueError.
+    fails, the dense SVD runs instead if the dense matrix passes
+    check_budget.
     """
     n = matrix.shape[0]
     if n > _DENSE_SVD_LIMIT:
@@ -690,11 +699,8 @@ def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool):
                 v = v.astype(complex) / np.linalg.norm(v)
                 value = float(np.linalg.norm(matrix @ v) / np.linalg.norm(v))
                 return value, (v if vectors else None)
-        if 16 * n * matrix.shape[1] > _DEFAULT_DENSE_BYTES:
-            raise ValueError(
-                f"Lanczos did not converge on the {n} x {matrix.shape[1]} compression, "
-                "which is too large for the dense SVD"
-            )
+        check_budget(16 * n * matrix.shape[1],
+                     f"the dense SVD of the {n} x {matrix.shape[1]} compression, where Lanczos did not converge,")
     out = np.linalg.svd(matrix.toarray(), compute_uv=vectors)
     if not vectors:
         return float(out[0]), None
@@ -820,15 +826,6 @@ def compression_matrix(f: CcElement, R: float, length: LengthFunction | None = N
     return CompressedRep(system, R, length, plan.index, plan.compress(f))
 
 
-def compression_bytes(f: CcElement, R: float) -> int:
-    """An upper bound on the bytes of the values compression_matrix(f, R) stores.
-
-    16 bytes per complex value, |ball(R)| |supp f| sum_j d_j^2 values, with
-    |ball(R)| counted by ball_size, so the default lengths build no ball.
-    """
-    return 16 * ball_size(R, default_length(f.system.group)) * len(f) * f.system.algebra.total_dim
-
-
 def full_radius(system: TwistedSystem) -> float:
     """Radius covering a whole finite group under its word length."""
     L = word_length(system.group)
@@ -840,9 +837,9 @@ def default_radii(system: TwistedSystem, infinite: Iterable[float], length: Leng
 
     Finite groups get the full radius, where the compression is exact.
     Infinite groups get the caller's radii in order, up to the first whose
-    dense compression ((|ball| * rep_dim)^2 complex entries) would pass
-    _DEFAULT_DENSE_BYTES.  Ball sizes are counted (ball_size), so the
-    default lengths enumerate no ball here.
+    dense compression ((|ball| * rep_dim)^2 complex entries) fails
+    check_budget; if the first one fails, so does the call.  Ball sizes are
+    counted (ball_size), so the default lengths enumerate no ball here.
     """
     if system.group.is_finite:
         return [full_radius(system)]
@@ -850,11 +847,14 @@ def default_radii(system: TwistedSystem, infinite: Iterable[float], length: Leng
         length = default_length(system.group)
     out = []
     for R in infinite:
-        if 16 * (ball_size(R, length) * system.algebra.rep_dim) ** 2 > _DEFAULT_DENSE_BYTES:
-            break
+        try:
+            check_budget(16 * (ball_size(R, length) * system.algebra.rep_dim) ** 2,
+                         f"the dense compression at radius {R}")
+        except ValueError:
+            if out:
+                break
+            raise
         out.append(R)
-    if not out:
-        raise ValueError("every default radius exceeds the dense compression cap; give radii explicitly")
     return out
 
 

@@ -12,13 +12,11 @@ import numpy as np
 
 from .algebra import pure_states
 from .config import (
-    BALL_POINT_BUDGET, ConfigError, build_element, build_length, build_rep, check_ball_budget, compression_to_wire,
-    element_to_wire,
+    ConfigError, build_element, build_length, build_rep, compression_to_wire, element_to_wire, require,
 )
 from .crossed import (
-    _DEFAULT_DENSE_BYTES,
     CcElement,
-    compression_bytes,
+    check_budget,
     compression_matrix,
     delta,
     differences,
@@ -39,7 +37,7 @@ from .decay import (
     tail_profile,
     twisted_inequality_experiment,
 )
-from .groups import ball, block_length, default_length, folner_sequence
+from .groups import ball, ball_size, block_length, default_length, folner_sequence
 from .ideals import (
     block_orbits,
     central_projection_split,
@@ -106,26 +104,35 @@ def run_arithmetic_suite(system, params, rng):
     return {"max_violations": worst, "n_triples": n}, None, passed
 
 
-def _check_compression_budget(f, radii):
-    """ConfigError if compressing f to the ball of one of the radii could pass
-    _DEFAULT_DENSE_BYTES; compression_bytes counts the balls, so none is built.
+# Peak bytes per entry of a dense compression put in a report (its wire lists,
+# their rounding and the indented JSON): 677-716 measured on Z, 0.04-0.36 M entries.
+_WIRE_ENTRY_BYTES = 700
 
-    The bound also covers the nets, which compress T f - f, supported in supp f.
+# Bytes per pair of xi x eta, whose products approx_data_net forms at about 2.5 us
+# each: a point tuple and its list slot, 74-86 measured on Z, Z^2 and Z^3.
+_PAIR_BYTES = 80
+
+
+def _check_radii(f, radii):
+    """check_budget on compressing f at each radius, the ball counted by ball_size, so none is built.
+
+    A compression stores at most |ball(R)| |supp f| sum_j d_j^2 complex values;
+    the nets compress T f - f, supported in supp f, so the count covers them.
     """
-    for R in radii:
-        nbytes = compression_bytes(f, float(R))
-        if nbytes > _DEFAULT_DENSE_BYTES:
-            raise ConfigError(
-                f"the compression at radius {R} could store {nbytes} bytes, "
-                f"past the budget of {_DEFAULT_DENSE_BYTES}; choose smaller radii"
-            )
+    length = default_length(f.system.group)
+    for R in radii or []:
+        check_budget(16 * ball_size(float(R), length) * len(f) * f.system.algebra.total_dim,
+                     f"radii: the compression at radius {R}")
 
 
 def run_norms(system, params, rng):
     f = build_element(system, params.get("element"), rng)
     radii = params.get("radii")
     dump_radius = params.get("dump_compression")
-    _check_compression_budget(f, list(radii or []) + ([] if dump_radius is None else [dump_radius]))
+    _check_radii(f, radii)
+    if dump_radius is not None:
+        dim = ball_size(float(dump_radius), default_length(system.group)) * system.algebra.rep_dim
+        check_budget(_WIRE_ENTRY_BYTES * dim * dim, f"dump_compression: the {dim} x {dim} compression in the report")
     bounds = opnorm_bounds(f, radii)
     results = {
         "element": element_to_wire(f),
@@ -137,7 +144,7 @@ def run_norms(system, params, rng):
     weight_spec = params.get("weight")
     if weight_spec:
         length = build_length(weight_spec.get("length", "default"), system.group)
-        w = make_weight(weight_spec["tag"], weight_spec.get("param", 0.0), length)
+        w = make_weight(require(weight_spec, "tag", "the weight"), weight_spec.get("param", 0.0), length)
         try:
             results["weighted_l2"] = f.weighted_l2_norm(w)
             results["weighted_module"] = f.weighted_module_norm(w)
@@ -159,21 +166,16 @@ def run_norms(system, params, rng):
 def _net_report(system, net, params, rng):
     f = build_element(system, params.get("element"), rng)
     radii = params.get("radii", None)
-    _check_compression_budget(f, list(radii or []))
+    _check_radii(f, radii)
     pd_radius = float(params.get("pd_radius", 4))
     length = default_length(system.group)
     if any(T.scalar_kernel is not None for T in net.multipliers):
-        # pd_check builds a |S|^2 Gram matrix over the finite group or ball(pd_radius)
-        if system.group.is_finite:
-            S = system.group.elements()
-            if len(S) > BALL_POINT_BUDGET:
-                raise ConfigError(
-                    f"the pd set, all of {system.group.name}, has {len(S)} points, past the budget of "
-                    f"{BALL_POINT_BUDGET}; choose a smaller group"
-                )
-        else:
-            check_ball_budget(pd_radius, length, "pd_radius")
-            S = ball(pd_radius, length)
+        # pd_check builds a |S|^2 complex Gram matrix over the finite group or ball(pd_radius)
+        finite = system.group.is_finite
+        n = len(system.group.elements()) if finite else ball_size(pd_radius, length)
+        key = "system.group" if finite else "pd_radius"
+        check_budget(16 * n * n, f"{key}: the {n} x {n} Gram matrix of the pd check")
+        S = system.group.elements() if finite else ball(pd_radius, length)
     target = float(params.get("target_error", 1e-6))
     report = run_convergence(net, f, radii, target, rng)
     pd_results = []
@@ -222,7 +224,11 @@ def run_approx_net(system, params, rng):
     kind = params.get("data", "folner-indicator")
     if kind == "folner-indicator":
         indices = params.get("indices", [2, 4, 8])
-        data = folner_approx_data(rep, folner_sequence(system.group), indices)
+        folner = folner_sequence(system.group)
+        for i in indices:
+            n = len(system.group.elements()) if system.group.is_finite else int(i) ** system.group.d
+            check_budget(_PAIR_BYTES * n * n, f"indices: the {n} x {n} pair table of index {i}")
+        data = folner_approx_data(rep, folner, indices)
     elif kind == "delta":
         one = basis_vector(system.algebra, rep.rank, 0)
         e = system.group.identity()
@@ -239,7 +245,7 @@ def run_decay_probe(system, params, rng):
     budget = _count(params, "sample_budget", 30)
     wspec = params.get("weight", {"tag": "constant"})
     length = build_length(wspec.get("length", "default"), system.group) if wspec.get("tag") != "constant" else None
-    w = make_weight(wspec["tag"], wspec.get("param", 0.0), length)
+    w = make_weight(require(wspec, "tag", "the weight"), wspec.get("param", 0.0), length)
     try:
         probe = decay_constant_probe(
             system, w,
@@ -262,8 +268,11 @@ def run_decay_probe(system, params, rng):
 
 def run_content_probe(system, params, rng):
     budget = _count(params, "sample_budget", 40)
-    subset = [system.group.normal_form(w) for w in params["subset"]]
-    est = content_probe(system, subset, budget, rng)
+    subset = [system.group.normal_form(w) for w in require(params, "subset", "content-probe")]
+    try:
+        est = content_probe(system, subset, budget, rng)
+    except ValueError as exc:  # an empty subset, or one so long that its compression passes the budget
+        raise ConfigError(f"subset: {exc}") from None
     results = est.as_dict()
     passed = est.lower <= est.upper + 1e-9
     if est.upper_scalar is not None:
@@ -318,7 +327,7 @@ def run_ideals(system, params, rng):
     passed = True
     espec = params.get("e_invariance")
     if espec:
-        J = orbit_closure(system, espec["blocks"])
+        J = orbit_closure(system, require(espec, "blocks", "e_invariance"))
         gens = [delta(system, None, J.element_from(system.algebra.unit()))]
         report = e_invariance_probe(system, gens, _count(params, "sample_budget", 40), rng)
         results["e_invariance"] = report.as_dict()

@@ -503,15 +503,22 @@ class SystemReport:
         }
 
 
+# Peak bytes per sampled triple of default_triples (index row, tuple), 96 measured on Z^2 and F2.
+_TRIPLE_BYTES = 96
+
+
 def default_triples(system: TwistedSystem, rng=None, n_samples: int = 200) -> Iterable:
     """Exhaustive triples for finite |G| <= 64, made lazily; ball(3)^3 samples otherwise.
 
     The samples are drawn at the call, before validate_system draws its
     probes from the same rng.
     """
+    from .crossed import check_budget  # crossed imports this module
+
     group = system.group
     if group.is_finite and len(group.elements()) <= 64:
         return itertools.product(group.elements(), repeat=3)
+    check_budget(_TRIPLE_BYTES * n_samples, f"n_samples: {n_samples} sampled triples")
     pool = ball(3, default_length(group))
     if rng is None:
         rng = np.random.default_rng(0)

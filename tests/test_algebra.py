@@ -185,7 +185,7 @@ def test_automorphism_power():
     three = theta.compose(theta).compose(theta)
     assert (theta.power(3)(a) - three(a)).norm() < 1e-12
     assert (theta.power(-2)(theta.power(2)(a)) - a).norm() < 1e-12
-    assert theta.power(0).is_identity()
+    assert (theta.power(0)(a) - a).norm() == 0.0
 
 
 def test_point_map_endomorphism():

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -217,13 +218,59 @@ ONES_2 = [[1.0, 0.0], [1.0, 0.0]]  # the unit of C + C on the wire
     ({"tag": "validate"}, table_action_system([[0, 1], [1, 0]]), "the action 'table' must map group words"),
     ({"tag": "validate"}, dict(CYCLIC_2, cocycle={"kind": "table", "entries": [{"h": "1", "blocks": ONES_2}]}),
      "each cocycle table row needs 'g', 'h' and 'blocks'"),
+    # a missing required key names the key, not a KeyError traceback
+    ({"tag": "content-probe"}, None, "content-probe needs 'subset'"),
+    ({"tag": "norms", "element": {"points": [{"scalar": [1, 0]}]}, "radii": [1]}, None,
+     "each 'points' row needs 'g'"),
+    ({"tag": "decay-probe", "weight": {"param": 1}}, None, "the weight needs 'tag'"),
+    ({"tag": "norms", "element": {"points": [{"g": "0"}]}, "radii": [1], "weight": {"param": 1}}, None,
+     "the weight needs 'tag'"),
+    ({"tag": "ideals", "e_invariance": {"block": [0]}}, None, "e_invariance needs 'blocks'"),
+    ({"tag": "approx-net", "rep": {"rho": {"kind": "endomorphism-composed"}}}, None,
+     "the endomorphism-composed rho needs 'point_map'"),
+    ({"tag": "approx-net", "rep": {"v": {"kind": "alpha-tensor-unitary"}}}, None,
+     "the alpha-tensor-unitary v needs 'generator_unitaries'"),
 ], ids=["table-without-identity", "table-bad-permutation", "fejer-index-0", "theta-1-over-0", "bad-word",
-        "fejer-on-F2", "action-as-a-string", "table-action-as-a-list", "cocycle-row-without-g"])
+        "fejer-on-F2", "action-as-a-string", "table-action-as-a-list", "cocycle-row-without-g",
+        "content-probe-without-subset", "points-row-without-g", "decay-weight-without-tag", "norms-weight-without-tag",
+        "e-invariance-without-blocks", "rho-without-point-map", "v-without-generator-unitaries"])
 def test_rejected_input_exits_one_with_a_config_error(tmp_path, capsys, experiment, system, message):
     # every ValueError of the library leaves main as exit 1, never as a traceback
     assert run_cli(tmp_path, base_config(tmp_path, experiment, system=system)) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+Z1 = {"algebra": [1], "group": {"family": "Zd", "d": 1}}
+
+
+@pytest.mark.parametrize("experiment, system, key", [
+    ({"tag": "norms", "element": {"points": [{"g": "0"}, {"g": "1"}]}, "radii": [2], "dump_compression": 6000},
+     Z1, "dump_compression"),  # 144 M entries in the report; the sparse count fits
+    ({"tag": "norms", "element": {"random": {"radius": 20}}}, F2, "element.random.radius"),
+    ({"tag": "fejer", "indices": [2]}, Z10000, "system.group"),
+    ({"tag": "abel-poisson", "pd_radius": 400}, Z2_LATTICE, "pd_radius"),
+    ({"tag": "approx-net", "indices": [24], "radii": [2]}, Z3, "indices"),  # |F|^2 = 191 M pairs
+    ({"tag": "decay-probe", "radius": 20}, F2, "radius"),
+    ({"tag": "content-probe", "subset": ["a", " ".join("a" * 12)]}, F2, "subset"),
+    ({"tag": "validate", "n_samples": 200_000_000}, Z2_LATTICE, "n_samples"),  # 4.47 GiB of sample indices
+], ids=["norms-dump", "norms-sampling-ball", "fejer-finite-pd-set", "abel-poisson-pd-radius", "approx-net-indices",
+        "decay-probe-radius", "content-probe-subset", "validate-n-samples"])
+def test_a_config_past_the_budget_exits_one_naming_its_key(tmp_path, experiment, system, key):
+    # a fresh process with 3 GiB of address space: the run must refuse the
+    # config before it builds what the config sizes, not exhaust the memory
+    # or run into the timeout, which is far above the second a refusal takes
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config(tmp_path, experiment, system=system)))
+    proc = subprocess.run([sys.executable, "-m", "crossfourier.cli", "run", str(path)], capture_output=True,
+                          text=True, env=subprocess_env(), timeout=120, preexec_fn=_cap_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error:") and key in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr and "past the budget" in proc.stderr
 
 
 @pytest.mark.parametrize("count", [0, -3])

@@ -825,7 +825,7 @@ def test_lanczos_non_convergence_past_the_dense_budget_names_the_shape(monkeypat
     import crossfourier.crossed as crossed
 
     monkeypatch.setattr(crossed, "_LANCZOS_STEPS", 1)
-    n = math.isqrt(crossed._DEFAULT_DENSE_BYTES // 16) + 1  # the first dimension past the budget
+    n = math.isqrt(crossed._BUDGET_BYTES // 16) + 1  # the first dimension past the budget
     # distinct diagonal entries, so that one step does not span an invariant subspace
     matrix = scipy.sparse.diags(np.arange(1.0, n + 1), format="csr", dtype=complex)
     with pytest.raises(ValueError, match=f"{n} x {n}"):
