@@ -43,7 +43,7 @@ its entries; the inverse actions come from the system's action table
 (TwistedSystem.act_rows).  Every element compressed at one radius
 reuses what the ones before it built.  The result is a CSR matrix
 (CompressedRep.sparse; .matrix is the dense array, built on demand).
-Singular values densify only up to the dense SVD cutoff (300).  Above it a
+Singular values densify only up to the dense SVD cutoff (200).  Above it a
 plain Lanczos loop runs on x -> M^H (M x) (the CSR and its adjoint, in real
 arithmetic on a real compression) from the fixed start ones / sqrt(n).  It
 never restarts and stores no Krylov basis: a first pass keeps only the
@@ -53,7 +53,7 @@ the Ritz vector v.  v is accepted only if its explicit residual is at most
 1e-8 rho ||v||, and the value returned is ||M v|| / ||v||: a lower bound
 with its own witness, below the top singular value by at most the
 Kato-Temple term ||r||^2 / (rho - sigma_2^2), which is of order eps over the
-relative gap.  So a full-radius value on a finite group above 300 dimensions
+relative gap.  So a full-radius value on a finite group above 200 dimensions
 is the exact norm up to that term.  Past the step cap, or when the residual
 check fails, the dense SVD runs if the matrix passes the one resource
 budget (check_budget, 1 GiB).
@@ -83,10 +83,11 @@ from .system import TwistedSystem
 SUPPORT_TOL = 1e-14
 
 # Dense SVD up to this dimension, Lanczos (deterministic fixed start) above.
-# Past about 300 Lanczos on the sparse compressions is the faster of the two;
-# every compression of the benchmark's experiment configs (161 at most) stays
+# From 200 dimensions up Lanczos on the sparse compressions measured 2-10x
+# faster than the dense SVD on every system of the benchmark's norms
+# workload; every compression of its experiment configs (161 at most) stays
 # dense.
-_DENSE_SVD_LIMIT = 300
+_DENSE_SVD_LIMIT = 200
 
 # Lanczos stops once the estimated residual |beta_j s_j| of its top Ritz pair
 # is at most this times the Ritz value, and its Ritz vector v is accepted once
@@ -141,8 +142,9 @@ class CcElement:
         codes, blocks, _, points = _pruned(codes, blocks, [len(points)], points)
         self._store(system, codes, blocks, points)
 
-    def _store(self, system, codes: np.ndarray, blocks: list, points: list | None = None):
-        """Set the state: read-only codes and blocks, one row per code, and the decoded codes if known."""
+    def _store(self, system, codes: np.ndarray, blocks: list, points: list | Callable | None = None):
+        """Set the state: read-only codes and blocks, one row per code, and the decoded codes if known
+        (or a function that gives them: a batch's results share one decode, _packed_many)."""
         self.system = system
         self._codes = codes                 # the int64 code of each support point in system.coded
         self._blocks = blocks               # one read-only (n, d_j, d_j) array per block
@@ -159,6 +161,8 @@ class CcElement:
         """The support points in insertion order, decoded from the codes on first use."""
         if self._point_list is None:
             self._point_list = self.system.coded.decode(self._codes)
+        elif callable(self._point_list):
+            self._point_list = self._point_list()
         return self._point_list
 
     @property
@@ -336,17 +340,19 @@ def _packed_many(system: TwistedSystem, codes: np.ndarray, blocks: list, counts:
 
     Rows are pruned in one pass over all of them; the elements' codes and
     blocks are read-only views of the shared arrays.  points, the decoded
-    codes of a single element, seed its cache.
+    codes of a single element, seed its cache.  Several elements share one
+    decode: the first to read its points decodes all the codes in one call.
     """
     codes, blocks, counts, points = _pruned(codes, blocks, counts, points)
     if len(counts) == 1:
         f = CcElement.__new__(CcElement)
         f._store(system, codes, blocks, points)
         return [f]
+    decoded = functools.cache(lambda: system.coded.decode(codes))
     out, lo = [], 0
     for hi in itertools.accumulate(counts):
         f = CcElement.__new__(CcElement)
-        f._store(system, codes[lo:hi], [b[lo:hi] for b in blocks])
+        f._store(system, codes[lo:hi], [b[lo:hi] for b in blocks], lambda lo=lo, hi=hi: decoded()[lo:hi])
         out.append(f)
         lo = hi
     return out
@@ -743,7 +749,7 @@ class CompressedRep:
 class CompressionPlan:
     """What compressing to ball(R) of one system under one length shares between elements.
 
-    The plan owns the ball and its points' codes.  For each support point g
+    The plan owns the ball, which holds its points' codes.  For each support point g
     it keeps, built when it first meets g's code (the one time g is decoded),
     the rows of the entries g contributes (the positions of g h,
     Ball.translate), their columns h and the rows of cocycle(g, h) in the
@@ -756,11 +762,11 @@ class CompressionPlan:
     """
 
     def __init__(self, system: TwistedSystem, R: float, length: LengthFunction):
-        self.ball = ball(R, length)
+        self.ball = ball(R, length).over(system.group)  # a length may be over an equal group object
         if not self.ball:
             raise ValueError("empty ball")
         self.index = tuple(self.ball)
-        self._codes = system.coded.encode(self.ball)
+        self._codes = self.ball.codes
         self._pieces: dict = {}  # code of g -> (rows, columns, cocycle rows)
 
     def compress(self, f: CcElement) -> scipy.sparse.csr_matrix:
@@ -778,7 +784,7 @@ class CompressionPlan:
         new = [code for code in codes if code not in self._pieces]
         if new:  # the points of new pieces, decoded in one call
             for code, g in zip(new, system.coded.decode(np.array(new, dtype=np.int64))):
-                targets = self.ball.translate(g)
+                targets = self.ball.translate(g, code)
                 cols = np.flatnonzero(targets >= 0)
                 rows = targets[cols]
                 self._pieces[code] = (rows, cols, system.cocycle_rows(np.full(len(cols), code, dtype=np.int64),

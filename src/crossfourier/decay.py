@@ -17,6 +17,7 @@ algebra of the action, omega a point evaluation) and reports the residual.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -229,17 +230,17 @@ def decay_constant_probe(
 
     Maximizes opnorm_lower(f, 2R) / ||f||_{module, kappa} over sampled f
     supported in ball(R).  Every reported ratio is a true lower bound since
-    the numerator is a compression norm.
+    the numerator is a compression norm.  Each sample is drawn when it is
+    evaluated, and evaluation draws nothing, so only the best sample and the
+    rows of the ten best ratios are kept.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     length = default_length(system.group)
     R_prime = default_radii(system, [2 * R], length)[0]  # counts ball(2R) before ball(R) is built
     pool = ball(R, length)
-    samples = [delta(system)]
-    for _ in range(sample_budget):
-        samples.append(random_cc_in(system, pool, 4, rng))
-    best, best_f, best_lower, rows = 0.0, samples[0], None, []
+    best, best_f, best_lower, rows = 0.0, delta(system), None, []
+    samples = itertools.chain([best_f], (random_cc_in(system, pool, 4, rng) for _ in range(sample_budget)))
     for f in samples:
         denom = f.weighted_module_norm(weight)
         if denom < 1e-14:
@@ -247,6 +248,9 @@ def decay_constant_probe(
         lower = opnorm_bounds(f, [R_prime], length).lower
         ratio = lower / denom
         rows.append((ratio, [system.group.word(g) for g in f.support()]))
+        if len(rows) > 100:  # the ten best so far; the stable sort keeps ties in sample order
+            rows.sort(key=lambda t: -t[0])
+            del rows[10:]
         if ratio > best:
             best, best_f, best_lower = ratio, f, lower
     if best_lower is None:  # no ratio passed 0 (every denominator may be below 1e-14): the first sample stays
@@ -310,8 +314,8 @@ def content_probe(
     if warm_start is not None:
         candidates.append(CcElement(system, {g: warm_start.coeff(g) for g in E if warm_start.coeff(g).norm() > 0}))
     n_random = max(sample_budget // 2, 1)
-    for _ in range(n_random):
-        candidates.append(random_cc(system, E, rng))
+    # each random candidate is drawn when it is scored; scoring draws nothing
+    candidates = itertools.chain(candidates, (random_cc(system, E, rng) for _ in range(n_random)))
     best, best_f = max(((objective(f), f) for f in candidates), key=lambda scored: scored[0])
     # local ascent: shrinking random perturbations, keep improvements
     scale = 0.5

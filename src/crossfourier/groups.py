@@ -19,6 +19,7 @@ in Z^d are numbered as they appear and multiplied through group.mul.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -719,13 +720,16 @@ class ZdCodes(CodedGroup):
         # a digit g_i + 2^(b-1) + R, for g_i in [-2R, 2R), has top bits 10 iff g_i is in [-R, R)
         self._lift, self._top = self.range * digits, (3 << (bits - 2)) * digits
 
-    def encode(self, points: list) -> np.ndarray:
+    def encode(self, points) -> np.ndarray:
+        """The codes of a list of d-tuples, or of the rows of an (n, d) int64 array."""
         try:
-            coords = np.array(points, dtype=np.int64).reshape(-1, self.d)
+            coords = np.asarray(points, dtype=np.int64).reshape(-1, self.d)
         except OverflowError:  # a coordinate past int64
             coords = None
         if coords is not None and ((coords + self.range).view(np.uint64) < 2 * self.range).all():
             return (coords + self._half) @ (1 << self._shifts)
+        if isinstance(points, np.ndarray):
+            points = list(map(tuple, points.tolist()))
         weights, R = (1 << self._shifts).tolist(), self.range
 
         def code(p):
@@ -854,32 +858,51 @@ def default_length(group: Group) -> LengthFunction:
 class Ball(list):
     """The points of a ball in ball order, numbered by their positions.
 
-    translate(g) is the int64 array whose entry i is the position of
-    g * self[i], or -1 where that product lies outside the ball.  A call is
-    O(|ball|) array work (per letter of g on the free families):
+    codes are the points' codes in the group's coded view (coded_group),
+    encoded once, on first use; a ball of Z^d also keeps its points as an
+    (n, d) int64 coordinate array, from which ZdCodes encodes them.
+    translate(g, code), for g and its code in that view, is the int64 array
+    whose entry i is the position of g * self[i], or -1 where that product
+    lies outside the ball.  A call is O(|ball|) array work (per letter of g
+    on the free families):
       F2 and Z2 * Z3: one left-multiplication table per letter, applied right
         to left along the normal form of g (a product along a reduced word
         never comes back into the ball once it has left it);
-      other groups: the codes of the products g h in the group's coded view
-        (coded_group, whose tables the systems over the group share),
+      other groups: the products of the code of g with the points' codes in
+        the coded view (whose tables the systems over the group share),
         looked up among the points' codes.
     What translate needs is built on its first call.
     """
 
-    def __init__(self, group: Group, points: list, first: list | None = None, tail: list | None = None):
+    def __init__(self, group: Group, points: list, first: list | None = None, tail: list | None = None,
+                 coordinates: np.ndarray | None = None):
         super().__init__(points)
         self.group = group
         # free families: point i is letter number first[i] times point tail[i]
         self._first, self._tail = first, tail
+        self._coordinates = coordinates
         self._translate = None
 
-    def translate(self, g: Elt) -> np.ndarray:
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        coded = coded_group(self.group)
+        if isinstance(coded, ZdCodes) and self._coordinates is not None:
+            return coded.encode(self._coordinates)
+        return coded.encode(list(self))
+
+    def over(self, group: Group) -> "Ball":
+        """This ball over group, an equal group object, so that its codes are group's."""
+        if group is self.group:
+            return self
+        return Ball(group, self, self._first, self._tail, self._coordinates)
+
+    def translate(self, g: Elt, code: int) -> np.ndarray:
         if self._translate is None:
             if self._first is not None:
                 self._translate = _free_translate(self.group, self._first, self._tail)
             else:
-                self._translate = _coded_translate(self.group, self)
-        return self._translate(g)
+                self._translate = _coded_translate(self)
+        return self._translate(g, code)
 
 
 def ball(R: float, length: LengthFunction) -> Ball:
@@ -891,18 +914,16 @@ def ball(R: float, length: LengthFunction) -> Ball:
     if R < 0:
         raise ValueError("ball radius must be nonnegative")
     group = length.group
-    # (L(g), g) for every candidate g, each length computed once
-    if group.is_finite:
-        candidates = ((length(g), g) for g in group.elements())
-    elif isinstance(group, Zd):
-        candidates = _zd_ball_points(group, R, length)
-    elif (isinstance(group, FreeF2) and length.tag == "word") or (
+    if isinstance(group, Zd) and length.tag in _ZD_COSTS:
+        return _zd_ball(group, R, length.tag)
+    if (isinstance(group, FreeF2) and length.tag == "word") or (
         isinstance(group, FreeProductZ2Z3) and length.tag == "block"
     ):
         return _free_ball(group, math.floor(R))
-    else:
+    if not group.is_finite:
         raise ValueError(f"no ball enumeration for {group.name} with {length.tag}")
-    keyed = [((L, group.sort_key(g)), g) for L, g in candidates if L <= R]
+    # (L(g), g) for every element, each length computed once
+    keyed = [((L, group.sort_key(g)), g) for g in group.elements() if (L := length(g)) <= R]
     keyed.sort(key=operator.itemgetter(0))
     return Ball(group, [g for _, g in keyed])
 
@@ -962,7 +983,7 @@ def _free_translate(group: Group, first: list, tail: list) -> Callable:
         z = put[first]
         tables[x, :n] = np.where(z < 0, base, prepend[z, base])
 
-    def translate(g):
+    def translate(g, code):
         out = rows
         for letter in reversed(g):
             out = tables[number[letter]][out]
@@ -971,23 +992,22 @@ def _free_translate(group: Group, first: list, tail: list) -> Callable:
     return translate
 
 
-def _coded_translate(group: Group, points: list) -> Callable:
+def _coded_translate(points: Ball) -> Callable:
     """Left translation through the coded group: the codes of g h, found among the sorted codes of the points.
 
     An element has one code, so equal codes are equal points.  On Z^d, with
     r the ball's largest coordinate, a g past 2r in some coordinate moves
     no point into the ball and is answered without products.
     """
-    coded, n = coded_group(group), len(points)
-    codes = coded.encode(points)
+    coded, n, codes = coded_group(points.group), len(points), points.codes
     order = np.argsort(codes)
     ordered = codes[order]
-    r = int(np.abs(np.array(points)).max()) if isinstance(group, Zd) else math.inf
+    r = math.inf if points._coordinates is None else int(np.abs(points._coordinates).max())
 
-    def translate(g):
+    def translate(g, code):
         if r < math.inf and max(map(abs, g)) > 2 * r:
             return np.full(n, -1, dtype=np.int64)
-        c = coded.mul(np.repeat(coded.encode([g]), n), codes)
+        c = coded.mul(np.full(n, code, dtype=np.int64), codes)
         at = np.minimum(np.searchsorted(ordered, c), n - 1)
         return np.where(ordered[at] == c, order[at], -1)
 
@@ -1096,27 +1116,49 @@ def shell_series(term: Callable[[int], float], start: int, tol: float) -> tuple[
             raise ValueError("shell series did not converge")
 
 
-def _zd_ball_points(group: Zd, R: float, length: LengthFunction):
-    """(L(g), g) over the integer points within an integer budget that covers ball(R).
+# The Z^d lengths that ball() enumerates on a coordinate array: the cost of
+# one coordinate, whose sum over a point is the length (or, for the
+# two-norm, its square)
+_ZD_COSTS = {"one-norm": np.abs, "word": np.abs, "two-norm": np.square, "squared-two-norm": np.square}
 
-    Coordinates are chosen one at a time against what is left of the budget:
-    floor(R) of the one-norm for the one-norm and word lengths, and for the
-    two-norm lengths a budget on the sum of squares (floor(R^2), or floor(R)
-    for the squared two-norm) with one unit of slack for rounding.
+
+def _zd_ball(group: Zd, R: float, tag: str) -> Ball:
+    """ball(R) of Z^d under a _ZD_COSTS length, built on an int64 coordinate array.
+
+    The integer points within an integer budget that covers ball(R) are
+    enumerated in lexicographic order, one coordinate at a time against what
+    is left of the budget: floor(R) of the one-norm for the one-norm and word
+    lengths, and for the two-norm lengths a budget on the sum of squares
+    (floor(R^2), or floor(R) for the squared two-norm) with one unit of slack
+    for rounding.  Their lengths are computed on the array as the length
+    functions compute them (the integer sum, then a float, then the square
+    root), those past R are dropped, and a stable sort by length gives the
+    (length, lexicographic) order.
     """
-    if length.tag in ("one-norm", "word"):
-        budget, cost, reach = int(math.floor(R)), abs, int
+    cost = _ZD_COSTS[tag]
+    if cost is np.abs:
+        budget = int(math.floor(R))
     else:
-        budget = int(math.floor(R if length.tag == "squared-two-norm" else R * R)) + 1
-        cost, reach = (lambda a: a * a), math.isqrt
-
-    def points(d, left):
-        r = reach(left)
-        if d == 1:
-            return [(a,) for a in range(-r, r + 1)]
-        return [(a,) + rest for a in range(-r, r + 1) for rest in points(d - 1, left - cost(a))]
-
-    return ((length(g), g) for g in points(group.d, budget))
+        budget = int(math.floor(R if tag == "squared-two-norm" else R * R)) + 1
+    coords, left = np.zeros((1, 0), dtype=np.int64), np.array([budget], dtype=np.int64)
+    for _ in range(group.d):
+        if cost is np.abs:
+            reach = left
+        else:  # the integer square root, its float estimate corrected by one either way
+            reach = np.sqrt(left).astype(np.int64)
+            reach -= reach * reach > left
+            reach += (reach + 1) * (reach + 1) <= left
+        counts = 2 * reach + 1
+        prefix = np.repeat(np.arange(len(left)), counts)
+        a = np.arange(len(prefix)) - np.repeat(np.cumsum(counts) - counts, counts) - reach[prefix]
+        coords = np.column_stack((coords[prefix], a))
+        left = left[prefix] - cost(a)
+    lengths = cost(coords).sum(axis=1).astype(float)
+    if tag == "two-norm":
+        lengths = np.sqrt(lengths)
+    inside = np.flatnonzero(lengths <= R)
+    coords = coords[inside[np.argsort(lengths[inside], kind="stable")]]
+    return Ball(group, list(zip(*coords.T.tolist())), coordinates=coords)
 
 
 # -- Folner sequences ---------------------------------------------------------

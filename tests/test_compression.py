@@ -13,6 +13,7 @@ length, so a sequence of elements through one system is checked too.
 """
 
 import cmath
+import copy
 import gc
 import weakref
 
@@ -111,6 +112,11 @@ def test_coded_compression_is_the_loop_on_every_family(family, dims):
     length = default_length(system.group)
     for R in range(5):
         assert_cold_and_warm(f, R, length)
+    # a length over an equal group object, whose coded view numbers points in another order
+    twin = copy.copy(system.group)
+    twin.__dict__.pop("_coded", None)
+    system._compression_plans.clear()
+    assert_cold_and_warm(f, 3, default_length(twin))
 
 
 @pytest.mark.parametrize("family, R", [("free-F2", 6), ("free-product-Z2-Z3", 9)])

@@ -314,6 +314,38 @@ def test_arithmetic_and_compression_decode_no_point_but_new_pieces(make, monkeyp
         x.tobytes() for x in (twin_sparse.indptr, twin_sparse.indices, twin_sparse.data)]
 
 
+def test_the_results_of_one_batch_share_one_decode(monkeypatch):
+    # reading the points of every result of a batch decodes the batch's codes once
+    system = theta_system(Zd(2), "1/5")
+    rng = np.random.default_rng(4)
+    pool = ball(2, default_length(system.group))
+    fs = [random_cc(system, [pool[i] for i in rng.choice(len(pool), 3, replace=False)], rng) for _ in range(6)]
+    alone = [fs[c] * fs[3 + c] for c in range(3)] + [f.star() for f in fs] + [fs[c] + fs[3 + c] for c in range(3)]
+    want = [f.support() for f in alone]
+    batch = products(fs[:3], fs[3:]) + stars(fs) + sums(fs[:3], fs[3:])
+    calls = _decode_counter(monkeypatch, system.coded)
+    assert [f.support() for f in batch] == want
+    assert calls == [sum(map(len, batch[:3])), sum(map(len, batch[3:9])), sum(map(len, batch[9:]))]
+    assert [f.support() for f in batch] == want and len(calls) == 3
+
+
+def test_a_fresh_plan_encodes_its_ball_once_and_no_support_point(monkeypatch):
+    # Ball.translate takes the code of g, so compressing encodes no point of f
+    system = theta_system(Zd(2), "1/5")
+    rng = np.random.default_rng(6)
+    pool = ball(2, default_length(system.group))
+    f = random_cc(system, pool, rng) * random_cc(system, pool[:5], rng)
+    calls, encode = [], system.coded.encode
+
+    def counting(points):
+        calls.append(len(points))
+        return encode(points)
+
+    monkeypatch.setattr(system.coded, "encode", counting)
+    comp = compression_matrix(f, 4)
+    assert calls == [len(comp.index)]
+
+
 def test_fourier_uniqueness_at_cc_level():
     sys_ = theta_system(Zd(2), "1/5")
     rng = np.random.default_rng(9)
@@ -598,14 +630,14 @@ def test_projective_system_validates_and_star_matches_adjoint():
 
 def test_largest_singular_value_dense_and_sparse_paths_agree():
     # the path graph pins the answer in closed form on both sides of the
-    # dense/Lanczos cutoff (300), and twice as far out
+    # dense/Lanczos cutoff (200), and three times as far out
     import crossfourier.crossed as crossed
 
-    assert 2 * 149 + 1 <= crossed._DENSE_SVD_LIMIT < 2 * 150 + 1
+    assert 2 * 99 + 1 <= crossed._DENSE_SVD_LIMIT < 2 * 100 + 1
     sys_ = trivial_system(BlockAlgebra([1]), Zd(1))
     A = sys_.algebra
     f = CcElement(sys_, {(1,): A.unit(), (-1,): A.unit()})
-    for R in (149, 150, 299, 301):  # 299, 301, 599 and 603 dimensions
+    for R in (99, 100, 299, 301):  # 199, 201, 599 and 603 dimensions
         comp = compression_matrix(f, R)
         want = 2 * np.cos(np.pi / (2 * R + 2))
         assert comp.largest_singular_value() == pytest.approx(want, abs=1e-8)

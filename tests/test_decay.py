@@ -282,6 +282,53 @@ def test_decay_probe_compresses_its_witness_when_no_sample_is_kept(monkeypatch):
     assert probe.witness_lower == pytest.approx(1.0, abs=1e-12)
 
 
+def test_decay_probe_keeps_the_ten_best_rows_of_a_long_run():
+    # past 100 rows the probe keeps only the ten best; the report is the full
+    # sort's, ties in sample order, from the same draws
+    from crossfourier.crossed import random_cc_in
+
+    sys_ = theta_system(Zd(1), "1/5")
+    k = make_weight("power", 1.0, one_norm(Zd(1)))
+    probe = decay_constant_probe(sys_, k, R=2, sample_budget=250, rng=np.random.default_rng(2))
+    rng, pool = np.random.default_rng(2), ball(2, one_norm(Zd(1)))
+    rows = []
+    for f in [delta(sys_)] + [random_cc_in(sys_, pool, 4, rng) for _ in range(250)]:
+        ratio = opnorm_bounds(f, [4], one_norm(Zd(1))).lower / f.weighted_module_norm(k)
+        rows.append((ratio, [sys_.group.word(g) for g in f.support()]))
+    rows.sort(key=lambda t: -t[0])
+    assert probe.samples == tuple(rows[:10])
+    assert probe.constant_lower == rows[0][0]
+
+
+@pytest.mark.parametrize("probe", ["decay", "content"])
+def test_probe_memory_does_not_grow_with_the_sample_budget(probe):
+    # each sample is drawn when it is evaluated, so the traced peak at 400
+    # samples stays near the peak at 40 (it grew about tenfold when every
+    # sample was drawn first)
+    import tracemalloc
+
+    sys_ = trivial_system(BlockAlgebra([2]), Zd(1))
+    k = make_weight("power", 1.0, one_norm(Zd(1)))
+
+    def run(budget):
+        rng = np.random.default_rng(1)
+        if probe == "decay":
+            decay_constant_probe(sys_, k, R=1, sample_budget=budget, rng=rng)
+        else:
+            content_probe(sys_, [(0,), (1,)], sample_budget=budget, rng=rng)
+
+    run(400)  # the system's tables and the interpreter's free lists are warm from here on
+    peaks = []
+    for budget in (40, 400):
+        tracemalloc.start()
+        try:
+            run(budget)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 3 * peaks[0], peaks
+
+
 # -- content ----------------------------------------------------------------------------
 
 

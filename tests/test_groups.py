@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -161,15 +162,43 @@ def test_ball_brute_force_oracle_on_z2():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_zd_ball_is_the_box_scan_in_order(d):
-    # the (2 floor(R) + 1)^d box scan that the budgeted enumeration replaced,
-    # kept as the oracle: same points, same order, under all four lengths
+    # the (2 floor(R) + 1)^d box scan, the length called once per point and a
+    # sort by (length(g), g), kept as the oracle of the enumeration on
+    # coordinate arrays: same points, same order and the same coordinate
+    # array, under all four lengths (sqrt(2) and 5 sit on two-norm values)
     G = Zd(d)
     for length in (word_length(G), one_norm(G), two_norm(G), squared_two_norm(G)):
-        for R in (0, 0.5, 1, 2, 2.5, 3, 4.99, 6, 7.3):
+        for R in (0, 0.0, 0.5, 1, math.sqrt(2), 2, 2.5, 3, 4.99, 5, 6, 7.3, 9):
             b = math.isqrt(int(math.floor(R))) if length.tag == "squared-two-norm" else int(math.floor(R))
             box = itertools.product(range(-b, b + 1), repeat=d)
             expect = sorted((g for g in box if length(g) <= R), key=lambda g: (length(g), G.sort_key(g)))
-            assert ball(R, length) == expect, (length.tag, R)
+            got = ball(R, length)
+            assert got == expect, (length.tag, R)
+            assert got._coordinates.tolist() == [list(g) for g in expect]
+
+
+@pytest.mark.parametrize("length", [make(Zd(d)) for d in (1, 2, 3, 6) for make in (one_norm, two_norm)]
+                         + [word_length(FreeF2()), block_length(FreeProductZ2Z3())]
+                         + [word_length(G) for G in ALL_GROUPS if G.is_finite],
+                         ids=lambda L: f"{L.group.name}-{L.tag}")
+def test_ball_codes_are_the_encoded_points(length):
+    # a ball encodes its points once, in its group's coded view; over an
+    # equal group object it takes that object's codes
+    group = length.group
+    b = ball(3, length)
+    assert b.codes.tolist() == coded_group(group).encode(list(b)).tolist()
+    assert b.codes is b.codes
+    twin = copy.copy(group)  # an equal group object with a coded view of its own
+    del twin._coded
+    coded_group(twin).encode([b[-1]])  # the numbered views number points as they appear
+    moved = b.over(twin)
+    assert moved == b and moved.group is twin and b.over(group) is b
+    assert moved.codes.tolist() == coded_group(twin).encode(list(b)).tolist()
+
+
+def test_zd_ball_refuses_a_length_it_cannot_enumerate():
+    with pytest.raises(ValueError, match="no ball enumeration"):
+        ball(2, block_length(Zd(2)))
 
 
 def test_ball_monotone_and_deterministic():
