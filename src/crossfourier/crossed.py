@@ -43,7 +43,10 @@ its entries; the inverse actions come from the system's action table
 (TwistedSystem.act_rows).  Every element compressed at one radius
 reuses what the ones before it built.  The result is a CSR matrix
 (CompressedRep.sparse; .matrix is the dense array, built on demand).
-Singular values densify only up to the dense SVD cutoff (200).  Above it a
+Singular values densify up to the dense SVD cutoff (200), and at every size
+on a finite group, within the one resource budget (check_budget, 1 GiB):
+there the fixed Lanczos start can lie in an invariant subspace that misses
+the top singular vector.  Above the cutoff, on infinite groups, a
 plain Lanczos loop runs on x -> M^H (M x) (the CSR and its adjoint, in real
 arithmetic on a real compression) from the fixed start ones / sqrt(n).  It
 never restarts and stores no Krylov basis: a first pass keeps only the
@@ -51,12 +54,13 @@ tridiagonal coefficients until the top Ritz pair passes ARPACK's test at
 1e-8 (about sqrt(eps)), and a second pass replays the same recurrence to sum
 the Ritz vector v.  v is accepted only if its explicit residual is at most
 1e-8 rho ||v||, and the value returned is ||M v|| / ||v||: a lower bound
-with its own witness, below the top singular value by at most the
+with its own witness.  When the start has a component along the top
+singular vector, it is below the top singular value by at most the
 Kato-Temple term ||r||^2 / (rho - sigma_2^2), which is of order eps over the
-relative gap.  So a full-radius value on a finite group above 200 dimensions
-is the exact norm up to that term.  Past the step cap, or when the residual
-check fails, the dense SVD runs if the matrix passes the one resource
-budget (check_budget, 1 GiB).
+relative gap; a start orthogonal to it (a symmetry of f and the ball can
+make it so) gives a smaller singular value, still a witnessed lower bound.
+Past the step cap, or when the residual check fails, the dense SVD runs if
+the matrix passes the budget.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -144,7 +149,7 @@ class CcElement:
 
     def _store(self, system, codes: np.ndarray, blocks: list, points: list | Callable | None = None):
         """Set the state: read-only codes and blocks, one row per code, and the decoded codes if known
-        (or a function that gives them: a batch's results share one decode, _packed_many)."""
+        (or a function that sets them: a batch's results share one decode, _packed_many)."""
         self.system = system
         self._codes = codes                 # the int64 code of each support point in system.coded
         self._blocks = blocks               # one read-only (n, d_j, d_j) array per block
@@ -162,7 +167,7 @@ class CcElement:
         if self._point_list is None:
             self._point_list = self.system.coded.decode(self._codes)
         elif callable(self._point_list):
-            self._point_list = self._point_list()
+            self._point_list()
         return self._point_list
 
     @property
@@ -341,20 +346,29 @@ def _packed_many(system: TwistedSystem, codes: np.ndarray, blocks: list, counts:
     Rows are pruned in one pass over all of them; the elements' codes and
     blocks are read-only views of the shared arrays.  points, the decoded
     codes of a single element, seed its cache.  Several elements share one
-    decode: the first to read its points decodes all the codes in one call.
+    decode: the first to read its points decodes all the codes in one call
+    and hands each element still alive its own slice, so no element keeps
+    the others' points.
     """
     codes, blocks, counts, points = _pruned(codes, blocks, counts, points)
     if len(counts) == 1:
         f = CcElement.__new__(CcElement)
         f._store(system, codes, blocks, points)
         return [f]
-    decoded = functools.cache(lambda: system.coded.decode(codes))
-    out, lo = [], 0
-    for hi in itertools.accumulate(counts):
+    bounds = list(itertools.pairwise(itertools.accumulate(counts, initial=0)))
+
+    def decode():
+        decoded = system.coded.decode(codes)
+        for ref, (lo, hi) in zip(refs, bounds):
+            if (f := ref()) is not None:
+                f._point_list = decoded[lo:hi]
+
+    out = []
+    for lo, hi in bounds:
         f = CcElement.__new__(CcElement)
-        f._store(system, codes[lo:hi], [b[lo:hi] for b in blocks], lambda lo=lo, hi=hi: decoded()[lo:hi])
+        f._store(system, codes[lo:hi], [b[lo:hi] for b in blocks], decode)
         out.append(f)
-        lo = hi
+    refs = [weakref.ref(f) for f in out]
     return out
 
 
@@ -675,10 +689,11 @@ def _lanczos_top(operand: scipy.sparse.csr_matrix, adjoint: scipy.sparse.csr_mat
     return v
 
 
-def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool):
+def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool, dense: bool = False):
     """(largest singular value, its right singular vector or None).
 
-    Dense SVD of matrix.toarray() up to _DENSE_SVD_LIMIT.  Above it, the
+    Dense SVD of matrix.toarray() up to _DENSE_SVD_LIMIT, and at any size
+    when dense is set if the dense matrix passes check_budget.  Above it, the
     two-pass Lanczos of _lanczos_top on the implicit Gram operator
     x -> M^H (M x), with the CSR adjoint built once, from the fixed start
     ones / sqrt(n); in real arithmetic on matrix.real when every stored entry
@@ -688,12 +703,14 @@ def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool):
     rho = ||M v||^2 / ||v||^2.  The value returned is then ||M v|| / ||v||,
     recomputed from the matrix and the v that is returned (complex either
     way): a lower bound witnessed by v, within the Kato-Temple term of the
-    top singular value.  When the step cap is reached or the residual check
-    fails, the dense SVD runs instead if the dense matrix passes
-    check_budget.
+    top singular value unless the start is orthogonal to its vector.  When
+    the step cap is reached or the residual check fails, the dense SVD runs
+    instead if the dense matrix passes check_budget.
     """
     n = matrix.shape[0]
-    if n > _DENSE_SVD_LIMIT:
+    if n > _DENSE_SVD_LIMIT and dense:
+        check_budget(16 * n * matrix.shape[1], f"the dense SVD of the {n} x {matrix.shape[1]} compression")
+    elif n > _DENSE_SVD_LIMIT:
         matrix = matrix.tocsr()  # the Lanczos products read CSR arrays
         operand = matrix if np.any(matrix.data.imag) else matrix.real
         adjoint = operand.conj().T.tocsr()
@@ -714,11 +731,11 @@ def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool):
     return float(s[0]), vh[0].conj().astype(complex, copy=False)
 
 
-def largest_singular_value(matrix: scipy.sparse.csr_matrix) -> float:
-    """Largest singular value; deterministic (fixed Lanczos start above the dense cutoff)."""
+def largest_singular_value(matrix: scipy.sparse.csr_matrix, dense: bool = False) -> float:
+    """Largest singular value; deterministic (fixed Lanczos start above the dense cutoff unless dense)."""
     if matrix.shape[0] == 0:
         return 0.0
-    return _top_singular(matrix, vectors=False)[0]
+    return _top_singular(matrix, vectors=False, dense=dense)[0]
 
 
 @dataclass(frozen=True)
@@ -726,6 +743,11 @@ class CompressedRep:
     """P_R Lambda(f) P_R realized as a complex matrix over ball(R) x rep(A).
 
     The matrix is stored sparse; `matrix` is its dense array, built on first use.
+    On a finite group its singular values come from the dense SVD at every
+    size: there Lanczos's fixed start ones / sqrt(n) can lie in an invariant
+    subspace of M^H M that misses the top singular vector (the constant
+    vectors are one when cocycle and action are trivial), and the Ritz value
+    it converges to passes the residual check.
     """
 
     system: TwistedSystem
@@ -739,11 +761,11 @@ class CompressedRep:
         return self.sparse.toarray()
 
     def largest_singular_value(self) -> float:
-        return largest_singular_value(self.sparse)
+        return largest_singular_value(self.sparse, dense=self.system.group.is_finite)
 
     def top_singular_vector(self) -> np.ndarray:
         """Right singular vector of the top singular value (for witness extraction)."""
-        return _top_singular(self.sparse, vectors=True)[1]
+        return _top_singular(self.sparse, vectors=True, dense=self.system.group.is_finite)[1]
 
 
 class CompressionPlan:

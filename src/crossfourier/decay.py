@@ -248,15 +248,13 @@ def decay_constant_probe(
         lower = opnorm_bounds(f, [R_prime], length).lower
         ratio = lower / denom
         rows.append((ratio, [system.group.word(g) for g in f.support()]))
-        if len(rows) > 100:  # the ten best so far; the stable sort keeps ties in sample order
-            rows.sort(key=lambda t: -t[0])
-            del rows[10:]
+        rows.sort(key=lambda t: -t[0])  # the ten best so far; the stable sort keeps ties in sample order
+        del rows[10:]
         if ratio > best:
             best, best_f, best_lower = ratio, f, lower
     if best_lower is None:  # no ratio passed 0 (every denominator may be below 1e-14): the first sample stays
         best_lower = opnorm_bounds(best_f, [R_prime], length).lower
-    rows.sort(key=lambda t: -t[0])
-    return DecayProbe(best, best_f, tuple(rows[:10]), best_lower)
+    return DecayProbe(best, best_f, tuple(rows), best_lower)
 
 
 # -- content probe ------------------------------------------------------------------------

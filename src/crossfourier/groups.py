@@ -914,7 +914,7 @@ def ball(R: float, length: LengthFunction) -> Ball:
     if R < 0:
         raise ValueError("ball radius must be nonnegative")
     group = length.group
-    if isinstance(group, Zd) and length.tag in _ZD_COSTS:
+    if isinstance(group, Zd) and length.tag in _ZD_TAGS:
         return _zd_ball(group, R, length.tag)
     if (isinstance(group, FreeF2) and length.tag == "word") or (
         isinstance(group, FreeProductZ2Z3) and length.tag == "block"
@@ -1116,14 +1116,12 @@ def shell_series(term: Callable[[int], float], start: int, tol: float) -> tuple[
             raise ValueError("shell series did not converge")
 
 
-# The Z^d lengths that ball() enumerates on a coordinate array: the cost of
-# one coordinate, whose sum over a point is the length (or, for the
-# two-norm, its square)
-_ZD_COSTS = {"one-norm": np.abs, "word": np.abs, "two-norm": np.square, "squared-two-norm": np.square}
+# The Z^d lengths that ball() enumerates on a coordinate array
+_ZD_TAGS = ("one-norm", "word", "two-norm", "squared-two-norm")
 
 
 def _zd_ball(group: Zd, R: float, tag: str) -> Ball:
-    """ball(R) of Z^d under a _ZD_COSTS length, built on an int64 coordinate array.
+    """ball(R) of Z^d under a _ZD_TAGS length, built on an int64 coordinate array.
 
     The integer points within an integer budget that covers ball(R) are
     enumerated in lexicographic order, one coordinate at a time against what
@@ -1135,14 +1133,15 @@ def _zd_ball(group: Zd, R: float, tag: str) -> Ball:
     root), those past R are dropped, and a stable sort by length gives the
     (length, lexicographic) order.
     """
-    cost = _ZD_COSTS[tag]
-    if cost is np.abs:
+    one_norm = tag in ("one-norm", "word")
+    cost = np.abs if one_norm else np.square  # of one coordinate: the point's sum is the length or its square
+    if one_norm:
         budget = int(math.floor(R))
     else:
         budget = int(math.floor(R if tag == "squared-two-norm" else R * R)) + 1
     coords, left = np.zeros((1, 0), dtype=np.int64), np.array([budget], dtype=np.int64)
     for _ in range(group.d):
-        if cost is np.abs:
+        if one_norm:
             reach = left
         else:  # the integer square root, its float estimate corrected by one either way
             reach = np.sqrt(left).astype(np.int64)

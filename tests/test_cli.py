@@ -495,9 +495,9 @@ def test_every_benchmark_experiment_compression_is_at_or_below_the_dense_cutoff(
     dims = []
     original = crossed._top_singular
 
-    def spy(matrix, vectors):
+    def spy(matrix, vectors, **kw):
         dims.append(matrix.shape[0])
-        return original(matrix, vectors)
+        return original(matrix, vectors, **kw)
 
     monkeypatch.setattr(crossed, "_top_singular", spy)
     for config in workloads.EXPERIMENT_CONFIGS.values():

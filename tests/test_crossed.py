@@ -15,6 +15,7 @@ from crossfourier.crossed import (
     delta,
     differences,
     exact_norm_finite,
+    full_radius,
     opnorm_bounds,
     products,
     random_cc,
@@ -327,6 +328,21 @@ def test_the_results_of_one_batch_share_one_decode(monkeypatch):
     assert [f.support() for f in batch] == want
     assert calls == [sum(map(len, batch[:3])), sum(map(len, batch[3:9])), sum(map(len, batch[9:]))]
     assert [f.support() for f in batch] == want and len(calls) == 3
+
+
+def test_a_batch_decode_leaves_each_result_only_its_own_points():
+    # the first result read decodes the batch once and seeds every result
+    # still alive with its own slice; a dropped result is skipped
+    system = theta_system(Zd(2), "1/5")
+    rng = np.random.default_rng(5)
+    pool = ball(2, default_length(system.group))
+    fs = [random_cc(system, pool[:6], rng) for _ in range(6)]
+    batch = products(fs[:3], fs[3:]) + products(fs[3:], fs[:3])[:1]
+    del batch[1]
+    batch[0].support()
+    for f in batch[:2]:
+        assert f._point_list == system.coded.decode(f._codes)
+    assert callable(batch[2]._point_list)  # another batch, not read
 
 
 def test_a_fresh_plan_encodes_its_ball_once_and_no_support_point(monkeypatch):
@@ -645,6 +661,26 @@ def test_largest_singular_value_dense_and_sparse_paths_agree():
         assert np.linalg.norm(comp.matrix @ v) / np.linalg.norm(v) == pytest.approx(want, abs=1e-8)
 
 
+@pytest.mark.parametrize("order", [256, 320])
+def test_finite_group_values_past_the_cutoff_are_the_dense_svd(order):
+    # on a trivial system over a finite group the constant vector, Lanczos's
+    # start, is a singular vector of every full-radius compression: from it
+    # Lanczos would stop at |sum f| (0 for delta_e - delta_a, whose norm is 2)
+    import crossfourier.crossed as crossed
+
+    assert order > crossed._DENSE_SVD_LIMIT
+    sys_ = trivial_system(BlockAlgebra([1]), Cyclic(order))
+    rng = np.random.default_rng(order)
+    for f in (delta(sys_) - delta(sys_, 1), random_cc(sys_, [0, 1, 5, 17], rng)):
+        comp = compression_matrix(f, full_radius(sys_))
+        want = np.linalg.svd(comp.matrix, compute_uv=False)[0]
+        assert exact_norm_finite(f) == pytest.approx(want, rel=1e-12)
+        assert comp.largest_singular_value() == pytest.approx(want, rel=1e-12)
+        v = comp.top_singular_vector()
+        assert np.linalg.norm(comp.matrix @ v) / np.linalg.norm(v) == pytest.approx(want, rel=1e-12)
+    assert exact_norm_finite(delta(sys_) - delta(sys_, 1)) == pytest.approx(2, rel=1e-12)
+
+
 def _real_and_complex_compressions():
     """A real compression (trivial system, real coefficients) and a complex one, both past the cutoff."""
     rng = np.random.default_rng(21)
@@ -870,9 +906,9 @@ def test_singular_values_go_through_the_module_level_function(monkeypatch):
     calls = []
     original = crossed.largest_singular_value
 
-    def spy(matrix):
+    def spy(matrix, **kw):
         calls.append(matrix.shape)
-        return original(matrix)
+        return original(matrix, **kw)
 
     monkeypatch.setattr(crossed, "largest_singular_value", spy)
     sys_ = theta_system(Zd(2), "1/5")

@@ -283,8 +283,8 @@ def test_decay_probe_compresses_its_witness_when_no_sample_is_kept(monkeypatch):
 
 
 def test_decay_probe_keeps_the_ten_best_rows_of_a_long_run():
-    # past 100 rows the probe keeps only the ten best; the report is the full
-    # sort's, ties in sample order, from the same draws
+    # the probe keeps only the ten best rows as it goes; the report is the
+    # full sort's, ties in sample order, from the same draws
     from crossfourier.crossed import random_cc_in
 
     sys_ = theta_system(Zd(1), "1/5")
