@@ -41,9 +41,10 @@ a support point g into the row of every g h (Ball.translate), the codes of
 its points, and per support point g the rows, columns and cocycle rows of
 its entries; the inverse actions come from the system's action table
 (TwistedSystem.act_rows).  Every element compressed at one radius
-reuses what the ones before it built.  The result is a CSR matrix
-(CompressedRep.sparse; .matrix is the dense array, built on demand).
-Singular values densify up to the dense SVD cutoff (200), and at every size
+reuses what the ones before it built.  The result is its entries, from
+which CompressedRep builds the dense array (.matrix, one scatter) and the
+CSR matrix (.sparse, which imports scipy) on first use.  Singular values
+take the dense array up to the dense SVD cutoff (200), and at every size
 on a finite group, within the one resource budget (check_budget, 1 GiB):
 there the fixed Lanczos start can lie in an invariant subspace that misses
 the top singular vector.  Above the cutoff, on infinite groups, a
@@ -73,13 +74,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-
-try:  # private scipy API (see _lanczos_top); without it, the public sparse products
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-except ImportError:
-    _csr_matvec = None
 
 from .algebra import AlgElement, adjoints, stack_blocks, stacked_norms, sum_from_zero
 from .groups import LengthFunction, Numbering, ball, ball_size, default_length, word_length
@@ -87,7 +81,8 @@ from .system import TwistedSystem
 
 SUPPORT_TOL = 1e-14
 
-# Dense SVD up to this dimension, Lanczos (deterministic fixed start) above.
+# Dense SVD of CompressedRep.matrix up to this dimension, Lanczos (deterministic
+# fixed start) on the CSR matrix above, the one path that loads scipy.
 # From 200 dimensions up Lanczos on the sparse compressions measured 2-10x
 # faster than the dense SVD on every system of the benchmark's norms
 # workload; every compression of its experiment configs (161 at most) stays
@@ -118,6 +113,22 @@ def check_budget(nbytes: int, what: str):
     """ValueError if nbytes passes _BUDGET_BYTES; what names the structure, led by the config key that sizes it."""
     if nbytes > _BUDGET_BYTES:
         raise ValueError(f"{what} would take {nbytes} bytes, past the budget of {_BUDGET_BYTES}")
+
+
+_csr_matvec = None  # scipy's private CSR kernel (see _lanczos_top), set by _scipy
+
+
+@functools.cache
+def _scipy():
+    """scipy with its linalg and sparse modules, imported on the first call (a CSR view or Lanczos); sets _csr_matvec."""
+    global _csr_matvec
+    import scipy.linalg
+    import scipy.sparse
+    try:  # private scipy API; without it, the public sparse products
+        from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+    except ImportError:
+        pass
+    return scipy
 
 
 class CcElement:
@@ -610,13 +621,13 @@ def random_cc_in(system: TwistedSystem, pool: list, max_size: int, rng) -> CcEle
 def _top_ritz(alphas: list, betas: list):
     """(theta, s): the largest eigenvalue of the tridiagonal and its unit eigenvector, or (None, None)."""
     try:
-        theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(len(alphas) - 1,) * 2)
+        theta, s = _scipy().linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(len(alphas) - 1,) * 2)
     except np.linalg.LinAlgError:  # inverse iteration failed on a tight cluster
         return None, None
     return theta[0], s[:, 0]
 
 
-def _lanczos_top(operand: scipy.sparse.csr_matrix, adjoint: scipy.sparse.csr_matrix):
+def _lanczos_top(operand, adjoint):
     """Top Ritz vector of x -> M^H (M x) by two passes of plain Lanczos, or None.
 
     Pass 1 runs the three-term recurrence from ones / sqrt(n), keeping only
@@ -653,7 +664,7 @@ def _lanczos_top(operand: scipy.sparse.csr_matrix, adjoint: scipy.sparse.csr_mat
         _csr_matvec(n, m, adjoint.indptr, adjoint.indices, adjoint.data, middle, w)
 
     start = np.full(n, 1 / np.sqrt(n), dtype=operand.dtype)
-    axpy = scipy.linalg.get_blas_funcs("axpy", (start,))  # y += a x in place
+    axpy = _scipy().linalg.get_blas_funcs("axpy", (start,))  # y += a x in place
     alphas, betas = [], []
     q_prev, q, w, beta = np.zeros_like(start), start.copy(), np.empty_like(start), 0.0
     check = 10
@@ -689,8 +700,8 @@ def _lanczos_top(operand: scipy.sparse.csr_matrix, adjoint: scipy.sparse.csr_mat
     return v
 
 
-def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool, dense: bool = False):
-    """(largest singular value, its right singular vector or None).
+def _top_singular(matrix, vectors: bool, dense: bool = False):
+    """(largest singular value, its right singular vector or None) of a scipy matrix or a CompressedRep.
 
     Dense SVD of matrix.toarray() up to _DENSE_SVD_LIMIT, and at any size
     when dense is set if the dense matrix passes check_budget.  Above it, the
@@ -731,7 +742,7 @@ def _top_singular(matrix: scipy.sparse.csr_matrix, vectors: bool, dense: bool = 
     return float(s[0]), vh[0].conj().astype(complex, copy=False)
 
 
-def largest_singular_value(matrix: scipy.sparse.csr_matrix, dense: bool = False) -> float:
+def largest_singular_value(matrix, dense: bool = False) -> float:
     """Largest singular value; deterministic (fixed Lanczos start above the dense cutoff unless dense)."""
     if matrix.shape[0] == 0:
         return 0.0
@@ -742,30 +753,50 @@ def largest_singular_value(matrix: scipy.sparse.csr_matrix, dense: bool = False)
 class CompressedRep:
     """P_R Lambda(f) P_R realized as a complex matrix over ball(R) x rep(A).
 
-    The matrix is stored sparse; `matrix` is its dense array, built on first use.
-    On a finite group its singular values come from the dense SVD at every
-    size: there Lanczos's fixed start ones / sqrt(n) can lie in an invariant
-    subspace of M^H M that misses the top singular vector (the constant
-    vectors are one when cocycle and action are trivial), and the Ritz value
-    it converges to passes the residual check.
+    Stored as its entries (rows, columns, values), one per position at most;
+    `matrix`, the dense array, and `sparse`, the CSR matrix without stored
+    zeros, are built from them on first use.  toarray() and tocsr() name them
+    as scipy does, so the singular-value functions build only the view they
+    read.  On a finite group its singular values come from the dense SVD at
+    every size: there Lanczos's fixed start ones / sqrt(n) can lie in an
+    invariant subspace of M^H M that misses the top singular vector (the
+    constant vectors are one when cocycle and action are trivial), and the
+    Ritz value it converges to passes the residual check.
     """
 
     system: TwistedSystem
     radius: float
     length: LengthFunction
     index: tuple
-    sparse: scipy.sparse.csr_matrix
+    entries: tuple  # (rows, columns, values)
+    shape: tuple
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        return self.sparse.toarray()
+        rows, cols, values = self.entries
+        out = np.zeros(self.shape, dtype=complex)
+        out[rows, cols] = values
+        return out
+
+    @functools.cached_property
+    def sparse(self):
+        rows, cols, values = self.entries
+        out = _scipy().sparse.csr_matrix((values, (rows, cols)), shape=self.shape)
+        out.eliminate_zeros()
+        return out
+
+    def toarray(self) -> np.ndarray:
+        return self.matrix
+
+    def tocsr(self):
+        return self.sparse
 
     def largest_singular_value(self) -> float:
-        return largest_singular_value(self.sparse, dense=self.system.group.is_finite)
+        return largest_singular_value(self, dense=self.system.group.is_finite)
 
     def top_singular_vector(self) -> np.ndarray:
         """Right singular vector of the top singular value (for witness extraction)."""
-        return _top_singular(self.sparse, vectors=True, dense=self.system.group.is_finite)[1]
+        return _top_singular(self, vectors=True, dense=self.system.group.is_finite)[1]
 
 
 class CompressionPlan:
@@ -791,13 +822,11 @@ class CompressionPlan:
         self._codes = self.ball.codes
         self._pieces: dict = {}  # code of g -> (rows, columns, cocycle rows)
 
-    def compress(self, f: CcElement) -> scipy.sparse.csr_matrix:
-        """The CSR matrix of P_R Lambda(f) P_R, entries taken from the pieces of f's codes in row order.
+    def compress(self, f: CcElement) -> tuple:
+        """((rows, columns, values), shape) of P_R Lambda(f) P_R, the entries from the pieces of f's codes in row order.
 
         f lives over the system that keeps this plan.  (h', h) fixes
-        g = h'h^{-1}, so no block gets two contributions, and the CSR
-        conversion puts the entries in canonical order whatever order they
-        come in.
+        g = h'h^{-1}, so no block gets two contributions.
         """
         system = f.system
         D = system.algebra.rep_dim
@@ -814,7 +843,7 @@ class CompressionPlan:
         pieces = [self._pieces[code] for code in codes]
         counts = [len(rows) for rows, _, _ in pieces]
         if not sum(counts):
-            return scipy.sparse.csr_matrix(shape, dtype=complex)
+            return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)), shape
         rows, cols, sigma_rows = (np.concatenate(x) for x in zip(*pieces))
         sigmas = system.cocycle_blocks(sigma_rows)
         # a . cocycle per source block, one matmul over all contributions
@@ -829,10 +858,7 @@ class CompressionPlan:
             coo_data.append(y.ravel())
             offset += d
         # adding to 0 turns -0.0 parts into +0.0, as filling a zeroed dense matrix did
-        data = np.concatenate(coo_data) + 0j
-        sparse = scipy.sparse.csr_matrix((data, (np.concatenate(coo_rows), np.concatenate(coo_cols))), shape=shape)
-        sparse.eliminate_zeros()
-        return sparse
+        return (np.concatenate(coo_rows), np.concatenate(coo_cols), np.concatenate(coo_data) + 0j), shape
 
 
 def compression_matrix(f: CcElement, R: float, length: LengthFunction | None = None) -> CompressedRep:
@@ -851,7 +877,7 @@ def compression_matrix(f: CcElement, R: float, length: LengthFunction | None = N
     plan = system._compression_plans.get(key)
     if plan is None:
         plan = system._compression_plans[key] = CompressionPlan(system, R, length)
-    return CompressedRep(system, R, length, plan.index, plan.compress(f))
+    return CompressedRep(system, R, length, plan.index, *plan.compress(f))
 
 
 def full_radius(system: TwistedSystem) -> float:

@@ -166,10 +166,14 @@ def approx_data_net(rep: EquivariantRep, data: Sequence[tuple[dict, dict]]) -> S
     bound ||xi_i|| ||eta_i||.
     """
     system = rep.system
-    grp = system.group
+    grp, coded = system.group, system.coded
     mults = []
     for xi, eta in data:
-        support = frozenset(grp.mul(h, grp.inv(k)) for h in xi for k in eta)
+        # the codes of h k^{-1}, one h of supp(xi) at a time against all of supp(eta)
+        inverses, codes = coded.inv(coded.encode(list(eta))), set()
+        for h in coded.encode(list(xi)).tolist():
+            codes.update(coded.mul(np.full(len(inverses), h), inverses).tolist())
+        support = frozenset(coded.decode(np.fromiter(codes, dtype=np.int64, count=len(codes))))
 
         def apply_at(g, a, xi=xi, eta=eta):
             acc = system.algebra.zero()

@@ -549,6 +549,44 @@ def test_crossfourier_threads_caps_blas_at_import():
     assert int(proc.stdout) == 1
 
 
+def test_scipy_is_loaded_only_on_the_lanczos_path():
+    # the import, arithmetic, validation and a probe's dense compressions
+    # load no scipy; a compression past the dense cutoff on Z (Lanczos) does
+    probe = {
+        "seed": 5,
+        "system": {"algebra": [1], "group": {"family": "free-F2"}},
+        "experiment": {"tag": "decay-probe", "weight": {"tag": "power", "param": 2.0, "length": "word"},
+                       "radius": 2, "sample_budget": 3},
+    }
+    code = (
+        "import json, sys\n"
+        "import crossfourier\n"
+        "from crossfourier import cli, crossed\n"
+        "from crossfourier.algebra import BlockAlgebra\n"
+        "from crossfourier.groups import Zd\n"
+        "from crossfourier.system import trivial_system\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "out = [loaded()]\n"
+        "for config in json.loads(sys.argv[1]):\n"
+        "    assert cli.run_config(config)[0] == 0\n"
+        "out.append(loaded())\n"
+        "path = trivial_system(BlockAlgebra([1]), Zd(1))\n"
+        "f = crossed.CcElement(path, {(1,): path.algebra.unit(), (-1,): path.algebra.unit()})\n"
+        "comp = crossed.compression_matrix(f, 150)\n"
+        "assert comp.shape == (301, 301) and comp.shape[0] > crossed._DENSE_SVD_LIMIT\n"
+        "comp.largest_singular_value()\n"
+        "out.append(loaded())\n"
+        "print(json.dumps(out))\n"
+    )
+    configs = [PRESETS["z12-arithmetic"], probe]
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(configs)], capture_output=True, text=True,
+                          env=subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_configs, after_lanczos = json.loads(proc.stdout)
+    assert after_import == [] and after_configs == []
+    assert {"scipy", "scipy.linalg", "scipy.sparse"} <= set(after_lanczos)
+
+
 def test_commutative_inequality_experiment(tmp_path):
     config = base_config(
         tmp_path,

@@ -25,7 +25,8 @@ from families import DIMS, FAMILIES, make_system
 from crossfourier.algebra import (
     AlgAutomorphism, BlockAlgebra, apply_automorphisms, stack_automorphisms, stack_blocks,
 )
-from crossfourier.crossed import CcElement, compression_matrix, random_cc
+from crossfourier import crossed
+from crossfourier.crossed import CcElement, compression_matrix, delta, random_cc
 from crossfourier.groups import (
     Cyclic, FreeF2, Zd, ball, default_length, one_norm, squared_two_norm, two_norm, word_length,
 )
@@ -245,6 +246,36 @@ def test_coded_compression_of_the_empty_element_is_empty():
     system = theta_system(Zd(2), "1/5")
     rep = compression_matrix(CcElement(system, {}), 2)
     assert rep.sparse.shape == (13, 13) and rep.sparse.nnz == 0
+
+
+def assert_views_agree(rep):
+    """.matrix, one scatter of the entries, is .sparse.toarray() bit for bit, and a dense-path
+    value is the SVD of that array bit for bit."""
+    dense = rep.sparse.toarray()
+    assert rep.matrix.dtype == dense.dtype and rep.matrix.tobytes() == dense.tobytes()
+    if rep.shape[0] and np.isfinite(dense).all():
+        assert rep.largest_singular_value() == np.linalg.svd(dense, compute_uv=False)[0]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_dense_view_and_dense_values_are_the_csr_bits_on_every_family(family):
+    # signed zeros (imaginary units), a NaN coefficient, far points and an
+    # empty compression; every matrix here stays below the dense cutoff
+    system = make_system(family, (2, 1))
+    elements = sequence(system) + [CcElement(system, {}), delta(system, FAR.get(family, [None])[0])]
+    for f in elements:
+        for R in (0, 2, 3):
+            rep = compression_matrix(f, R)
+            assert rep.shape[0] <= crossed._DENSE_SVD_LIMIT
+            assert_views_agree(rep)
+
+
+def test_dense_view_and_dense_values_are_the_csr_bits_at_full_radius_past_the_cutoff():
+    system = trivial_system(BlockAlgebra([1]), Cyclic(256))
+    f = random_cc(system, [0, 1, 5, 17], np.random.default_rng(256))
+    rep = compression_matrix(f, crossed.full_radius(system))
+    assert rep.shape == (256, 256) and 256 > crossed._DENSE_SVD_LIMIT
+    assert_views_agree(rep)
 
 
 # -- the rules evaluate each value once, with the same bits ------------------------------

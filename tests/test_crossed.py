@@ -551,14 +551,14 @@ def test_compression_equals_entrywise_reference_exactly(name):
     sys_ = EXACT_SYSTEMS[name]()
     R = full_radius(sys_) if sys_.group.is_finite else 3
     rng = np.random.default_rng(22)
-    # imaginary coefficients make signed zeros under conjugation; the dense
-    # fill turned them into +0.0, and so must the sparse assembly
+    # imaginary coefficients make signed zeros under conjugation; a zeroed
+    # dense fill turns them into +0.0, and so must the entries behind both views
     i_unit = 1j * sys_.algebra.unit()
     elements = [CcElement(sys_, {g: i_unit for g in sample_support(sys_, rng, 4)})]
     elements += [random_cc(sys_, sample_support(sys_, rng, 4), rng) for _ in range(3)]
     for f in elements:
         rep = compression_matrix(f, R)
-        assert np.array_equal(rep.matrix, entrywise_compression(f, R))
+        assert rep.matrix.tobytes() == entrywise_compression(f, R).tobytes()  # signed zeros included
         S, want = rep.sparse, scipy.sparse.csr_matrix(rep.matrix)
         assert S.has_sorted_indices
         assert np.all(S.data != 0)

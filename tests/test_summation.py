@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from families import FAMILIES, make_system
 from crossfourier.algebra import BlockAlgebra
 from crossfourier.crossed import CcElement, delta, exact_norm_finite, random_cc
 from crossfourier.groups import (
     Cyclic,
     Zd,
     ball,
+    default_length,
     folner_sequence,
     one_norm,
     squared_two_norm,
@@ -227,6 +229,24 @@ def test_approx_data_g_support_is_difference_set():
     net = approx_data_net(rep, [(xi, eta)])
     expect = {(0,), (1,), (-2,), (-1,)}
     assert net.multipliers[0].g_support == frozenset(expect)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_approx_data_g_support_is_the_pair_loop_on_every_family(family):
+    # the support is formed on codes, one point of supp(xi) at a time; the
+    # pair loop through group.mul and group.inv is the oracle
+    sys_ = make_system(family, (1,))
+    grp = sys_.group
+    rep = trivial_rep(sys_)
+    one = ModuleVector(sys_.algebra, (sys_.algebra.unit(),))
+    pool = ball(3, default_length(grp))
+    rng = np.random.default_rng(len(family))
+    draw = lambda size: {pool[i]: one for i in rng.choice(len(pool), min(size, len(pool)), replace=False)}
+    data = [(draw(size), draw(7)) for size in (1, 9)]
+    data.append((data[1][0], {}))
+    net = approx_data_net(rep, data)
+    for (xi, eta), T in zip(data, net.multipliers):
+        assert T.g_support == frozenset(grp.mul(h, grp.inv(k)) for h in xi for k in eta)
 
 
 def test_folner_indicator_data_reproduces_fejer_kernel():
