@@ -47,15 +47,15 @@ CSR matrix (.sparse, which imports scipy) on first use.  Singular values
 take the dense array up to the dense SVD cutoff (200), and at every size
 on a finite group, within the one resource budget (check_budget, 1 GiB):
 there the fixed Lanczos start can lie in an invariant subspace that misses
-the top singular vector.  Above the cutoff, on infinite groups, a
-plain Lanczos loop runs on x -> M^H (M x) (the CSR and its adjoint, in real
-arithmetic on a real compression) from the fixed start ones / sqrt(n).  It
-never restarts and stores no Krylov basis: a first pass keeps only the
-tridiagonal coefficients until the top Ritz pair passes ARPACK's test at
-1e-8 (about sqrt(eps)), and a second pass replays the same recurrence to sum
-the Ritz vector v.  v is accepted only if its explicit residual is at most
-1e-8 rho ||v||, and the value returned is ||M v|| / ||v||: a lower bound
-with its own witness.  When the start has a component along the top
+the top singular vector.  Above the cutoff, on infinite groups, a plain
+Lanczos loop runs on x -> M^H (M x) (the CSR and its adjoint, in real
+arithmetic on a real compression) from the fixed start ones / sqrt(n),
+without restarts, until the top Ritz pair passes ARPACK's test at 1e-8
+(about sqrt(eps)).  It keeps its first vectors in one block of at most 4 MiB;
+the Ritz vector v sums them, and only the steps past the block are replayed,
+bit for bit, to add theirs.  v is accepted only if its explicit residual is
+at most 1e-8 rho ||v||, and the value returned is ||M v|| / ||v||: a lower
+bound with its own witness.  When the start has a component along the top
 singular vector, it is below the top singular value by at most the
 Kato-Temple term ||r||^2 / (rho - sigma_2^2), which is of order eps over the
 relative gap; a start orthogonal to it (a symmetry of f and the ball can
@@ -98,9 +98,12 @@ _DENSE_SVD_LIMIT = 200
 # lower bound witnessed by v.
 _LANCZOS_TOL = 1e-8
 
-# Lanczos gives up after this many steps, about twice as many operator
-# applications counting the second pass, and the dense fallback runs.
+# Lanczos gives up after this many steps, and the dense fallback runs.
 _LANCZOS_STEPS = 20_000
+
+# Lanczos keeps its first vectors in one block of at most this many bytes
+# (at least two rows) and replays only the steps past it to sum the Ritz vector.
+_LANCZOS_KEPT_BYTES = 4 << 20
 
 # The one resource budget.  Before the library builds what a config sizes
 # (a ball, a compression, a Gram matrix, a pair table, a sample list), the
@@ -628,17 +631,19 @@ def _top_ritz(alphas: list, betas: list):
 
 
 def _lanczos_top(operand, adjoint):
-    """Top Ritz vector of x -> M^H (M x) by two passes of plain Lanczos, or None.
+    """Top Ritz vector of x -> M^H (M x) by plain Lanczos, or None.
 
-    Pass 1 runs the three-term recurrence from ones / sqrt(n), keeping only
-    alpha and beta, and tests the top Ritz pair (theta, s) of the tridiagonal
-    at step 10 and then every max(10, j // 8) steps against ARPACK's test
-    |beta_j s_j| <= _LANCZOS_TOL * theta (or beta_j = 0).  Pass 2 replays the
-    recurrence from the stored coefficients, the same operations in the same
-    order, so every q_j is pass 1's bit for bit, and sums v = sum_j s_j q_j.
-    No restart, no reorthogonalization, no stored basis: memory is O(n), the
-    Lanczos vectors rotating through three buffers.  None when the step cap
-    is reached first.
+    The three-term recurrence runs from q_0 = ones / sqrt(n), keeping alpha
+    and beta, and tests the top Ritz pair (theta, s) of the tridiagonal at
+    step 10 and then every max(10, j // 8) steps against ARPACK's test
+    |beta_j s_j| <= _LANCZOS_TOL * theta (or beta_j = 0).  Each q_j is written
+    into row j of one block of at most _LANCZOS_KEPT_BYTES (at least two
+    rows), allocated once; past it the vectors rotate through three buffers.
+    v = sum_j s_j q_j sums the kept rows, then replays only the steps past the
+    block from its last two rows and the stored coefficients, the same
+    operations in the same order, so every q_j is the first pass's bit for
+    bit.  No restart, no reorthogonalization.  None when the step cap is
+    reached first.
 
     operand is an m x n CSR matrix and adjoint its n x m CSR adjoint, so
     the vectors have length n.  gram(q, w) sets w = M^H (M q) bit for bit
@@ -663,12 +668,20 @@ def _lanczos_top(operand, adjoint):
         w.fill(0)
         _csr_matvec(n, m, adjoint.indptr, adjoint.indices, adjoint.data, middle, w)
 
-    start = np.full(n, 1 / np.sqrt(n), dtype=operand.dtype)
-    axpy = _scipy().linalg.get_blas_funcs("axpy", (start,))  # y += a x in place
+    rows = max(2, min(_LANCZOS_STEPS, _LANCZOS_KEPT_BYTES // (operand.dtype.itemsize * n)))
+    kept = np.empty((rows, n), dtype=operand.dtype)  # q_0 .. q_{rows-1}
+    spare = np.empty((3, n), dtype=operand.dtype)  # q_i past the block, i mod 3
+
+    def row(i):
+        return kept[i] if i < rows else spare[i % 3]
+
+    kept[0] = 1 / np.sqrt(n)
+    axpy = _scipy().linalg.get_blas_funcs("axpy", (kept,))  # y += a x in place
     alphas, betas = [], []
-    q_prev, q, w, beta = np.zeros_like(start), start.copy(), np.empty_like(start), 0.0
+    q_prev, beta = np.zeros(n, dtype=operand.dtype), 0.0
     check = 10
     for j in range(1, _LANCZOS_STEPS + 1):
+        q, w = row(j - 1), row(j)
         gram(q, w)
         alpha = np.vdot(q, w).real
         axpy(q, w, a=-alpha)
@@ -684,19 +697,19 @@ def _lanczos_top(operand, adjoint):
             if beta == 0.0:
                 return None
         w *= 1 / beta
-        q_prev, q, w = q, w, q_prev
+        q_prev = q
     else:
         return None
-    v = s[0] * start
-    q_prev, q, w, beta = np.zeros_like(start), start.copy(), np.empty_like(start), 0.0
-    for i in range(1, j):
+    v = s[0] * kept[0]
+    for i in range(1, min(j, rows)):
+        axpy(kept[i], v, a=s[i])
+    for i in range(rows, j):  # replay the steps past the block from its last two rows
+        q_prev, q, w = row(i - 2), row(i - 1), row(i)
         gram(q, w)
         axpy(q, w, a=-alphas[i - 1])
-        axpy(q_prev, w, a=-beta)
-        beta = betas[i - 1]
-        w *= 1 / beta
-        q_prev, q, w = q, w, q_prev
-        axpy(q, v, a=s[i])
+        axpy(q_prev, w, a=-betas[i - 2])
+        w *= 1 / betas[i - 1]
+        axpy(w, v, a=s[i])
     return v
 
 
@@ -705,9 +718,10 @@ def _top_singular(matrix, vectors: bool, dense: bool = False):
 
     Dense SVD of matrix.toarray() up to _DENSE_SVD_LIMIT, and at any size
     when dense is set if the dense matrix passes check_budget.  Above it, the
-    two-pass Lanczos of _lanczos_top on the implicit Gram operator
+    Lanczos of _lanczos_top on the implicit Gram operator
     x -> M^H (M x), with the CSR adjoint built once, from the fixed start
-    ones / sqrt(n); in real arithmetic on matrix.real when every stored entry
+    ones / sqrt(n); in real arithmetic on a contiguous copy of matrix.real
+    (a strided view would be copied on every product) when every stored entry
     is real (real coefficients, cocycle and action values), in complex
     arithmetic otherwise.  Its Ritz vector v is accepted only if the explicit
     residual passes, ||M^H M v - rho v|| <= _LANCZOS_TOL * rho * ||v|| with
@@ -723,7 +737,7 @@ def _top_singular(matrix, vectors: bool, dense: bool = False):
         check_budget(16 * n * matrix.shape[1], f"the dense SVD of the {n} x {matrix.shape[1]} compression")
     elif n > _DENSE_SVD_LIMIT:
         matrix = matrix.tocsr()  # the Lanczos products read CSR arrays
-        operand = matrix if np.any(matrix.data.imag) else matrix.real
+        operand = matrix if np.any(matrix.data.imag) else matrix.real.copy()
         adjoint = operand.conj().T.tocsr()
         v = _lanczos_top(operand, adjoint)
         if v is not None:

@@ -697,22 +697,23 @@ def test_lanczos_runs_in_real_arithmetic_only_on_real_compressions(monkeypatch):
 
     real, cplx = _real_and_complex_compressions()
     assert not np.any(real.sparse.data.imag) and np.any(cplx.sparse.data.imag)
-    dtypes = []
+    seen = []
     original = crossed._lanczos_top
 
     def spy(operand, adjoint):
-        dtypes.append(operand.dtype)
+        seen.append((operand.dtype, operand.data.flags.c_contiguous))
         return original(operand, adjoint)
 
     monkeypatch.setattr(crossed, "_lanczos_top", spy)
     for comp in (real, cplx):
         assert comp.sparse.shape[0] > crossed._DENSE_SVD_LIMIT
         comp.largest_singular_value()
-    assert dtypes == [np.float64, np.complex128]
+    # contiguous data: csr_matvec would copy a strided real view on every product
+    assert seen == [(np.float64, True), (np.complex128, True)]
 
 
 def _lanczos_by_products(operand, adjoint):
-    """The two-pass Lanczos of crossed._lanczos_top with each step applied as adjoint @ (operand @ q)."""
+    """The Lanczos of crossed._lanczos_top in two passes, storing no vector, each step applied as adjoint @ (operand @ q)."""
     import crossfourier.crossed as crossed
     import scipy.linalg
 
@@ -754,10 +755,27 @@ def _lanczos_by_products(operand, adjoint):
     return v
 
 
+def _count_lanczos_steps(monkeypatch):
+    """A list to which every convergence test of Lanczos appends its step count j."""
+    import crossfourier.crossed as crossed
+
+    steps = []
+    original = crossed._top_ritz
+
+    def ritz(alphas, betas):
+        steps.append(len(alphas))
+        return original(alphas, betas)
+
+    monkeypatch.setattr(crossed, "_top_ritz", ritz)
+    return steps
+
+
 def test_lanczos_loop_is_the_sparse_product_loop_bit_for_bit(monkeypatch):
     # _lanczos_top calls scipy's private csr_matvec kernel into kept buffers,
-    # or the public products where scipy lacks it; every Ritz vector must be
-    # the one the public products give
+    # or the public products where scipy lacks it, and keeps its first vectors
+    # in a block, replaying the steps past it; every Ritz vector must be the
+    # one two passes of the public products give, whether the block holds
+    # every vector, all but the last, about half of them or two
     import crossfourier.crossed as crossed
 
     real, cplx = _real_and_complex_compressions()
@@ -766,16 +784,46 @@ def test_lanczos_loop_is_the_sparse_product_loop_bit_for_bit(monkeypatch):
     ring = compression_matrix(CcElement(path, {(1,): unit, (-1,): unit}), 200)
     wide = scipy.sparse.random(40, 90, density=0.2, format="csr", random_state=3)
     matrices = (real.sparse.real, cplx.sparse, ring.sparse.real, ring.sparse, wide, wide.T.tocsr())
+    steps = _count_lanczos_steps(monkeypatch)
     for kernel in (crossed._csr_matvec, None):
         monkeypatch.setattr(crossed, "_csr_matvec", kernel)
         for matrix in matrices:
             adjoint = matrix.conj().T.tocsr()
-            got, want = crossed._lanczos_top(matrix, adjoint), _lanczos_by_products(matrix, adjoint)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            want = _lanczos_by_products(matrix, adjoint)
+            j = steps[-1]  # q_0 .. q_{j-1} make up the Ritz vector
+            assert j // 2 > 2
+            for rows in (j, j - 1, j // 2, 2):
+                monkeypatch.setattr(crossed, "_LANCZOS_KEPT_BYTES", rows * matrix.dtype.itemsize * matrix.shape[1])
+                got = crossed._lanczos_top(matrix, adjoint)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="CSR"):  # the kernel reads CSR arrays and checks no shapes
         crossed._lanczos_top(wide.tocsc(), wide.conj().T.tocsr())
     with pytest.raises(ValueError, match="CSR"):
         crossed._lanczos_top(wide, wide.tocsr())
+
+
+def test_lanczos_memory_is_its_kept_block_and_a_few_vectors(monkeypatch):
+    import tracemalloc
+
+    import crossfourier.crossed as crossed
+
+    sys_ = trivial_system(BlockAlgebra([1]), Zd(1))
+    unit = sys_.algebra.unit()
+    operand = compression_matrix(CcElement(sys_, {(1,): unit, (-1,): unit}), 1000).sparse.real.copy()
+    adjoint = operand.conj().T.tocsr()
+    steps = _count_lanczos_steps(monkeypatch)
+    crossed._lanczos_top(operand, adjoint)  # scipy's imports and BLAS lookups happen here
+    vector = operand.dtype.itemsize * operand.shape[1]  # 2001 dimensions, real
+    assert steps[-1] * vector > 1.5 * crossed._LANCZOS_KEPT_BYTES  # the whole basis would pass the block
+    tracemalloc.start()
+    try:
+        v = crossed._lanczos_top(operand, adjoint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v is not None
+    # past the block: the spare and zero buffers, M q, v and the tridiagonal solver's work
+    assert peak <= crossed._LANCZOS_KEPT_BYTES + 16 * vector
 
 
 def test_largest_singular_value_above_the_dense_cutoff_on_any_shape_and_format():
