@@ -51,11 +51,14 @@ the top singular vector.  Above the cutoff, on infinite groups, a plain
 Lanczos loop runs on x -> M^H (M x) (the CSR and its adjoint, in real
 arithmetic on a real compression) from the fixed start ones / sqrt(n),
 without restarts, until the top Ritz pair passes ARPACK's test at 1e-8
-(about sqrt(eps)).  It keeps its first vectors in one block of at most 4 MiB;
-the Ritz vector v sums them, and only the steps past the block are replayed,
-bit for bit, to add theirs.  v is accepted only if its explicit residual is
-at most 1e-8 rho ||v||, and the value returned is ||M v|| / ||v||: a lower
-bound with its own witness.  When the start has a component along the top
+(about sqrt(eps)).  Its steps call compiled code with no Python wrapper
+between: scipy's CSR kernel, BLAS axpy, dot and scal, and per test LAPACK's
+dstebz and dstein, the drivers of scipy's eigh_tridiagonal, bit for bit
+what numpy's products and eigh_tridiagonal give.  It keeps its first
+vectors in one block of at most 4 MiB; the Ritz vector v sums them, and
+only the steps past the block are replayed, bit for bit, to add theirs.
+v is accepted only if its explicit residual is at most 1e-8 rho ||v||, and
+the value returned is ||M v|| / ||v||: a lower bound with its own witness.  When the start has a component along the top
 singular vector, it is below the top singular value by at most the
 Kato-Temple term ||r||^2 / (rho - sigma_2^2), which is of order eps over the
 relative gap; a start orthogonal to it (a symmetry of f and the ball can
@@ -621,13 +624,35 @@ def random_cc_in(system: TwistedSystem, pool: list, max_size: int, rng) -> CcEle
 # -- compressed regular representation ---------------------------------------------
 
 
+@functools.cache
+def _ritz_drivers() -> tuple:
+    """LAPACK's dstebz and dstein, the drivers of scipy's eigh_tridiagonal with select "i", resolved once."""
+    return tuple(_scipy().linalg.get_lapack_funcs(("stebz", "stein"), (np.zeros(0),)))
+
+
 def _top_ritz(alphas: list, betas: list):
-    """(theta, s): the largest eigenvalue of the tridiagonal and its unit eigenvector, or (None, None)."""
-    try:
-        theta, s = _scipy().linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(len(alphas) - 1,) * 2)
-    except np.linalg.LinAlgError:  # inverse iteration failed on a tight cluster
-        return None, None
-    return theta[0], s[:, 0]
+    """(theta, s): the largest eigenvalue of the tridiagonal and its unit eigenvector, or (None, None).
+
+    The value of scipy.linalg.eigh_tridiagonal(alphas, betas, select="i",
+    select_range=(j - 1, j - 1)) bit for bit, from the same LAPACK calls
+    without that function's checks and dispatch: a ValueError on a NaN or
+    inf entry, as its finite check raises; at j = 1 the entry itself;
+    otherwise dstebz's bisection for the j-th eigenvalue (range 'I',
+    il = iu = j, abstol 0, block order) and dstein's inverse iteration for
+    its vector.  A positive info from either (no convergence, a LinAlgError
+    there) gives (None, None).
+    """
+    d, e = np.asarray_chkfinite(alphas), np.asarray_chkfinite(betas)
+    j = len(d)
+    if j == 1:
+        return d[0], np.ones(1)
+    stebz, stein = _ritz_drivers()
+    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, j, j, 0.0, "B")
+    if info == 0:
+        s, info = stein(d, e, w[:m], iblock, isplit)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK's tridiagonal eigensolver")
+    return (w[0], s[:, 0]) if info == 0 else (None, None)
 
 
 def _lanczos_top(operand, adjoint):
@@ -652,7 +677,13 @@ def _lanczos_top(operand, adjoint):
     directly, into zeroed kept buffers, without the per-call dispatch.
     csr_matvec is private scipy API and checks no shapes or formats, hence
     the check of the arguments; where scipy lacks it, the public products run instead.
-    tests/test_crossed.py checks this loop against the public products.
+    The dots and the scaling call BLAS directly too, handles resolved once
+    per call: dot (ddot, or zdotc on complex vectors) for np.vdot and scal
+    for w *= 1 / beta, the same values bit for bit.  (zscal and numpy's
+    complex product could differ in the sign of a zero part, but no part of
+    w is -0.0: the products sum from +0.0, and y + a x is -0.0 only where
+    both terms are.)  tests/test_crossed.py checks this loop against the
+    public products, numpy scaling and eigh_tridiagonal.
     """
     m, n = operand.shape
     if operand.format != "csr" or adjoint.format != "csr" or adjoint.shape != (n, m):
@@ -676,17 +707,18 @@ def _lanczos_top(operand, adjoint):
         return kept[i] if i < rows else spare[i % 3]
 
     kept[0] = 1 / np.sqrt(n)
-    axpy = _scipy().linalg.get_blas_funcs("axpy", (kept,))  # y += a x in place
+    # y += a x, x^H y and x *= a, in place
+    axpy, dot, scal = _scipy().linalg.get_blas_funcs(("axpy", "dotc", "scal"), (kept,))
     alphas, betas = [], []
     q_prev, beta = np.zeros(n, dtype=operand.dtype), 0.0
     check = 10
     for j in range(1, _LANCZOS_STEPS + 1):
         q, w = row(j - 1), row(j)
         gram(q, w)
-        alpha = np.vdot(q, w).real
+        alpha = dot(q, w).real
         axpy(q, w, a=-alpha)
         axpy(q_prev, w, a=-beta)
-        beta = math.sqrt(np.vdot(w, w).real)
+        beta = math.sqrt(dot(w, w).real)
         alphas.append(alpha)
         betas.append(beta)
         if j == check or j == _LANCZOS_STEPS or beta == 0.0:
@@ -696,7 +728,7 @@ def _lanczos_top(operand, adjoint):
                 break
             if beta == 0.0:
                 return None
-        w *= 1 / beta
+        scal(1 / beta, w)
         q_prev = q
     else:
         return None
@@ -708,7 +740,7 @@ def _lanczos_top(operand, adjoint):
         gram(q, w)
         axpy(q, w, a=-alphas[i - 1])
         axpy(q_prev, w, a=-betas[i - 2])
-        w *= 1 / betas[i - 1]
+        scal(1 / betas[i - 1], w)
         axpy(w, v, a=s[i])
     return v
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -713,35 +714,36 @@ def test_lanczos_runs_in_real_arithmetic_only_on_real_compressions(monkeypatch):
 
 
 def _lanczos_by_products(operand, adjoint):
-    """The Lanczos of crossed._lanczos_top in two passes, storing no vector, each step applied as adjoint @ (operand @ q)."""
+    """(v, j): the Lanczos of crossed._lanczos_top in two passes, storing no vector, each step applied as
+    adjoint @ (operand @ q) and scaled by numpy, its Ritz pairs from scipy.linalg.eigh_tridiagonal and its
+    dots and axpys from the BLAS handles the loop uses; j steps, q_0 .. q_{j-1} make up the Ritz vector v."""
     import crossfourier.crossed as crossed
-    import scipy.linalg
 
     n = operand.shape[1]
     start = np.full(n, 1 / np.sqrt(n), dtype=operand.dtype)
-    axpy = scipy.linalg.get_blas_funcs("axpy", (start,))
+    axpy, dot = scipy.linalg.get_blas_funcs(("axpy", "dotc"), (start,))
     alphas, betas = [], []
     q_prev, q, beta = np.zeros_like(start), start, 0.0
     check = 10
     for j in range(1, crossed._LANCZOS_STEPS + 1):
         w = adjoint @ (operand @ q)
-        alpha = np.vdot(q, w).real
+        alpha = dot(q, w).real
         axpy(q, w, a=-alpha)
         axpy(q_prev, w, a=-beta)
-        beta = math.sqrt(np.vdot(w, w).real)
+        beta = math.sqrt(dot(w, w).real)
         alphas.append(alpha)
         betas.append(beta)
         if j == check or j == crossed._LANCZOS_STEPS or beta == 0.0:
             check = j + max(10, j // 8)
-            theta, s = crossed._top_ritz(alphas, betas[:-1])
+            theta, s = _eigh_top(alphas, betas[:-1])
             if s is not None and (beta == 0.0 or abs(beta * s[-1]) <= crossed._LANCZOS_TOL * theta):
                 break
             if beta == 0.0:
-                return None
+                return None, j
         w *= 1 / beta
         q_prev, q = q, w
     else:
-        return None
+        return None, j
     v = s[0] * start
     q_prev, q, beta = np.zeros_like(start), start, 0.0
     for i in range(1, j):
@@ -752,7 +754,16 @@ def _lanczos_by_products(operand, adjoint):
         w *= 1 / beta
         q_prev, q = q, w
         axpy(q, v, a=s[i])
-    return v
+    return v, j
+
+
+def _eigh_top(alphas, betas):
+    """The top eigenpair of the tridiagonal from scipy.linalg.eigh_tridiagonal, or (None, None) where it does not converge."""
+    try:
+        theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(len(alphas) - 1,) * 2)
+    except np.linalg.LinAlgError:
+        return None, None
+    return theta[0], s[:, 0]
 
 
 def _count_lanczos_steps(monkeypatch):
@@ -772,10 +783,12 @@ def _count_lanczos_steps(monkeypatch):
 
 def test_lanczos_loop_is_the_sparse_product_loop_bit_for_bit(monkeypatch):
     # _lanczos_top calls scipy's private csr_matvec kernel into kept buffers,
-    # or the public products where scipy lacks it, and keeps its first vectors
-    # in a block, replaying the steps past it; every Ritz vector must be the
-    # one two passes of the public products give, whether the block holds
-    # every vector, all but the last, about half of them or two
+    # or the public products where scipy lacks it, scales by BLAS scal, tests
+    # convergence by LAPACK's stebz and stein, and keeps its first vectors in
+    # a block, replaying the steps past it; every Ritz vector must be the one
+    # two passes of the public products, numpy scaling and eigh_tridiagonal
+    # give, whether the block holds every vector, all but the last, about
+    # half of them or two
     import crossfourier.crossed as crossed
 
     real, cplx = _real_and_complex_compressions()
@@ -784,14 +797,12 @@ def test_lanczos_loop_is_the_sparse_product_loop_bit_for_bit(monkeypatch):
     ring = compression_matrix(CcElement(path, {(1,): unit, (-1,): unit}), 200)
     wide = scipy.sparse.random(40, 90, density=0.2, format="csr", random_state=3)
     matrices = (real.sparse.real, cplx.sparse, ring.sparse.real, ring.sparse, wide, wide.T.tocsr())
-    steps = _count_lanczos_steps(monkeypatch)
     for kernel in (crossed._csr_matvec, None):
         monkeypatch.setattr(crossed, "_csr_matvec", kernel)
         for matrix in matrices:
             adjoint = matrix.conj().T.tocsr()
-            want = _lanczos_by_products(matrix, adjoint)
-            j = steps[-1]  # q_0 .. q_{j-1} make up the Ritz vector
-            assert j // 2 > 2
+            want, j = _lanczos_by_products(matrix, adjoint)
+            assert want is not None and j // 2 > 2
             for rows in (j, j - 1, j // 2, 2):
                 monkeypatch.setattr(crossed, "_LANCZOS_KEPT_BYTES", rows * matrix.dtype.itemsize * matrix.shape[1])
                 got = crossed._lanczos_top(matrix, adjoint)
@@ -824,6 +835,86 @@ def test_lanczos_memory_is_its_kept_block_and_a_few_vectors(monkeypatch):
     assert v is not None
     # past the block: the spare and zero buffers, M q, v and the tridiagonal solver's work
     assert peak <= crossed._LANCZOS_KEPT_BYTES + 16 * vector
+
+
+def _tridiagonals():
+    """Random tridiagonals (alphas, betas) of sizes 1, 2, 10, 200 and 600, with Lanczos-like and near-split ones."""
+    rng = np.random.default_rng(25)
+    for j in (1, 2, 10, 200, 600):
+        for tiny in (None, 1e-9, 1e-17, 1e-300):
+            alphas = rng.uniform(0.0, 4.0, j)
+            betas = rng.uniform(0.0, 2.0, j - 1)
+            if tiny is not None and j > 1:  # near splits, one of them just below the top
+                betas[rng.choice(j - 1, min(j - 1, 3), replace=False)] = tiny
+                betas[-1] = tiny
+            yield alphas.tolist(), betas.tolist()
+        # a cluster at the top: equal diagonal entries joined by tiny betas
+        if j > 1:
+            yield [3.0] * j, [1e-12] * (j - 1)
+
+
+def test_top_ritz_is_eigh_tridiagonal_bit_for_bit():
+    import crossfourier.crossed as crossed
+
+    for alphas, betas in _tridiagonals():
+        theta, s = crossed._top_ritz(alphas, betas)
+        want_theta, want_s = _eigh_top(alphas, betas)
+        assert (theta is None) == (want_theta is None)
+        if theta is not None:
+            assert np.float64(theta).tobytes() == np.float64(want_theta).tobytes()
+            assert s.dtype == want_s.dtype and s.tobytes() == want_s.tobytes()
+
+
+@pytest.mark.parametrize("alphas, betas", [([math.nan], []), ([1.0, math.inf], [0.5]), ([1.0, 2.0], [math.nan])])
+def test_top_ritz_rejects_a_non_finite_entry_as_eigh_tridiagonal_does(alphas, betas):
+    import crossfourier.crossed as crossed
+
+    with pytest.raises(ValueError):
+        scipy.linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(len(alphas) - 1,) * 2)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        crossed._top_ritz(alphas, betas)
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_top_ritz_gives_none_where_lapack_reports_no_convergence(monkeypatch, failing):
+    import crossfourier.crossed as crossed
+
+    drivers = list(crossed._ritz_drivers())
+    real = drivers[failing]
+
+    def fails(*args):
+        *out, info = real(*args)
+        return (*out, 1)
+
+    drivers[failing] = fails
+    monkeypatch.setattr(crossed, "_ritz_drivers", lambda: drivers)
+    assert crossed._top_ritz([1.0, 2.0, 3.0], [0.5, 0.5]) == (None, None)
+
+
+def test_lanczos_calls_lapack_and_blas_without_the_scipy_wrappers(monkeypatch):
+    # the speed of the loop rests on these: no eigh_tridiagonal (validation and
+    # dispatch on every convergence test), and the BLAS and LAPACK handles
+    # resolved a bounded number of times, not once per step or per test
+    import crossfourier.crossed as crossed
+
+    operand = _lanczos_compressions()[0].sparse.real.copy()  # the path graph, 603 dimensions
+    adjoint = operand.conj().T.tocsr()
+    calls = {"eigh_tridiagonal": 0, "get_blas_funcs": 0, "get_lapack_funcs": 0}
+    for name in calls:
+        original = getattr(scipy.linalg, name)
+
+        def spy(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, spy)
+    steps = _count_lanczos_steps(monkeypatch)
+    crossed._ritz_drivers.cache_clear()
+    assert crossed._lanczos_top(operand, adjoint) is not None
+    assert len(steps) >= 8 and steps[-1] >= 100
+    assert calls == {"eigh_tridiagonal": 0, "get_blas_funcs": 1, "get_lapack_funcs": 1}
+    assert crossed._lanczos_top(operand, adjoint) is not None
+    assert calls == {"eigh_tridiagonal": 0, "get_blas_funcs": 2, "get_lapack_funcs": 1}
 
 
 def test_largest_singular_value_above_the_dense_cutoff_on_any_shape_and_format():
