@@ -43,28 +43,26 @@ its entries; the inverse actions come from the system's action table
 (TwistedSystem.act_rows).  Every element compressed at one radius
 reuses what the ones before it built.  The result is its entries, from
 which CompressedRep builds the dense array (.matrix, one scatter) and the
-CSR matrix (.sparse, which imports scipy) on first use.  Singular values
-take the dense array up to the dense SVD cutoff (200), and at every size
-on a finite group, within the one resource budget (check_budget, 1 GiB):
-there the fixed Lanczos start can lie in an invariant subspace that misses
-the top singular vector.  Above the cutoff, on infinite groups, a plain
-Lanczos loop runs on x -> M^H (M x) (the CSR and its adjoint, in real
-arithmetic on a real compression) from the fixed start ones / sqrt(n),
-without restarts, until the top Ritz pair passes ARPACK's test at 1e-8
-(about sqrt(eps)).  Its steps call compiled code with no Python wrapper
-between: scipy's CSR kernel, BLAS axpy, dot and scal, and per test LAPACK's
-dstebz and dstein, the drivers of scipy's eigh_tridiagonal, bit for bit
-what numpy's products and eigh_tridiagonal give.  It keeps its first
-vectors in one block of at most 4 MiB; the Ritz vector v sums them, and
-only the steps past the block are replayed, bit for bit, to add theirs.
-v is accepted only if its explicit residual is at most 1e-8 rho ||v||, and
-the value returned is ||M v|| / ||v||: a lower bound with its own witness.  When the start has a component along the top
-singular vector, it is below the top singular value by at most the
-Kato-Temple term ||r||^2 / (rho - sigma_2^2), which is of order eps over the
-relative gap; a start orthogonal to it (a symmetry of f and the ball can
-make it so) gives a smaller singular value, still a witnessed lower bound.
-Past the step cap, or when the residual check fails, the dense SVD runs if
-the matrix passes the budget.
+CSR matrix (.sparse, which imports scipy) on first use.  A singular value
+has one entry point, largest_singular_value(rep) (opnorm_bounds for
+callers), and the compression picks its path: the dense array up to the
+dense SVD cutoff (200), and at every size on a finite group, within the one
+resource budget (check_budget, 1 GiB): there the fixed Lanczos start can lie
+in an invariant subspace that misses the top singular vector.  Above the
+cutoff, on infinite groups, a plain Lanczos loop runs on x -> M^H (M x) (the
+CSR and its adjoint, in real arithmetic on a real compression) from the
+fixed start ones / sqrt(n), without restarts, until the top Ritz pair passes
+ARPACK's test at 1e-8 (about sqrt(eps)).  Its steps call compiled code with
+no Python wrapper between: scipy's CSR kernel, BLAS axpy, dot and scal, and
+per test LAPACK's dstebz and dstein, bit for bit what numpy's products and
+eigh_tridiagonal give.  Its Ritz vector v is accepted only if its explicit
+residual is at most 1e-8 rho ||v||, and the value returned is ||M v|| / ||v||:
+a lower bound witnessed by v.  The residual test puts rho near some
+eigenvalue of M^H M, not necessarily the top one (a start orthogonal to the
+top singular vector, which a symmetry of f and the ball can make, converges
+to a smaller one), and nothing computes the gap to sigma_2 that a
+Kato-Temple bound would need.  Past the step cap, or when the residual
+check fails, the dense SVD runs if the matrix passes the budget.
 """
 
 from __future__ import annotations
@@ -95,10 +93,9 @@ _DENSE_SVD_LIMIT = 200
 # Lanczos stops once the estimated residual |beta_j s_j| of its top Ritz pair
 # is at most this times the Ritz value, and its Ritz vector v is accepted once
 # the explicit residual r = M^H M v - rho v has ||r|| <= this * rho * ||v||;
-# about sqrt(eps).  The value needs no more: by Kato-Temple, sigma_1^2 - rho
-# <= ||r||^2 / (rho - sigma_2^2), so the Ritz value is off by about eps * rho
-# over the relative gap, and whatever the gap, rho = ||M v||^2 / ||v||^2 is a
-# lower bound witnessed by v.
+# about sqrt(eps).  rho = ||M v||^2 / ||v||^2 is then within this relative
+# distance of some eigenvalue of M^H M, not necessarily the top one, and a
+# lower bound witnessed by v whichever it is.
 _LANCZOS_TOL = 1e-8
 
 # Lanczos gives up after this many steps, and the dense fallback runs.
@@ -130,10 +127,7 @@ def _scipy():
     global _csr_matvec
     import scipy.linalg
     import scipy.sparse
-    try:  # private scipy API; without it, the public sparse products
-        from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-    except ImportError:
-        pass
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
     return scipy
 
 
@@ -656,44 +650,22 @@ def _top_ritz(alphas: list, betas: list):
 
 
 def _lanczos_top(operand, adjoint):
-    """Top Ritz vector of x -> M^H (M x) by plain Lanczos, or None.
+    """Top Ritz vector v of x -> M^H (M x) by plain Lanczos from ones / sqrt(n), or None.
 
-    The three-term recurrence runs from q_0 = ones / sqrt(n), keeping alpha
-    and beta, and tests the top Ritz pair (theta, s) of the tridiagonal at
-    step 10 and then every max(10, j // 8) steps against ARPACK's test
-    |beta_j s_j| <= _LANCZOS_TOL * theta (or beta_j = 0).  Each q_j is written
-    into row j of one block of at most _LANCZOS_KEPT_BYTES (at least two
-    rows), allocated once; past it the vectors rotate through three buffers.
-    v = sum_j s_j q_j sums the kept rows, then replays only the steps past the
-    block from its last two rows and the stored coefficients, the same
-    operations in the same order, so every q_j is the first pass's bit for
-    bit.  No restart, no reorthogonalization.  None when the step cap is
-    reached first.
-
-    operand is an m x n CSR matrix and adjoint its n x m CSR adjoint, so
-    the vectors have length n.  gram(q, w) sets w = M^H (M q) bit for bit
-    as adjoint @ (operand @ q) does: that zeroes a fresh vector and adds
-    A x into it with scipy's compiled csr_matvec, which is called here
-    directly, into zeroed kept buffers, without the per-call dispatch.
-    csr_matvec is private scipy API and checks no shapes or formats, hence
-    the check of the arguments; where scipy lacks it, the public products run instead.
-    The dots and the scaling call BLAS directly too, handles resolved once
-    per call: dot (ddot, or zdotc on complex vectors) for np.vdot and scal
-    for w *= 1 / beta, the same values bit for bit.  (zscal and numpy's
-    complex product could differ in the sign of a zero part, but no part of
-    w is -0.0: the products sum from +0.0, and y + a x is -0.0 only where
-    both terms are.)  tests/test_crossed.py checks this loop against the
-    public products, numpy scaling and eigh_tridiagonal.
+    None when the step cap comes first, or when beta_j = 0 and the Ritz pair
+    of that tridiagonal fails.  operand is an m x n CSR matrix M and adjoint
+    its n x m CSR adjoint (a ValueError otherwise: scipy's private
+    csr_matvec, called here directly, checks no shapes or formats).  v is
+    bit for bit what two passes of the public products adjoint @ (operand @ q),
+    numpy scaling and eigh_tridiagonal give, whatever part of the basis the
+    kept block of _LANCZOS_KEPT_BYTES holds (tests/test_crossed.py checks it).
     """
     m, n = operand.shape
     if operand.format != "csr" or adjoint.format != "csr" or adjoint.shape != (n, m):
         raise ValueError("Lanczos needs a CSR matrix and its CSR adjoint")
     middle = np.empty(m, dtype=operand.dtype)
 
-    def gram(q, w):
-        if _csr_matvec is None:
-            w[:] = adjoint @ (operand @ q)
-            return
+    def gram(q, w):  # w = M^H (M q), into zeroed buffers as the public products fill fresh ones
         middle.fill(0)
         _csr_matvec(m, n, operand.indptr, operand.indices, operand.data, q, middle)
         w.fill(0)
@@ -745,30 +717,32 @@ def _lanczos_top(operand, adjoint):
     return v
 
 
-def _top_singular(matrix, vectors: bool, dense: bool = False):
-    """(largest singular value, its right singular vector or None) of a scipy matrix or a CompressedRep.
+def _top_singular(rep: CompressedRep, vectors: bool):
+    """(largest singular value, its right singular vector or None) of a compression.
 
-    Dense SVD of matrix.toarray() up to _DENSE_SVD_LIMIT, and at any size
-    when dense is set if the dense matrix passes check_budget.  Above it, the
-    Lanczos of _lanczos_top on the implicit Gram operator
-    x -> M^H (M x), with the CSR adjoint built once, from the fixed start
-    ones / sqrt(n); in real arithmetic on a contiguous copy of matrix.real
-    (a strided view would be copied on every product) when every stored entry
-    is real (real coefficients, cocycle and action values), in complex
-    arithmetic otherwise.  Its Ritz vector v is accepted only if the explicit
-    residual passes, ||M^H M v - rho v|| <= _LANCZOS_TOL * rho * ||v|| with
+    The dense SVD of rep.matrix up to _DENSE_SVD_LIMIT, and at any size on a
+    finite group if the dense matrix passes check_budget: there Lanczos's
+    fixed start ones / sqrt(n) can lie in an invariant subspace of M^H M that
+    misses the top singular vector (the constant vectors are one when
+    cocycle and action are trivial), and the Ritz value it converges to
+    passes the residual check.  Otherwise the Lanczos of _lanczos_top on
+    rep.sparse, with the CSR adjoint built once; in real arithmetic on a
+    contiguous copy of its real part (a strided view would be copied on
+    every product) when every stored entry is real, in complex arithmetic
+    otherwise.  Its Ritz vector v is accepted only if the explicit residual
+    passes, ||M^H M v - rho v|| <= _LANCZOS_TOL * rho * ||v|| with
     rho = ||M v||^2 / ||v||^2.  The value returned is then ||M v|| / ||v||,
     recomputed from the matrix and the v that is returned (complex either
-    way): a lower bound witnessed by v, within the Kato-Temple term of the
-    top singular value unless the start is orthogonal to its vector.  When
-    the step cap is reached or the residual check fails, the dense SVD runs
-    instead if the dense matrix passes check_budget.
+    way): a lower bound witnessed by v, and no more, since the residual test
+    puts rho near some eigenvalue of M^H M, not necessarily the top one.
+    When the step cap is reached or the residual check fails, the dense SVD
+    runs instead if the dense matrix passes check_budget.
     """
-    n = matrix.shape[0]
-    if n > _DENSE_SVD_LIMIT and dense:
-        check_budget(16 * n * matrix.shape[1], f"the dense SVD of the {n} x {matrix.shape[1]} compression")
+    n, m = rep.shape
+    if n > _DENSE_SVD_LIMIT and rep.system.group.is_finite:
+        check_budget(16 * n * m, f"the dense SVD of the {n} x {m} compression")
     elif n > _DENSE_SVD_LIMIT:
-        matrix = matrix.tocsr()  # the Lanczos products read CSR arrays
+        matrix = rep.sparse
         operand = matrix if np.any(matrix.data.imag) else matrix.real.copy()
         adjoint = operand.conj().T.tocsr()
         v = _lanczos_top(operand, adjoint)
@@ -779,20 +753,17 @@ def _top_singular(matrix, vectors: bool, dense: bool = False):
                 v = v.astype(complex) / np.linalg.norm(v)
                 value = float(np.linalg.norm(matrix @ v) / np.linalg.norm(v))
                 return value, (v if vectors else None)
-        check_budget(16 * n * matrix.shape[1],
-                     f"the dense SVD of the {n} x {matrix.shape[1]} compression, where Lanczos did not converge,")
-    out = np.linalg.svd(matrix.toarray(), compute_uv=vectors)
+        check_budget(16 * n * m, f"the dense SVD of the {n} x {m} compression, where Lanczos did not converge,")
+    out = np.linalg.svd(rep.matrix, compute_uv=vectors)
     if not vectors:
         return float(out[0]), None
     _, s, vh = out
     return float(s[0]), vh[0].conj().astype(complex, copy=False)
 
 
-def largest_singular_value(matrix, dense: bool = False) -> float:
-    """Largest singular value; deterministic (fixed Lanczos start above the dense cutoff unless dense)."""
-    if matrix.shape[0] == 0:
-        return 0.0
-    return _top_singular(matrix, vectors=False, dense=dense)[0]
+def largest_singular_value(rep: CompressedRep) -> float:
+    """The largest singular value of a compression, the one value entry point (_top_singular picks the path)."""
+    return _top_singular(rep, vectors=False)[0]
 
 
 @dataclass(frozen=True)
@@ -801,13 +772,8 @@ class CompressedRep:
 
     Stored as its entries (rows, columns, values), one per position at most;
     `matrix`, the dense array, and `sparse`, the CSR matrix without stored
-    zeros, are built from them on first use.  toarray() and tocsr() name them
-    as scipy does, so the singular-value functions build only the view they
-    read.  On a finite group its singular values come from the dense SVD at
-    every size: there Lanczos's fixed start ones / sqrt(n) can lie in an
-    invariant subspace of M^H M that misses the top singular vector (the
-    constant vectors are one when cocycle and action are trivial), and the
-    Ritz value it converges to passes the residual check.
+    zeros, are built from them on first use, so the singular-value path
+    (_top_singular) builds only the view it reads.
     """
 
     system: TwistedSystem
@@ -830,19 +796,6 @@ class CompressedRep:
         out = _scipy().sparse.csr_matrix((values, (rows, cols)), shape=self.shape)
         out.eliminate_zeros()
         return out
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix
-
-    def tocsr(self):
-        return self.sparse
-
-    def largest_singular_value(self) -> float:
-        return largest_singular_value(self, dense=self.system.group.is_finite)
-
-    def top_singular_vector(self) -> np.ndarray:
-        """Right singular vector of the top singular value (for witness extraction)."""
-        return _top_singular(self, vectors=True, dense=self.system.group.is_finite)[1]
 
 
 class CompressionPlan:
@@ -991,15 +944,13 @@ def opnorm_bounds(
     R_schedule = list(R_schedule)
     if not R_schedule:
         raise ValueError("empty radius schedule")
-    trace = []
-    for R in R_schedule:
-        trace.append((float(R), compression_matrix(f, R, length).largest_singular_value()))
+    trace = [(float(R), largest_singular_value(compression_matrix(f, R, length))) for R in R_schedule]
     lower = max(s for _, s in trace)
     return OpnormBounds(lower, f.norm_l1(), tuple(trace))
 
 
 def exact_norm_finite(f: CcElement) -> float:
-    """Exact reduced norm on a finite group via the full regular representation."""
+    """Exact reduced norm on a finite group, opnorm_bounds' lower bound at its default, the full radius."""
     if not f.system.group.is_finite:
         raise ValueError("exact norms are only available on finite groups")
-    return compression_matrix(f, full_radius(f.system), word_length(f.system.group)).largest_singular_value()
+    return opnorm_bounds(f).lower

@@ -26,8 +26,7 @@ import numpy as np
 
 from .algebra import state_norm, state_root
 from .crossed import (
-    CcElement, Pairs, compression_matrix, default_radii, delta, opnorm_bounds, pair_sum, random_cc, regrouped,
-    random_cc_in,
+    CcElement, Pairs, default_radii, delta, opnorm_bounds, pair_sum, random_cc, regrouped, random_cc_in,
 )
 from .groups import (
     FreeF2,
@@ -306,7 +305,7 @@ def content_probe(
         denom = f.module_norm()
         if denom < 1e-14:
             return 0.0
-        return compression_matrix(f, R, length).largest_singular_value() / denom
+        return opnorm_bounds(f, [R], length).lower / denom
 
     candidates = [delta(system, g) for g in E]
     if warm_start is not None:

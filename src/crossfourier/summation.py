@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .crossed import CcElement, compression_matrix, default_radii
+from .crossed import CcElement, default_radii, opnorm_bounds
 from .groups import (
     FolnerSequence,
     LengthFunction,
@@ -279,11 +279,8 @@ def run_convergence(
                 (T.apply_at(g, a) - a).norm() for g in point_gs for a in probes
             ),
         }
-        for R in R_schedule:
-            if len(h) == 0:
-                row[f"opnorm_error_R{R:g}"] = 0.0
-            else:
-                row[f"opnorm_error_R{R:g}"] = compression_matrix(h, R, length).largest_singular_value()
+        errors = opnorm_bounds(h, R_schedule, length).trace if len(h) and R_schedule else [(R, 0.0) for R in R_schedule]
+        row.update({f"opnorm_error_R{R:g}": s for R, s in errors})
         rows.append(row)
     converged = bool(rows and rows[-1]["pointwise_error"] < target_error)
     return ConvergenceReport(net.kind, net.indices, tuple(rows), target_error, converged, tuple(columns))

@@ -254,7 +254,7 @@ def assert_views_agree(rep):
     dense = rep.sparse.toarray()
     assert rep.matrix.dtype == dense.dtype and rep.matrix.tobytes() == dense.tobytes()
     if rep.shape[0] and np.isfinite(dense).all():
-        assert rep.largest_singular_value() == np.linalg.svd(dense, compute_uv=False)[0]
+        assert crossed.largest_singular_value(rep) == np.linalg.svd(dense, compute_uv=False)[0]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from crossfourier import crossed
 from crossfourier.algebra import AlgAutomorphism, BlockAlgebra
 from crossfourier.crossed import (
     SUPPORT_TOL,
@@ -479,7 +480,7 @@ def test_compression_path_graph():
             if abs(g[0] - h[0]) == 1:
                 expect[i, j] = 1
     assert np.linalg.norm(comp.matrix - expect) < 1e-12
-    assert comp.largest_singular_value() == pytest.approx(2 * np.cos(np.pi / (2 * R + 2)), abs=1e-10)
+    assert crossed.largest_singular_value(comp) == pytest.approx(2 * np.cos(np.pi / (2 * R + 2)), abs=1e-10)
 
 
 def _random_unitary(rng, d):
@@ -573,7 +574,7 @@ def test_compression_of_element_outside_the_ball_is_zero():
     rep = compression_matrix(delta(sys_, (9, 0)), 2)
     assert rep.sparse.shape == (13, 13) and rep.sparse.nnz == 0
     assert not rep.matrix.any()
-    assert rep.largest_singular_value() == 0.0
+    assert crossed.largest_singular_value(rep) == 0.0
 
 
 def test_compression_builds_few_automorphisms(monkeypatch):
@@ -648,8 +649,6 @@ def test_projective_system_validates_and_star_matches_adjoint():
 def test_largest_singular_value_dense_and_sparse_paths_agree():
     # the path graph pins the answer in closed form on both sides of the
     # dense/Lanczos cutoff (200), and three times as far out
-    import crossfourier.crossed as crossed
-
     assert 2 * 99 + 1 <= crossed._DENSE_SVD_LIMIT < 2 * 100 + 1
     sys_ = trivial_system(BlockAlgebra([1]), Zd(1))
     A = sys_.algebra
@@ -657,8 +656,8 @@ def test_largest_singular_value_dense_and_sparse_paths_agree():
     for R in (99, 100, 299, 301):  # 199, 201, 599 and 603 dimensions
         comp = compression_matrix(f, R)
         want = 2 * np.cos(np.pi / (2 * R + 2))
-        assert comp.largest_singular_value() == pytest.approx(want, abs=1e-8)
-        v = comp.top_singular_vector()
+        assert crossed.largest_singular_value(comp) == pytest.approx(want, abs=1e-8)
+        v = crossed._top_singular(comp, vectors=True)[1]
         assert np.linalg.norm(comp.matrix @ v) / np.linalg.norm(v) == pytest.approx(want, abs=1e-8)
 
 
@@ -667,8 +666,6 @@ def test_finite_group_values_past_the_cutoff_are_the_dense_svd(order):
     # on a trivial system over a finite group the constant vector, Lanczos's
     # start, is a singular vector of every full-radius compression: from it
     # Lanczos would stop at |sum f| (0 for delta_e - delta_a, whose norm is 2)
-    import crossfourier.crossed as crossed
-
     assert order > crossed._DENSE_SVD_LIMIT
     sys_ = trivial_system(BlockAlgebra([1]), Cyclic(order))
     rng = np.random.default_rng(order)
@@ -676,8 +673,8 @@ def test_finite_group_values_past_the_cutoff_are_the_dense_svd(order):
         comp = compression_matrix(f, full_radius(sys_))
         want = np.linalg.svd(comp.matrix, compute_uv=False)[0]
         assert exact_norm_finite(f) == pytest.approx(want, rel=1e-12)
-        assert comp.largest_singular_value() == pytest.approx(want, rel=1e-12)
-        v = comp.top_singular_vector()
+        assert crossed.largest_singular_value(comp) == pytest.approx(want, rel=1e-12)
+        v = crossed._top_singular(comp, vectors=True)[1]
         assert np.linalg.norm(comp.matrix @ v) / np.linalg.norm(v) == pytest.approx(want, rel=1e-12)
     assert exact_norm_finite(delta(sys_) - delta(sys_, 1)) == pytest.approx(2, rel=1e-12)
 
@@ -694,8 +691,6 @@ def _real_and_complex_compressions():
 
 
 def test_lanczos_runs_in_real_arithmetic_only_on_real_compressions(monkeypatch):
-    import crossfourier.crossed as crossed
-
     real, cplx = _real_and_complex_compressions()
     assert not np.any(real.sparse.data.imag) and np.any(cplx.sparse.data.imag)
     seen = []
@@ -708,7 +703,7 @@ def test_lanczos_runs_in_real_arithmetic_only_on_real_compressions(monkeypatch):
     monkeypatch.setattr(crossed, "_lanczos_top", spy)
     for comp in (real, cplx):
         assert comp.sparse.shape[0] > crossed._DENSE_SVD_LIMIT
-        comp.largest_singular_value()
+        crossed.largest_singular_value(comp)
     # contiguous data: csr_matvec would copy a strided real view on every product
     assert seen == [(np.float64, True), (np.complex128, True)]
 
@@ -717,8 +712,6 @@ def _lanczos_by_products(operand, adjoint):
     """(v, j): the Lanczos of crossed._lanczos_top in two passes, storing no vector, each step applied as
     adjoint @ (operand @ q) and scaled by numpy, its Ritz pairs from scipy.linalg.eigh_tridiagonal and its
     dots and axpys from the BLAS handles the loop uses; j steps, q_0 .. q_{j-1} make up the Ritz vector v."""
-    import crossfourier.crossed as crossed
-
     n = operand.shape[1]
     start = np.full(n, 1 / np.sqrt(n), dtype=operand.dtype)
     axpy, dot = scipy.linalg.get_blas_funcs(("axpy", "dotc"), (start,))
@@ -768,8 +761,6 @@ def _eigh_top(alphas, betas):
 
 def _count_lanczos_steps(monkeypatch):
     """A list to which every convergence test of Lanczos appends its step count j."""
-    import crossfourier.crossed as crossed
-
     steps = []
     original = crossed._top_ritz
 
@@ -783,30 +774,25 @@ def _count_lanczos_steps(monkeypatch):
 
 def test_lanczos_loop_is_the_sparse_product_loop_bit_for_bit(monkeypatch):
     # _lanczos_top calls scipy's private csr_matvec kernel into kept buffers,
-    # or the public products where scipy lacks it, scales by BLAS scal, tests
-    # convergence by LAPACK's stebz and stein, and keeps its first vectors in
-    # a block, replaying the steps past it; every Ritz vector must be the one
-    # two passes of the public products, numpy scaling and eigh_tridiagonal
-    # give, whether the block holds every vector, all but the last, about
-    # half of them or two
-    import crossfourier.crossed as crossed
-
+    # scales by BLAS scal, tests convergence by LAPACK's stebz and stein, and
+    # keeps its first vectors in a block, replaying the steps past it; every
+    # Ritz vector must be the one two passes of the public products, numpy
+    # scaling and eigh_tridiagonal give, whether the block holds every
+    # vector, all but the last, about half of them or two
     real, cplx = _real_and_complex_compressions()
     path = trivial_system(BlockAlgebra([1]), Zd(1))
     unit = path.algebra.unit()
     ring = compression_matrix(CcElement(path, {(1,): unit, (-1,): unit}), 200)
     wide = scipy.sparse.random(40, 90, density=0.2, format="csr", random_state=3)
     matrices = (real.sparse.real, cplx.sparse, ring.sparse.real, ring.sparse, wide, wide.T.tocsr())
-    for kernel in (crossed._csr_matvec, None):
-        monkeypatch.setattr(crossed, "_csr_matvec", kernel)
-        for matrix in matrices:
-            adjoint = matrix.conj().T.tocsr()
-            want, j = _lanczos_by_products(matrix, adjoint)
-            assert want is not None and j // 2 > 2
-            for rows in (j, j - 1, j // 2, 2):
-                monkeypatch.setattr(crossed, "_LANCZOS_KEPT_BYTES", rows * matrix.dtype.itemsize * matrix.shape[1])
-                got = crossed._lanczos_top(matrix, adjoint)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for matrix in matrices:
+        adjoint = matrix.conj().T.tocsr()
+        want, j = _lanczos_by_products(matrix, adjoint)
+        assert want is not None and j // 2 > 2
+        for rows in (j, j - 1, j // 2, 2):
+            monkeypatch.setattr(crossed, "_LANCZOS_KEPT_BYTES", rows * matrix.dtype.itemsize * matrix.shape[1])
+            got = crossed._lanczos_top(matrix, adjoint)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="CSR"):  # the kernel reads CSR arrays and checks no shapes
         crossed._lanczos_top(wide.tocsc(), wide.conj().T.tocsr())
     with pytest.raises(ValueError, match="CSR"):
@@ -815,8 +801,6 @@ def test_lanczos_loop_is_the_sparse_product_loop_bit_for_bit(monkeypatch):
 
 def test_lanczos_memory_is_its_kept_block_and_a_few_vectors(monkeypatch):
     import tracemalloc
-
-    import crossfourier.crossed as crossed
 
     sys_ = trivial_system(BlockAlgebra([1]), Zd(1))
     unit = sys_.algebra.unit()
@@ -854,8 +838,6 @@ def _tridiagonals():
 
 
 def test_top_ritz_is_eigh_tridiagonal_bit_for_bit():
-    import crossfourier.crossed as crossed
-
     for alphas, betas in _tridiagonals():
         theta, s = crossed._top_ritz(alphas, betas)
         want_theta, want_s = _eigh_top(alphas, betas)
@@ -867,8 +849,6 @@ def test_top_ritz_is_eigh_tridiagonal_bit_for_bit():
 
 @pytest.mark.parametrize("alphas, betas", [([math.nan], []), ([1.0, math.inf], [0.5]), ([1.0, 2.0], [math.nan])])
 def test_top_ritz_rejects_a_non_finite_entry_as_eigh_tridiagonal_does(alphas, betas):
-    import crossfourier.crossed as crossed
-
     with pytest.raises(ValueError):
         scipy.linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(len(alphas) - 1,) * 2)
     with pytest.raises(ValueError, match="infs or NaNs"):
@@ -877,8 +857,6 @@ def test_top_ritz_rejects_a_non_finite_entry_as_eigh_tridiagonal_does(alphas, be
 
 @pytest.mark.parametrize("failing", [0, 1])
 def test_top_ritz_gives_none_where_lapack_reports_no_convergence(monkeypatch, failing):
-    import crossfourier.crossed as crossed
-
     drivers = list(crossed._ritz_drivers())
     real = drivers[failing]
 
@@ -895,8 +873,6 @@ def test_lanczos_calls_lapack_and_blas_without_the_scipy_wrappers(monkeypatch):
     # the speed of the loop rests on these: no eigh_tridiagonal (validation and
     # dispatch on every convergence test), and the BLAS and LAPACK handles
     # resolved a bounded number of times, not once per step or per test
-    import crossfourier.crossed as crossed
-
     operand = _lanczos_compressions()[0].sparse.real.copy()  # the path graph, 603 dimensions
     adjoint = operand.conj().T.tocsr()
     calls = {"eigh_tridiagonal": 0, "get_blas_funcs": 0, "get_lapack_funcs": 0}
@@ -917,33 +893,22 @@ def test_lanczos_calls_lapack_and_blas_without_the_scipy_wrappers(monkeypatch):
     assert calls == {"eigh_tridiagonal": 0, "get_blas_funcs": 2, "get_lapack_funcs": 1}
 
 
-def test_largest_singular_value_above_the_dense_cutoff_on_any_shape_and_format():
-    import crossfourier.crossed as crossed
-
-    rng = np.random.default_rng(8)
-    for m, n in ((crossed._DENSE_SVD_LIMIT + 60, 90), (crossed._DENSE_SVD_LIMIT + 60, 700)):
-        matrix = scipy.sparse.random(m, n, density=0.05, format="csr", random_state=rng)
-        want = np.linalg.svd(matrix.toarray(), compute_uv=False)[0]
-        for stored in (matrix, matrix.tocsc(), matrix.tocoo()):
-            assert crossed.largest_singular_value(stored) == pytest.approx(want, rel=1e-9)
-
-
 def test_real_lanczos_agrees_with_complex_lanczos_on_a_real_compression():
     real, _ = _real_and_complex_compressions()
     n = real.sparse.shape[0]
     v0 = np.ones(n) / np.sqrt(n)
     complex_value = scipy.sparse.linalg.svds(real.sparse, k=1, v0=v0, return_singular_vectors=False, maxiter=5000)[0]
-    value = real.largest_singular_value()
+    value = crossed.largest_singular_value(real)
     assert value == pytest.approx(complex_value, rel=1e-12)
     assert value == pytest.approx(np.linalg.svd(real.matrix, compute_uv=False)[0], rel=1e-12)
 
 
 def test_top_singular_vector_stays_complex_on_both_lanczos_paths():
     for comp in _real_and_complex_compressions():
-        v = comp.top_singular_vector()
+        v = crossed._top_singular(comp, vectors=True)[1]
         assert v.dtype == np.complex128 and v.shape == (comp.sparse.shape[0],)
         ratio = np.linalg.norm(comp.sparse @ v) / np.linalg.norm(v)
-        assert ratio == pytest.approx(comp.largest_singular_value(), rel=1e-12)
+        assert ratio == pytest.approx(crossed.largest_singular_value(comp), rel=1e-12)
 
 
 def _lanczos_compressions():
@@ -959,26 +924,53 @@ def _lanczos_compressions():
 
 
 def test_lanczos_value_is_its_own_witness_and_pins_the_top_singular_value():
-    import crossfourier.crossed as crossed
-
     for comp in _lanczos_compressions():
         assert comp.sparse.shape[0] > crossed._DENSE_SVD_LIMIT
-        value = comp.largest_singular_value()
-        v = comp.top_singular_vector()
+        value = crossed.largest_singular_value(comp)
+        v = crossed._top_singular(comp, vectors=True)[1]
         assert value == pytest.approx(np.linalg.norm(comp.sparse @ v) / np.linalg.norm(v), rel=1e-15)
         top = np.linalg.svd(comp.matrix, compute_uv=False)[0]
         assert top * (1 - 1e-12) <= value <= top * (1 + 1e-14)
 
 
-def test_lanczos_converges_on_a_cluster_without_the_dense_svd(monkeypatch):
-    import crossfourier.crossed as crossed
+def _symmetric_start_case():
+    """delta_{-1} - delta_1 on Z compressed at R = 100 (201 dimensions: Lanczos) and its norm 2 cos(pi / 202)."""
+    sys_ = trivial_system(BlockAlgebra([1]), Zd(1))
+    comp = compression_matrix(delta(sys_, (-1,)) - delta(sys_, (1,)), 100)
+    assert comp.shape == (201, 201) and comp.shape[0] > crossed._DENSE_SVD_LIMIT
+    return comp, 2 * np.cos(np.pi / 202)
 
+
+def test_lanczos_from_a_symmetric_start_gives_a_witnessed_lower_bound():
+    comp, top = _symmetric_start_case()
+    assert np.linalg.svd(comp.matrix, compute_uv=False)[0] == pytest.approx(top, abs=1e-12)
+    value = crossed.largest_singular_value(comp)
+    v = crossed._top_singular(comp, vectors=True)[1]
+    assert value <= top + 1e-12
+    assert value == pytest.approx(np.linalg.norm(comp.sparse @ v) / np.linalg.norm(v), rel=1e-15)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the fixed start ones / sqrt(n) misses the top singular "
+                                       "vector of this odd element, and Lanczos stops at 1.99903")
+def test_lanczos_from_a_symmetric_start_reaches_the_top_singular_value():
+    comp, top = _symmetric_start_case()
+    assert crossed.largest_singular_value(comp) == pytest.approx(top, abs=1e-12)
+
+
+def _compression_of(rows, cols, values, n):
+    """An n x n CompressedRep over Z with the given entries, for tests of the singular-value path alone
+    (which reads only the entries, the shape and the group; the radius and index are placeholders)."""
+    sys_ = trivial_system(BlockAlgebra([1]), Zd(1))
+    return crossed.CompressedRep(sys_, 0.0, default_length(sys_.group), (), (rows, cols, values), (n, n))
+
+
+def test_lanczos_converges_on_a_cluster_without_the_dense_svd(monkeypatch):
     # a permuted complex diagonal whose top two singular values are 1e-9 apart
     n = 2 * crossed._DENSE_SVD_LIMIT
     rng = np.random.default_rng(3)
     singular = np.concatenate([[1.0, 1.0 - 1e-9], rng.uniform(0.0, 0.99, n - 2)])
     entries = singular * np.exp(2j * np.pi * rng.uniform(size=n))
-    matrix = scipy.sparse.csr_matrix((entries, (rng.permutation(n), np.arange(n))), shape=(n, n))
+    comp = _compression_of(rng.permutation(n), np.arange(n), entries, n)
     calls = []
     original = np.linalg.svd
 
@@ -987,14 +979,12 @@ def test_lanczos_converges_on_a_cluster_without_the_dense_svd(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    value = crossed.largest_singular_value(matrix)
+    value = crossed.largest_singular_value(comp)
     assert calls == []
     assert 1.0 - 2e-9 <= value <= 1.0 + 1e-14
 
 
 def test_lanczos_non_convergence_falls_back_to_the_dense_svd(monkeypatch):
-    import crossfourier.crossed as crossed
-
     monkeypatch.setattr(crossed, "_LANCZOS_STEPS", 1)
     calls = []
     original = np.linalg.svd
@@ -1008,54 +998,64 @@ def test_lanczos_non_convergence_falls_back_to_the_dense_svd(monkeypatch):
     A = sys_.algebra
     comp = compression_matrix(CcElement(sys_, {(1,): A.unit(), (-1,): A.unit()}), 301)  # 603 > 300
     want = 2 * np.cos(np.pi / (2 * 301 + 2))
-    assert comp.largest_singular_value() == pytest.approx(want, abs=1e-12)
+    assert crossed.largest_singular_value(comp) == pytest.approx(want, abs=1e-12)
     assert calls == [(603, 603)]
-    v = comp.top_singular_vector()
+    v = crossed._top_singular(comp, vectors=True)[1]
     assert np.linalg.norm(comp.matrix @ v) / np.linalg.norm(v) == pytest.approx(want, abs=1e-12)
 
 
 def test_a_ritz_vector_failing_the_explicit_residual_check_is_not_returned(monkeypatch):
-    import crossfourier.crossed as crossed
-
     # Lanczos hands back the start vector, far from the top singular vector
     monkeypatch.setattr(crossed, "_lanczos_top", lambda operand, adjoint: np.ones(operand.shape[0]))
     sys_ = trivial_system(BlockAlgebra([1]), Zd(1))
     A = sys_.algebra
     comp = compression_matrix(CcElement(sys_, {(1,): A.unit(), (-1,): A.unit()}), 301)  # 603 > 300
     want = 2 * np.cos(np.pi / (2 * 301 + 2))
-    assert comp.largest_singular_value() == pytest.approx(want, abs=1e-12)
-    v = comp.top_singular_vector()
+    assert crossed.largest_singular_value(comp) == pytest.approx(want, abs=1e-12)
+    v = crossed._top_singular(comp, vectors=True)[1]
     assert np.linalg.norm(comp.matrix @ v) / np.linalg.norm(v) == pytest.approx(want, abs=1e-12)
 
 
 def test_lanczos_non_convergence_past_the_dense_budget_names_the_shape(monkeypatch):
-    import crossfourier.crossed as crossed
-
     monkeypatch.setattr(crossed, "_LANCZOS_STEPS", 1)
     n = math.isqrt(crossed._BUDGET_BYTES // 16) + 1  # the first dimension past the budget
     # distinct diagonal entries, so that one step does not span an invariant subspace
-    matrix = scipy.sparse.diags(np.arange(1.0, n + 1), format="csr", dtype=complex)
+    comp = _compression_of(np.arange(n), np.arange(n), np.arange(1.0, n + 1) + 0j, n)
     with pytest.raises(ValueError, match=f"{n} x {n}"):
-        crossed.largest_singular_value(matrix)
+        crossed.largest_singular_value(comp)
 
 
 def test_singular_values_go_through_the_module_level_function(monkeypatch):
-    import crossfourier.crossed as crossed
+    # every consumer reaches a singular value through largest_singular_value (perfbench/tracer.py patches it)
+    from crossfourier.decay import content_probe
+    from crossfourier.summation import fejer_net, run_convergence
 
     calls = []
     original = crossed.largest_singular_value
 
-    def spy(matrix, **kw):
-        calls.append(matrix.shape)
-        return original(matrix, **kw)
+    def spy(rep):
+        calls.append(rep.shape)
+        return original(rep)
 
     monkeypatch.setattr(crossed, "largest_singular_value", spy)
     sys_ = theta_system(Zd(2), "1/5")
     f = delta(sys_, (1, 0))
-    compression_matrix(f, 2).largest_singular_value()
-    assert calls == [(13, 13)]
     opnorm_bounds(f, [1, 2])
-    assert calls == [(13, 13), (5, 5), (13, 13)]
+    assert calls == [(5, 5), (13, 13)]
+    calls.clear()
+    run_convergence(fejer_net(sys_, [2, 4]), f, R_schedule=[1, 2])
+    assert calls == [(5, 5), (13, 13)] * 2
+    calls.clear()
+    content_probe(sys_, [(0, 0), (1, 0)], sample_budget=4)  # 2 point masses, 2 random starts, 2 ascent steps
+    assert calls == [(41, 41)] * 6  # ball(4) of Z^2
+    calls.clear()
+    finite = theta_system(Cyclic(12), "1/12")
+    assert exact_norm_finite(delta(finite, 1)) == pytest.approx(1.0)
+    assert calls == [(12, 12)]
+    calls.clear()
+    report = run_convergence(fejer_net(finite, [1]), delta(finite, 4), R_schedule=[6])
+    assert report.rows[0]["opnorm_error_R6"] == 0.0 and calls == []  # the kernel is 1: no error, no SVD
+
 
 
 def test_default_schedule_on_f2_stops_below_the_dense_cap():
@@ -1070,7 +1070,6 @@ def test_default_schedule_on_f2_stops_below_the_dense_cap():
 
 
 def test_default_schedule_counts_balls_instead_of_enumerating(monkeypatch):
-    import crossfourier.crossed as crossed
     import crossfourier.groups as groups
 
     # ball(32) of Z2 * Z3 has 458 746 points; the schedule check must not build it

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crossfourier.algebra import BlockAlgebra, PointState, pure_states
-from crossfourier import decay
+from crossfourier import crossed, decay
 from crossfourier.crossed import CcElement, compression_matrix, delta, opnorm_bounds, random_cc
 from crossfourier.groups import (
     Cyclic,
@@ -377,7 +377,7 @@ def test_content_probe_compresses_each_candidate_once(monkeypatch):
         calls.append(f)
         return compression_matrix(f, R, length)
 
-    monkeypatch.setattr(decay, "compression_matrix", counting)
+    monkeypatch.setattr(crossed, "compression_matrix", counting)
     sys_ = theta_system(Zd(1), 0.3)
     content_probe(sys_, [(0,), (1,)], sample_budget=6)
     # 2 point masses + 3 random starts, then 3 ascent steps
