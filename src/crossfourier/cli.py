@@ -6,9 +6,10 @@
 
 One experiment per invocation; compose runs with shell scripts so each
 report's provenance stays atomic.  Exit codes: 0 pass, 1 config error (any
-input the library rejects with a ValueError: a missing required key, or a
+input the library rejects with a ValueError: a missing required key, a
 size past the one resource budget of crossed.check_budget, which is checked
-before anything is built), 2 invariant violation.  Set CROSSFOURIER_THREADS
+before anything is built, or a sample count past the work budget of the
+experiments), 2 invariant violation.  Set CROSSFOURIER_THREADS
 to cap BLAS thread pools (read when the crossfourier package is imported).
 """
 

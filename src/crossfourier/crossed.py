@@ -55,7 +55,8 @@ fixed start ones / sqrt(n), without restarts, until the top Ritz pair passes
 ARPACK's test at 1e-8 (about sqrt(eps)).  Its steps call compiled code with
 no Python wrapper between: scipy's CSR kernel, BLAS axpy, dot and scal, and
 per test LAPACK's dstebz and dstein, bit for bit what numpy's products and
-eigh_tridiagonal give.  Its Ritz vector v is accepted only if its explicit
+eigh_tridiagonal give.  LAPACK decides every stop: a test runs only where
+a solve with a shifted tridiagonal (dptsv) cannot prove that it fails.  Its Ritz vector v is accepted only if its explicit
 residual is at most 1e-8 rho ||v||, and the value returned is ||M v|| / ||v||:
 a lower bound witnessed by v.  The residual test puts rho near some
 eigenvalue of M^H M, not necessarily the top one (a start orthogonal to the
@@ -104,6 +105,15 @@ _LANCZOS_STEPS = 20_000
 # Lanczos keeps its first vectors in one block of at most this many bytes
 # (at least two rows) and replays only the steps past it to sum the Ritz vector.
 _LANCZOS_KEPT_BYTES = 4 << 20
+
+# Before a convergence test, its screen (_fails_surely) shifts the tridiagonal
+# by floor * (1 + delta): delta starts at the first value, then at a quarter
+# of the last one whose shift factored, never below the second (far above
+# the rounding of a factorization, so one that succeeds proves the shift
+# above the spectrum), and grows 8-fold on each of at most _SCREEN_TRIES shifts.
+_SCREEN_DELTA = 1e-4
+_SCREEN_DELTA_MIN = 1e-12
+_SCREEN_TRIES = 6
 
 # The one resource budget.  Before the library builds what a config sizes
 # (a ball, a compression, a Gram matrix, a pair table, a sample list), the
@@ -620,11 +630,11 @@ def random_cc_in(system: TwistedSystem, pool: list, max_size: int, rng) -> CcEle
 
 @functools.cache
 def _ritz_drivers() -> tuple:
-    """LAPACK's dstebz and dstein, the drivers of scipy's eigh_tridiagonal with select "i", resolved once."""
-    return tuple(_scipy().linalg.get_lapack_funcs(("stebz", "stein"), (np.zeros(0),)))
+    """LAPACK's dstebz and dstein (the drivers of scipy's eigh_tridiagonal with select "i") and dptsv, resolved once."""
+    return tuple(_scipy().linalg.get_lapack_funcs(("stebz", "stein", "ptsv"), (np.zeros(0),)))
 
 
-def _top_ritz(alphas: list, betas: list):
+def _top_ritz(alphas, betas):
     """(theta, s): the largest eigenvalue of the tridiagonal and its unit eigenvector, or (None, None).
 
     The value of scipy.linalg.eigh_tridiagonal(alphas, betas, select="i",
@@ -640,13 +650,47 @@ def _top_ritz(alphas: list, betas: list):
     j = len(d)
     if j == 1:
         return d[0], np.ones(1)
-    stebz, stein = _ritz_drivers()
+    stebz, stein, _ = _ritz_drivers()
     m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, j, j, 0.0, "B")
     if info == 0:
         s, info = stein(d, e, w[:m], iblock, isplit)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK's tridiagonal eigensolver")
     return (w[0], s[:, 0]) if info == 0 else (None, None)
+
+
+def _fails_surely(alphas: np.ndarray, betas: np.ndarray, beta: float, floor: float, delta: float) -> tuple:
+    """(proved, floor, delta): proved True only if the Ritz test of _lanczos_top cannot pass on this tridiagonal.
+
+    T is the j x j tridiagonal of alphas and betas (all positive), theta_j
+    its top eigenvalue with unit eigenvector s, and the test it screens is
+    |beta s_j| <= _LANCZOS_TOL theta_j.  floor is at most theta_j: an
+    earlier test's theta or a shift that did not factor (Cauchy interlacing:
+    the top eigenvalue of T never falls as T grows).  The shifts
+    t = floor (1 + delta) are tried in turn until t I - T factors as
+    positive definite (dptsv), which puts t above theta_j.  Then
+    x = (t I - T)^{-1} e_1 is proportional to the vector of trailing
+    characteristic polynomials det(t - T[i+1:j]) / prod beta_k, i <= j,
+    whose every component (up to an alternating sign) is positive and
+    increasing in t on [theta_j, oo) by interlacing; at theta_j it is
+    proportional to s, so |s_j| >= |x_j| / ||x||.  The test cannot pass
+    when |beta x_j| > 2 _LANCZOS_TOL t ||x||, the 2 absorbing rounding, as
+    t > theta_j.  A NaN anywhere proves nothing.  The floor and delta
+    returned seed the next screen: the last shift that did not factor, and
+    a quarter of the delta that did.
+    """
+    ptsv = _ritz_drivers()[2]
+    delta = max(delta, _SCREEN_DELTA_MIN)
+    for _ in range(_SCREEN_TRIES):
+        shift = floor * (1 + delta)
+        start = np.zeros(len(alphas))
+        start[0] = 1.0
+        # off-diagonal +beta: similar to t I - T by a diagonal of signs, so |x| is the same
+        _, _, x, info = ptsv(shift - alphas, betas, start, overwrite_d=1, overwrite_b=1)
+        if info == 0:
+            return abs(beta * x[-1]) > 2 * _LANCZOS_TOL * shift * np.linalg.norm(x), floor, delta / 4
+        floor, delta = shift, 8 * delta
+    return False, floor, delta
 
 
 def _lanczos_top(operand, adjoint):
@@ -659,6 +703,16 @@ def _lanczos_top(operand, adjoint):
     bit for bit what two passes of the public products adjoint @ (operand @ q),
     numpy scaling and eigh_tridiagonal give, whatever part of the basis the
     kept block of _LANCZOS_KEPT_BYTES holds (tests/test_crossed.py checks it).
+
+    The stop rule is a contract: LAPACK decides every stop.  A convergence
+    test is scheduled at steps 10, then j + max(10, j // 8); it passes when
+    the top Ritz pair (theta, s) of _top_ritz has |beta_j s_j| <= _LANCZOS_TOL
+    theta, or beta_j = 0.  Before a scheduled test the screen _fails_surely
+    tries to prove, from a solve with a shifted tridiagonal, that it
+    cannot pass, and the test is skipped only when the proof succeeds.
+    The first test, a beta_j = 0 test and the test at the step cap always
+    run _top_ritz.  So the stop step, and v, are the same as with every
+    test run.
     """
     m, n = operand.shape
     if operand.format != "csr" or adjoint.format != "csr" or adjoint.shape != (n, m):
@@ -681,9 +735,9 @@ def _lanczos_top(operand, adjoint):
     kept[0] = 1 / np.sqrt(n)
     # y += a x, x^H y and x *= a, in place
     axpy, dot, scal = _scipy().linalg.get_blas_funcs(("axpy", "dotc", "scal"), (kept,))
-    alphas, betas = [], []
+    alphas, betas = np.empty((2, min(64, _LANCZOS_STEPS)))  # the tridiagonal, grown by doubling up to the cap
     q_prev, beta = np.zeros(n, dtype=operand.dtype), 0.0
-    check = 10
+    check, floor, delta = 10, 0.0, _SCREEN_DELTA
     for j in range(1, _LANCZOS_STEPS + 1):
         q, w = row(j - 1), row(j)
         gram(q, w)
@@ -691,15 +745,24 @@ def _lanczos_top(operand, adjoint):
         axpy(q, w, a=-alpha)
         axpy(q_prev, w, a=-beta)
         beta = math.sqrt(dot(w, w).real)
-        alphas.append(alpha)
-        betas.append(beta)
+        if j > len(alphas):
+            grown = np.empty((2, min(2 * len(alphas), _LANCZOS_STEPS)))
+            grown[:, :j - 1] = alphas, betas
+            alphas, betas = grown
+        alphas[j - 1], betas[j - 1] = alpha, beta
         if j == check or j == _LANCZOS_STEPS or beta == 0.0:
             check = j + max(10, j // 8)
-            theta, s = _top_ritz(alphas, betas[:-1])
-            if s is not None and (beta == 0.0 or abs(beta * s[-1]) <= _LANCZOS_TOL * theta):
-                break
-            if beta == 0.0:
-                return None
+            skip = floor > 0.0 and j < _LANCZOS_STEPS and beta != 0.0  # not the first (no floor), last or beta = 0 test
+            if skip:
+                skip, floor, delta = _fails_surely(alphas[:j], betas[:j - 1], beta, floor, delta)
+            if not skip:
+                theta, s = _top_ritz(alphas[:j], betas[:j - 1])
+                if s is not None and (beta == 0.0 or abs(beta * s[-1]) <= _LANCZOS_TOL * theta):
+                    break
+                if beta == 0.0:
+                    return None
+                if s is not None:
+                    floor = max(floor, theta)
         scal(1 / beta, w)
         q_prev = q
     else:

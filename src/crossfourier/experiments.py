@@ -60,6 +60,21 @@ def _count(params, key: str, default: int) -> int:
     return n
 
 
+# The work budget of the experiments whose time is linear in a sample count:
+# commutative-inequality's and psl-preset's n_samples and arithmetic-suite's
+# n_triples.  Each counts its checks in closed form before it draws a
+# sample, and a count past this many is refused.  One check took 50-600 us
+# on a 2-vCPU Xeon, so an accepted count runs there for 40 minutes at most.
+_BUDGET_CHECKS = 1 << 22
+
+
+def _check_work(n: int, per_sample: int, key: str):
+    """ValueError naming key if n samples of per_sample checks each pass _BUDGET_CHECKS."""
+    if n * per_sample > _BUDGET_CHECKS:
+        raise ValueError(f"{key}: {n} samples of {per_sample} checks each would make {n * per_sample} checks, "
+                         f"past the budget of {_BUDGET_CHECKS}")
+
+
 def run_validate(system, params, rng):
     report = validate_system(system, n_samples=_count(params, "n_samples", 200), rng=rng)
     return report.as_dict(), None, report.passed
@@ -82,6 +97,7 @@ def _chunks(n: int):
 def run_arithmetic_suite(system, params, rng):
     # no timing in the payload: reports must be byte-identical under a seed
     n = _count(params, "n_triples", 200)
+    _check_work(n, 4, "n_triples")  # associativity, distributivity, antihomomorphism, involution
     pool = ball(1, default_length(system.group))
     worst = {"associativity": 0.0, "distributivity": 0.0, "involution": 0.0}
     for size in _chunks(n):
@@ -286,9 +302,10 @@ def run_commutative_inequality(system, params, rng):
         raise ConfigError("the commutative-inequality experiment needs all-1 blocks")
     n = _count(params, "n_samples", 200)
     states = pure_states(system.algebra)
+    record_twisted = bool(params.get("record_twisted_experiment", False))
+    _check_work(n, len(states) * (2 if record_twisted else 1), "n_samples")  # per state, and per twisted variant
     min_residual, n_checks = np.inf, 0
     twisted_min, twisted_negatives = np.inf, 0
-    record_twisted = bool(params.get("record_twisted_experiment", False))
     pool = ball(2, default_length(system.group))
     for size in _chunks(n):
         fs, xis = [], []
@@ -338,6 +355,7 @@ def run_ideals(system, params, rng):
 def run_psl_preset(system, params, rng):
     """The SL(2,Z) model end to end; the configured system block is ignored."""
     n_samples = _count(params, "n_samples", 100)
+    _check_work(n_samples, 1, "n_samples")  # one membership check per sample by the one-multiplier net below
     sys_ = sl2z_system()
     L = block_length(sys_.group)
     pool = ball(3, L)

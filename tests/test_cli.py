@@ -258,8 +258,13 @@ Z1 = {"algebra": [1], "group": {"family": "Zd", "d": 1}}
     ({"tag": "decay-probe", "radius": 20}, F2, "radius"),
     ({"tag": "content-probe", "subset": ["a", " ".join("a" * 12)]}, F2, "subset"),
     ({"tag": "validate", "n_samples": 200_000_000}, Z2_LATTICE, "n_samples"),  # 4.47 GiB of sample indices
+    # time linear in the count, memory not: refused by the work budget of experiments.py
+    ({"tag": "commutative-inequality", "n_samples": 1_000_000_000}, Z1, "n_samples"),
+    ({"tag": "psl-preset", "n_samples": 1_000_000_000}, Z1, "n_samples"),
+    ({"tag": "arithmetic-suite", "n_triples": 1_000_000_000}, Z1, "n_triples"),
 ], ids=["norms-dump", "norms-sampling-ball", "fejer-finite-pd-set", "abel-poisson-pd-radius", "approx-net-indices",
-        "decay-probe-radius", "content-probe-subset", "validate-n-samples"])
+        "decay-probe-radius", "content-probe-subset", "validate-n-samples", "commutative-inequality-n-samples",
+        "psl-preset-n-samples", "arithmetic-suite-n-triples"])
 def test_a_config_past_the_budget_exits_one_naming_its_key(tmp_path, experiment, system, key):
     # a fresh process with 3 GiB of address space: the run must refuse the
     # config before it builds what the config sizes, not exhaust the memory
@@ -289,6 +294,23 @@ def test_sample_count_below_one_exits_one_naming_the_key(tmp_path, capsys, exper
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("experiment, key, per_sample", [
+    ({"tag": "arithmetic-suite"}, "n_triples", 4),
+    ({"tag": "commutative-inequality"}, "n_samples", 3),  # one check per state of C^3
+    ({"tag": "commutative-inequality", "record_twisted_experiment": True}, "n_samples", 6),
+    ({"tag": "psl-preset"}, "n_samples", 1),
+], ids=["arithmetic-suite", "commutative-inequality", "commutative-inequality-twisted", "psl-preset"])
+def test_work_budget_takes_its_last_check_and_refuses_the_next(tmp_path, capsys, monkeypatch, experiment, key,
+                                                              per_sample):
+    monkeypatch.setattr(experiments, "_BUDGET_CHECKS", 6 * per_sample)
+    system = {"algebra": [1, 1, 1], "group": {"family": "Zd", "d": 1}}
+    assert run_cli(tmp_path, base_config(tmp_path, dict(experiment, **{key: 6}), system=system)) == 0
+    assert run_cli(tmp_path, base_config(tmp_path / "past", dict(experiment, **{key: 7}), system=system)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "past the budget" in err
+    assert not (tmp_path / "past").exists()
 
 
 def test_fejer_experiment_writes_report_and_csv(tmp_path):

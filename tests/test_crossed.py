@@ -760,15 +760,23 @@ def _eigh_top(alphas, betas):
 
 
 def _count_lanczos_steps(monkeypatch):
-    """A list to which every convergence test of Lanczos appends its step count j."""
+    """A list to which every scheduled convergence test of Lanczos appends its step count j, once:
+    as the screen proves it cannot pass, or as _top_ritz runs it."""
     steps = []
-    original = crossed._top_ritz
+    screen, ritz = crossed._fails_surely, crossed._top_ritz
 
-    def ritz(alphas, betas):
+    def screened(alphas, *args):
+        out = screen(alphas, *args)
+        if out[0]:
+            steps.append(len(alphas))
+        return out
+
+    def exact(alphas, betas):
         steps.append(len(alphas))
-        return original(alphas, betas)
+        return ritz(alphas, betas)
 
-    monkeypatch.setattr(crossed, "_top_ritz", ritz)
+    monkeypatch.setattr(crossed, "_fails_surely", screened)
+    monkeypatch.setattr(crossed, "_top_ritz", exact)
     return steps
 
 
@@ -819,6 +827,29 @@ def test_lanczos_memory_is_its_kept_block_and_a_few_vectors(monkeypatch):
     assert v is not None
     # past the block: the spare and zero buffers, M q, v and the tridiagonal solver's work
     assert peak <= crossed._LANCZOS_KEPT_BYTES + 16 * vector
+
+
+def test_the_ritz_screen_leaves_lapack_a_few_tests_on_the_long_path(monkeypatch):
+    # the benchmark's Z-path-R1000 compression: every one of its 24 scheduled
+    # tests ran LAPACK's bisection before the screen, and the witness is the same
+    sys_ = trivial_system(BlockAlgebra([1]), Zd(1))
+    unit = sys_.algebra.unit()
+    operand = compression_matrix(CcElement(sys_, {(1,): unit, (-1,): unit}), 1000).sparse.real.copy()
+    adjoint = operand.conj().T.tocsr()
+    want, j = _lanczos_by_products(operand, adjoint)
+    steps = _count_lanczos_steps(monkeypatch)
+    exact = []
+    ritz = crossed._top_ritz
+
+    def counted(alphas, betas):
+        exact.append(len(alphas))
+        return ritz(alphas, betas)
+
+    monkeypatch.setattr(crossed, "_top_ritz", counted)
+    got = crossed._lanczos_top(operand, adjoint)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(steps) == 24 and steps[-1] == j
+    assert len(exact) <= 3 and exact[0] == 10 and exact[-1] == j
 
 
 def _tridiagonals():

@@ -14,7 +14,8 @@ ones come in.  At full radius on the finite families the compression is a
 norm, itself at most the l1 norm.  Past the dense cutoff, on every infinite
 family, Lanczos converges without the dense fallback, and its value pins the
 top singular value of a dense SVD and is the ratio ||M v|| / ||v|| of the
-vector it returns.
+vector it returns.  The screen of its convergence tests never skips a test
+that LAPACK would pass.
 """
 
 from unittest import mock
@@ -23,9 +24,10 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from families import DIMS, FAMILIES, make_system, rotation_system, system_for
+from test_crossed import _tridiagonals
 from crossfourier import crossed
 from crossfourier.algebra import AlgAutomorphism, BlockAlgebra
 from crossfourier.crossed import (
@@ -419,3 +421,26 @@ def test_lanczos_value_pins_the_top_singular_value_with_its_own_witness(family, 
     assert np.linalg.norm(comp.sparse @ v) / np.linalg.norm(v) == pytest.approx(value, rel=1e-15)
     top = np.linalg.svd(comp.matrix, compute_uv=False)[0]
     assert top * (1 - 1e-12) <= value <= top * (1 + 1e-14)
+
+
+# every shape of test_crossed._tridiagonals from j = 2: random, near splits at
+# 1e-9, 1e-17 and 1e-300 (one just below the top), and a top cluster 1e-12 apart
+TRIDIAGONALS = [(np.array(a), np.array(b)) for a, b in _tridiagonals() if len(a) > 1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(shape=st.integers(0, len(TRIDIAGONALS) - 1), boundary=st.floats(-3.0, 3.0), below=st.floats(0.01, 17.0),
+       delta=st.floats(-13.0, 0.0))
+def test_the_ritz_screen_proves_only_tests_that_lapack_fails(shape, boundary, below, delta):
+    # beta_j within three decades of where the test |beta_j s_j| <= tol theta
+    # turns, and a floor from just below theta down to 0.023 theta; a proof
+    # keeps the screen's factor 2 of room for rounding, up to 1e-6 relative
+    alphas, betas = TRIDIAGONALS[shape]
+    theta, s = crossed._top_ritz(alphas, betas)
+    assume(s is not None and s[-1] != 0.0)
+    beta = crossed._LANCZOS_TOL * theta / abs(s[-1]) * 10.0 ** boundary
+    assume(np.isfinite(beta))
+    proved, floor, _ = crossed._fails_surely(alphas, betas, beta, theta * (1 - 10.0 ** -below), 10.0 ** delta)
+    if proved:
+        assert abs(beta * s[-1]) > 2 * crossed._LANCZOS_TOL * theta * (1 - 1e-6)
+    assert floor <= theta * (1 + 1e-13)  # a shift that did not factor is a floor for every later test
