@@ -102,8 +102,15 @@ class BlockAlgebra:
         real parts and d_j^2 for the imaginary parts, all from one draw, so the
         rows are the values of n random_element calls made in turn.
         """
-        z = rng.normal(size=(n, 2 * self.total_dim))
-        out, at = [], 0
+        return self.from_normals(rng.normal(size=(n, 2 * self.total_dim)), scale)
+
+    def from_normals(self, z: np.ndarray, scale: float = 1.0) -> list:
+        """The elements random_stack makes from its draw z, an (n, 2 total_dim) array, one per row.
+
+        Every entry is formed from its two normals alone, so the rows of
+        several draws stacked are split at once, bit for bit.
+        """
+        n, out, at = len(z), [], 0
         for d in self.dims:
             re, im = (z[:, at + k * d * d:at + (k + 1) * d * d].reshape(n, d, d) for k in (0, 1))
             out.append(scale * (re + 1j * im) / np.sqrt(2 * d))

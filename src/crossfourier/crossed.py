@@ -49,21 +49,13 @@ callers), and the compression picks its path: the dense array up to the
 dense SVD cutoff (200), and at every size on a finite group, within the one
 resource budget (check_budget, 1 GiB): there the fixed Lanczos start can lie
 in an invariant subspace that misses the top singular vector.  Above the
-cutoff, on infinite groups, a plain Lanczos loop runs on x -> M^H (M x) (the
-CSR and its adjoint, in real arithmetic on a real compression) from the
-fixed start ones / sqrt(n), without restarts, until the top Ritz pair passes
-ARPACK's test at 1e-8 (about sqrt(eps)).  Its steps call compiled code with
-no Python wrapper between: scipy's CSR kernel, BLAS axpy, dot and scal, and
-per test LAPACK's dstebz and dstein, bit for bit what numpy's products and
-eigh_tridiagonal give.  LAPACK decides every stop: a test runs only where
-a solve with a shifted tridiagonal (dptsv) cannot prove that it fails.  Its Ritz vector v is accepted only if its explicit
-residual is at most 1e-8 rho ||v||, and the value returned is ||M v|| / ||v||:
-a lower bound witnessed by v.  The residual test puts rho near some
-eigenvalue of M^H M, not necessarily the top one (a start orthogonal to the
-top singular vector, which a symmetry of f and the ball can make, converges
-to a smaller one), and nothing computes the gap to sigma_2 that a
-Kato-Temple bound would need.  Past the step cap, or when the residual
-check fails, the dense SVD runs if the matrix passes the budget.
+cutoff, on infinite groups, Lanczos (_lanczos_top) runs on x -> M^H (M x)
+from the fixed start ones / sqrt(n); its Ritz vector v is accepted only if
+its explicit residual is at most 1e-8 rho ||v||, and the value returned is
+||M v|| / ||v||, a lower bound witnessed by v, though not necessarily the
+top singular value: nothing bounds the gap to sigma_2.  Past the step cap,
+or when the residual check fails, the dense SVD runs if the matrix passes
+the budget.
 """
 
 from __future__ import annotations
@@ -366,10 +358,10 @@ def _packed_many(system: TwistedSystem, codes: np.ndarray, blocks: list, counts:
 
     Rows are pruned in one pass over all of them; the elements' codes and
     blocks are read-only views of the shared arrays.  points, the decoded
-    codes of a single element, seed its cache.  Several elements share one
-    decode: the first to read its points decodes all the codes in one call
-    and hands each element still alive its own slice, so no element keeps
-    the others' points.
+    codes, seed each element's cache with its slice.  Without them several
+    elements share one decode: the first to read its points decodes all the
+    codes in one call and hands each element still alive its own slice, so
+    no element keeps the others' points.
     """
     codes, blocks, counts, points = _pruned(codes, blocks, counts, points)
     if len(counts) == 1:
@@ -387,7 +379,7 @@ def _packed_many(system: TwistedSystem, codes: np.ndarray, blocks: list, counts:
     out = []
     for lo, hi in bounds:
         f = CcElement.__new__(CcElement)
-        f._store(system, codes[lo:hi], [b[lo:hi] for b in blocks], decode)
+        f._store(system, codes[lo:hi], [b[lo:hi] for b in blocks], decode if points is None else points[lo:hi])
         out.append(f)
     refs = [weakref.ref(f) for f in out]
     return out
@@ -614,15 +606,57 @@ def random_cc(system: TwistedSystem, support: Iterable, rng) -> CcElement:
     if len(last) < len(support):
         rows = np.fromiter(last.values(), dtype=np.int64, count=len(last))
         blocks = [x[rows] for x in blocks]
-    points = [system.group.check(g) for g in last]
-    return _packed_many(system, system.coded.encode(points), blocks, [len(points)], points)[0]
+    return ccs_at(system, list(last), blocks, [len(last)])[0]
+
+
+# The sampling loops (the experiments', the decay probe's and the e-invariance
+# probe's) draw their samples one chunk at a time, all of a chunk's draws
+# first (random_ccs_in, ccs_at), then check them, each stage of a chunk one
+# batched call where the checks batch (products, stars, sums, differences,
+# decay.regular_applies): memory stays O(chunk) whatever the sample count,
+# and a call's pairs (at most 27 per triple, on supports of at most 3
+# points) stay well within the room groups.PAIR_MEMO leaves.
+_CHUNK = 64
+
+
+def sample_chunks(n: int):
+    """The sizes of the chunks of n samples."""
+    for start in range(0, n, _CHUNK):
+        yield min(_CHUNK, n - start)
 
 
 def random_cc_in(system: TwistedSystem, pool: list, max_size: int, rng) -> CcElement:
-    """random_cc on 1 to max_size distinct points drawn from pool."""
-    size = 1 + int(rng.integers(min(max_size, len(pool))))
-    idx = rng.choice(len(pool), size=size, replace=False)
-    return random_cc(system, [pool[i] for i in idx], rng)
+    """random_cc on 1 to max_size distinct points drawn from pool (random_ccs_in of one)."""
+    return random_ccs_in(system, pool, max_size, rng, 1)[0]
+
+
+def random_ccs_in(system: TwistedSystem, pool: list, max_size: int, rng, count: int) -> list:
+    """The count elements that count calls of random_cc_in return, bit for bit, all drawn first.
+
+    Per element the calls are those of random_cc on points of pool, in the
+    same order: rng.integers for the support size (1 to max_size), rng.choice
+    for the distinct points, one rng.normal for the coefficients; so the
+    elements' codes, blocks and support order, and the state of rng after
+    the call, are the loop's.  The draws are split into blocks once and
+    packed in one pass (ccs_at).  pool holds distinct points (a ball, a group's elements).
+    """
+    top, width = min(max_size, len(pool)), 2 * system.algebra.total_dim
+    picks, draws = [], []
+    for _ in range(count):
+        size = 1 + int(rng.integers(top))
+        picks.append(rng.choice(len(pool), size=size, replace=False))
+        draws.append(rng.normal(size=(size, width)))
+    if not count:
+        return []
+    points = [pool[i] for i in np.concatenate(picks).tolist()]
+    return ccs_at(system, points, system.algebra.from_normals(np.concatenate(draws)), list(map(len, picks)))
+
+
+def ccs_at(system: TwistedSystem, points: list, blocks: list, counts: list) -> list:
+    """The elements {points[i]: row i of blocks}, the c-th on the next counts[c] points, which are distinct:
+    each is what CcElement makes of that mapping, all checked, coded, pruned and packed in one pass."""
+    points = list(map(system.group.check, points))
+    return _packed_many(system, system.coded.encode(points), blocks, counts, points)
 
 
 # -- compressed regular representation ---------------------------------------------

@@ -26,7 +26,8 @@ import numpy as np
 
 from .algebra import state_norm, state_root
 from .crossed import (
-    CcElement, Pairs, default_radii, delta, opnorm_bounds, pair_sum, random_cc, regrouped, random_cc_in,
+    CcElement, Pairs, default_radii, delta, opnorm_bounds, pair_sum, random_cc, random_ccs_in, regrouped,
+    sample_chunks,
 )
 from .groups import (
     FreeF2,
@@ -229,8 +230,9 @@ def decay_constant_probe(
 
     Maximizes opnorm_lower(f, 2R) / ||f||_{module, kappa} over sampled f
     supported in ball(R).  Every reported ratio is a true lower bound since
-    the numerator is a compression norm.  Each sample is drawn when it is
-    evaluated, and evaluation draws nothing, so only the best sample and the
+    the numerator is a compression norm.  The samples are drawn one chunk
+    at a time (random_ccs_in), and evaluation draws nothing, so the draws
+    are those of a per-sample loop; only a chunk, the best sample and the
     rows of the ten best ratios are kept.
     """
     if rng is None:
@@ -239,7 +241,8 @@ def decay_constant_probe(
     R_prime = default_radii(system, [2 * R], length)[0]  # counts ball(2R) before ball(R) is built
     pool = ball(R, length)
     best, best_f, best_lower, rows = 0.0, delta(system), None, []
-    samples = itertools.chain([best_f], (random_cc_in(system, pool, 4, rng) for _ in range(sample_budget)))
+    drawn = (random_ccs_in(system, pool, 4, rng, size) for size in sample_chunks(sample_budget))
+    samples = itertools.chain([best_f], itertools.chain.from_iterable(drawn))
     for f in samples:
         denom = f.weighted_module_norm(weight)
         if denom < 1e-14:

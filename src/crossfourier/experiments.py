@@ -15,14 +15,15 @@ from .config import (
     ConfigError, build_element, build_length, build_rep, compression_to_wire, element_to_wire, require,
 )
 from .crossed import (
-    CcElement,
+    ccs_at,
     check_budget,
     compression_matrix,
     delta,
     differences,
     opnorm_bounds,
     products,
-    random_cc_in,
+    random_ccs_in,
+    sample_chunks,
     stars,
     sums,
 )
@@ -61,8 +62,9 @@ def _count(params, key: str, default: int) -> int:
 
 
 # The work budget of the experiments whose time is linear in a sample count:
-# commutative-inequality's and psl-preset's n_samples and arithmetic-suite's
-# n_triples.  Each counts its checks in closed form before it draws a
+# commutative-inequality's and psl-preset's n_samples, arithmetic-suite's
+# n_triples and the sample_budget of decay-probe, content-probe and ideals'
+# e_invariance.  Each counts its checks in closed form before it draws a
 # sample, and a count past this many is refused.  One check took 50-600 us
 # on a 2-vCPU Xeon, so an accepted count runs there for 40 minutes at most.
 _BUDGET_CHECKS = 1 << 22
@@ -80,32 +82,16 @@ def run_validate(system, params, rng):
     return report.as_dict(), None, report.passed
 
 
-# The sampling experiments draw and check their samples one chunk at a time,
-# each stage of a chunk one batched call (crossed.products, stars, sums,
-# differences, decay.regular_applies): memory stays O(chunk) whatever the
-# sample count, and a call's pairs (at most 27 per triple, on supports of at
-# most 3 points) stay well within the room groups.PAIR_MEMO leaves.
-_CHUNK = 64
-
-
-def _chunks(n: int):
-    """The sizes of the chunks of n samples."""
-    for start in range(0, n, _CHUNK):
-        yield min(_CHUNK, n - start)
-
-
 def run_arithmetic_suite(system, params, rng):
     # no timing in the payload: reports must be byte-identical under a seed
     n = _count(params, "n_triples", 200)
     _check_work(n, 4, "n_triples")  # associativity, distributivity, antihomomorphism, involution
     pool = ball(1, default_length(system.group))
     worst = {"associativity": 0.0, "distributivity": 0.0, "involution": 0.0}
-    for size in _chunks(n):
+    for size in sample_chunks(n):
         # the arithmetic draws nothing, so drawing a chunk first keeps the draws in order
-        f1, f2, f3 = [], [], []
-        for _ in range(size):
-            for fs in (f1, f2, f3):
-                fs.append(random_cc_in(system, pool, 3, rng))
+        drawn = random_ccs_in(system, pool, 3, rng, 3 * size)
+        f1, f2, f3 = drawn[0::3], drawn[1::3], drawn[2::3]
         # the product is deterministic, so f1 f2 and f1* are formed once per triple
         f12, f1_star = products(f1, f2), stars(f1)
         associativity = differences(products(f12, f3), products(f1, products(f2, f3)))
@@ -260,6 +246,7 @@ def run_approx_net(system, params, rng):
 
 def run_decay_probe(system, params, rng):
     budget = _count(params, "sample_budget", 30)
+    _check_work(budget, 1, "sample_budget")  # one compression per sample
     wspec = params.get("weight", {"tag": "constant"})
     length = build_length(wspec.get("length", "default"), system.group) if wspec.get("tag") != "constant" else None
     w = make_weight(require(wspec, "tag", "the weight"), wspec.get("param", 0.0), length)
@@ -285,6 +272,7 @@ def run_decay_probe(system, params, rng):
 
 def run_content_probe(system, params, rng):
     budget = _count(params, "sample_budget", 40)
+    _check_work(budget, 1, "sample_budget")  # one SVD per random or ascent candidate
     subset = [system.group.normal_form(w) for w in require(params, "subset", "content-probe")]
     try:
         est = content_probe(system, subset, budget, rng)
@@ -307,11 +295,9 @@ def run_commutative_inequality(system, params, rng):
     min_residual, n_checks = np.inf, 0
     twisted_min, twisted_negatives = np.inf, 0
     pool = ball(2, default_length(system.group))
-    for size in _chunks(n):
-        fs, xis = [], []
-        for _ in range(size):
-            fs.append(random_cc_in(system, pool, 3, rng))
-            xis.append(random_cc_in(system, pool, 3, rng))
+    for size in sample_chunks(n):
+        drawn = random_ccs_in(system, pool, 3, rng, 2 * size)
+        fs, xis = drawn[0::2], drawn[1::2]
         for f in fs:
             check_fixed_point(system, f)
         # neither Lambda(f) xi nor the fixed-point test depends on the state
@@ -346,7 +332,9 @@ def run_ideals(system, params, rng):
     if espec:
         J = orbit_closure(system, require(espec, "blocks", "e_invariance"))
         gens = [delta(system, None, J.element_from(system.algebra.unit()))]
-        report = e_invariance_probe(system, gens, _count(params, "sample_budget", 40), rng)
+        budget = _count(params, "sample_budget", 40)
+        _check_work(budget, 1, "sample_budget")  # one product pair h1 * gen * h2 per sample
+        report = e_invariance_probe(system, gens, budget, rng)
         results["e_invariance"] = report.as_dict()
         passed = passed and report.passed
     return results, None, passed
@@ -381,12 +369,18 @@ def run_psl_preset(system, params, rng):
     one = ModuleVector(A, (A.unit(),))
     e = sys_.group.identity()
     net = approx_data_net(rep, [({e: one}, {e: one})])
-    preserved = True
-    for _ in range(n_samples):
-        support = [pool[i] for i in rng.choice(len(pool), size=2, replace=False)]
-        f = CcElement(sys_, {g: Jp.element_from(A.random_element(rng)) for g in support})
-        for T in net.multipliers:
-            preserved = preserved and ideal_membership(apply_multiplier(T, f), Jp)
+    preserved, width = True, 2 * A.total_dim
+    for size in sample_chunks(n_samples):
+        # a chunk's draws first, in a loop's order: two points, then one random_element per point
+        picks, draws = [], []
+        for _ in range(size):
+            picks.append(rng.choice(len(pool), size=2, replace=False))
+            draws.append(rng.normal(size=(2, width)))
+        drawn = A.from_normals(np.concatenate(draws))
+        blocks = [b if j in Jp.blocks else np.zeros_like(b) for j, b in enumerate(drawn)]  # Jp.element_from
+        for f in ccs_at(sys_, [pool[i] for i in np.concatenate(picks).tolist()], blocks, [2] * size):
+            for T in net.multipliers:
+                preserved = preserved and ideal_membership(apply_multiplier(T, f), Jp)
 
     results = {
         "validation": vreport.as_dict(),

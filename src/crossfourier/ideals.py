@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import AlgAutomorphism, AlgElement, BlockAlgebra, block_norm
-from .crossed import CcElement, cc_unit, random_cc, regrouped
+from .crossed import CcElement, cc_unit, ccs_at, products, regrouped, sample_chunks
 from .groups import ball, default_length
 from .system import TwistedSystem
 
@@ -190,7 +190,10 @@ def e_invariance_probe(
     blocks: the orbit closure of the generators' identity coefficients, which
     is the induced ideal when the generators come from an invariant ideal of
     the algebra.  Violations are reported, not raised;
-    only membership of finitely many images is ever tested.
+    only membership of finitely many images is ever tested.  The samples
+    are drawn a chunk at a time, all of a chunk's draws first in the order
+    of a per-sample loop, and each chunk's products are formed in one call,
+    so the report is the loop's bit for bit.
     """
     if not generators:
         raise ValueError("generator list must be nonempty")
@@ -208,19 +211,24 @@ def e_invariance_probe(
         if system.group.is_finite
         else ball(2, default_length(system.group))
     )
-    violations = []
-    for _ in range(sample_budget):
-        gen = generators[int(rng.integers(len(generators)))]
-        supp1 = [pool[i] for i in rng.choice(len(pool), size=2, replace=False)]
-        supp2 = [pool[i] for i in rng.choice(len(pool), size=2, replace=False)]
-        z = random_cc(system, supp1, rng) * gen * random_cc(system, supp2, rng)
-        ez = z.expectation()
-        outside = ez - candidate.element_from(ez)
-        if outside.norm() > 1e-10:
-            violations.append(
-                (outside.norm(), [system.group.word(g) for g in z.support()])
-            )
-    return EInvarianceReport(tuple(sorted(candidate.blocks)), sample_budget, tuple(violations[:10]))
+    violations, width = [], 2 * system.algebra.total_dim
+    for size in sample_chunks(sample_budget):
+        # a chunk's draws first, in a loop's order: gen, the points of h1 and h2, their coefficients (random_cc)
+        gens, picks, draws = [], [], []
+        for _ in range(size):
+            gens.append(generators[int(rng.integers(len(generators)))])
+            picks.extend([rng.choice(len(pool), size=2, replace=False), rng.choice(len(pool), size=2, replace=False)])
+            draws.extend([rng.normal(size=(2, width)), rng.normal(size=(2, width))])
+        points = [pool[i] for i in np.concatenate(picks).tolist()]
+        hs = ccs_at(system, points, system.algebra.from_normals(np.concatenate(draws)), [2] * (2 * size))
+        for z in products(products(hs[0::2], gens), hs[1::2]):
+            ez = z.expectation()
+            outside = ez - candidate.element_from(ez)
+            if outside.norm() > 1e-10 and len(violations) < 10:  # the first ten are reported
+                violations.append(
+                    (outside.norm(), [system.group.word(g) for g in z.support()])
+                )
+    return EInvarianceReport(tuple(sorted(candidate.blocks)), sample_budget, tuple(violations))
 
 
 # -- central projections -----------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .algebra import ALG_TOL, AlgElement
-from .crossed import CcElement, cc_unit, default_radii, opnorm_bounds, random_cc_in
+from .crossed import CcElement, cc_unit, default_radii, opnorm_bounds, random_ccs_in
 from .groups import KeyedTable, ball, coded_group, default_length
 from .modules import EquivariantRep, ModuleVector
 from .system import TwistedSystem
@@ -329,9 +329,7 @@ def multiplier_norm_probe(T: Multiplier, sample_budget: int = 20) -> NormProbe:
     length = default_length(grp)
     R = default_radii(system, [4], length)[0]
     pool = ball(min(2, R), length)
-    samples = [cc_unit(system)]
-    for _ in range(sample_budget):
-        samples.append(random_cc_in(system, pool, 3, rng))
+    samples = [cc_unit(system)] + random_ccs_in(system, pool, 3, rng, sample_budget)
     best, witnesses = 0.0, []
     for f in samples:
         upper = f.norm_l1()

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossfourier import experiments
+from crossfourier import crossed, experiments
 from crossfourier.cli import PRESETS, main, run_config
 from crossfourier.config import ConfigError
 from crossfourier.decay import CommutativeInequalityResult
@@ -262,9 +262,13 @@ Z1 = {"algebra": [1], "group": {"family": "Zd", "d": 1}}
     ({"tag": "commutative-inequality", "n_samples": 1_000_000_000}, Z1, "n_samples"),
     ({"tag": "psl-preset", "n_samples": 1_000_000_000}, Z1, "n_samples"),
     ({"tag": "arithmetic-suite", "n_triples": 1_000_000_000}, Z1, "n_triples"),
+    ({"tag": "decay-probe", "sample_budget": 1_000_000_000}, Z1, "sample_budget"),
+    ({"tag": "content-probe", "subset": ["0", "1"], "sample_budget": 1_000_000_000}, Z1, "sample_budget"),
+    ({"tag": "ideals", "e_invariance": {"blocks": [0]}, "sample_budget": 1_000_000_000}, Z1, "sample_budget"),
 ], ids=["norms-dump", "norms-sampling-ball", "fejer-finite-pd-set", "abel-poisson-pd-radius", "approx-net-indices",
         "decay-probe-radius", "content-probe-subset", "validate-n-samples", "commutative-inequality-n-samples",
-        "psl-preset-n-samples", "arithmetic-suite-n-triples"])
+        "psl-preset-n-samples", "arithmetic-suite-n-triples", "decay-probe-sample-budget",
+        "content-probe-sample-budget", "ideals-e-invariance-sample-budget"])
 def test_a_config_past_the_budget_exits_one_naming_its_key(tmp_path, experiment, system, key):
     # a fresh process with 3 GiB of address space: the run must refuse the
     # config before it builds what the config sizes, not exhaust the memory
@@ -301,7 +305,11 @@ def test_sample_count_below_one_exits_one_naming_the_key(tmp_path, capsys, exper
     ({"tag": "commutative-inequality"}, "n_samples", 3),  # one check per state of C^3
     ({"tag": "commutative-inequality", "record_twisted_experiment": True}, "n_samples", 6),
     ({"tag": "psl-preset"}, "n_samples", 1),
-], ids=["arithmetic-suite", "commutative-inequality", "commutative-inequality-twisted", "psl-preset"])
+    ({"tag": "decay-probe"}, "sample_budget", 1),  # one compression per sample
+    ({"tag": "content-probe", "subset": ["0", "1"]}, "sample_budget", 1),  # one SVD per candidate
+    ({"tag": "ideals", "e_invariance": {"blocks": [0]}}, "sample_budget", 1),  # one product pair per sample
+], ids=["arithmetic-suite", "commutative-inequality", "commutative-inequality-twisted", "psl-preset", "decay-probe",
+        "content-probe", "ideals-e-invariance"])
 def test_work_budget_takes_its_last_check_and_refuses_the_next(tmp_path, capsys, monkeypatch, experiment, key,
                                                               per_sample):
     monkeypatch.setattr(experiments, "_BUDGET_CHECKS", 6 * per_sample)
@@ -386,7 +394,10 @@ def test_determinism_byte_identical_reports(tmp_path):
 @pytest.mark.parametrize("experiment", [
     *({"tag": "arithmetic-suite", "n_triples": n} for n in (1, 7, 70)),
     *({"tag": "commutative-inequality", "n_samples": n, "record_twisted_experiment": True} for n in (1, 7, 70)),
-], ids=lambda e: f"{e['tag']}-{e.get('n_triples', e.get('n_samples'))}")
+    *({"tag": "decay-probe", "sample_budget": n} for n in (7, 70)),
+    *({"tag": "ideals", "e_invariance": {"blocks": [0]}, "sample_budget": n} for n in (7, 70)),
+    *({"tag": "psl-preset", "n_samples": n} for n in (7, 70)),
+], ids=lambda e: f"{e['tag']}-{e.get('n_triples', e.get('n_samples', e.get('sample_budget')))}")
 def test_sampling_reports_do_not_depend_on_the_chunk(tmp_path, monkeypatch, experiment):
     # each chunk's samples are drawn first and each stage formed for the whole
     # chunk in one call; chunks of one sample are the per-sample loop
@@ -398,7 +409,7 @@ def test_sampling_reports_do_not_depend_on_the_chunk(tmp_path, monkeypatch, expe
     strip = lambda rep: {k: v for k, v in rep.items() if k != "timestamp"}
     _, chunked = run_config(config)
     for chunk in (1, 3):
-        monkeypatch.setattr(experiments, "_CHUNK", chunk)
+        monkeypatch.setattr(crossed, "_CHUNK", chunk)
         _, report = run_config(config)
         assert strip(report) == strip(chunked)
 

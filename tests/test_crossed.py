@@ -251,6 +251,44 @@ def test_random_cc_is_the_mapping_of_its_draws():
     assert used.random() == rng.random()  # and no more draws
 
 
+def loop_random_cc_in(system, pool, max_size, rng):
+    """random_cc_in as one element's draws: a size, distinct points of pool, then random_cc's coefficients."""
+    size = 1 + int(rng.integers(min(max_size, len(pool))))
+    idx = rng.choice(len(pool), size=size, replace=False)
+    return random_cc(system, [pool[i] for i in idx], rng)
+
+
+# each system is made twice, on fresh groups, so that a numbered coded view
+# gives its codes in the order of first sight in each run
+DRAW_SYSTEMS = {
+    "cyclic": (lambda: theta_system(Cyclic(12), "1/12"), lambda s: s.group.elements(), 3),
+    "Zd-M2+C": (lambda: theta_system(Zd(2), "1/5", algebra=BlockAlgebra([2, 1])),
+                lambda s: ball(2, default_length(s.group)), 3),
+    "F2": (lambda: trivial_system(BlockAlgebra([1, 1]), FreeF2()), lambda s: ball(2, default_length(s.group)), 4),
+    "Z2*Z3": (sl2z_system, lambda s: ball(3, default_length(s.group)), 3),
+    "pool-below-max-size": (lambda: theta_system(Zd(1), 0.37, algebra=BlockAlgebra([2, 1])),
+                            lambda s: ball(1, default_length(s.group)), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_SYSTEMS))
+def test_random_ccs_in_is_the_loop_of_random_cc_in(name):
+    make, pool_of, max_size = DRAW_SYSTEMS[name]
+    for count in (0, 1, 2, 37):
+        batched_sys, loop_sys = make(), make()
+        batched_rng, loop_rng = np.random.default_rng(count), np.random.default_rng(count)
+        batched = crossed.random_ccs_in(batched_sys, pool_of(batched_sys), max_size, batched_rng, count)
+        expected = [loop_random_cc_in(loop_sys, pool_of(loop_sys), max_size, loop_rng) for _ in range(count)]
+        assert len(batched) == count
+        for f, g in zip(batched, expected):
+            assert f._codes.tobytes() == g._codes.tobytes()
+            assert [b.tobytes() for b in f._blocks] == [b.tobytes() for b in g._blocks]
+            assert f.support() == g.support() and f._points == g._points
+        assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+    if name == "pool-below-max-size":
+        assert len(pool_of(make())) < max_size
+
+
 def test_a_mapping_checks_every_key_before_pruning():
     # a key that is no group element is rejected even when its value is zero
     sys_ = theta_system(Zd(2), "1/5")

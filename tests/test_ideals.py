@@ -3,7 +3,7 @@ import pytest
 
 from crossfourier.algebra import AlgAutomorphism, BlockAlgebra
 from crossfourier.crossed import CcElement, cc_unit, delta, random_cc
-from crossfourier.groups import Cyclic, Zd
+from crossfourier.groups import Cyclic, Zd, ball, default_length
 from crossfourier.ideals import (
     InvariantIdeal,
     central_projection_split,
@@ -24,6 +24,7 @@ from crossfourier.system import (
     validate_system,
 )
 from crossfourier.groups import one_norm
+from families import system_for
 
 
 def test_enumerate_trivial_action_c2():
@@ -172,6 +173,38 @@ def test_e_invariance_zero_ideal_passes():
     gens = [CcElement(sys_, {})]
     report = e_invariance_probe(sys_, gens, sample_budget=10)
     assert report.passed
+
+
+def loop_e_invariance(system, generators, sample_budget, rng):
+    """e_invariance_probe's samples drawn and checked one at a time: its violations, as (norm, words)."""
+    touched = {j for gen in generators for j, m in enumerate(gen.expectation().blocks) if np.linalg.norm(m) > 1e-10}
+    candidate = orbit_closure(system, touched)
+    pool = system.group.elements() if system.group.is_finite else ball(2, default_length(system.group))
+    violations = []
+    for _ in range(sample_budget):
+        gen = generators[int(rng.integers(len(generators)))]
+        supp1 = [pool[i] for i in rng.choice(len(pool), size=2, replace=False)]
+        supp2 = [pool[i] for i in rng.choice(len(pool), size=2, replace=False)]
+        z = random_cc(system, supp1, rng) * gen * random_cc(system, supp2, rng)
+        ez = z.expectation()
+        outside = ez - candidate.element_from(ez)
+        if outside.norm() > 1e-10:
+            violations.append((outside.norm(), [system.group.word(g) for g in z.support()]))
+    return violations[:10]
+
+
+@pytest.mark.parametrize("family", ["cyclic", "free-F2", "free-product-Z2-Z3"])
+def test_e_invariance_probe_is_the_per_sample_loop_bit_for_bit(family):
+    # actions and cocycles perturbed by coboundaries, two generators, one off the identity,
+    # so that expectations leave the candidate ideal; 70 samples fill one chunk and part of the next
+    sys_ = system_for(family, (2, 1))
+    A = sys_.algebra
+    gens = [delta(sys_, None, A.scalar([1, 0])), delta(sys_, sys_.group.generators()[0], A.scalar([0.5, 2]))]
+    batched_rng, loop_rng = np.random.default_rng(9), np.random.default_rng(9)
+    report = e_invariance_probe(sys_, gens, 70, batched_rng)
+    expected = loop_e_invariance(sys_, gens, 70, loop_rng)
+    assert expected and [(v.hex(), w) for v, w in report.violations] == [(v.hex(), w) for v, w in expected]
+    assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def test_central_projection_split_trivial():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crossfourier.algebra import AlgAutomorphism, BlockAlgebra, PointMap, classify
+from crossfourier.config import build_rep
 from crossfourier.groups import Cyclic, Zd
 from crossfourier.modules import (
     MAX_RANK,
@@ -17,6 +18,8 @@ from crossfourier.modules import (
     validate_equivariant,
 )
 from crossfourier.system import TwistedSystem, generator_action, theta_system, trivial_system
+
+from families import system_for
 
 
 def test_inner_product_basics():
@@ -405,3 +408,100 @@ def test_central_part_matches_entry_loop_bit_for_bit(name, rank):
     rep = _oracle_rep(ORACLE_SYSTEMS[name], rank)
     got = [hexes(entries_of(z)) for z in central_part(rep)]
     assert got and got == [hexes(z) for z in loop_central_part(rep)]
+
+
+# -- the batched validator against the per-sample loop it replaced -----------------
+
+
+def loop_validate_equivariant(rep, rng):
+    """The per-sample validator: each sample drawn and checked in turn, one ModuleVector operation at a time."""
+    sys_, A, n = rep.system, rep.system.algebra, rep.rank
+    grp = sys_.group
+    worst = {"i": 0.0, "ii": 0.0, "iii": 0.0, "iv": 0.0, "unit": 0.0}
+    e = grp.identity()
+    for _ in range(40):
+        g = grp.random_element(rng)
+        h = grp.random_element(rng)
+        a = A.random_element(rng)
+        x = random_vector(A, n, rng)
+        x2 = random_vector(A, n, rng)
+
+        lhs = rep.rho(sys_.act(g, a))(x)
+        rhs = rep.v_apply(g, rep.rho(a)(rep.v_inverse_apply(g, x)))
+        worst["i"] = max(worst["i"], (lhs - rhs).norm())
+
+        lhs = rep.v_apply(g, rep.v_apply(h, x))
+        rhs = rep.ad_rho(sys_.cocycle(g, h), rep.v_apply(grp.mul(g, h), x))
+        worst["ii"] = max(worst["ii"], (lhs - rhs).norm())
+
+        lhs_a = sys_.act(g, x.inner(x2))
+        rhs_a = rep.v_apply(g, x).inner(rep.v_apply(g, x2))
+        worst["iii"] = max(worst["iii"], (lhs_a - rhs_a).norm())
+
+        lhs = rep.v_apply(g, x.right(a))
+        rhs = rep.v_apply(g, x).right(sys_.act(g, a))
+        worst["iv"] = max(worst["iv"], (lhs - rhs).norm())
+
+        worst["unit"] = max(worst["unit"], (rep.v_apply(e, x) - x).norm())
+        worst["unit"] = max(worst["unit"], (rep.v_inverse_apply(g, rep.v_apply(g, x)) - x).norm())
+    return worst
+
+
+def _shipped_rep(system, kind):
+    """The three reps a config can ask for (config.build_rep)."""
+    if kind == "trivial":
+        return build_rep(system, {})
+    if kind == "endomorphism-composed":
+        return build_rep(system, {"rho": {"kind": "endomorphism-composed", "point_map": [1, 1]}})
+    rng = np.random.default_rng(len(system.group.generators()))
+    wires = []
+    for _ in system.group.generators():
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        wires.append(np.stack([q.real, q.imag], axis=-1).reshape(-1).tolist())
+    return build_rep(system, {"rank": 2, "v": {"kind": "alpha-tensor-unitary", "generator_unitaries": wires}})
+
+
+def _assert_validator_is_the_loop(rep, seed):
+    batched_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batched = validate_equivariant(rep, batched_rng).axiom_violations
+    expected = loop_validate_equivariant(rep, loop_rng)
+    assert {k: float(v).hex() for k, v in batched.items()} == {k: v.hex() for k, v in expected.items()}
+    assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+    return batched
+
+
+# the families' systems act by a block swap on C + C and are perturbed by
+# coboundaries, so the actions permute blocks and conjugate, and the cocycles
+# are not central; Z_6 is finite, the other three infinite
+@pytest.mark.parametrize("dims, kind", [
+    ((1, 1), "trivial"), ((1, 1), "endomorphism-composed"), ((1, 1), "alpha-tensor-unitary"),
+    ((2, 1), "trivial"), ((2, 1), "alpha-tensor-unitary"),  # point maps need a commutative algebra
+], ids=lambda v: str(v) if isinstance(v, tuple) else v)
+@pytest.mark.parametrize("family", ["cyclic", "Zd", "free-F2", "free-product-Z2-Z3"])
+def test_batched_validator_is_the_per_sample_loop_bit_for_bit(family, dims, kind):
+    _assert_validator_is_the_loop(_shipped_rep(system_for(family, dims), kind), seed=3)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_batched_validator_is_the_loop_on_the_oracle_systems(name):
+    for rank in (1, 2):
+        _assert_validator_is_the_loop(_oracle_rep(ORACLE_SYSTEMS[name], rank), seed=rank)
+
+
+def test_batched_validator_keeps_an_earlier_violation_over_a_later_nan():
+    sys_ = theta_system(Cyclic(12), "1/12")
+    A = sys_.algebra
+    nans = []
+
+    def rho(a):
+        # NaN where the real part is positive, left multiplication by 1.01 a elsewhere
+        nans.append(complex(a.blocks[0][0, 0]).real > 0)
+        return ModuleOperator(A, ((np.nan * A.unit() if nans[-1] else 1.01 * a,),))
+
+    rep = EquivariantRep(sys_, 1, rho, lambda g: ModuleOperator.identity(A, 1), tag="nan")
+    violations = _assert_validator_is_the_loop(rep, seed=0)
+    assert any(nans) and not all(nans)
+    # (i) compares rho(a) with itself: 0 or NaN per sample, and max() keeps the 0.0 it starts from;
+    # (ii) meets rho(cocycle) of both signs, and keeps the finite maximum
+    assert violations["i"] == 0.0
+    assert 0.0 < violations["ii"] < np.inf
