@@ -17,15 +17,20 @@ their products numbered in first-seen order, the coefficients, cocycles
 and actions gathered from the system's tables, each term formed by batched
 matmuls and added to its product in pair order.
 
-The kernel takes a batch of independent couples (f1, f2), as a list of
-first and a list of second factors, and runs it in one pass, the products
-numbered by (couple, code) so that each couple keeps its own pairs, order
-and codes (products, decay.regular_applies); stars, sums and differences
-batch the same way.  f1 * f2, f.star(), f + g and f - g are batches of
-one, and a sampling experiment forms each stage of a chunk of samples in
-one call.  Every result is the same alone as in any batch, and bit for bit
-the per-coefficient AlgElement arithmetic in the same order, with the
-actions applied as TwistedSystem.act_rows applies them.
+The kernel takes a batch of independent couples (f1, f2), as first and
+second factors, and runs it in one pass, the products numbered by
+(couple, code) so that each couple keeps its own pairs, order and codes
+(products, decay.regular_applies); stars, sums and differences batch the
+same way.  A batch is a CcBatch: one code array and one array per block
+holding the rows of every element in turn, and each element's row count.
+The kernels, random_ccs_in, ccs_at and regrouped return one, and the
+kernels take one or a list of elements; a sampling experiment hands a
+chunk from its draws to its defect norms as batches, and a CcElement is
+made only where a batch is indexed or iterated.  f1 * f2, f.star(),
+f + g and f - g are batches of one.  Every result is the same alone as in
+any batch, and bit for bit the per-coefficient AlgElement arithmetic in
+the same order, with the actions applied as TwistedSystem.act_rows
+applies them.
 
 Operator norms are bounded from below by compressing the regular
 representation to a ball and from above by the l1 norm.  The compression
@@ -63,7 +68,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -142,10 +146,11 @@ class CcElement:
     at the i-th code, all read-only; arithmetic runs on these arrays and
     decodes no point.  An element built from a mapping checks every key,
     stacks its values at once and prunes them as arithmetic prunes its
-    results (_pruned); one built by arithmetic (or random_cc) often holds
-    views of a batch's arrays.  The points (seeded by a mapping and by
-    random_cc), the {g: row} index, the row norms and the row AlgElements
-    (views of the arrays) are made on first use.  A value of norm < 1e-14
+    results (_pruned); one taken from a CcBatch (arithmetic, random_cc)
+    holds views of the batch's arrays.  The points (seeded by a mapping and
+    by random_cc, else the element's slice of its batch's one decode), the
+    {g: row} index, the row norms and the row AlgElements (views of the
+    arrays) are made on first use.  A value of norm < 1e-14
     is never stored, so the support is canonical; one whose norm is NaN is
     kept, so overflow propagates instead of vanishing.  Instances are
     immutable; arithmetic returns new elements.
@@ -162,7 +167,7 @@ class CcElement:
 
     def _store(self, system, codes: np.ndarray, blocks: list, points: list | Callable | None = None):
         """Set the state: read-only codes and blocks, one row per code, and the decoded codes if known
-        (or a function that sets them: a batch's results share one decode, _packed_many)."""
+        (or a function that returns them: the elements of a batch share its one decode, CcBatch)."""
         self.system = system
         self._codes = codes                 # the int64 code of each support point in system.coded
         self._blocks = blocks               # one read-only (n, d_j, d_j) array per block
@@ -180,7 +185,7 @@ class CcElement:
         if self._point_list is None:
             self._point_list = self.system.coded.decode(self._codes)
         elif callable(self._point_list):
-            self._point_list()
+            self._point_list = self._point_list()
         return self._point_list
 
     @property
@@ -244,7 +249,7 @@ class CcElement:
         return differences([self], [other])[0]
 
     def __rmul__(self, scalar) -> "CcElement":
-        return _packed_many(self.system, self._codes, [scalar * x for x in self._blocks], [len(self)])[0]
+        return _packed(self.system, self._codes, [scalar * x for x in self._blocks], [len(self)])[0]
 
     # -- twisted product and involution ------------------------------------------
 
@@ -303,7 +308,7 @@ class CcElement:
 
     def weighted_module_norm(self, weight) -> float:
         w = np.array(self._weights(weight))
-        (f,) = _packed_many(self.system, self._codes, [w[:, None, None] * x for x in self._blocks], [len(self)])
+        (f,) = _packed(self.system, self._codes, [w[:, None, None] * x for x in self._blocks], [len(self)])
         return f.module_norm()
 
 
@@ -333,7 +338,7 @@ def _dropped(blocks: list) -> np.ndarray | None:
     return low if np.count_nonzero(low) else None
 
 
-def _pruned(codes: np.ndarray, blocks: list, counts: list, points: list | None = None) -> tuple:
+def _pruned(codes: np.ndarray, blocks: list, counts: np.ndarray, points: list | None = None) -> tuple:
     """(codes, blocks, counts, points) without the rows of norm < 1e-14, the codes and blocks made read-only.
 
     counts[c] rows in turn belong to the c-th element; its count drops by
@@ -342,7 +347,7 @@ def _pruned(codes: np.ndarray, blocks: list, counts: list, points: list | None =
     drop = _dropped(blocks) if len(codes) else None
     if drop is not None:
         keep = ~drop
-        counts = np.bincount(np.repeat(np.arange(len(counts)), counts)[keep], minlength=len(counts)).tolist()
+        counts = np.bincount(np.repeat(np.arange(len(counts)), counts)[keep], minlength=len(counts))
         codes, blocks = codes[keep], [b[keep] for b in blocks]
         if points is not None:
             points = list(itertools.compress(points, keep.tolist()))
@@ -351,47 +356,137 @@ def _pruned(codes: np.ndarray, blocks: list, counts: list, points: list | None =
     return codes, blocks, counts, points
 
 
-def _packed_many(system: TwistedSystem, codes: np.ndarray, blocks: list, counts: list,
-                 points: list | None = None) -> list:
-    """The elements with row i of `blocks` at codes[i] in system.coded, rows of norm < 1e-14
-    dropped: the c-th element takes the next counts[c] rows, its codes distinct.
+class CcBatch:
+    """Elements of one system packed together: what the batched kernels take and return.
 
-    Rows are pruned in one pass over all of them; the elements' codes and
-    blocks are read-only views of the shared arrays.  points, the decoded
-    codes, seed each element's cache with its slice.  Without them several
-    elements share one decode: the first to read its points decodes all the
-    codes in one call and hands each element still alive its own slice, so
-    no element keeps the others' points.
+    One read-only int64 code array and one read-only (rows, d_j, d_j) array
+    per algebra block hold the rows of every element in turn, the c-th
+    element the next counts[c] rows, its codes distinct.  The kernels
+    (products, stars, sums, differences, decay.regular_applies) and a
+    slice (batch[0::3], one gather of its rows) read and make these arrays
+    and no element; norms_l1 reads them too.  A CcElement is made only where
+    a batch is indexed or iterated: it holds views of its own rows and,
+    once read, its own slice of the points, which the batch decodes once.
+    batch + list and list + batch are the lists of their elements.
     """
-    codes, blocks, counts, points = _pruned(codes, blocks, counts, points)
-    if len(counts) == 1:
+
+    def __init__(self, system: TwistedSystem, codes: np.ndarray, blocks: list, counts: np.ndarray,
+                 points: list | None = None):
+        self.system = system
+        self._codes = codes             # the int64 code of each row in system.coded
+        self._blocks = blocks           # one read-only (rows, d_j, d_j) array per block
+        self._counts = counts           # int64: the rows of each element
+        self._point_list = points       # the decoded codes, on first use unless given
+
+    @functools.cached_property
+    def _starts(self) -> np.ndarray:
+        """Element c has the rows starts[c]:starts[c + 1]."""
+        starts = np.zeros(len(self._counts) + 1, dtype=np.int64)
+        np.cumsum(self._counts, out=starts[1:])
+        return starts
+
+    def __len__(self):
+        return len(self._counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._taken(np.arange(len(self))[index])
+        if len(self) == 1 and index in (0, -1):
+            return self._element(0, len(self._codes))
+        c = range(len(self))[index]
+        return self._element(*self._starts[c:c + 2].tolist())
+
+    def __iter__(self):
+        return itertools.starmap(self._element, itertools.pairwise(self._starts.tolist()))
+
+    def __add__(self, other) -> list:
+        return [*self, *other]
+
+    def __radd__(self, other) -> list:
+        return [*other, *self]
+
+    @property
+    def _points(self) -> list:
+        """The points of every row, decoded from the codes on first use."""
+        if self._point_list is None:
+            self._point_list = self.system.coded.decode(self._codes)
+        return self._point_list
+
+    def _points_of(self, lo: int, hi: int) -> list:
+        return self._points[lo:hi]
+
+    def _element(self, lo: int, hi: int) -> CcElement:
         f = CcElement.__new__(CcElement)
-        f._store(system, codes, blocks, points)
-        return [f]
-    bounds = list(itertools.pairwise(itertools.accumulate(counts, initial=0)))
+        if len(self) == 1:
+            f._store(self.system, self._codes, self._blocks, self._point_list)
+        else:
+            points = functools.partial(self._points_of, lo, hi) if self._point_list is None \
+                else self._point_list[lo:hi]
+            f._store(self.system, self._codes[lo:hi], [b[lo:hi] for b in self._blocks], points)
+        return f
 
-    def decode():
-        decoded = system.coded.decode(codes)
-        for ref, (lo, hi) in zip(refs, bounds):
-            if (f := ref()) is not None:
-                f._point_list = decoded[lo:hi]
+    def _taken(self, chosen: np.ndarray) -> "CcBatch":
+        """The batch of the elements numbered chosen, in that order, their rows gathered once."""
+        counts = self._counts[chosen]
+        rows = np.arange(counts.sum()) + np.repeat(self._starts[chosen] - np.cumsum(counts) + counts, counts)
+        codes, blocks = self._codes[rows], [b[rows] for b in self._blocks]
+        for x in (codes, *blocks):
+            x.flags.writeable = False
+        points = None if self._point_list is None else [self._point_list[i] for i in rows.tolist()]
+        return CcBatch(self.system, codes, blocks, counts, points)
 
-    out = []
-    for lo, hi in bounds:
-        f = CcElement.__new__(CcElement)
-        f._store(system, codes[lo:hi], [b[lo:hi] for b in blocks], decode if points is None else points[lo:hi])
-        out.append(f)
-    refs = [weakref.ref(f) for f in out]
-    return out
+    def _rows_in(self, coded, support_order: bool = False) -> tuple:
+        """(codes, blocks): every element's rows in turn, in insertion or, when asked, support order.
+
+        The codes are in `coded`: the points of a batch over another system's
+        coded view are coded in it.
+        """
+        codes = self._codes if self.system.coded is coded else coded.encode(self._points)
+        if not support_order:
+            return codes, self._blocks
+        keys = list(map(self.system.group.sort_key, self._points))
+        rows = np.array([i for lo, hi in itertools.pairwise(self._starts.tolist())
+                         for i in sorted(range(lo, hi), key=keys.__getitem__)], dtype=np.int64)
+        return codes[rows], [b[rows] for b in self._blocks]
+
+    def norms_l1(self) -> list:
+        """CcElement.norm_l1 of each element, bit for bit: its row norms summed in row order."""
+        norms = stacked_norms(self._blocks).tolist() if len(self._codes) else []
+        return [sum(norms[lo:hi]) for lo, hi in itertools.pairwise(self._starts.tolist())]
 
 
-def regrouped(f: CcElement, at, counts: list, system: TwistedSystem | None = None, blocks=None) -> list:
+def _packed(system: TwistedSystem, codes: np.ndarray, blocks: list, counts, points: list | None = None) -> CcBatch:
+    """The batch with row i of `blocks` at codes[i] in system.coded, rows of norm < 1e-14 dropped:
+    the c-th element takes the next counts[c] rows, its codes distinct; points, if given, are the decoded codes."""
+    return CcBatch(system, *_pruned(codes, blocks, np.asarray(counts, dtype=np.int64), points))
+
+
+def _batch_of(elements) -> CcBatch:
+    """A CcBatch as it is; a nonempty list of elements of one system packed in one copy (a list of one in none)."""
+    if isinstance(elements, CcBatch):
+        return elements
+    if len(elements) == 1:
+        f = elements[0]
+        points = f._point_list if isinstance(f._point_list, list) else None
+        return CcBatch(f.system, f._codes, f._blocks, np.array([len(f._codes)]), points)
+    system = _system_of(elements)
+    codes = np.concatenate([f._codes for f in elements])
+    blocks = [np.concatenate(col) for col in zip(*(f._blocks for f in elements))]
+    return CcBatch(system, codes, blocks, np.fromiter(map(len, elements), dtype=np.int64, count=len(elements)))
+
+
+def _none_of(elements):
+    """What a kernel returns for no elements: an empty batch of a batch's system, or []."""
+    return elements[:0] if isinstance(elements, CcBatch) else []
+
+
+def regrouped(f: CcElement, at, counts: list, system: TwistedSystem | None = None, blocks=None) -> CcBatch:
     """Elements of f's coefficients at the support points f.support()[i], i in `at`, in that order: the
     c-th takes the next counts[c], rows of norm < 1e-14 dropped.  They keep f's codes, so `system` (f's
     by default) must be over f's group object, and keep the algebra blocks numbered `blocks` (all)."""
     rows = np.array(f._sorted_rows(), dtype=np.int64)[at]
     kept = f._blocks if blocks is None else [f._blocks[j] for j in blocks]
-    return _packed_many(f.system if system is None else system, f._codes[rows], [b[rows] for b in kept], counts)
+    return _packed(f.system if system is None else system, f._codes[rows], [b[rows] for b in kept], counts)
 
 
 def _system_of(elements) -> TwistedSystem:
@@ -401,33 +496,13 @@ def _system_of(elements) -> TwistedSystem:
     return system
 
 
-def _gathered(elements, coded, support_order: bool = False) -> tuple:
-    """(codes, blocks) of a list of elements, concatenated in turn, each in insertion or, when asked, support order.
-
-    codes: every element's codes in `coded` (an element over another
-    system's coded view has its points coded in this one); blocks: their
-    coefficient arrays, concatenated (a fresh copy unless there is one
-    element in insertion order, whose read-only arrays they are).
-    """
-    codes = [f._codes if f.system.coded is coded else coded.encode(f._points) for f in elements]
-    if len(elements) == 1:
-        codes, blocks = codes[0], elements[0]._blocks
-    else:
-        codes, blocks = np.concatenate(codes), [np.concatenate(col) for col in zip(*(f._blocks for f in elements))]
-    if not support_order:
-        return codes, blocks
-    starts = itertools.accumulate((len(f) for f in elements), initial=0)
-    rows = np.concatenate([np.array(f._sorted_rows(), dtype=np.int64) + k for f, k in zip(elements, starts)])
-    return codes[rows], [b[rows] for b in blocks]
-
-
-def _pair_indices(n1: list, n2: list) -> tuple:
+def _pair_indices(n1: np.ndarray, n2: np.ndarray) -> tuple:
     """(couple, left, right) of the pairs of couples with supports of sizes n1[c] x n2[c]:
     couple after couple, g-major, left and right indexing the concatenated supports.
     couple is None for a single couple."""
     if len(n1) == 1:
         return (None,) + np.divmod(np.arange(n1[0] * n2[0]), n2[0])
-    sizes = np.multiply(n1, n2)
+    sizes = n1 * n2
     couple = np.repeat(np.arange(len(n1)), sizes)
     left, right = np.divmod(np.arange(len(couple)) - np.repeat(np.cumsum(sizes) - sizes, sizes),
                             np.repeat(n2, sizes))
@@ -440,21 +515,24 @@ def _numbered(couple: np.ndarray | None, codes: np.ndarray, n: int) -> tuple:
     """(at, first, counts) for the keys (couple[i], codes[i]) of a batch of n couples (codes[i] for couple None).
 
     at numbers the distinct keys in first-seen order; first marks the entry
-    where each number is first seen, which is the entry whose number passes
-    every earlier one; counts[c] is the number of distinct keys of couple c.
-    Codes may take 62 bits, so a key is the couple and the rank of its code
-    among the distinct codes, never the two packed into one int.
+    where each number is first seen; counts[c] is the number of distinct keys
+    of couple c.  Codes may take 62 bits, so a key is the couple and the rank
+    of its code among the distinct codes, never the two packed into one int.
     """
-    keys = Numbering()
-    if couple is None:
+    if couple is None:  # a batch of one: a dict numbers a few keys faster
+        keys = Numbering()
         at = keys.many(codes)
-    else:
-        _, rank = np.unique(codes, return_inverse=True)
-        at = keys.many(couple * (int(rank.max()) + 1) + rank)
-    first = np.empty(len(at), dtype=bool)
-    first[0], first[1:] = True, at[1:] > np.maximum.accumulate(at)[:-1]
-    counts = [len(keys)] if couple is None else np.bincount(couple[first], minlength=n).tolist()
-    return at, first, counts
+        first = np.empty(len(at), dtype=bool)
+        first[:1], first[1:] = True, at[1:] > np.maximum.accumulate(at)[:-1]
+        return at, first, np.array([len(keys)])
+    _, rank = np.unique(codes, return_inverse=True)
+    keys = couple * (int(rank.max(initial=0)) + 1) + rank
+    _, where, inverse = np.unique(keys, return_index=True, return_inverse=True)  # where: each key's first entry
+    number = np.empty(len(where), dtype=np.int64)
+    number[np.argsort(where)] = np.arange(len(where))
+    first = np.zeros(len(keys), dtype=bool)
+    first[where] = True
+    return number[inverse], first, np.bincount(couple[first], minlength=n)
 
 
 def _summed(terms: list, at: np.ndarray, first: np.ndarray) -> list:
@@ -481,42 +559,37 @@ class Pairs(NamedTuple):
     at: np.ndarray      # ... and each pair's gh as an index into them
 
 
-def pair_sum(firsts: list, seconds: list, terms: Callable[[Pairs], list], support_order: bool = False) -> list:
+def pair_sum(firsts, seconds, terms: Callable[[Pairs], list], support_order: bool = False) -> CcBatch:
     """For each couple (f1, f2) = (firsts[c], seconds[c]), the element k -> sum over its pairs
-    (g, h) with gh = k of terms(pairs).
+    (g, h) with gh = k of terms(pairs), in one pass over all pairs.
 
-    One pass serves the whole batch: the codes and blocks of every couple are
-    concatenated, and the gathers, the cocycle and action rows, the matmuls
-    of `terms` and the sums run once over all pairs.  Each couple keeps its
-    own order: its pairs run over supp f1 x supp f2, g-major, each support in
-    insertion order, or in support order when asked; its terms at a point are
-    added in pair order starting from the first, as out[k] = out[k] + term
-    adds them; its codes are its products' in first-seen order.  So every
-    element is the one a batch of one gives, bit for bit.  Products are
-    numbered by (couple, code), so couples never share a point.  Every f1
-    lives over one system; an f2 may live over another system on an equal
-    group, and its points are then coded in f1's.
+    firsts and seconds: each a CcBatch or a list of CcElements, the f1 over
+    one system, the f2 over one system on an equal group.  A couple's pairs
+    run over supp f1 x supp f2, g-major, each support in insertion or, when
+    asked, support order; its terms at a point are added in pair order and
+    its codes are its products' in first-seen order, so each result is the
+    one a batch of one gives, bit for bit.
     """
     if len(firsts) != len(seconds):
         raise ValueError("a batch needs as many second factors as first ones")
-    if not firsts:
-        return []
-    system = _system_of(firsts)
+    if not len(firsts):
+        return _none_of(firsts)
+    b1, b2 = _batch_of(firsts), _batch_of(seconds)
+    system = b1.system
     coded = system.coded
-    n1, n2 = [len(f) for f in firsts], [len(f) for f in seconds]
-    if not any(map(int.__mul__, n1, n2)):
-        return _packed_many(system, *_no_rows(system), [0] * len(firsts))
-    codes1, blocks1 = _gathered(firsts, coded, support_order)
-    codes2, blocks2 = _gathered(seconds, coded, support_order)
-    couple, left, right = _pair_indices(n1, n2)
+    couple, left, right = _pair_indices(b1._counts, b2._counts)
+    if not len(left):
+        return _packed(system, *_no_rows(system), np.zeros(len(b1), dtype=np.int64))
+    codes1, blocks1 = b1._rows_in(coded, support_order)
+    codes2, blocks2 = b2._rows_in(coded, support_order)
     g, h = codes1[left], codes2[right]
     gh = coded.mul(g, h)
-    at, first, counts = _numbered(couple, gh, len(firsts))
+    at, first, counts = _numbered(couple, gh, len(b1))
     codes = gh[first]
     a, b = [x[left] for x in blocks1], [x[right] for x in blocks2]
     sigma = system.cocycle_blocks(system.cocycle_rows(g, h, gh))
     sums = _summed(terms(Pairs(system, a, b, sigma, codes1, left, codes, at)), at, first)
-    return _packed_many(system, codes, sums, counts)
+    return _packed(system, codes, sums, counts)
 
 
 def _product_terms(pairs: Pairs) -> list:
@@ -525,59 +598,73 @@ def _product_terms(pairs: Pairs) -> list:
     return [np.matmul(np.matmul(x, y), s) for x, y, s in zip(pairs.a, acted, pairs.sigma)]
 
 
-def products(firsts: list, seconds: list) -> list:
+def products(firsts, seconds) -> CcBatch:
     """firsts[c] * seconds[c] for each c, elements of one system, in one pair_sum pass."""
-    if firsts and seconds:
-        _system_of([firsts[0], *seconds])
+    if len(firsts) and len(seconds):
+        firsts, seconds = _batch_of(firsts), _batch_of(seconds)
+        if seconds.system is not firsts.system:
+            raise ValueError("elements live over different systems")
     return pair_sum(firsts, seconds, _product_terms)
 
 
-def stars(elements: list) -> list:
-    """f* for each element of one system, in one pass over all their rows."""
-    if not elements:
-        return []
-    system = _system_of(elements)
-    counts = [len(f) for f in elements]
-    if not sum(counts):
-        return _packed_many(system, *_no_rows(system), counts)
-    codes, blocks = _gathered(elements, system.coded)
+def stars(elements) -> CcBatch:
+    """f* for each element of one system (a CcBatch or a list of CcElements), in one pass over all their rows."""
+    if not len(elements):
+        return _none_of(elements)
+    batch = _batch_of(elements)
+    system = batch.system
+    if not len(batch._codes):
+        return _packed(system, *_no_rows(system), batch._counts)
+    codes, blocks = batch._codes, batch._blocks
     inverses = system.coded.inv(codes)
     sigma = system.cocycle_blocks(system.cocycle_rows(codes, inverses, system.coded.identities(len(codes))))
     x = [np.matmul(adjoints(s), adjoints(a)) for s, a in zip(sigma, blocks)]
     acted = system.act_rows(inverses, np.arange(len(inverses)), x)
-    return _packed_many(system, inverses, acted, counts)
+    return _packed(system, inverses, acted, batch._counts)
 
 
-def sums(firsts: list, seconds: list) -> list:
+def sums(firsts, seconds) -> CcBatch:
     """firsts[c] + seconds[c] for each c, elements of one system, in one pass."""
     return _combined(firsts, seconds, None)
 
 
-def differences(firsts: list, seconds: list) -> list:
+def differences(firsts, seconds) -> CcBatch:
     """firsts[c] - seconds[c] for each c: the rows of the second enter as (-1.0) * f2(h),
     which is not -f2(h) in the sign of a zero or on an infinite part."""
     return _combined(firsts, seconds, -1.0)
 
 
-def _combined(firsts: list, seconds: list, scale) -> list:
+def _combined(firsts, seconds, scale) -> CcBatch:
     """f1 + scale f2 per couple: the rows of f1, then those of f2, keyed by (couple, code).
 
     A point of both supports gets f1(g) + f2(g) at its place in f1; the other
     points of f2 follow in their order, as a {g: coefficient} merge does.
     """
-    seq = [f for couple in zip(firsts, seconds, strict=True) for f in couple]
-    if not seq:
-        return []
-    system = _system_of(seq)
-    sizes = [len(f) for f in seq]
-    if not sum(sizes):
-        return _packed_many(system, *_no_rows(system), [0] * len(firsts))
-    codes = np.concatenate([f._codes for f in seq])
-    scaled = (f._blocks if scale is None or k % 2 == 0 else [scale * x for x in f._blocks] for k, f in enumerate(seq))
-    blocks = [np.concatenate(col) for col in zip(*scaled)]
-    couple = None if len(firsts) == 1 else np.repeat(np.arange(len(firsts)), np.add(sizes[::2], sizes[1::2]))
-    at, first, counts = _numbered(couple, codes, len(firsts))
-    return _packed_many(system, codes[first], _summed(blocks, at, first), counts)
+    if len(firsts) != len(seconds):
+        raise ValueError("a batch needs as many second factors as first ones")
+    if not len(firsts):
+        return _none_of(firsts)
+    b1, b2 = _batch_of(firsts), _batch_of(seconds)
+    if b2.system is not b1.system:
+        raise ValueError("elements live over different systems")
+    blocks2 = b2._blocks if scale is None else [scale * x for x in b2._blocks]
+    if len(b1) == 1:
+        couple, codes = None, np.concatenate([b1._codes, b2._codes])
+        blocks = [np.concatenate(pair) for pair in zip(b1._blocks, blocks2)]
+    else:  # couple c takes the rows starts1[c] + starts2[c] ... on: those of f1, then those of f2
+        n1, n2 = b1._counts, b2._counts
+        couple = np.repeat(np.arange(len(b1)), n1 + n2)
+        place1 = np.arange(len(b1._codes)) + np.repeat(b2._starts[:-1], n1)
+        place2 = np.arange(len(b2._codes)) + np.repeat(b1._starts[1:], n2)
+        codes = np.empty(len(couple), dtype=np.int64)
+        codes[place1], codes[place2] = b1._codes, b2._codes
+        blocks = []
+        for x, y in zip(b1._blocks, blocks2):
+            out = np.empty((len(couple),) + x.shape[1:], dtype=x.dtype)
+            out[place1], out[place2] = x, y
+            blocks.append(out)
+    at, first, counts = _numbered(couple, codes, len(b1))
+    return _packed(b1.system, codes[first], _summed(blocks, at, first), counts)
 
 
 def delta(system: TwistedSystem, g=None, a: AlgElement | None = None) -> CcElement:
@@ -625,20 +712,15 @@ def sample_chunks(n: int):
         yield min(_CHUNK, n - start)
 
 
-def random_cc_in(system: TwistedSystem, pool: list, max_size: int, rng) -> CcElement:
-    """random_cc on 1 to max_size distinct points drawn from pool (random_ccs_in of one)."""
-    return random_ccs_in(system, pool, max_size, rng, 1)[0]
+def random_ccs_in(system: TwistedSystem, pool: list, max_size: int, rng, count: int) -> CcBatch:
+    """count random elements on 1 to max_size distinct points of pool each, all drawn first.
 
-
-def random_ccs_in(system: TwistedSystem, pool: list, max_size: int, rng, count: int) -> list:
-    """The count elements that count calls of random_cc_in return, bit for bit, all drawn first.
-
-    Per element the calls are those of random_cc on points of pool, in the
-    same order: rng.integers for the support size (1 to max_size), rng.choice
-    for the distinct points, one rng.normal for the coefficients; so the
-    elements' codes, blocks and support order, and the state of rng after
-    the call, are the loop's.  The draws are split into blocks once and
-    packed in one pass (ccs_at).  pool holds distinct points (a ball, a group's elements).
+    Per element the calls are, in turn: rng.integers for the support size,
+    rng.choice for the distinct points, then random_cc's one rng.normal for
+    the coefficients; so the elements, and the state of rng after the call,
+    are those of a loop of count such draws (tests/test_crossed.py keeps it
+    as the oracle).  The draws are split into blocks once and packed in one
+    pass (ccs_at).  pool holds distinct points (a ball, a group's elements).
     """
     top, width = min(max_size, len(pool)), 2 * system.algebra.total_dim
     picks, draws = [], []
@@ -647,16 +729,16 @@ def random_ccs_in(system: TwistedSystem, pool: list, max_size: int, rng, count: 
         picks.append(rng.choice(len(pool), size=size, replace=False))
         draws.append(rng.normal(size=(size, width)))
     if not count:
-        return []
+        return _packed(system, *_no_rows(system), [])
     points = [pool[i] for i in np.concatenate(picks).tolist()]
     return ccs_at(system, points, system.algebra.from_normals(np.concatenate(draws)), list(map(len, picks)))
 
 
-def ccs_at(system: TwistedSystem, points: list, blocks: list, counts: list) -> list:
-    """The elements {points[i]: row i of blocks}, the c-th on the next counts[c] points, which are distinct:
-    each is what CcElement makes of that mapping, all checked, coded, pruned and packed in one pass."""
+def ccs_at(system: TwistedSystem, points: list, blocks: list, counts: list) -> CcBatch:
+    """The batch of the elements {points[i]: row i of blocks}, the c-th on the next counts[c] points, which are
+    distinct: each is what CcElement makes of that mapping, all checked, coded, pruned and packed in one pass."""
     points = list(map(system.group.check, points))
-    return _packed_many(system, system.coded.encode(points), blocks, counts, points)
+    return _packed(system, system.coded.encode(points), blocks, counts, points)
 
 
 # -- compressed regular representation ---------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import state_norm, state_root
 from .crossed import (
-    CcElement, Pairs, default_radii, delta, opnorm_bounds, pair_sum, random_cc, random_ccs_in, regrouped,
+    CcBatch, CcElement, Pairs, default_radii, delta, opnorm_bounds, pair_sum, random_cc, random_ccs_in, regrouped,
     sample_chunks,
 )
 from .groups import (
@@ -368,8 +368,8 @@ def regular_apply(f: CcElement, xi: CcElement) -> CcElement:
     return regular_applies([f], [xi])[0]
 
 
-def regular_applies(fs: list, xis: list) -> list:
-    """regular_apply(fs[c], xis[c]) for each c, the fs over one system, in one pair_sum pass."""
+def regular_applies(fs, xis) -> CcBatch:
+    """The CcBatch of regular_apply(fs[c], xis[c]) for each c (each side a CcBatch or a list), in one pair_sum pass."""
     return pair_sum(fs, xis, _regular_terms, support_order=True)
 
 

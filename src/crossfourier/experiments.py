@@ -98,10 +98,11 @@ def run_arithmetic_suite(system, params, rng):
         distributivity = differences(products(f1, sums(f2, f3)), sums(f12, products(f1, f3)))
         antihomomorphism = differences(stars(f12), products(stars(f2), f1_star))
         involution = differences(stars(f1_star), f1)
-        for defects in zip(associativity, distributivity, antihomomorphism, involution):
+        norms = (d.norms_l1() for d in (associativity, distributivity, antihomomorphism, involution))
+        for defects in zip(*norms):
             # the maxima run in the triple order, as max() keeps an earlier value over a NaN
             for key, defect in zip(("associativity", "distributivity", "involution", "involution"), defects):
-                worst[key] = max(worst[key], defect.norm_l1())
+                worst[key] = max(worst[key], defect)
     passed = max(worst.values()) <= 1e-10
     return {"max_violations": worst, "n_triples": n}, None, passed
 
@@ -298,10 +299,11 @@ def run_commutative_inequality(system, params, rng):
     for size in sample_chunks(n):
         drawn = random_ccs_in(system, pool, 3, rng, 2 * size)
         fs, xis = drawn[0::2], drawn[1::2]
-        for f in fs:
+        elements = list(fs)
+        for f in elements:
             check_fixed_point(system, f)
         # neither Lambda(f) xi nor the fixed-point test depends on the state
-        for f, xi, applied in zip(fs, xis, regular_applies(fs, xis)):
+        for f, xi, applied in zip(elements, xis, regular_applies(fs, xis)):
             for omega, res in zip(states, collapse_residuals(system, applied, f, xi, states)):
                 min_residual = min(min_residual, res.residual)
                 n_checks += 1

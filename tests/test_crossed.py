@@ -24,6 +24,7 @@ from crossfourier.crossed import (
     stars,
     sums,
 )
+from crossfourier.experiments import run_arithmetic_suite
 from crossfourier.groups import Cyclic, Dihedral, DirectProduct, FreeF2, Zd, ball, default_length
 from crossfourier.system import TwistedSystem, generator_action, theta_system, trivial_system, sl2z_system
 from families import make_system, rotation_system
@@ -252,7 +253,7 @@ def test_random_cc_is_the_mapping_of_its_draws():
 
 
 def loop_random_cc_in(system, pool, max_size, rng):
-    """random_cc_in as one element's draws: a size, distinct points of pool, then random_cc's coefficients."""
+    """One element of random_ccs_in, drawn alone: a size, distinct points of pool, then random_cc's coefficients."""
     size = 1 + int(rng.integers(min(max_size, len(pool))))
     idx = rng.choice(len(pool), size=size, replace=False)
     return random_cc(system, [pool[i] for i in idx], rng)
@@ -356,33 +357,67 @@ def test_arithmetic_and_compression_decode_no_point_but_new_pieces(make, monkeyp
 
 
 def test_the_results_of_one_batch_share_one_decode(monkeypatch):
-    # reading the points of every result of a batch decodes the batch's codes once
+    # reading the points of every element of a batch decodes the batch's codes
+    # once; elements made later, and slices, take their points from that decode
     system = theta_system(Zd(2), "1/5")
     rng = np.random.default_rng(4)
     pool = ball(2, default_length(system.group))
     fs = [random_cc(system, [pool[i] for i in rng.choice(len(pool), 3, replace=False)], rng) for _ in range(6)]
     alone = [fs[c] * fs[3 + c] for c in range(3)] + [f.star() for f in fs] + [fs[c] + fs[3 + c] for c in range(3)]
     want = [f.support() for f in alone]
-    batch = products(fs[:3], fs[3:]) + stars(fs) + sums(fs[:3], fs[3:])
+    batches = [products(fs[:3], fs[3:]), stars(fs), sums(fs[:3], fs[3:])]
     calls = _decode_counter(monkeypatch, system.coded)
-    assert [f.support() for f in batch] == want
-    assert calls == [sum(map(len, batch[:3])), sum(map(len, batch[3:9])), sum(map(len, batch[9:]))]
-    assert [f.support() for f in batch] == want and len(calls) == 3
+    elements = [f for batch in batches for f in batch]
+    assert calls == []
+    assert [f.support() for f in elements] == want
+    assert calls == [len(batch._codes) for batch in batches]
+    assert [f.support() for f in elements] == want
+    assert [f.support() for f in batches[1]] == want[3:9]
+    assert [f.support() for f in batches[1][1::2]] == want[4:9:2]
+    assert len(calls) == 3
 
 
 def test_a_batch_decode_leaves_each_result_only_its_own_points():
-    # the first result read decodes the batch once and seeds every result
-    # still alive with its own slice; a dropped result is skipped
+    # an element of a batch holds views of its own rows; once read, it keeps
+    # its own slice of the batch's one decode and no reference to the batch
     system = theta_system(Zd(2), "1/5")
     rng = np.random.default_rng(5)
     pool = ball(2, default_length(system.group))
     fs = [random_cc(system, pool[:6], rng) for _ in range(6)]
-    batch = products(fs[:3], fs[3:]) + products(fs[3:], fs[:3])[:1]
-    del batch[1]
-    batch[0].support()
-    for f in batch[:2]:
-        assert f._point_list == system.coded.decode(f._codes)
-    assert callable(batch[2]._point_list)  # another batch, not read
+    batch, other = products(fs[:3], fs[3:]), products(fs[3:], fs[:3])
+    first, second, third = batch
+    lo, hi = batch._starts[1:3].tolist()
+    assert np.shares_memory(second._codes, batch._codes) and second._codes.tobytes() == batch._codes[lo:hi].tobytes()
+    second.support()
+    assert second._point_list == system.coded.decode(second._codes) == batch._point_list[lo:hi]
+    assert not any(callable(v) or isinstance(v, crossed.CcBatch) for v in vars(second).values())
+    assert callable(first._point_list) and callable(third._point_list)  # read on first use, from the same decode
+    assert third._points == system.coded.decode(third._codes) and len(third._point_list) == len(third)
+    assert other._point_list is None and callable(other[0]._point_list)  # another batch, not read
+
+
+def test_an_arithmetic_suite_chunk_makes_no_element_until_a_defect_is_indexed(monkeypatch):
+    # the suite hands its chunk from the draws to the defect norms as batches
+    system = theta_system(Cyclic(12), "1/12")
+    stored, store = [], CcElement._store
+
+    def spying(self, *args):
+        stored.append(len(args[1]))
+        return store(self, *args)
+
+    monkeypatch.setattr(CcElement, "_store", spying)
+    report, _, passed = run_arithmetic_suite(system, {"n_triples": 64}, np.random.default_rng(1))
+    assert passed and stored == []
+    rng = np.random.default_rng(1)
+    drawn = crossed.random_ccs_in(system, ball(1, default_length(system.group)), 3, rng, 3 * 64)
+    f1, f2 = drawn[0::3], drawn[1::3]
+    antihomomorphism = differences(stars(products(f1, f2)), products(stars(f2), stars(f1)))
+    assert stored == []
+    defect = antihomomorphism[5]
+    assert stored == [len(defect)]
+    norms = antihomomorphism.norms_l1()
+    assert [float(x).hex() for x in norms] == [float(f.norm_l1()).hex() for f in antihomomorphism]
+    assert max(norms) <= report["max_violations"]["involution"]
 
 
 def test_a_fresh_plan_encodes_its_ball_once_and_no_support_point(monkeypatch):

@@ -7,7 +7,8 @@ action is inner and whose cocycle is not central.  The ring axioms hold to
 and the norms are bit for bit (float.hex) the per-pair AlgElement loop kept
 here as the oracle, insertion order included, one operation at a time and
 in batches (crossed.products, stars, sums, differences and
-decay.regular_applies).  Each system is shared by
+decay.regular_applies), given as lists, packed batches or strided slices
+of batches, and chained batch to batch.  Each system is shared by
 every draw, so its coded tables are warm with pairs seen before when new
 ones come in.  At full radius on the finite families the compression is a
 *-homomorphism, and every compression norm lies between 0 and the exact
@@ -140,30 +141,62 @@ def nonfinite(system, c: dict) -> dict:
     return out
 
 
+def forms(elements: list) -> list:
+    """elements as a list, as one packed batch, and as the slices [1::2] and [0::3] of batches whose other
+    elements are theirs reversed."""
+    pack = crossed._batch_of
+    spread2 = [x for f, g in zip(elements, reversed(elements)) for x in (g, f)]
+    spread3 = [x for f, g in zip(elements, reversed(elements)) for x in (f, g, g)]
+    return [elements, pack(elements), pack(spread2)[1::2], pack(spread3)[0::3]]
+
+
 def batch_cases(system, named: list, couples: list, other=None) -> list:
-    """(packed, loop) for every batched operation on the couples (i, j) of the (element, map) pairs named;
-    with another system, the regular_applies also run with each xi moved over to it."""
+    """(packed, loop) for every batched operation on the couples (i, j) of the (element, map) pairs named,
+    each operand in every form; with another system, the regular_applies also run with each xi moved over
+    to it.  Then kernels chained, one's batch passed to the next unindexed."""
     firsts, seconds = ([named[k][0] for k in ks] for ks in zip(*couples))
     maps = [(named[i][1], named[j][1]) for i, j in couples]
-    cases = list(zip(products(firsts, seconds), [loop_mul(system, x, y) for x, y in maps]))
-    cases += zip(sums(firsts, seconds), [loop_add(x, y) for x, y in maps])
-    cases += zip(differences(firsts, seconds), [loop_add(x, loop_scale(-1.0, y)) for x, y in maps])
-    cases += zip(stars([f for f, _ in named]), [loop_star(system, c) for _, c in named])
-    cases += zip(regular_applies(firsts, seconds), [loop_regular_apply(system, x, y) for x, y in maps])
-    if other is not None:
-        moved = [CcElement(other, y) for _, y in maps]
-        cases += zip(regular_applies(firsts, moved), [loop_regular_apply(system, x, y) for x, y in maps])
+    want = {
+        products: [loop_mul(system, x, y) for x, y in maps],
+        sums: [loop_add(x, y) for x, y in maps],
+        differences: [loop_add(x, loop_scale(-1.0, y)) for x, y in maps],
+        regular_applies: [loop_regular_apply(system, x, y) for x, y in maps],
+    }
+    stars_want = [loop_star(system, c) for _, c in named]
+    moved = None if other is None else [CcElement(other, y) for _, y in maps]
+    cases = []
+    for left, right in zip(forms(firsts), forms(seconds)):
+        for kernel, loops in want.items():
+            cases += zip(kernel(left, right), loops)
+    for elements in forms([f for f, _ in named]):
+        cases += zip(stars(elements), stars_want)
+    if moved is not None:
+        for left, right in zip(forms(firsts), forms(moved)):
+            cases += zip(regular_applies(left, right), want[regular_applies])
+    F, S = crossed._batch_of(firsts), crossed._batch_of(seconds)
+    cases += zip(stars(products(F, S)), [loop_star(system, p) for p in want[products]])
+    cases += zip(sums(differences(F, S), F), [loop_add(d, x) for d, (x, _) in zip(want[differences], maps)])
+    # the new loops on every third couple: an empty, a non-finite and a plain one among them
+    some = maps[::3]
+    cases += zip(products(stars(F[::3]), sums(F, S)[::3]),
+                 [loop_mul(system, loop_star(system, x), s) for (x, _), s in zip(some, want[sums][::3])])
+    cases += zip(regular_applies(differences(F, S)[::3], products(F, S)[::3]),
+                 [loop_regular_apply(system, d, p) for d, p in zip(want[differences][::3], want[products][::3])])
     return cases
 
 
 def assert_cases(system, cases):
     """Points and coefficients bit for bit; the norms too where every coefficient is finite
-    (norm_linf is NaN where a coefficient norm is, the loop's max() is not)."""
+    (norm_linf is NaN where a coefficient norm is, the loop's max() is not).  A loop met again is read once."""
+    seen = {}
     for packed, loop in cases:
-        assert packed_hexes(packed) == loop_hexes(loop)
-        if all(np.isfinite(m).all() for a in loop.values() for m in a.blocks):
-            assert norm_hexes([packed.norm_l1(), packed.norm_linf(), packed.module_norm()]) == \
-                norm_hexes(loop_norms(system, loop))
+        if id(loop) not in seen:
+            finite = all(np.isfinite(m).all() for a in loop.values() for m in a.blocks)
+            seen[id(loop)] = loop, loop_hexes(loop), norm_hexes(loop_norms(system, loop)) if finite else None
+        _, hexed, norms = seen[id(loop)]
+        assert packed_hexes(packed) == hexed
+        if norms is not None:
+            assert norm_hexes([packed.norm_l1(), packed.norm_linf(), packed.module_norm()]) == norms
 
 
 # -- draws -----------------------------------------------------------------------------

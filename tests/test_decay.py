@@ -285,14 +285,14 @@ def test_decay_probe_compresses_its_witness_when_no_sample_is_kept(monkeypatch):
 def test_decay_probe_keeps_the_ten_best_rows_of_a_long_run():
     # the probe keeps only the ten best rows as it goes; the report is the
     # full sort's, ties in sample order, from the same draws
-    from crossfourier.crossed import random_cc_in
+    from test_crossed import loop_random_cc_in
 
     sys_ = theta_system(Zd(1), "1/5")
     k = make_weight("power", 1.0, one_norm(Zd(1)))
     probe = decay_constant_probe(sys_, k, R=2, sample_budget=250, rng=np.random.default_rng(2))
     rng, pool = np.random.default_rng(2), ball(2, one_norm(Zd(1)))
     rows = []
-    for f in [delta(sys_)] + [random_cc_in(sys_, pool, 4, rng) for _ in range(250)]:
+    for f in [delta(sys_)] + [loop_random_cc_in(sys_, pool, 4, rng) for _ in range(250)]:
         ratio = opnorm_bounds(f, [4], one_norm(Zd(1))).lower / f.weighted_module_norm(k)
         rows.append((ratio, [sys_.group.word(g) for g in f.support()]))
     rows.sort(key=lambda t: -t[0])
