@@ -13,7 +13,8 @@ theta accepts a rational string like "1/5" or a float.  Config errors raise
 ConfigError, a missing required key among them (require names it); the CLI
 maps it, and every other ValueError of the library, to exit code 1.  Every
 size a config sets, here the sampling ball of a random element, is counted
-in closed form and passed to crossed.check_budget before anything is built.
+in closed form and passed to crossed.check_budget before anything is built,
+and so is the order of a finite group, whose elements a run may enumerate.
 """
 
 from __future__ import annotations
@@ -59,6 +60,12 @@ class ConfigError(ValueError):
 # 144-199 measured on Z, Z^2 and Z^3 (one- and two-norm, 88 641 to 400 001
 # points), 173 on F2.
 _BALL_POINT_BYTES = 240
+
+
+# Peak bytes per element of group.elements(), which any run on a finite group
+# may build: 40 on Z_n, 96 on D_n, 56 + 8 per factor on a product of small
+# cyclic factors (208 at 20 factors; a product within the budget has at most 22).
+_ELEMENT_BYTES = 256
 
 
 def require(spec, key: str, where: str):
@@ -109,6 +116,8 @@ def build_system(spec: dict) -> TwistedSystem:
     try:
         algebra = BlockAlgebra(spec["algebra"])
         group = build_group(spec["group"])
+        if group.is_finite:
+            check_budget(_ELEMENT_BYTES * group.order, f"system.group: its {group.order} elements")
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -176,7 +176,7 @@ def _net_report(system, net, params, rng):
     if any(T.scalar_kernel is not None for T in net.multipliers):
         # pd_check builds a |S|^2 complex Gram matrix over the finite group or ball(pd_radius)
         finite = system.group.is_finite
-        n = len(system.group.elements()) if finite else ball_size(pd_radius, length)
+        n = system.group.order if finite else ball_size(pd_radius, length)
         key = "system.group" if finite else "pd_radius"
         check_budget(16 * n * n, f"{key}: the {n} x {n} Gram matrix of the pd check")
         S = system.group.elements() if finite else ball(pd_radius, length)
@@ -230,7 +230,7 @@ def run_approx_net(system, params, rng):
         indices = params.get("indices", [2, 4, 8])
         folner = folner_sequence(system.group)
         for i in indices:
-            n = len(system.group.elements()) if system.group.is_finite else int(i) ** system.group.d
+            n = system.group.order if system.group.is_finite else int(i) ** system.group.d
             check_budget(_PAIR_BYTES * n * n, f"indices: the {n} x {n} pair table of index {i}")
         data = folner_approx_data(rep, folner, indices)
     elif kind == "delta":

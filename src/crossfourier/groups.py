@@ -37,6 +37,7 @@ class Group:
 
     name: str = "group"
     is_finite: bool = False
+    order: int  # |G|, set by each finite family without enumerating G
 
     def identity(self) -> Elt:
         raise NotImplementedError
@@ -113,7 +114,7 @@ class Cyclic(Group):
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("cyclic order must be >= 1")
-        self.n = n
+        self.n = self.order = n
         self.name = f"Z{n}"
 
     def identity(self):
@@ -163,7 +164,7 @@ class Dihedral(Group):
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("dihedral parameter must be >= 1")
-        self.n = n
+        self.n, self.order = n, 2 * n
         self.name = f"D{n}"
 
     def identity(self):
@@ -238,6 +239,7 @@ class DirectProduct(Group):
         self.factors = tuple(factors)
         if not all(f.is_finite for f in self.factors):
             raise ValueError("direct products are shipped for finite factors only")
+        self.order = math.prod(f.order for f in self.factors)
         self.name = "x".join(f.name for f in self.factors)
 
     def identity(self):
@@ -632,7 +634,8 @@ class CodedGroup:
     of up to PAIR_MEMO distinct code pairs, from calls that fit the room left.
     A finite group of order up to 1024 numbers its elements in the order of
     group.elements() instead, and keeps their inverses and a dense
-    multiplication table (8 MB at order 1024) filled as pairs appear.
+    multiplication table (8 MB at order 1024) filled as pairs appear; on
+    Z_n a code is then its residue, and products are sums mod n.
     Codes are only compared and looked up, so no result depends on which
     number an element gets.
     """
@@ -642,13 +645,15 @@ class CodedGroup:
         # code pair -> its product's code, and code -> its inverse's
         self._numbering, self._products, self._inverted = Numbering(), KeyedTable(), KeyedTable()
         self._identities = np.zeros(0, dtype=np.int64)
-        self._table = self._residues = None
-        if group.is_finite and len(elements := group.elements()) <= 1024:
+        self._table = self._residues = self._inverses = None
+        if group.is_finite and group.order <= 1024:
+            elements = group.elements()
             self.encode(elements)
             self._inverses = self.encode(list(map(group.inv, elements)))
-            self._table = np.full((len(elements),) * 2, -1, dtype=np.int64)
             if isinstance(group, Cyclic):
-                self._residues = np.array(elements, dtype=np.int64)
+                self._residues = np.arange(group.n)
+            else:
+                self._table = np.full((len(elements),) * 2, -1, dtype=np.int64)
 
     def encode(self, points: list) -> np.ndarray:
         return self._numbering.many(points)
@@ -677,6 +682,8 @@ class CodedGroup:
         return self.encode(list(map(self.group.mul, self.decode(a), self.decode(b))))
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self._residues is not None:
+            return (a + b) % len(self._residues)
         if self._table is None:
             if len(self._products) + len(a) > PAIR_MEMO:
                 return self._tuple_mul(a, b)
@@ -689,7 +696,7 @@ class CodedGroup:
         return out
 
     def inv(self, a: np.ndarray) -> np.ndarray:
-        if self._table is None:
+        if self._inverses is None:
             rows = self._inverted.rows(a, lambda at: [self.encode(list(map(self.group.inv, self.decode(a[at]))))])
             return self._inverted.columns[0][rows]
         return self._inverses[a]

@@ -235,7 +235,7 @@ def make_gilbert_multiplier(
     f1, sup1 = _as_eta(system, rank, eta1)
     f2, sup2 = _as_eta(system, rank, eta2)
 
-    pool = grp.elements() if grp.is_finite and len(grp.elements()) <= 24 else ball(2, default_length(grp))
+    pool = grp.elements() if grp.is_finite and grp.order <= 24 else ball(2, default_length(grp))
 
     def factor_value(s, t):
         inner = f1(s).inner(f2(t))

@@ -28,8 +28,10 @@ act_rows is the one place that applies stacked actions.
 Whether it applies them is decided once per system: a system whose action
 rule is trivial_action's skips them, every other system applies each one,
 the identity included.
-Validation is exhaustive on finite groups up to order 64 and sampled from
-ball(3)^3 otherwise; it runs batched on the same tables (validate_system).
+Validation runs batched on the same tables (validate_system).  It is
+exhaustive on finite groups up to order 64, each triple's cocycle rows
+gathered from the n x n product and row tables of the group, and sampled
+from ball(3)^3 otherwise.
 """
 
 from __future__ import annotations
@@ -507,23 +509,84 @@ class SystemReport:
 _TRIPLE_BYTES = 96
 
 
-def default_triples(system: TwistedSystem, rng=None, n_samples: int = 200) -> Iterable:
-    """Exhaustive triples for finite |G| <= 64, made lazily; ball(3)^3 samples otherwise.
+def default_triples(system: TwistedSystem, rng=None, n_samples: int = 200) -> list:
+    """n_samples triples drawn from ball(3)^3: validate_system's samples past the exhaustive orders.
 
     The samples are drawn at the call, before validate_system draws its
     probes from the same rng.
     """
     from .crossed import check_budget  # crossed imports this module
 
-    group = system.group
-    if group.is_finite and len(group.elements()) <= 64:
-        return itertools.product(group.elements(), repeat=3)
     check_budget(_TRIPLE_BYTES * n_samples, f"n_samples: {n_samples} sampled triples")
-    pool = ball(3, default_length(group))
+    pool = ball(3, default_length(system.group))
     if rng is None:
         rng = np.random.default_rng(0)
     idx = rng.integers(len(pool), size=(n_samples, 3))
     return [(pool[i], pool[j], pool[k]) for i, j, k in idx]
+
+
+def _listed_chunks(system: TwistedSystem, triples: Iterable):
+    """The triples in chunks of _VALIDATE_CHUNK, coded, and a function giving their distinct pairs after the chunks.
+
+    A chunk is (acting, which, rows, sample): the action of acting[which[i]]
+    is that of the g of triple i, rows[:, i] are the cocycle rows of (g, h),
+    (gh, k), (h, k) and (g, hk), and sample(i) is triple i as given.  Once
+    the chunks are read, pair_rows() gives the distinct pairs (g, h), (h, k)
+    in first-seen order as codes s, t, with st and the rows of (s, t),
+    (s, e) and (e, s).
+    """
+    coded, rows = system.coded, system.cocycle_rows
+    pairs = KeyedTable()
+
+    def chunks():
+        it = iter(triples)
+        while chunk := list(itertools.islice(it, _VALIDATE_CHUNK)):
+            g, h, k = coded.encode(list(itertools.chain.from_iterable(chunk))).reshape(-1, 3).T
+            # (g, h) then (h, k) of each triple
+            left, right = np.stack([g, h], axis=1).ravel(), np.stack([h, k], axis=1).ravel()
+            pairs.rows(coded.pair_keys(left, right), lambda at: [left[at], right[at]])
+            gh, hk = coded.mul(g, h), coded.mul(h, k)
+            ghk = coded.mul(gh, k)
+            sig = rows(np.concatenate([g, gh, h, g]), np.concatenate([h, k, k, hk]), np.concatenate([gh, ghk, hk, ghk]))
+            yield g, np.arange(len(g)), sig.reshape(4, -1), chunk.__getitem__
+
+    def pair_rows():
+        s, t = pairs.columns
+        e = coded.identities(len(s))
+        st = coded.mul(s, t)
+        sig = rows(np.concatenate([s, s, e]), np.concatenate([t, e, s]), np.concatenate([st, s, s]))
+        return s, t, st, sig.reshape(3, -1)
+
+    return chunks(), pair_rows
+
+
+def _table_chunks(system: TwistedSystem):
+    """_listed_chunks of itertools.product(group.elements(), repeat=3), gathered from n x n tables.
+
+    Codes are positions in group.elements(), so triple i is the codes
+    (i // n^2, i // n % n, i % n) and pair (g, h) is entry g n + h of the
+    product table (one coded.mul) and of the row table (one cocycle_rows
+    call).  The pairs are G x G in code order, the order in which the
+    triples first meet them: (0, h, k) meets (0, .), then each (h, .) in turn.
+    """
+    coded, n = system.coded, system.group.order
+    s, t = np.divmod(np.arange(n * n), n)
+    st = coded.mul(s, t)
+    rows = system.cocycle_rows(s, t, st)
+    every, e = np.arange(n), int(coded.identities(1)[0])
+
+    def triple(i):
+        return tuple(coded.decode(np.array([i // n ** 2, i // n % n, i % n])))
+
+    def chunks():
+        for lo in range(0, n ** 3, _VALIDATE_CHUNK):
+            i = np.arange(lo, min(lo + _VALIDATE_CHUNK, n ** 3))
+            gh, k = np.divmod(i, n)  # gh, hk: the entries of the pairs (g, h) and (h, k)
+            hk, g = i % (n * n), gh // n
+            sig = np.stack([rows[gh], rows[st[gh] * n + k], rows[hk], rows[g * n + st[hk]]])
+            yield every, g, sig, lambda j, lo=lo: triple(lo + j)
+
+    return chunks(), lambda: (s, t, st, np.stack([rows, rows[s * n + e], rows[e * n + s]]))
 
 
 class _Worst:
@@ -552,68 +615,52 @@ def validate_system(
     rng=None,
     n_samples: int = 200,
 ) -> SystemReport:
-    """Max violations of the twisted-action axioms over the given samples.
+    """Max violations of the twisted-action axioms over the triples, and the first sample reaching each.
 
-    The default samples are every triple of a finite group of order <= 64
-    and n_samples triples from ball(3)^3 otherwise.  Checked: the cocycle
-    identity on each triple; unitarity, normalization and the action twist
-    action(s) action(t) = Ad(cocycle(s, t)) action(st) (on the probes) on
-    each distinct pair (g, h), (h, k) in first-seen order; action(e) = id.
-
-    The check is batched and takes the triples in chunks of _VALIDATE_CHUNK
-    from any iterable (the exhaustive ones are made as they are taken), so
-    memory is bounded by the chunk and the distinct values.  It runs on
-    codes and the system's stacked cocycles and actions, each axiom as
-    gathers and batched matmuls.  The products are those of the AlgElement
-    arithmetic, in the same order, so violations and witnesses are bit for
-    bit those of a loop over the samples; each witness is the first sample
-    reaching its violation.  Violations are reported, never raised; the
-    report passes iff every violation is finite and at most 1e-10.
+    The triples default to every triple of a finite group of order <= 64,
+    in itertools.product order of group.elements(), and to default_triples
+    otherwise.  Checked: the cocycle identity on each triple; unitarity,
+    normalization and the action twist action(s) action(t) =
+    Ad(cocycle(s, t)) action(st) (on the probes) on each distinct pair
+    (g, h), (h, k) in first-seen order; action(e) = id.  Each witness is the
+    first triple, or pair, in that order reaching its violation.  Violations
+    and witnesses are bit for bit those of a loop of AlgElement arithmetic
+    over the triples, so no report byte depends on how they are batched.
+    Violations are reported, never raised; the report passes iff every
+    violation is finite and at most 1e-10.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if triples is None:
+    group = system.group
+    exhaustive = triples is None and group.is_finite and group.order <= 64
+    if triples is None and not exhaustive:
         triples = default_triples(system, rng, n_samples)
-    triples = iter(triples)
     if probes is None:
         probes = system.algebra.basis() + [system.algebra.random_element(rng) for _ in range(3)]
 
     coded = system.coded
-    pairs = KeyedTable()  # the distinct pairs (g, h), (h, k) in first-seen order, as codes
     unit = system.algebra.unit().blocks
     worst = _Worst()
-    sigma, rows = system.cocycle_blocks, system.cocycle_rows
+    sigma = system.cocycle_blocks
 
     def minus(xs, ys):
         return [x - y for x, y in zip(xs, ys)]
 
     # overflowing values make non-finite defects, which the report carries
     with np.errstate(over="ignore", invalid="ignore"):
+        chunks, pair_rows = _table_chunks(system) if exhaustive else _listed_chunks(system, triples)
         n_triples = 0
-        while chunk := list(itertools.islice(triples, _VALIDATE_CHUNK)):
-            n_triples += len(chunk)
-            g, h, k = coded.encode(list(itertools.chain.from_iterable(chunk))).reshape(-1, 3).T
-            # (g, h) then (h, k) of each triple
-            left, right = np.stack([g, h], axis=1).ravel(), np.stack([h, k], axis=1).ravel()
-            pairs.rows(coded.pair_keys(left, right), lambda at: [left[at], right[at]])
-            gh, hk = coded.mul(g, h), coded.mul(h, k)
-            ghk = coded.mul(gh, k)
-            # cocycle rows at (g, h), (gh, k), (h, k), (g, hk); the action of g
-            r_gh, r_ghk, r_hk, r_ghk2 = np.split(rows(np.concatenate([g, gh, h, g]), np.concatenate([h, k, k, hk]),
-                                                      np.concatenate([gh, ghk, hk, ghk])), 4)
+        for acting, which, (r_gh, r_ghk, r_hk, r_ghk2), sample in chunks:
+            n_triples += len(which)
             lhs = [np.matmul(x, y) for x, y in zip(sigma(r_gh), sigma(r_ghk))]
-            acted = system.act_rows(g, np.arange(len(g)), sigma(r_hk))
+            acted = system.act_rows(acting, which, sigma(r_hk))
             rhs = [np.matmul(x, y) for x, y in zip(acted, sigma(r_ghk2))]
-            worst.update("cocycle", stacked_norms(minus(lhs, rhs)), lambda i: chunk[i])
+            worst.update("cocycle", stacked_norms(minus(lhs, rhs)), sample)
         if not n_triples:
             raise ValueError("sample of triples must be nonempty")
 
         # per distinct pair (s, t): cocycle (s, t), (s, e), (e, s); action of st, t, s
-        s, t = pairs.columns
-        e = coded.identities(len(s))
-        st = coded.mul(s, t)
-        pair_sigmas = rows(np.concatenate([s, s, e]), np.concatenate([t, e, s]), np.concatenate([st, s, s]))
-        pair_sigmas = pair_sigmas.reshape(3, -1).T
+        s, t, st, pair_sigmas = pair_rows()
 
         def witness(i):
             return tuple(coded.decode(np.array([s[i], t[i]])))
@@ -622,7 +669,7 @@ def validate_system(
         probe_table = stack_blocks(probes) if probes else []
         step = max(1, _VALIDATE_CHUNK // max(n_probes, 1))
         for lo in range(0, len(s), step):
-            sig_st, sig_se, sig_es = pair_sigmas[lo:lo + step].T
+            sig_st, sig_se, sig_es = pair_sigmas[:, lo:lo + step]
             sig = sigma(sig_st)
             sig_star = [adjoints(y) for y in sig]
             defects = np.maximum(
@@ -645,7 +692,7 @@ def validate_system(
             worst.update("action", stacked_norms(minus(lhs, rhs)), lambda i: witness(lo + i // n_probes))
 
         if probes:
-            acted = system.act_rows(e[:1], np.zeros(n_probes, dtype=np.int64), probe_table)
+            acted = system.act_rows(coded.identities(1), np.zeros(n_probes, dtype=np.int64), probe_table)
             worst.update("action", stacked_norms(minus(acted, probe_table)), lambda i: (system.group.identity(),) * 2)
 
     return SystemReport(

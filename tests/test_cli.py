@@ -258,6 +258,8 @@ Z1 = {"algebra": [1], "group": {"family": "Zd", "d": 1}}
     ({"tag": "decay-probe", "radius": 20}, F2, "radius"),
     ({"tag": "content-probe", "subset": ["a", " ".join("a" * 12)]}, F2, "subset"),
     ({"tag": "validate", "n_samples": 200_000_000}, Z2_LATTICE, "n_samples"),  # 4.47 GiB of sample indices
+    # the list of its 2 * 10^8 elements, which ball(3) and a random element enumerate
+    ({"tag": "validate"}, {"algebra": [1], "group": {"family": "finite-cyclic", "n": 200_000_000}}, "system.group"),
     # time linear in the count, memory not: refused by the work budget of experiments.py
     ({"tag": "commutative-inequality", "n_samples": 1_000_000_000}, Z1, "n_samples"),
     ({"tag": "psl-preset", "n_samples": 1_000_000_000}, Z1, "n_samples"),
@@ -266,7 +268,8 @@ Z1 = {"algebra": [1], "group": {"family": "Zd", "d": 1}}
     ({"tag": "content-probe", "subset": ["0", "1"], "sample_budget": 1_000_000_000}, Z1, "sample_budget"),
     ({"tag": "ideals", "e_invariance": {"blocks": [0]}, "sample_budget": 1_000_000_000}, Z1, "sample_budget"),
 ], ids=["norms-dump", "norms-sampling-ball", "fejer-finite-pd-set", "abel-poisson-pd-radius", "approx-net-indices",
-        "decay-probe-radius", "content-probe-subset", "validate-n-samples", "commutative-inequality-n-samples",
+        "decay-probe-radius", "content-probe-subset", "validate-n-samples", "finite-group-order",
+        "commutative-inequality-n-samples",
         "psl-preset-n-samples", "arithmetic-suite-n-triples", "decay-probe-sample-budget",
         "content-probe-sample-budget", "ideals-e-invariance-sample-budget"])
 def test_a_config_past_the_budget_exits_one_naming_its_key(tmp_path, experiment, system, key):

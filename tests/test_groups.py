@@ -313,6 +313,23 @@ def test_shell_series_forms_each_term_once(term):
     assert len(seen) == len(set(seen)) and terms == list(map(term, range(len(terms))))
 
 
+@pytest.mark.parametrize("group", [G for G in ALL_GROUPS if G.is_finite] + [
+    DirectProduct([Dihedral(3), Cyclic(4)]), DirectProduct([Cyclic(2), DirectProduct([Cyclic(2), Cyclic(3)])])],
+    ids=lambda G: G.name)
+def test_a_finite_order_is_the_number_of_elements(group):
+    assert group.order == len(group.elements())
+
+
+def test_the_order_of_a_shipped_finite_group_enumerates_nothing(monkeypatch):
+    def refuse(self):
+        raise AssertionError("enumerated")
+
+    for family in (Cyclic, Dihedral, DirectProduct):
+        monkeypatch.setattr(family, "elements", refuse)
+    assert Cyclic(10 ** 12).order == 10 ** 12 and Dihedral(10 ** 12).order == 2 * 10 ** 12
+    assert DirectProduct([Cyclic(10 ** 6), Dihedral(10 ** 6)]).order == 2 * 10 ** 12
+
+
 # -- coded elements ---------------------------------------------------------------
 
 

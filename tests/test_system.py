@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 
@@ -8,7 +9,9 @@ import pytest
 from crossfourier import system as system_module
 from crossfourier.algebra import AlgAutomorphism, BlockAlgebra
 from crossfourier.cli import canonical_json
-from crossfourier.groups import Cyclic, Dihedral, DirectProduct, FreeF2, Zd, ball, block_length, default_length
+from crossfourier.groups import (
+    Cyclic, Dihedral, DirectProduct, FreeF2, KeyedTable, Zd, ball, block_length, default_length,
+)
 from crossfourier.system import (
     CentralExtension,
     SystemReport,
@@ -204,14 +207,16 @@ def loop_validate(system, triples=None, probes=None, rng=None, n_samples=200):
     """validate_system as a loop of AlgElement operations over the samples (oracle)."""
     if rng is None:
         rng = np.random.default_rng(0)
-    if triples is None:
+    group = system.group
+    if triples is None and group.is_finite and len(group.elements()) <= 64:
+        triples = itertools.product(group.elements(), repeat=3)
+    elif triples is None:
         triples = default_triples(system, rng, n_samples)
     triples = list(triples)
     if probes is None:
         probes = system.algebra.basis() + [system.algebra.random_element(rng) for _ in range(3)]
 
-    group, unit = system.group, system.algebra.unit()
-    e = group.identity()
+    unit, e = system.algebra.unit(), group.identity()
     worst = {"action": 0.0, "cocycle": 0.0, "normalization": 0.0, "unitarity": 0.0}
     witness: dict = {}
 
@@ -408,6 +413,81 @@ def test_non_finite_defect_in_a_matrix_block_fails():
     assert math.isinf(report.unitarity_violation)
     assert report.witness["unitarity"] == (1, 1)
     json.loads(canonical_json(report.as_dict()))
+
+
+# -- the exhaustive pass: n x n tables against the listed product triples ------------------
+
+
+def _overflow_cocycle_system():
+    """Z2 on M2 with cocycle(1, 1) = 1e200 * 1: its unitarity defect overflows."""
+    A = BlockAlgebra([2])
+    big = A.scalar([1e200])
+    return TwistedSystem(A, Cyclic(2), generator_action(Cyclic(2), A, [AlgAutomorphism.identity(A)]),
+                         lambda g, h: big if (g, h) == (1, 1) else A.unit(), tag="overflow")
+
+
+FINITE_SYSTEMS = {
+    **{name: make for name, make in ORACLE_SYSTEMS.items() if make().group.is_finite},
+    "Z4-nan-cocycle": _nan_cocycle_system,
+    "Z2-overflow-M2": _overflow_cocycle_system,
+}
+
+
+def _taken(monkeypatch):
+    """The triple sources validate_system calls from now on, by name, in call order."""
+    taken = []
+    for name in ("_table_chunks", "default_triples"):
+        real = getattr(system_module, name)
+        monkeypatch.setattr(system_module, name,
+                            lambda *args, real=real, name=name, **kw: taken.append(name) or real(*args, **kw))
+    return taken
+
+
+@pytest.mark.parametrize("chunk", [system_module._VALIDATE_CHUNK, 7])
+@pytest.mark.parametrize("name", sorted(FINITE_SYSTEMS))
+def test_the_table_pass_is_the_listed_product_bit_for_bit(monkeypatch, name, chunk):
+    monkeypatch.setattr(system_module, "_VALIDATE_CHUNK", chunk)
+    make = FINITE_SYSTEMS[name]
+    listed = make()
+    want = validate_system(listed, triples=list(itertools.product(listed.group.elements(), repeat=3)),
+                           rng=np.random.default_rng(3))
+    taken = _taken(monkeypatch)
+    got = validate_system(make(), rng=np.random.default_rng(3))
+    assert taken == ["_table_chunks"]
+    assert _fingerprint(got) == _fingerprint(want)
+
+
+def test_the_table_pass_ends_at_order_64(monkeypatch):
+    # Z64: 262 144 triples, the largest exhaustive pass; Z65 takes the sampler
+    edge = theta_system(Cyclic(64), "1/64")
+    want_edge = validate_system(edge, triples=list(itertools.product(range(64), repeat=3)))
+    past = theta_system(Cyclic(65), "1/65")
+    rng = np.random.default_rng(0)
+    want_past = validate_system(past, triples=default_triples(past, rng), rng=rng)
+    taken = _taken(monkeypatch)
+    got = validate_system(theta_system(Cyclic(64), "1/64"))
+    assert taken == ["_table_chunks"] and got.n_triples == 64 ** 3
+    assert _fingerprint(got) == _fingerprint(want_edge)
+    got = validate_system(theta_system(Cyclic(65), "1/65"))
+    assert taken == ["_table_chunks", "default_triples"] and got.n_triples == 200
+    assert _fingerprint(got) == _fingerprint(want_past)
+
+
+def test_the_table_pass_evaluates_each_key_once_and_looks_up_nothing_per_chunk(monkeypatch):
+    sys_ = theta_system(Cyclic(32), "1/32")
+    coded = sys_.coded
+    encoded, evaluated, looked_up = [], [], []
+    encode, cocycle, rows = coded.encode, sys_.cocycle, KeyedTable.rows
+    monkeypatch.setattr(coded, "encode", lambda points: encoded.extend(points) or encode(points))
+    monkeypatch.setattr(sys_, "cocycle", lambda g, h: evaluated.append((g, h)) or cocycle(g, h))
+    monkeypatch.setattr(KeyedTable, "rows", lambda table, keys, values: looked_up.append(len(keys))
+                        or rows(table, keys, values))
+    report = validate_system(sys_)
+    assert report.passed and report.n_triples == 32 ** 3
+    # one value per distinct B(g, h) = g h, each evaluated once
+    assert len(evaluated) == len(sys_._cocycle_cache) == len({g * h for g in range(32) for h in range(32)})
+    assert len(encoded) <= 32
+    assert looked_up == [32 * 32]  # the row table of the n^2 pairs, and no call per chunk of triples
 
 
 # -- the keyed section cocycle and the stacked generator actions ----------------------
